@@ -28,18 +28,13 @@ from pathlib import Path
 from . import __version__
 from . import bpe as bpe_mod
 from . import evaluation, interleave, morphlex, pipeline
-from .compounds import CompoundSplit, merge_compound, rejoin_split_tokens, split_compound
+from .compounds import CompoundSplit, merge_stem, rejoin_split_tokens, split_compound
 from .tagsets import (
-    GermanAnalysis,
     MalformedAnalysis,
     MalformedTag,
     format_analysis,
     format_tag,
-    is_bare_token,
-    is_feature_token,
-    parse_feature_seq,
     parse_german_analysis,
-    parse_stem_side,
 )
 
 __all__ = ["main", "RunManifest"]
@@ -415,31 +410,19 @@ def cmd_merge_compounds(args: argparse.Namespace, config: dict[str, str]) -> int
     for line in lines:
         tokens, _ = rejoin_split_tokens(line.split())
         result_tokens: list[str] = []
-        i = 0
-        while i < len(tokens):
-            token = tokens[i]
-            if (
-                i + 1 < len(tokens)
-                and not is_feature_token(token)
-                and not is_bare_token(token)
-                and is_feature_token(tokens[i + 1])
-            ):
-                try:
-                    segments = parse_stem_side(token)
-                    feature_seq = parse_feature_seq(tokens[i + 1])
-                except MalformedAnalysis as exc:
-                    raise CliError(str(exc)) from exc
-                analysis = GermanAnalysis(segments, feature_seq, inflected=True)
-                if len(segments) > 1:
-                    split = split_compound(analysis)
-                    if isinstance(split, CompoundSplit):
-                        analysis = merge_compound(split, lex, unknown_modifiers)
-                        merged_count += 1
-                result_tokens.append(format_analysis(analysis))
-                i += 2
-            else:
-                result_tokens.append(token)
-                i += 1
+        for item in interleave.walk(tokens, interleave.MODE_GERMAN_STEMMED).items:
+            if item.kind != interleave.ITEM_PAIR:
+                # Bare tokens, orphan words and orphan tags pass through.
+                result_tokens.append(tokens[item.position])
+                continue
+            try:
+                analysis, merged = merge_stem(
+                    item.word, item.features, lex, unknown_modifiers
+                )
+            except MalformedAnalysis as exc:
+                raise CliError(str(exc)) from exc
+            merged_count += merged
+            result_tokens.append(format_analysis(analysis))
         out.append(" ".join(result_tokens))
     write_lines(args.output, out)
     for lexeme in unknown_modifiers:

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from .morphlex import ParadigmLexicon
 from .tagsets import (
     GermanAnalysis,
+    GermanFeatureSeq,
     MalformedAnalysis,
     StemSegment,
     format_tag,
@@ -39,6 +40,7 @@ __all__ = [
     "is_separator_token",
     "split_compound",
     "merge_compound",
+    "merge_stem",
     "rejoin_split_tokens",
 ]
 
@@ -172,6 +174,29 @@ def merge_compound(
     return GermanAnalysis(
         (StemSegment(stem, head_markup),), feature_seq, inflected=True
     )
+
+
+def merge_stem(
+    stem: str,
+    feature_seq: GermanFeatureSeq,
+    lex: ParadigmLexicon,
+    unknown_modifiers: list[str] | None = None,
+) -> tuple[GermanAnalysis, bool]:
+    """The analysis of a decoded ``stem <features>`` pair, compound merged.
+
+    A stem with split-point borders is split and reassembled with
+    :func:`merge_compound`.  Returns the analysis and whether a compound
+    was merged.  Raises :class:`MalformedAnalysis` when the stem does not
+    parse or does not split into a well-formed compound (for example
+    when its segments spell a separator token).
+    """
+    segments = parse_stem_side(stem)
+    analysis = GermanAnalysis(segments, feature_seq, inflected=True)
+    if len(segments) > 1:
+        split = split_compound(analysis)
+        if isinstance(split, CompoundSplit):
+            return merge_compound(split, lex, unknown_modifiers), True
+    return analysis, False
 
 
 def _split_head(token: str) -> tuple[str, str | None]:

@@ -9,20 +9,27 @@ Four representation modes:
   a stem token followed by its feature-sequence token
   (``sehen <+V><3><Sg><Pres><Ind>``).
 
-Decoding validates the alternation and recovers the (tag, word) pairs;
-it is also the well-formedness checker used by the evaluation module.
+:func:`walk` is the one pass over a decoded token stream.  It classifies
+each token once and returns the stream's items in order - (tag, word)
+pairs, bare tokens, orphan words and orphan tags - together with the
+first violation of the strict alternation.  :func:`decode` is its strict
+view and the well-formedness checker of the evaluation module; the
+pipeline's postprocessing and the ``merge-compounds`` command consume
+the items directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .tagsets import (
+    GermanFeatureSeq,
     MorphAnalysis,
     format_tag,
     is_bare_token,
     is_czech_tag,
-    is_feature_token,
+    parse_feature_token,
     KIND_BARE,
 )
 
@@ -32,10 +39,17 @@ __all__ = [
     "MODE_MORPHGEN",
     "MODE_SERIALIZATION",
     "MODE_GERMAN_STEMMED",
+    "ITEM_PAIR",
+    "ITEM_BARE",
+    "EVENT_WORD_WITHOUT_TAG",
+    "EVENT_DROPPED_TAG",
     "InterleavedSentence",
+    "Item",
+    "Walk",
     "WellformednessError",
     "LengthMismatch",
     "encode",
+    "walk",
     "decode",
     "tag_source",
 ]
@@ -49,6 +63,16 @@ MODES = (MODE_BASELINE, MODE_MORPHGEN, MODE_SERIALIZATION, MODE_GERMAN_STEMMED)
 ERROR_ODD_LENGTH = "odd-length"
 ERROR_TAG_EXPECTED = "tag-expected"
 ERROR_WORD_EXPECTED = "word-expected"
+
+ITEM_PAIR = "pair"
+ITEM_BARE = "bare"
+# Orphan items are named after the repair event they stand for.
+EVENT_WORD_WITHOUT_TAG = "word-without-tag"
+EVENT_DROPPED_TAG = "dropped-tag"
+_STRICT_ERROR = {
+    EVENT_WORD_WITHOUT_TAG: ERROR_TAG_EXPECTED,
+    EVENT_DROPPED_TAG: ERROR_WORD_EXPECTED,
+}
 
 
 class WellformednessError(ValueError):
@@ -70,7 +94,6 @@ class InterleavedSentence:
 
     mode: str
     tokens: tuple[str, ...]
-    pairs: tuple[tuple[str, str], ...] = ()
 
     @property
     def text(self) -> str:
@@ -88,25 +111,19 @@ def encode(analyses: list[MorphAnalysis], mode: str) -> InterleavedSentence:
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     tokens: list[str] = []
-    pairs: list[tuple[str, str]] = []
     for a in analyses:
         if mode == MODE_BASELINE:
             tokens.append(_surface_of(a))
             continue
         if mode == MODE_MORPHGEN:
-            tag_token, word = format_tag(a.tag), a.lemma
-            tokens += [tag_token, word]
+            tokens += [format_tag(a.tag), a.lemma]
         elif mode == MODE_SERIALIZATION:
-            tag_token, word = format_tag(a.tag), _surface_of(a)
-            tokens += [tag_token, word]
-        else:  # german-stemmed
-            tag_token, word = format_tag(a.tag), a.lemma
-            if _is_bare(a):
-                tokens.append(f"{word}{tag_token}")
-            else:
-                tokens += [word, tag_token]
-        pairs.append((tag_token, word))
-    return InterleavedSentence(mode, tuple(tokens), tuple(pairs))
+            tokens += [format_tag(a.tag), _surface_of(a)]
+        elif _is_bare(a):  # german-stemmed
+            tokens.append(f"{a.lemma}{format_tag(a.tag)}")
+        else:
+            tokens += [a.lemma, format_tag(a.tag)]
+    return InterleavedSentence(mode, tuple(tokens))
 
 
 def _surface_of(a: MorphAnalysis) -> str:
@@ -119,54 +136,103 @@ def _is_bare(a: MorphAnalysis) -> bool:
     return getattr(a.tag, "kind", None) == KIND_BARE
 
 
+class Item(NamedTuple):
+    """One unit of a walked stream, at the position of its first token.
+
+    ``kind`` is :data:`ITEM_PAIR`, :data:`ITEM_BARE` (``lexeme[TAG]``
+    split into ``word`` and ``tag``), or a repair event kind for an
+    orphan word or tag.  ``features`` is the parsed feature sequence of a
+    German pair.
+    """
+
+    kind: str
+    position: int
+    tag: str
+    word: str
+    features: GermanFeatureSeq | None = None
+
+
+class Walk(NamedTuple):
+    """The items of a stream and its first strict violation, if any.
+
+    The orphan items are the stream's repair events: their ``kind`` is
+    the event kind and their ``position`` the token it concerns.
+    """
+
+    items: list[Item]
+    error: WellformednessError | None
+
+
+def walk(tokens: list[str], mode: str) -> Walk:
+    """Classify each token once and pair tags with words leniently.
+
+    Positional-tag modes put the tag first, the German stemmed mode puts
+    the word first.  A token that cannot open or close a pair becomes an
+    orphan item.  The strict error is derived from the first orphan: an
+    orphan that opens a pair is reported where its partner was expected.
+    An odd-length positional-tag stream is reported as ``odd-length`` at
+    its last token before any other violation.  Inputs must have BPE
+    reverted already.
+    """
+    if mode in (MODE_MORPHGEN, MODE_SERIALIZATION):
+        tag_first = True
+        features: list[GermanFeatureSeq | None] = [None] * len(tokens)
+        is_tag = [is_czech_tag(token) for token in tokens]
+    elif mode == MODE_GERMAN_STEMMED:
+        tag_first = False
+        features = [parse_feature_token(token) for token in tokens]
+        is_tag = [f is not None for f in features]
+    elif mode == MODE_BASELINE:
+        raise ValueError("baseline sequences carry no tag/word pairs")
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+
+    items: list[Item] = []
+    n = len(tokens)
+    i = 0
+    while i < n:
+        token = tokens[i]
+        if is_tag[i]:
+            if tag_first and i + 1 < n and not is_tag[i + 1]:
+                items.append(Item(ITEM_PAIR, i, token, tokens[i + 1]))
+                i += 2
+                continue
+            items.append(Item(EVENT_DROPPED_TAG, i, token, ""))
+        elif not tag_first and is_bare_token(token):
+            lexeme, bracket, rest = token.partition("[")
+            items.append(Item(ITEM_BARE, i, bracket + rest, lexeme))
+        elif not tag_first and i + 1 < n and is_tag[i + 1]:
+            items.append(Item(ITEM_PAIR, i, tokens[i + 1], token, features[i + 1]))
+            i += 2
+            continue
+        else:
+            items.append(Item(EVENT_WORD_WITHOUT_TAG, i, "", token))
+        i += 1
+
+    error = None
+    if tag_first and n % 2 != 0:
+        error = WellformednessError(n - 1, ERROR_ODD_LENGTH)
+    else:
+        for item in items:
+            if item.kind in _STRICT_ERROR:
+                opens_pair = (item.kind == EVENT_DROPPED_TAG) == tag_first
+                position = item.position + 1 if opens_pair else item.position
+                error = WellformednessError(position, _STRICT_ERROR[item.kind])
+                break
+    return Walk(items, error)
+
+
 def decode(tokens: list[str], mode: str) -> list[tuple[str, str]]:
     """Validate a token sequence and return its (tag, word) pairs.
 
-    Raises :class:`WellformednessError` with the offending position and
-    an error kind (odd-length, tag-expected, word-expected).  Inputs must
-    have BPE reverted already.
+    The strict view of :func:`walk`: raises its first
+    :class:`WellformednessError` (odd-length, tag-expected,
+    word-expected) or returns the pairs, bare tokens included.
     """
-    if mode in (MODE_MORPHGEN, MODE_SERIALIZATION):
-        return _decode_czech(tokens)
-    if mode == MODE_GERMAN_STEMMED:
-        return _decode_german(tokens)
-    if mode == MODE_BASELINE:
-        raise ValueError("baseline sequences carry no tag/word pairs")
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def _decode_czech(tokens: list[str]) -> list[tuple[str, str]]:
-    if len(tokens) % 2 != 0:
-        raise WellformednessError(len(tokens) - 1, ERROR_ODD_LENGTH)
-    pairs = []
-    for i in range(0, len(tokens), 2):
-        tag, word = tokens[i], tokens[i + 1]
-        if not is_czech_tag(tag):
-            raise WellformednessError(i, ERROR_TAG_EXPECTED)
-        if is_czech_tag(word):
-            raise WellformednessError(i + 1, ERROR_WORD_EXPECTED)
-        pairs.append((tag, word))
-    return pairs
-
-
-def _decode_german(tokens: list[str]) -> list[tuple[str, str]]:
-    pairs = []
-    i = 0
-    while i < len(tokens):
-        token = tokens[i]
-        if is_feature_token(token):
-            # A feature sequence where a word was expected.
-            raise WellformednessError(i, ERROR_WORD_EXPECTED)
-        if is_bare_token(token):
-            lexeme, tag = token[: token.index("[")], token[token.index("[") :]
-            pairs.append((tag, lexeme))
-            i += 1
-            continue
-        if i + 1 >= len(tokens) or not is_feature_token(tokens[i + 1]):
-            raise WellformednessError(i + 1, ERROR_TAG_EXPECTED)
-        pairs.append((tokens[i + 1], token))
-        i += 2
-    return pairs
+    stream = walk(tokens, mode)
+    if stream.error is not None:
+        raise stream.error
+    return [(item.tag, item.word) for item in stream.items]
 
 
 def tag_source(words: list[str], tags: list[str]) -> list[str]:

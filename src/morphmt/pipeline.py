@@ -5,13 +5,17 @@ representations, hands the prepared text to an external line-oriented
 translation backend, and deterministically turns the backend's output
 back into inflected surface text:
 
-    revert BPE -> decode interleaving -> merge compounds (split mode)
-    -> generate surface forms (lemma fallback on failure)
+    revert BPE -> rejoin split compounds (split mode) -> walk the stream
+    -> merge compounds (German) -> generate surface forms (lemma fallback)
 
-Every input line yields exactly one output line; malformed segments are
-repaired rather than fatal (an orphan word is emitted verbatim, an
-orphan tag is dropped) and all repairs, generation fallbacks and
-well-formedness violations are reported alongside the text.
+Each line's stream is walked once by :func:`interleave.walk`, which
+yields the (tag, word) items, the orphan words and tags, and the first
+strict well-formedness violation.  Every input line yields exactly one
+output line; malformed segments are repaired rather than fatal (an
+orphan word is emitted verbatim, an orphan tag is dropped, a stem that
+cannot be parsed or merged is emitted verbatim) and all repairs,
+generation fallbacks and well-formedness violations are reported
+alongside the text.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from .bpe import (
 from .compounds import (
     CompoundSplit,
     is_separator_token,
-    merge_compound,
+    merge_stem,
     rejoin_split_tokens,
     split_compound,
 )
@@ -48,15 +52,12 @@ from .morphlex import (
     generate_with_fallback,
 )
 from .tagsets import (
-    GermanAnalysis,
     MalformedAnalysis,
     MorphAnalysis,
     is_bare_token,
     is_czech_tag,
     is_feature_token,
     parse_czech_tag,
-    parse_feature_seq,
-    parse_stem_side,
     KIND_BARE,
 )
 
@@ -400,8 +401,8 @@ def translate_external(
 # Postprocessing
 # ---------------------------------------------------------------------------
 
-EVENT_DROPPED_TAG = "dropped-tag"
-EVENT_WORD_WITHOUT_TAG = "word-without-tag"
+EVENT_DROPPED_TAG = interleave.EVENT_DROPPED_TAG
+EVENT_WORD_WITHOUT_TAG = interleave.EVENT_WORD_WITHOUT_TAG
 EVENT_DANGLING_MARKER = "dangling-marker"
 EVENT_ORPHAN_SEPARATOR = "orphan-separator"
 EVENT_UNPARSEABLE_STEM = "unparseable-stem"
@@ -441,81 +442,6 @@ def _revert_lenient(tokens: list[str], events: list[tuple[int, str]]) -> list[st
             tokens[-1] = tokens[-1][: -len(MARKER)]
 
 
-def _surface_czech(
-    tokens: list[str],
-    mode: str,
-    lex: ParadigmLexicon | None,
-    report: GenerationReport,
-    events: list[tuple[int, str]],
-) -> list[str]:
-    words: list[str] = []
-    i = 0
-    while i < len(tokens):
-        token = tokens[i]
-        if not is_czech_tag(token):
-            events.append((i, EVENT_WORD_WITHOUT_TAG))
-            words.append(token)
-            i += 1
-            continue
-        if i + 1 >= len(tokens) or is_czech_tag(tokens[i + 1]):
-            events.append((i, EVENT_DROPPED_TAG))
-            i += 1
-            continue
-        word = tokens[i + 1]
-        if mode == interleave.MODE_SERIALIZATION:
-            words.append(word)
-        else:
-            words.append(
-                generate_with_fallback(lex, word, parse_czech_tag(token), report)
-            )
-        i += 2
-    return words
-
-
-def _surface_german(
-    tokens: list[str],
-    lex: ParadigmLexicon,
-    report: GenerationReport,
-    events: list[tuple[int, str]],
-    unknown_modifiers: list[str],
-) -> list[str]:
-    words: list[str] = []
-    i = 0
-    while i < len(tokens):
-        token = tokens[i]
-        if is_feature_token(token):
-            events.append((i, EVENT_DROPPED_TAG))
-            i += 1
-            continue
-        if is_bare_token(token):
-            words.append(token[: token.index("[")])
-            i += 1
-            continue
-        if i + 1 >= len(tokens) or not is_feature_token(tokens[i + 1]):
-            events.append((i, EVENT_WORD_WITHOUT_TAG))
-            words.append(token)
-            i += 1
-            continue
-        feature_seq = parse_feature_seq(tokens[i + 1])
-        try:
-            segments = parse_stem_side(token)
-        except MalformedAnalysis:
-            events.append((i, EVENT_UNPARSEABLE_STEM))
-            words.append(token)
-            i += 2
-            continue
-        analysis = GermanAnalysis(segments, feature_seq, inflected=True)
-        if len(segments) > 1:
-            split = split_compound(analysis)
-            if isinstance(split, CompoundSplit):
-                analysis = merge_compound(split, lex, unknown_modifiers)
-        words.append(
-            generate_with_fallback(lex, analysis.stem_text, feature_seq, report)
-        )
-        i += 2
-    return words
-
-
 def postprocess_line(line: str, mode: str, lex: ParadigmLexicon | None) -> _LineResult:
     """Deterministically turn one backend output line into surface text."""
     report = GenerationReport()
@@ -531,15 +457,32 @@ def postprocess_line(line: str, mode: str, lex: ParadigmLexicon | None) -> _Line
         tokens, orphans = rejoin_split_tokens(tokens)
         events.extend((pos, EVENT_ORPHAN_SEPARATOR) for pos, _ in orphans)
 
-    try:
-        interleave.decode(tokens, _base_mode(mode))
-    except interleave.WellformednessError as exc:
-        wf_errors.append((exc.kind, exc.position))
+    stream = interleave.walk(tokens, _base_mode(mode))
+    if stream.error is not None:
+        wf_errors.append((stream.error.kind, stream.error.position))
 
-    if _is_german(mode):
-        words = _surface_german(tokens, lex, report, events, unknown_modifiers)
-    else:
-        words = _surface_czech(tokens, mode, lex, report, events)
+    words: list[str] = []
+    for item in stream.items:
+        if item.kind == EVENT_DROPPED_TAG:
+            events.append((item.position, item.kind))
+        elif item.kind == EVENT_WORD_WITHOUT_TAG:
+            events.append((item.position, item.kind))
+            words.append(item.word)
+        elif item.kind == interleave.ITEM_BARE or mode == interleave.MODE_SERIALIZATION:
+            words.append(item.word)
+        elif mode == interleave.MODE_MORPHGEN:
+            tag = parse_czech_tag(item.tag)
+            words.append(generate_with_fallback(lex, item.word, tag, report))
+        else:
+            try:
+                analysis, _ = merge_stem(item.word, item.features, lex, unknown_modifiers)
+            except MalformedAnalysis:
+                events.append((item.position, EVENT_UNPARSEABLE_STEM))
+                words.append(item.word)
+                continue
+            words.append(
+                generate_with_fallback(lex, analysis.stem_text, item.features, report)
+            )
     return _LineResult(" ".join(words), report, events, wf_errors, unknown_modifiers)
 
 

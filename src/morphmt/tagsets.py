@@ -30,6 +30,7 @@ __all__ = [
     "MorphAnalysis",
     "parse_czech_tag",
     "parse_feature_seq",
+    "parse_feature_token",
     "parse_stem_side",
     "parse_german_analysis",
     "format_tag",
@@ -79,8 +80,6 @@ SLOT_NAMES = (
     "reserve2",
     "var",
 )
-
-UNSET = "-"
 
 # ASCII letters and digits plus ':' (sub-POS of punctuation) and '-' (unset).
 TAG_ALPHABET = frozenset(string.ascii_letters + string.digits + ":-")
@@ -181,36 +180,6 @@ def is_czech_tag(token: str) -> bool:
     if len(token) != TAG_LENGTH:
         return False
     return all(ch in TAG_ALPHABET for ch in token)
-
-
-def validate_against_alphabets(tag: PositionalTag, alphabets: dict[str, str]) -> None:
-    """Strict-mode check of each slot against a user-supplied alphabet.
-
-    ``alphabets`` maps slot names to the permitted characters for that
-    slot; slots without an entry are unconstrained.  The unset marker is
-    always permitted.
-    """
-    for name, allowed in alphabets.items():
-        value = tag.slot(name)
-        if value != UNSET and value not in allowed:
-            raise MalformedTag(
-                f"slot {name} has value {value!r}, permitted: {allowed!r}"
-            )
-
-
-def load_slot_alphabets(text: str) -> dict[str, str]:
-    """Parse a strict-mode alphabet file: ``slot=chars`` lines, ``#`` comments."""
-    alphabets: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        name, sep, chars = stripped.partition("=")
-        name = name.strip()
-        if not sep or name not in SLOT_NAMES:
-            raise MalformedTag(f"alphabet file line {lineno}: bad slot {line!r}")
-        alphabets[name] = chars.strip()
-    return alphabets
 
 
 # ---------------------------------------------------------------------------
@@ -363,15 +332,19 @@ def _classify_values(values: tuple[str, ...]) -> str:
     return KIND_NOMINAL
 
 
+def parse_feature_token(token: str) -> GermanFeatureSeq | None:
+    """The feature sequence of a pure angle-bracket token, else None."""
+    if not _ANGLE_SEQ_RE.match(token):
+        return None
+    try:
+        return parse_feature_seq(token)
+    except MalformedAnalysis:
+        return None
+
+
 def is_feature_token(token: str) -> bool:
     """True iff ``token`` is a pure angle-bracket feature sequence."""
-    if not _ANGLE_SEQ_RE.match(token):
-        return False
-    try:
-        parse_feature_seq(token)
-    except MalformedAnalysis:
-        return False
-    return True
+    return parse_feature_token(token) is not None
 
 
 def is_bare_token(token: str) -> bool:

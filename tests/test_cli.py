@@ -229,6 +229,26 @@ class TestLexiconCommands:
         assert "error" in err
 
 
+class TestPostprocessRepairs:
+    @pytest.mark.parametrize(
+        "mode, line",
+        [
+            ("german-stemmed", "a<NN>§§<X>§§ <+NN><Masc><Dat><Sg><NA>"),
+            ("german-stemmed-split", "§§<NN>§§@@ <X>§§ <+NN><Masc><Dat><Sg><NA>"),
+        ],
+    )
+    def test_stem_spelling_a_separator_does_not_abort(self, run, mode, line):
+        code, out, err = run(
+            ["postprocess", "--mode", mode, "--lexicon", GERMAN_LEXICON],
+            stdin_text=line + "\nund[KON]\n",
+        )
+        assert code == 0
+        assert len(out.splitlines()) == 2
+        assert out.endswith("\nund\n")
+        manifest = json.loads(err.strip().splitlines()[-1])
+        assert manifest["counters"]["recovery_events"] == 1
+
+
 class TestCompoundCommands:
     def test_split_and_merge_are_inverse(self, run):
         line = "und[KON] Meer<NN>Boden||<+NN><Masc><Dat><Sg><NA>\n"
@@ -240,6 +260,31 @@ class TestCompoundCommands:
         )
         assert code == 0
         assert merged_out == "und[KON] Meeresboden||<+NN><Masc><Dat><Sg><NA>\n"
+
+    def test_merge_passes_malformed_tokens_through(self, run):
+        # An orphan feature token, a bare token, an orphan separator, an
+        # unknown modifier, a clean compound and a trailing orphan word.
+        line = (
+            "<+NN><Fem><Acc><Sg><NA> und[KON] §§<NN>§§ "
+            "Nacht §§<NN>§§ Markt <+NN><Masc><Nom><Sg><NA> "
+            "Meer §§<NN>§§ Boden <+NN><Masc><Dat><Sg><NA> sehen\n"
+        )
+        code, out, err = run(
+            ["merge-compounds", "--lexicon", GERMAN_LEXICON], stdin_text=line
+        )
+        assert code == 0
+        assert out == (
+            "<+NN><Fem><Acc><Sg><NA> und[KON] "
+            "Nachtmarkt||<+NN><Masc><Nom><Sg><NA> "
+            "Meeresboden||<+NN><Masc><Dat><Sg><NA> sehen\n"
+        )
+        assert "morphmt: unknown compound modifier 'Nacht'\n" in err
+        manifest = json.loads(err.strip().splitlines()[-1])
+        assert manifest["counters"] == {
+            "lines": 1,
+            "compounds_merged": 2,
+            "unknown_modifiers": 1,
+        }
 
 
 class TestTranslateCommand:

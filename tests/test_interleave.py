@@ -1,16 +1,29 @@
 """Encoding/decoding of the interleaved training representations."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+
+from morphmt import evaluation
 
 from morphmt.interleave import (
+    ERROR_ODD_LENGTH,
+    ERROR_TAG_EXPECTED,
+    ERROR_WORD_EXPECTED,
     LengthMismatch,
     WellformednessError,
     decode,
     encode,
     tag_source,
 )
-from morphmt.tagsets import MorphAnalysis, parse_czech_tag, parse_german_analysis
+from morphmt.pipeline import PipelineConfig, postprocess
+from morphmt.tagsets import (
+    MorphAnalysis,
+    is_bare_token,
+    is_czech_tag,
+    is_feature_token,
+    parse_czech_tag,
+    parse_german_analysis,
+)
 
 from conftest import (
     FIG1_MORPHGEN,
@@ -45,7 +58,6 @@ class TestEncode:
     def test_baseline_line(self):
         sent = encode(FIG1_ANALYSES, "baseline")
         assert sent.text == FIG1_SURFACE
-        assert sent.pairs == ()
 
     def test_german_stemmed_line(self):
         sent = encode(TABLE1_ANALYSES, "german-stemmed")
@@ -182,10 +194,121 @@ class TestRoundTripProperties:
     @given(czech_analyses(), st.sampled_from(["morphgen", "serialization"]))
     def test_czech_decode_inverts_encode(self, analyses, mode):
         sent = encode(analyses, mode)
-        assert decode(list(sent.tokens), mode) == list(sent.pairs)
+        expected = [
+            (a.tag_text, a.lemma if mode == "morphgen" else a.surface)
+            for a in analyses
+        ]
+        assert decode(list(sent.tokens), mode) == expected
         assert len(sent.tokens) == 2 * len(analyses)
 
     @given(german_analyses())
     def test_german_decode_inverts_encode(self, analyses):
         sent = encode(analyses, "german-stemmed")
-        assert decode(list(sent.tokens), "german-stemmed") == list(sent.pairs)
+        expected = [(a.tag_text, a.lemma) for a in analyses]
+        assert decode(list(sent.tokens), "german-stemmed") == expected
+
+
+# ---------------------------------------------------------------------------
+# A reference strict decoder, one direct walk per tag family, that
+# ``decode`` must match in pairs, error kinds and error positions.
+# ---------------------------------------------------------------------------
+
+def _decode_czech(tokens: list[str]) -> list[tuple[str, str]]:
+    if len(tokens) % 2 != 0:
+        raise WellformednessError(len(tokens) - 1, ERROR_ODD_LENGTH)
+    pairs = []
+    for i in range(0, len(tokens), 2):
+        tag, word = tokens[i], tokens[i + 1]
+        if not is_czech_tag(tag):
+            raise WellformednessError(i, ERROR_TAG_EXPECTED)
+        if is_czech_tag(word):
+            raise WellformednessError(i + 1, ERROR_WORD_EXPECTED)
+        pairs.append((tag, word))
+    return pairs
+
+
+def _decode_german(tokens: list[str]) -> list[tuple[str, str]]:
+    pairs = []
+    i = 0
+    while i < len(tokens):
+        token = tokens[i]
+        if is_feature_token(token):
+            # A feature sequence where a word was expected.
+            raise WellformednessError(i, ERROR_WORD_EXPECTED)
+        if is_bare_token(token):
+            lexeme, tag = token[: token.index("[")], token[token.index("[") :]
+            pairs.append((tag, lexeme))
+            i += 1
+            continue
+        if i + 1 >= len(tokens) or not is_feature_token(tokens[i + 1]):
+            raise WellformednessError(i + 1, ERROR_TAG_EXPECTED)
+        pairs.append((tokens[i + 1], token))
+        i += 2
+    return pairs
+
+
+def _oracle(tokens, mode):
+    """(pairs, None) or (None, (kind, position)) from the reference decoder."""
+    reference = _decode_german if mode == "german-stemmed" else _decode_czech
+    try:
+        return reference(tokens), None
+    except WellformednessError as exc:
+        return None, (exc.kind, exc.position)
+
+
+# Adversarial streams: valid tags of both families, 15-letter ASCII
+# lemmas that read as positional tags, feature, bare and separator
+# tokens, split-compound stems (some spell a separator token), BPE
+# continuation markers and bracket debris.  Stems are often drawn
+# together with a feature token so that German pairs are common.
+_TAGS = ["NNFS2-----A----", "VB-P---3P-AA---", "Z:-------------"]
+_FEATURES = [
+    "<+NN><Masc><Dat><Sg><NA>",
+    "<+V><3><Sg><Pres><Ind>",
+    "<+ADJ><Pos><NoGend><Dat><Sg><Wk>",
+]
+_STEMS = ["Meer<NN>Boden", "Nacht<NN>Markt", "a<NN>§§<X>§§", "§§<NN>§§@@", "Meer", "pizza"]
+_OTHER = ["<+NN>", "und[KON]", ".[$]", "§§<NN>§§", "§§", "<X>§§", "piz@@", "@@", "[", "<>"]
+stream_tokens = st.one_of(
+    st.sampled_from(_TAGS + _FEATURES + _STEMS + _OTHER),
+    st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=15, max_size=15),
+)
+stream_units = st.one_of(
+    stream_tokens.map(lambda token: [token]),
+    st.tuples(st.sampled_from(_STEMS), st.sampled_from(_FEATURES)).map(list),
+)
+streams = st.lists(stream_units, max_size=8).map(
+    lambda units: [token for unit in units for token in unit]
+)
+
+
+class TestWalkMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(streams, st.sampled_from(["morphgen", "serialization", "german-stemmed"]))
+    def test_decode_matches_reference(self, tokens, mode):
+        pairs, error = _oracle(tokens, mode)
+        if error is None:
+            assert decode(tokens, mode) == pairs
+        else:
+            with pytest.raises(WellformednessError) as excinfo:
+                decode(tokens, mode)
+            assert (excinfo.value.kind, excinfo.value.position) == error
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(streams, max_size=4),
+        st.sampled_from(
+            ["morphgen", "serialization", "german-stemmed", "german-stemmed-split"]
+        ),
+    )
+    def test_postprocess_repairs_every_stream(
+        self, czech_lexicon, german_lexicon, token_lines, mode
+    ):
+        lines = [" ".join(tokens) for tokens in token_lines]
+        lex = german_lexicon if mode.startswith("german") else czech_lexicon
+        result = postprocess(lines, PipelineConfig.for_mode(mode), lex)
+        assert len(result.lines) == len(lines)
+        if not any("@@" in line or "§§" in line for line in lines):
+            base = "german-stemmed" if mode.startswith("german") else mode
+            expected = evaluation.wellformedness(lines, base).errors
+            assert result.wellformedness.errors == expected

@@ -265,6 +265,23 @@ class TestPostprocess:
         # degraded concatenation reaches generation and falls back
         assert result.lines == ["Nachtmarkt"]
 
+    @pytest.mark.parametrize(
+        "mode, stem_tokens, stem",
+        [
+            ("german-stemmed", "a<NN>§§<X>§§", "a<NN>§§<X>§§"),
+            ("german-stemmed-split", "§§<NN>§§@@ <X>§§", "§§<NN>§§<X>§§"),
+        ],
+    )
+    def test_stem_spelling_a_separator_is_repaired(
+        self, german_lexicon, mode, stem_tokens, stem
+    ):
+        cfg = PipelineConfig.for_mode(mode)
+        lines = [f"{stem_tokens} <+NN><Masc><Dat><Sg><NA>", "und[KON]"]
+        result = postprocess(lines, cfg, german_lexicon)
+        assert result.lines == [stem, "und"]
+        assert result.recovery_events == [(0, 0, "unparseable-stem")]
+        assert result.wellformedness.errors == ()
+
     def test_jobs_preserve_order_and_reports(self, czech_lexicon):
         cfg = PipelineConfig.for_mode("morphgen")
         lines = [FIG1_MORPHGEN, "NNFS1-----A---- Hvanda"] * 6

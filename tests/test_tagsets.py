@@ -84,18 +84,6 @@ class TestPositionalTag:
             with pytest.raises(MalformedTag):
                 parse_czech_tag(text)
 
-    def test_strict_mode_alphabets(self):
-        tag = parse_czech_tag("AAIP7----2A----")
-        tagsets.validate_against_alphabets(tag, {"pos": "ANVZ"})
-        with pytest.raises(MalformedTag):
-            tagsets.validate_against_alphabets(tag, {"pos": "NVZ"})
-
-    def test_alphabet_file_loader(self):
-        alphabets = tagsets.load_slot_alphabets("# strict POS\npos = ANVZ\ncase=1234567\n")
-        assert alphabets == {"pos": "ANVZ", "case": "1234567"}
-        with pytest.raises(MalformedTag):
-            tagsets.load_slot_alphabets("nonsense-slot = xyz\n")
-
 
 class TestGermanFeatureSeq:
     def test_finite_verb(self):
