@@ -15,6 +15,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
+from .tagsets import split_lines
+
 __all__ = [
     "MARKER",
     "DanglingMarker",
@@ -57,7 +59,7 @@ class MergeTable:
     @classmethod
     def from_text(cls, text: str) -> MergeTable:
         merges = []
-        for lineno, line in enumerate(text.splitlines(), start=1):
+        for lineno, line in enumerate(split_lines(text), start=1):
             if not line.strip() or line.startswith("#"):
                 continue
             parts = line.split(" ")

@@ -8,6 +8,10 @@ seed, input checksums, per-stage counters) is emitted for every run:
 next to the output file when one is written, to standard error
 otherwise.
 
+A handler only computes: it reads its inputs through :class:`_Inputs`
+and returns a :class:`_Result`.  :func:`main` writes the result, the
+diagnostics and the manifest.
+
 Configuration precedence is flags > config file (``key=value`` lines,
 ``--config``) > built-in defaults.
 """
@@ -20,9 +24,7 @@ import hashlib
 import json
 import shlex
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -35,6 +37,7 @@ from .tagsets import (
     format_analysis,
     format_tag,
     parse_german_analysis,
+    split_lines,
 )
 
 __all__ = ["main", "RunManifest"]
@@ -62,34 +65,44 @@ class RunManifest:
         return json.dumps(data, ensure_ascii=False, sort_keys=True, indent=2)
 
 
+@dataclass
+class _Result:
+    """What a handler computed: output lines, manifest fields, diagnostics."""
+
+    lines: list[str]
+    config: dict
+    counters: dict[str, int]
+    seed: int | None = None
+    notes: list[str] = field(default_factory=list)  # printed to stderr
+    side_outputs: list[tuple[str, list[str]]] = field(default_factory=list)  # (path, lines)
+
+
 # ---------------------------------------------------------------------------
 # I/O helpers
 # ---------------------------------------------------------------------------
 
 
-def _decode(data: bytes, origin: str) -> str:
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise CliError(f"{origin}: invalid UTF-8 at byte {exc.start}") from exc
+class _Inputs:
+    """Reads the inputs of one run and records the SHA-256 of each."""
 
+    def __init__(self) -> None:
+        self.checksums: dict[str, str] = {}
 
-def read_text(path: str | None, checksums: dict[str, str]) -> str:
-    if path is None or path == "-":
-        data = sys.stdin.buffer.read()
-        origin = "<stdin>"
-    else:
-        try:
+    def text(self, path: str | None) -> str:
+        if path is None or path == "-":
+            data = sys.stdin.buffer.read()
+            origin = "<stdin>"
+        else:
             data = Path(path).read_bytes()
-        except OSError as exc:
-            raise CliError(str(exc)) from exc
-        origin = path
-    checksums[origin] = hashlib.sha256(data).hexdigest()
-    return _decode(data, origin)
+            origin = path
+        self.checksums[origin] = hashlib.sha256(data).hexdigest()
+        try:
+            return data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CliError(f"{origin}: invalid UTF-8 at byte {exc.start}") from exc
 
-
-def read_lines(path: str | None, checksums: dict[str, str]) -> list[str]:
-    return read_text(path, checksums).splitlines()
+    def lines(self, path: str | None) -> list[str]:
+        return split_lines(self.text(path))
 
 
 def write_lines(path: str | None, lines: list[str]) -> None:
@@ -120,7 +133,8 @@ def load_config_file(path: str | None) -> dict[str, str]:
     if path is None:
         return {}
     values: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    # Bytes, not read_text: text mode would end a line at a lone \r.
+    for lineno, line in enumerate(split_lines(Path(path).read_bytes().decode("utf-8")), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -150,10 +164,10 @@ def setting(args: argparse.Namespace, config: dict[str, str], name: str, cast=st
     return default
 
 
-def _load_lexicon(path: str | None, checksums: dict[str, str]) -> morphlex.ParadigmLexicon:
+def _load_lexicon(path: str | None, inputs: _Inputs) -> morphlex.ParadigmLexicon:
     if path is None:
         raise CliError("a lexicon is required (--lexicon)")
-    return morphlex.load_lexicon(read_text(path, checksums))
+    return morphlex.load_lexicon(inputs.text(path))
 
 
 def _pipeline_config(args: argparse.Namespace, config: dict[str, str]) -> pipeline.PipelineConfig:
@@ -175,10 +189,10 @@ def _pipeline_config(args: argparse.Namespace, config: dict[str, str]) -> pipeli
     )
 
 
-def _read_tag_lines(path: str | None, checksums: dict[str, str]) -> list[list[str]] | None:
+def _read_tag_lines(path: str | None, inputs: _Inputs) -> list[list[str]] | None:
     if path is None:
         return None
-    return [line.split() for line in read_lines(path, checksums)]
+    return [line.split() for line in inputs.lines(path)]
 
 
 # ---------------------------------------------------------------------------
@@ -186,130 +200,92 @@ def _read_tag_lines(path: str | None, checksums: dict[str, str]) -> list[list[st
 # ---------------------------------------------------------------------------
 
 
-def cmd_prepare(args: argparse.Namespace, config: dict[str, str]) -> int:
-    checksums: dict[str, str] = {}
+def cmd_prepare(args: argparse.Namespace, config: dict[str, str], inputs: _Inputs) -> _Result:
     cfg = _pipeline_config(args, config)
     lex = None
     if cfg.mode != interleave.MODE_BASELINE:
-        lex = _load_lexicon(cfg.lexicon_path, checksums)
-    target_lines = read_lines(args.target, checksums)
+        lex = _load_lexicon(cfg.lexicon_path, inputs)
+    target_lines = inputs.lines(args.target)
     if args.source is not None:
-        source_lines = read_lines(args.source, checksums)
+        source_lines = inputs.lines(args.source)
     else:
         source_lines = [""] * len(target_lines)
     corpus = pipeline.ParallelCorpus.from_lines(source_lines, target_lines)
+    kept = corpus
     if args.filter or cfg.sample_size is not None:
-        corpus = pipeline.filter_corpus(corpus, cfg)
+        kept = pipeline.filter_corpus(corpus, cfg)
     prepared = pipeline.prepare_variant(
-        corpus,
+        kept,
         cfg,
         lex,
-        target_parse_tags=_read_tag_lines(args.parse_tags, checksums),
-        source_tags=_read_tag_lines(args.source_tags, checksums),
+        target_parse_tags=_read_tag_lines(args.parse_tags, inputs),
+        source_tags=_read_tag_lines(args.source_tags, inputs),
     )
-    write_lines(args.out_target, prepared.corpus.targets)
+    side_outputs = []
     if args.out_source is not None:
-        write_lines(args.out_source, prepared.corpus.sources)
+        side_outputs.append((args.out_source, prepared.corpus.sources))
     if args.merge_table_out is not None:
-        Path(args.merge_table_out).write_text(
-            prepared.target_table.to_text() + "\n", encoding="utf-8"
-        )
-    manifest = RunManifest(
-        tool_version=__version__,
-        command="prepare",
-        config=cfg.snapshot(),
-        input_checksums=checksums,
-        counters={
+        # One entry for the whole table, so the file ends in a newline even when empty.
+        side_outputs.append((args.merge_table_out, [prepared.target_table.to_text()]))
+    return _Result(
+        prepared.corpus.targets,
+        cfg.snapshot(),
+        {
             "pairs_in": len(corpus),
             "pairs_out": len(prepared.corpus),
             "dropped": len(prepared.dropped),
             "merges_learned": len(prepared.target_table),
         },
         seed=cfg.seed,
+        notes=[f"morphmt: dropped pair {index}: {reason}" for index, reason in prepared.dropped],
+        side_outputs=side_outputs,
     )
-    for index, reason in prepared.dropped:
-        print(f"morphmt: dropped pair {index}: {reason}", file=sys.stderr)
-    emit_manifest(manifest, args.out_target, args.manifest)
-    return 0
 
 
-def cmd_bpe_learn(args: argparse.Namespace, config: dict[str, str]) -> int:
-    checksums: dict[str, str] = {}
+def cmd_bpe_learn(args: argparse.Namespace, config: dict[str, str], inputs: _Inputs) -> _Result:
     merges = setting(args, config, "merges", int)
     if merges is None:
         raise CliError("--merges is required")
-    lines = read_lines(args.input, checksums)
+    lines = inputs.lines(args.input)
     table = bpe_mod.learn_bpe(
         (token for line in lines for token in line.split()), merges
     )
-    write_lines(args.output, table.to_text().splitlines())
-    manifest = RunManifest(
-        tool_version=__version__,
-        command="bpe-learn",
-        config={"merges": merges},
-        input_checksums=checksums,
-        counters={"merges_learned": len(table)},
-    )
-    emit_manifest(manifest, args.output, args.manifest)
-    return 0
+    return _Result(split_lines(table.to_text()), {"merges": merges}, {"merges_learned": len(table)})
 
 
-def cmd_bpe_apply(args: argparse.Namespace, config: dict[str, str]) -> int:
-    checksums: dict[str, str] = {}
+def cmd_bpe_apply(args: argparse.Namespace, config: dict[str, str], inputs: _Inputs) -> _Result:
     table_path = setting(args, config, "merge_table")
     if table_path is None:
         raise CliError("--merge-table is required")
-    table = bpe_mod.MergeTable.from_text(read_text(table_path, checksums))
+    table = bpe_mod.MergeTable.from_text(inputs.text(table_path))
     protect = setting(args, config, "protect_tags", bool, False)
     mode = setting(args, config, "mode")
     if protect and mode is None:
         raise CliError("--protect-tags needs --mode to pick the tag shape")
     protected = pipeline.tag_predicate_for_mode(mode) if protect else None
-    lines = read_lines(args.input, checksums)
+    lines = inputs.lines(args.input)
     jobs = setting(args, config, "jobs", int, 1)
-    worker = partial(bpe_mod.segment_line, table, protected=protected)
-    if jobs > 1 and len(lines) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as executor:
-            out = list(executor.map(worker, lines, chunksize=max(1, len(lines) // (jobs * 4))))
-    else:
-        out = [worker(line) for line in lines]
-    write_lines(args.output, out)
-    manifest = RunManifest(
-        tool_version=__version__,
-        command="bpe-apply",
-        config={"merge_table": table_path, "protect_tags": protect, "mode": mode},
-        input_checksums=checksums,
-        counters={"lines": len(lines)},
+    out = pipeline._map_lines(lines, jobs, bpe_mod.segment_line, table, protected=protected)
+    return _Result(
+        out,
+        {"merge_table": table_path, "protect_tags": protect, "mode": mode},
+        {"lines": len(lines)},
     )
-    emit_manifest(manifest, args.output, args.manifest)
-    return 0
 
 
-def cmd_bpe_revert(args: argparse.Namespace, config: dict[str, str]) -> int:
-    checksums: dict[str, str] = {}
-    lines = read_lines(args.input, checksums)
+def cmd_bpe_revert(args: argparse.Namespace, config: dict[str, str], inputs: _Inputs) -> _Result:
     out = []
-    for lineno, line in enumerate(lines, 1):
+    for lineno, line in enumerate(inputs.lines(args.input), 1):
         try:
             out.append(" ".join(bpe_mod.revert_bpe(line.split())))
         except bpe_mod.DanglingMarker as exc:
             raise CliError(f"line {lineno}: {exc}") from exc
-    write_lines(args.output, out)
-    manifest = RunManifest(
-        tool_version=__version__,
-        command="bpe-revert",
-        config={},
-        input_checksums=checksums,
-        counters={"lines": len(lines)},
-    )
-    emit_manifest(manifest, args.output, args.manifest)
-    return 0
+    return _Result(out, {}, {"lines": len(out)})
 
 
-def cmd_analyze(args: argparse.Namespace, config: dict[str, str]) -> int:
-    checksums: dict[str, str] = {}
-    lex = _load_lexicon(setting(args, config, "lexicon"), checksums)
-    lines = read_lines(args.input, checksums)
+def cmd_analyze(args: argparse.Namespace, config: dict[str, str], inputs: _Inputs) -> _Result:
+    lex = _load_lexicon(setting(args, config, "lexicon"), inputs)
+    lines = inputs.lines(args.input)
     out = []
     unknown = 0
     for surface in lines:
@@ -321,25 +297,18 @@ def cmd_analyze(args: argparse.Namespace, config: dict[str, str]) -> int:
             unknown += 1
         for candidate in candidates:
             out.append(f"{surface}\t{candidate.lemma}\t{candidate.tag_text}")
-    write_lines(args.output, out)
-    manifest = RunManifest(
-        tool_version=__version__,
-        command="analyze",
-        config={"lexicon": setting(args, config, "lexicon")},
-        input_checksums=checksums,
-        counters={"surfaces": len(lines), "unknown": unknown},
+    return _Result(
+        out,
+        {"lexicon": setting(args, config, "lexicon")},
+        {"surfaces": len(lines), "unknown": unknown},
     )
-    emit_manifest(manifest, args.output, args.manifest)
-    return 0
 
 
-def cmd_generate(args: argparse.Namespace, config: dict[str, str]) -> int:
-    checksums: dict[str, str] = {}
-    lex = _load_lexicon(setting(args, config, "lexicon"), checksums)
-    lines = read_lines(args.input, checksums)
+def cmd_generate(args: argparse.Namespace, config: dict[str, str], inputs: _Inputs) -> _Result:
+    lex = _load_lexicon(setting(args, config, "lexicon"), inputs)
     report = morphlex.GenerationReport()
     out = []
-    for lineno, line in enumerate(lines, 1):
+    for lineno, line in enumerate(inputs.lines(args.input), 1):
         if not line.strip():
             continue
         columns = line.split("\t")
@@ -351,26 +320,18 @@ def cmd_generate(args: argparse.Namespace, config: dict[str, str]) -> int:
         except (MalformedTag, MalformedAnalysis) as exc:
             raise CliError(f"line {lineno}: {exc}") from exc
         out.append(morphlex.generate_with_fallback(lex, lemma, tag, report))
-    write_lines(args.output, out)
-    if report.fallbacks:
-        print(report.to_text(), file=sys.stderr)
-    manifest = RunManifest(
-        tool_version=__version__,
-        command="generate",
-        config={"lexicon": setting(args, config, "lexicon")},
-        input_checksums=checksums,
-        counters={"generated": report.total, "fallbacks": report.fallbacks},
+    return _Result(
+        out,
+        {"lexicon": setting(args, config, "lexicon")},
+        {"generated": report.total, "fallbacks": report.fallbacks},
+        notes=[report.to_text()] if report.fallbacks else [],
     )
-    emit_manifest(manifest, args.output, args.manifest)
-    return 0
 
 
-def cmd_split_compounds(args: argparse.Namespace, config: dict[str, str]) -> int:
-    checksums: dict[str, str] = {}
-    lines = read_lines(args.input, checksums)
+def cmd_split_compounds(args: argparse.Namespace, config: dict[str, str], inputs: _Inputs) -> _Result:
     out = []
     split_count = 0
-    for lineno, line in enumerate(lines, 1):
+    for lineno, line in enumerate(inputs.lines(args.input), 1):
         tokens: list[str] = []
         for token in line.split():
             try:
@@ -388,26 +349,15 @@ def cmd_split_compounds(args: argparse.Namespace, config: dict[str, str]) -> int
                 tokens.append(result.stem_text)
                 tokens.append(format_tag(result.feature_seq))
         out.append(" ".join(tokens))
-    write_lines(args.output, out)
-    manifest = RunManifest(
-        tool_version=__version__,
-        command="split-compounds",
-        config={},
-        input_checksums=checksums,
-        counters={"lines": len(lines), "compounds_split": split_count},
-    )
-    emit_manifest(manifest, args.output, args.manifest)
-    return 0
+    return _Result(out, {}, {"lines": len(out), "compounds_split": split_count})
 
 
-def cmd_merge_compounds(args: argparse.Namespace, config: dict[str, str]) -> int:
-    checksums: dict[str, str] = {}
-    lex = _load_lexicon(setting(args, config, "lexicon"), checksums)
-    lines = read_lines(args.input, checksums)
+def cmd_merge_compounds(args: argparse.Namespace, config: dict[str, str], inputs: _Inputs) -> _Result:
+    lex = _load_lexicon(setting(args, config, "lexicon"), inputs)
     out = []
     unknown_modifiers: list[str] = []
     merged_count = 0
-    for line in lines:
+    for line in inputs.lines(args.input):
         tokens, _ = rejoin_split_tokens(line.split())
         result_tokens: list[str] = []
         for item in interleave.walk(tokens, interleave.MODE_GERMAN_STEMMED).items:
@@ -415,74 +365,46 @@ def cmd_merge_compounds(args: argparse.Namespace, config: dict[str, str]) -> int
                 # Bare tokens, orphan words and orphan tags pass through.
                 result_tokens.append(tokens[item.position])
                 continue
-            try:
-                analysis, merged = merge_stem(
-                    item.word, item.features, lex, unknown_modifiers
-                )
-            except MalformedAnalysis as exc:
-                raise CliError(str(exc)) from exc
+            analysis, merged = merge_stem(item.word, item.features, lex, unknown_modifiers)
             merged_count += merged
             result_tokens.append(format_analysis(analysis))
         out.append(" ".join(result_tokens))
-    write_lines(args.output, out)
-    for lexeme in unknown_modifiers:
-        print(f"morphmt: unknown compound modifier {lexeme!r}", file=sys.stderr)
-    manifest = RunManifest(
-        tool_version=__version__,
-        command="merge-compounds",
-        config={"lexicon": setting(args, config, "lexicon")},
-        input_checksums=checksums,
-        counters={
-            "lines": len(lines),
+    return _Result(
+        out,
+        {"lexicon": setting(args, config, "lexicon")},
+        {
+            "lines": len(out),
             "compounds_merged": merged_count,
             "unknown_modifiers": len(unknown_modifiers),
         },
+        notes=[f"morphmt: unknown compound modifier {lexeme!r}" for lexeme in unknown_modifiers],
     )
-    emit_manifest(manifest, args.output, args.manifest)
-    return 0
 
 
-def cmd_translate(args: argparse.Namespace, config: dict[str, str]) -> int:
-    checksums: dict[str, str] = {}
+def cmd_translate(args: argparse.Namespace, config: dict[str, str], inputs: _Inputs) -> _Result:
     backend = setting(args, config, "backend")
     if backend is None:
         raise CliError("--backend is required")
-    lines = read_lines(args.input, checksums)
-    try:
-        out = pipeline.translate_external(lines, shlex.split(backend))
-    except pipeline.BackendFailure as exc:
-        raise CliError(str(exc)) from exc
-    write_lines(args.output, out)
-    manifest = RunManifest(
-        tool_version=__version__,
-        command="translate",
-        config={"backend": backend},
-        input_checksums=checksums,
-        counters={"lines": len(lines)},
-    )
-    emit_manifest(manifest, args.output, args.manifest)
-    return 0
+    lines = inputs.lines(args.input)
+    out = pipeline.translate_external(lines, shlex.split(backend))
+    return _Result(out, {"backend": backend}, {"lines": len(lines)})
 
 
-def cmd_postprocess(args: argparse.Namespace, config: dict[str, str]) -> int:
-    checksums: dict[str, str] = {}
+def cmd_postprocess(args: argparse.Namespace, config: dict[str, str], inputs: _Inputs) -> _Result:
     cfg = _pipeline_config(args, config)
     lex = None
     if cfg.mode not in (interleave.MODE_BASELINE, interleave.MODE_SERIALIZATION):
-        lex = _load_lexicon(cfg.lexicon_path, checksums)
-    lines = read_lines(args.input, checksums)
+        lex = _load_lexicon(cfg.lexicon_path, inputs)
+    lines = inputs.lines(args.input)
     jobs = setting(args, config, "jobs", int, 1)
     result = pipeline.postprocess(lines, cfg, lex, jobs=jobs)
-    write_lines(args.output, result.lines)
+    notes = []
     if result.report.fallbacks or result.wellformedness.errors:
-        print(result.report.to_text(), file=sys.stderr)
-        print(result.wellformedness.to_text(), file=sys.stderr)
-    manifest = RunManifest(
-        tool_version=__version__,
-        command="postprocess",
-        config=cfg.snapshot(),
-        input_checksums=checksums,
-        counters={
+        notes = [result.report.to_text(), result.wellformedness.to_text()]
+    return _Result(
+        result.lines,
+        cfg.snapshot(),
+        {
             "lines": len(lines),
             "generated": result.report.total,
             "fallbacks": result.report.fallbacks,
@@ -491,92 +413,57 @@ def cmd_postprocess(args: argparse.Namespace, config: dict[str, str]) -> int:
             "unknown_modifiers": len(result.unknown_modifiers),
         },
         seed=cfg.seed,
+        notes=notes,
     )
-    emit_manifest(manifest, args.output, args.manifest)
-    return 0
 
 
-def cmd_bleu(args: argparse.Namespace, config: dict[str, str]) -> int:
-    checksums: dict[str, str] = {}
-    hypotheses = read_lines(args.hypotheses, checksums)
-    references = read_lines(args.references, checksums)
+def cmd_bleu(args: argparse.Namespace, config: dict[str, str], inputs: _Inputs) -> _Result:
+    hypotheses = inputs.lines(args.hypotheses)
+    references = inputs.lines(args.references)
     lowercase = setting(args, config, "lowercase", bool, False)
     smooth = setting(args, config, "smooth", bool, False)
-    try:
-        score = evaluation.bleu(hypotheses, references, lowercase=lowercase, smooth=smooth)
-    except (evaluation.EmptyCorpus, ValueError) as exc:
-        raise CliError(str(exc)) from exc
-    print(f"{score:.2f}")
-    manifest = RunManifest(
-        tool_version=__version__,
-        command="bleu",
-        config={"lowercase": lowercase, "smooth": smooth},
-        input_checksums=checksums,
-        counters={"sentences": len(hypotheses)},
+    score = evaluation.bleu(hypotheses, references, lowercase=lowercase, smooth=smooth)
+    return _Result(
+        [f"{score:.2f}"],
+        {"lowercase": lowercase, "smooth": smooth},
+        {"sentences": len(hypotheses)},
     )
-    emit_manifest(manifest, None, args.manifest)
-    return 0
 
 
-def cmd_novel_forms(args: argparse.Namespace, config: dict[str, str]) -> int:
-    checksums: dict[str, str] = {}
-    outputs = read_lines(args.input, checksums)
-    train_lines = read_lines(args.train, checksums)
-    sources = read_lines(args.source, checksums)
-    references = read_lines(args.references, checksums)
+def cmd_novel_forms(args: argparse.Namespace, config: dict[str, str], inputs: _Inputs) -> _Result:
+    outputs = inputs.lines(args.input)
+    train_lines = inputs.lines(args.train)
+    sources = inputs.lines(args.source)
+    references = inputs.lines(args.references)
     lowercase = setting(args, config, "lowercase", bool, False)
     vocab = {token for line in train_lines for token in line.split()}
-    try:
-        report = evaluation.novel_forms(outputs, vocab, sources, references, lowercase)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    print(report.to_text())
-    manifest = RunManifest(
-        tool_version=__version__,
-        command="novel-forms",
-        config={"lowercase": lowercase},
-        input_checksums=checksums,
-        counters={
+    report = evaluation.novel_forms(outputs, vocab, sources, references, lowercase)
+    return _Result(
+        [report.to_text()],
+        {"lowercase": lowercase},
+        {
             "novel_tokens": report.novel_tokens,
             "novel_types": report.novel_types,
             "confirmed": report.confirmed_by_reference,
         },
     )
-    emit_manifest(manifest, None, args.manifest)
-    return 0
 
 
-def cmd_stats(args: argparse.Namespace, config: dict[str, str]) -> int:
-    checksums: dict[str, str] = {}
-    counters: dict[str, int] = {}
+def cmd_stats(args: argparse.Namespace, config: dict[str, str], inputs: _Inputs) -> _Result:
     if args.vocab:
         merges = setting(args, config, "merges", int, pipeline.GERMAN_DEFAULT_MERGES)
         variants = []
         for path in args.vocab:
-            lines = read_lines(path, checksums)
-            tokens = [token for line in lines for token in line.split()]
-            table = bpe_mod.learn_bpe(tokens, merges)
-            variants.append((path, tokens, table))
+            tokens = [token for line in inputs.lines(path) for token in line.split()]
+            variants.append((path, tokens, bpe_mod.learn_bpe(tokens, merges)))
         report = bpe_mod.vocab_stats(variants)
-        print(report.to_text())
-        counters["variants"] = len(variants)
-    elif args.word_ends is not None:
-        lines = read_lines(args.word_ends if args.word_ends != "-" else None, checksums)
+        return _Result([report.to_text()], {}, {"variants": len(variants)})
+    if args.word_ends is not None:
+        lines = inputs.lines(args.word_ends)
         fragments = bpe_mod.word_end_fragment_stats(lines)
-        for fragment, count in fragments:
-            print(f"{count}\t{fragment}")
-        counters["fragments"] = len(fragments)
-    else:
-        raise CliError("choose --vocab FILES or --word-ends [FILE]")
-    manifest = RunManifest(
-        tool_version=__version__,
-        command="stats",
-        config={},
-        input_checksums=checksums,
-        counters=counters,
-    )
-    emit_manifest(manifest, None, args.manifest)
-    return 0
+        out = [f"{count}\t{fragment}" for fragment, count in fragments]
+        return _Result(out, {}, {"fragments": len(fragments)})
+    raise CliError("choose --vocab FILES or --word-ends [FILE]")
 
 
 # ---------------------------------------------------------------------------
@@ -584,11 +471,12 @@ def cmd_stats(args: argparse.Namespace, config: dict[str, str]) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser, output: bool = True) -> None:
+def _add_common(sub: argparse.ArgumentParser, handler, output: bool = True) -> None:
     sub.add_argument("--config", help="key=value configuration file")
     sub.add_argument("--manifest", help="write the run manifest to this path")
     if output:
         sub.add_argument("--output", "-o", help="output file (default: stdout)")
+    sub.set_defaults(handler=handler)
 
 
 def _add_pipeline_options(sub: argparse.ArgumentParser) -> None:
@@ -628,6 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="two-step morphology-aware MT corpus processing",
     )
     parser.add_argument("--version", action="version", version=f"morphmt {__version__}")
+    parser.set_defaults(output=None)
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("prepare", help="encode a corpus into a training representation")
@@ -638,16 +527,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source-tags", dest="source_tags", help="per-token source tags to interleave")
     p.add_argument("--filter", action="store_true", help="apply length filtering (and sampling)")
     p.add_argument("--out-source", dest="out_source")
-    p.add_argument("--out-target", dest="out_target", help="default: stdout")
+    p.add_argument("--out-target", dest="output", metavar="OUT_TARGET", help="default: stdout")
     p.add_argument("--merge-table-out", dest="merge_table_out")
-    _add_common(p, output=False)
-    p.set_defaults(handler=cmd_prepare, output=None)
+    _add_common(p, cmd_prepare, output=False)
 
     p = subs.add_parser("bpe-learn", help="learn a BPE merge table")
     p.add_argument("--merges", type=int)
     p.add_argument("input", nargs="?")
-    _add_common(p)
-    p.set_defaults(handler=cmd_bpe_learn)
+    _add_common(p, cmd_bpe_learn)
 
     p = subs.add_parser("bpe-apply", help="segment text with a merge table")
     p.add_argument("--merge-table", dest="merge_table")
@@ -660,49 +547,41 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--jobs", type=int)
     p.add_argument("input", nargs="?")
-    _add_common(p)
-    p.set_defaults(handler=cmd_bpe_apply)
+    _add_common(p, cmd_bpe_apply)
 
     p = subs.add_parser("bpe-revert", help="undo BPE segmentation")
     p.add_argument("input", nargs="?")
-    _add_common(p)
-    p.set_defaults(handler=cmd_bpe_revert)
+    _add_common(p, cmd_bpe_revert)
 
     p = subs.add_parser("analyze", help="list lexicon analyses of surface forms")
     p.add_argument("--lexicon")
     p.add_argument("input", nargs="?", help="one surface form per line")
-    _add_common(p)
-    p.set_defaults(handler=cmd_analyze)
+    _add_common(p, cmd_analyze)
 
     p = subs.add_parser("generate", help="generate surface forms from lemma<TAB>tag lines")
     p.add_argument("--lexicon")
     p.add_argument("input", nargs="?")
-    _add_common(p)
-    p.set_defaults(handler=cmd_generate)
+    _add_common(p, cmd_generate)
 
     p = subs.add_parser("split-compounds", help="split compound analyses into sub-word tokens")
     p.add_argument("input", nargs="?", help="lines of stem||feature analysis tokens")
-    _add_common(p)
-    p.set_defaults(handler=cmd_split_compounds)
+    _add_common(p, cmd_split_compounds)
 
     p = subs.add_parser("merge-compounds", help="reassemble split compounds into analyses")
     p.add_argument("--lexicon")
     p.add_argument("input", nargs="?")
-    _add_common(p)
-    p.set_defaults(handler=cmd_merge_compounds)
+    _add_common(p, cmd_merge_compounds)
 
     p = subs.add_parser("translate", help="run the external translation backend")
     p.add_argument("--backend", help="backend command line (e.g. 'cat')")
     p.add_argument("input", nargs="?")
-    _add_common(p)
-    p.set_defaults(handler=cmd_translate)
+    _add_common(p, cmd_translate)
 
     p = subs.add_parser("postprocess", help="turn backend output into surface text")
     _add_pipeline_options(p)
     p.add_argument("--jobs", type=int)
     p.add_argument("input", nargs="?")
-    _add_common(p)
-    p.set_defaults(handler=cmd_postprocess)
+    _add_common(p, cmd_postprocess)
 
     p = subs.add_parser("bleu", help="corpus BLEU of hypotheses against references")
     p.add_argument(
@@ -717,8 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("hypotheses")
     p.add_argument("references")
-    _add_common(p, output=False)
-    p.set_defaults(handler=cmd_bleu, output=None)
+    _add_common(p, cmd_bleu, output=False)
 
     p = subs.add_parser("novel-forms", help="count novel surface forms in output")
     p.add_argument("--train", required=True, help="training target corpus")
@@ -730,8 +608,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
     )
     p.add_argument("input", nargs="?", help="system output (default: stdin)")
-    _add_common(p, output=False)
-    p.set_defaults(handler=cmd_novel_forms, output=None)
+    _add_common(p, cmd_novel_forms, output=False)
 
     p = subs.add_parser("stats", help="vocabulary and word-end fragment statistics")
     p.add_argument("--vocab", nargs="+", help="corpus variant files")
@@ -743,22 +620,35 @@ def build_parser() -> argparse.ArgumentParser:
         dest="word_ends",
         help="segmented corpus (default: stdin)",
     )
-    _add_common(p, output=False)
-    p.set_defaults(handler=cmd_stats, output=None)
+    _add_common(p, cmd_stats, output=False)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand: the handler computes, this writes its output
+    lines, side outputs, diagnostics and run manifest."""
+    args = build_parser().parse_args(argv)
+    inputs = _Inputs()
     try:
-        config = load_config_file(getattr(args, "config", None))
-        return args.handler(args, config)
-    except CliError as exc:
-        print(f"morphmt: error: {exc}", file=sys.stderr)
-        return 1
+        result = args.handler(args, load_config_file(args.config), inputs)
+        write_lines(args.output, result.lines)
+        for path, lines in result.side_outputs:
+            write_lines(path, lines)
+        for note in result.notes:
+            print(note, file=sys.stderr)
+        manifest = RunManifest(
+            tool_version=__version__,
+            command=args.command,
+            config=result.config,
+            input_checksums=inputs.checksums,
+            counters=result.counters,
+            seed=result.seed,
+        )
+        emit_manifest(manifest, args.output, args.manifest)
+        return 0
     except (
+        CliError,
         MalformedTag,
         MalformedAnalysis,
         morphlex.LexiconConflict,

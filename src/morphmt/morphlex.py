@@ -36,6 +36,7 @@ from .tagsets import (
     format_tag,
     parse_czech_tag,
     parse_feature_seq,
+    split_lines,
     KIND_BARE,
     KIND_NOMINAL,
     KIND_VERBAL_FINITE,
@@ -183,11 +184,10 @@ class ParadigmLexicon:
 def load_lexicon(document: str) -> ParadigmLexicon:
     """Build a lexicon from TSV content; see the module docstring."""
     lex = ParadigmLexicon()
-    for lineno, line in enumerate(document.splitlines(), start=1):
-        stripped = line.strip("\n")
-        if not stripped.strip() or stripped.lstrip().startswith("#"):
+    for lineno, line in enumerate(split_lines(document), start=1):
+        if not line.strip() or line.lstrip().startswith("#"):
             continue
-        columns = stripped.split("\t")
+        columns = line.split("\t")
         if columns[0] == "@mod":
             if len(columns) != 3:
                 raise LexiconParse(

@@ -58,6 +58,7 @@ from .tagsets import (
     is_czech_tag,
     is_feature_token,
     parse_czech_tag,
+    split_lines,
     KIND_BARE,
 )
 
@@ -162,6 +163,9 @@ class ParallelCorpus:
     """Aligned (source line, target line) pairs."""
 
     pairs: list[tuple[str, str]]
+    # The input pair index of each pair, kept through filter_corpus;
+    # None means the pairs are the input, 0..n-1.
+    _origin: list[int] | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def from_lines(
@@ -191,18 +195,19 @@ def filter_corpus(corpus: ParallelCorpus, cfg: PipelineConfig) -> ParallelCorpus
 
     Bounds are inclusive.  When ``cfg.sample_size`` is set, a uniform
     random sample is drawn with ``cfg.seed``; sampled pairs keep their
-    original corpus order.
+    original corpus order.  The kept pairs remember their input pair
+    index, which :func:`prepare_variant` reports and aligns tags by.
     """
     kept = [
-        pair
-        for pair in corpus.pairs
+        (index, pair)
+        for index, pair in zip(corpus._origin or range(len(corpus)), corpus.pairs)
         if cfg.minlen <= len(pair[1].split()) <= cfg.maxlen
     ]
     if cfg.sample_size is not None and cfg.sample_size < len(kept):
         rng = random.Random(cfg.seed)
         indices = sorted(rng.sample(range(len(kept)), cfg.sample_size))
         kept = [kept[i] for i in indices]
-    return ParallelCorpus(kept)
+    return ParallelCorpus([pair for _, pair in kept], [index for index, _ in kept])
 
 
 # ---------------------------------------------------------------------------
@@ -306,13 +311,15 @@ def prepare_variant(
     recorded in ``dropped`` as (original pair index, reason).  Source
     tags, when given, are interleaved into the source side; hyphen
     splitting (``cfg.split_source_hyphens``) runs before tagging, so
-    source tags must align with the split tokens.
+    source tags must align with the split tokens.  Parse tags and source
+    tags are indexed by original pair index, so they stay aligned with
+    the input when ``corpus`` comes from :func:`filter_corpus`.
     """
     if cfg.mode != interleave.MODE_BASELINE and lex is None:
         raise ValueError(f"mode {cfg.mode!r} needs a lexicon")
     encoded: list[tuple[str, str]] = []
     dropped: list[tuple[int, str]] = []
-    for index, (source, target) in enumerate(corpus.pairs):
+    for index, (source, target) in zip(corpus._origin or range(len(corpus)), corpus.pairs):
         target_tokens = target.split()
         if cfg.mode == interleave.MODE_BASELINE:
             target_out = target_tokens
@@ -375,21 +382,16 @@ def translate_external(
     if callable(backend):
         output = list(backend(list(lines)))
     else:
-        data = "".join(line + "\n" for line in lines)
+        # Bytes, not text mode: text mode would read a lone \r as a line end.
+        data = "".join(line + "\n" for line in lines).encode("utf-8")
         try:
-            proc = subprocess.run(
-                list(backend),
-                input=data,
-                capture_output=True,
-                text=True,
-            )
+            proc = subprocess.run(list(backend), input=data, capture_output=True)
         except OSError as exc:
             raise BackendFailure(f"cannot run backend {backend!r}: {exc}") from exc
         if proc.returncode != 0:
-            raise BackendFailure(
-                f"backend exited with {proc.returncode}: {proc.stderr.strip()}"
-            )
-        output = proc.stdout.splitlines()
+            stderr = proc.stderr.decode("utf-8", "replace").strip()
+            raise BackendFailure(f"backend exited with {proc.returncode}: {stderr}")
+        output = split_lines(proc.stdout.decode("utf-8"))
     if len(output) != len(lines):
         raise BackendFailure(
             f"backend wrote {len(output)} lines for {len(lines)} inputs"
@@ -486,6 +488,19 @@ def postprocess_line(line: str, mode: str, lex: ParadigmLexicon | None) -> _Line
     return _LineResult(" ".join(words), report, events, wf_errors, unknown_modifiers)
 
 
+def _map_lines(lines: list[str], jobs: int, fn: Callable, *args, **kwargs) -> list:
+    """``fn(*args, line, **kwargs)`` for each line, in input order.
+
+    With ``jobs > 1`` the lines are spread over that many worker
+    processes; ``fn`` and its arguments are pickled with every chunk.
+    """
+    worker = partial(fn, *args, **kwargs)
+    if jobs > 1 and len(lines) > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as executor:
+            return list(executor.map(worker, lines, chunksize=max(1, len(lines) // (jobs * 4))))
+    return [worker(line) for line in lines]
+
+
 def postprocess(
     lines: list[str],
     cfg: PipelineConfig,
@@ -505,14 +520,7 @@ def postprocess(
     )
     if needs_lexicon and lex is None:
         raise ValueError(f"mode {cfg.mode!r} needs a lexicon")
-    worker = partial(postprocess_line, mode=cfg.mode, lex=lex)
-    if jobs > 1 and len(lines) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as executor:
-            results = list(
-                executor.map(worker, lines, chunksize=max(1, len(lines) // (jobs * 4)))
-            )
-    else:
-        results = [worker(line) for line in lines]
+    results = _map_lines(lines, jobs, postprocess_line, mode=cfg.mode, lex=lex)
 
     report = GenerationReport()
     wf_errors: list[tuple[int, str, int]] = []

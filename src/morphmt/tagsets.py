@@ -11,7 +11,8 @@ Two tag families are supported:
   lexeme with a bracketed parse tag (``und[KON]``, ``,[$]``).
 
 Parsing and formatting are exact inverses: ``format(parse(x)) == x`` for
-every accepted input, byte for byte.
+every accepted input, byte for byte.  Text is cut into lines by
+:func:`split_lines` everywhere in the package.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ __all__ = [
     "PERSONS",
     "TENSES",
     "MOODS",
+    "split_lines",
 ]
 
 
@@ -55,6 +57,19 @@ class MalformedTag(ValueError):
 
 class MalformedAnalysis(ValueError):
     """Raised for text that is not a valid German stem+feature analysis."""
+
+
+def split_lines(text: str) -> list[str]:
+    """Cut text into lines: a line ends at ``\\n``, and ``\\r\\n`` is one line end.
+
+    Unlike :meth:`str.splitlines`, a lone ``\\r``, form feed, U+0085,
+    U+2028 and the other Unicode separators are line content, so a line
+    that contains one is never cut in two.
+    """
+    lines = text.replace("\r\n", "\n").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,10 @@ class TestMergeTableSerialization:
         table = learn_bpe(["low", "low", "lowest"], 2)
         assert MergeTable.from_text(table.to_text()).merges == table.merges
 
+    def test_separator_inside_a_merge(self):
+        table = MergeTable.from_text("a\x0cb c\r\nd e\r\n")
+        assert table.merges == (("a\x0cb", "c"), ("d", "e"))
+
     def test_duplicate_pairs_rejected(self):
         with pytest.raises(ValueError):
             MergeTable((("a", "b"), ("a", "b")))

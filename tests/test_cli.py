@@ -1,13 +1,16 @@
 """CLI subcommands: piping, manifests, config precedence, determinism."""
 
+import argparse
+import contextlib
 import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from morphmt.cli import main
+from morphmt.cli import build_parser, main
 
 from conftest import (
     DATA_DIR,
@@ -151,6 +154,34 @@ class TestPrepareCommand:
         assert out_tgt.read_text() == FIG1_MORPHGEN + "\n"
         assert out_src.read_text() == FIG1_SOURCE + "\n"
         assert table_path.read_text().strip()
+
+    def test_filter_counts_and_indices_refer_to_the_input(self, run):
+        # Pair 0 is longer than --maxlen, pair 1 has no analysis.
+        code, out, err = run(
+            ["prepare", "--mode", "morphgen", "--lexicon", CZECH_LEXICON,
+             "--filter", "--maxlen", "4", "--merges", "0"],
+            stdin_text="pizzy pizzy pizzy pizzy pizzy\nzzzunknown\npizzy .\n",
+        )
+        assert code == 0
+        assert len(out.splitlines()) == 1
+        assert "morphmt: dropped pair 1: no analysis for 'zzzunknown'\n" in err
+        manifest = json.loads(err.strip().splitlines()[-1])
+        assert manifest["counters"] == {
+            "pairs_in": 3, "pairs_out": 1, "dropped": 1, "merges_learned": 0,
+        }
+
+    def test_filter_keeps_parse_tags_aligned(self, run, tmp_path):
+        tags = tmp_path / "parse.txt"
+        tags.write_text("KON ADV VVFIN-Sg PIS-Nom.Sg\nART-Acc.Sg.Fem NN-Acc.Sg.Fem\n")
+        code, out, err = run(
+            ["prepare", "--mode", "german-stemmed", "--lexicon", GERMAN_LEXICON,
+             "--filter", "--minlen", "1", "--maxlen", "3", "--merges", "0",
+             "--protect-tags", "--parse-tags", str(tags)],
+            stdin_text="und hier sieht man\neine Wolke\n",
+        )
+        assert code == 0, err
+        assert out == "e@@ i@@ n@@ e@@ <@@ I@@ n@@ d@@ e@@ f@@ > <+ART><Fem><Acc><Sg><St> " \
+            "W@@ o@@ l@@ k@@ e <+NN><Fem><Acc><Sg><NA>\n"
 
     def test_rerun_is_byte_identical(self, run):
         args = ["prepare", "--mode", "morphgen", "--lexicon", CZECH_LEXICON, "--seed", "3"]
@@ -407,6 +438,30 @@ class TestConfigPrecedence:
         assert out == "l o\nlo w\n"
 
 
+class TestLineSplitting:
+    """A line ends at \\n (\\r\\n is one line end); other separators are content."""
+
+    def test_unicode_separators_do_not_end_lines(self, run):
+        code, out, err = run(["bpe-revert"], stdin_text="a\u0085b c\nd\u2028e\n")
+        assert code == 0
+        assert out.count("\n") == 2
+        assert json.loads(err)["counters"]["lines"] == 2
+
+    def test_backend_line_keeps_its_separator(self, run):
+        code, out, err = run(["translate", "--backend", "cat"], stdin_text="x\u2028y\n")
+        assert code == 0
+        assert out == "x\u2028y\n"
+        assert json.loads(err)["counters"]["lines"] == 1
+
+    def test_crlf_is_one_line_end(self, run, tmp_path):
+        config = tmp_path / "run.conf"
+        config.write_bytes(b"merges = 2\r\n")
+        code, out, err = run(["bpe-learn", "--config", str(config)],
+                             stdin_text="low low\r\nlowest\r\n")
+        assert code == 0
+        assert out == "l o\nlo w\n"
+
+
 class TestUtf8Strictness:
     def test_invalid_bytes_abort(self, run, tmp_path):
         bad = tmp_path / "bad.txt"
@@ -435,3 +490,228 @@ class TestConsoleScript:
             text=True,
         )
         assert result.returncode == 2
+
+
+# ---------------------------------------------------------------------------
+# Characterization of the run contract: every subcommand, byte for byte
+# ---------------------------------------------------------------------------
+
+GOLDEN_PATH = Path(__file__).resolve().parent / "cli_golden.json"
+
+# Inputs written into an empty working directory before each case; paths
+# in the cases are relative to it, so manifests do not depend on where the
+# test runs.
+CHARACTERIZATION_FILES = {
+    "cs.tsv": (DATA_DIR / "czech_toy.tsv").read_bytes(),
+    "de.tsv": (DATA_DIR / "german_toy.tsv").read_bytes(),
+    "cs.txt": f"{FIG1_SURFACE}\npizzy existují .\n".encode(),
+    "src.txt": f"{FIG1_SOURCE}\npizza exists .\n".encode(),
+    "morph.txt": (
+        f"{FIG1_MORPHGEN}\n"
+        "NNFS2-----A---- piz@@ za NNFS1-----A---- Braper . NNIP2-----A----\n"
+    ).encode(),
+    "merges.txt": b"p i\npi z\nz y\n",
+    "de.txt": (
+        "und[KON] Meer<NN>Boden||<+NN><Masc><Dat><Sg><NA> "
+        "sehen||<+V><3><Sg><Pres><Ind> .[$]\n"
+        "Haus<NN>Markt||<+NN><Masc><Nom><Sg><NA>\n"
+    ).encode(),
+    "de.split": (
+        "und[KON] Meer §§<NN>§§ Bo@@ den <+NN><Masc><Dat><Sg><NA> "
+        "Nacht §§<NN>§§ Markt <+NN><Masc><Nom><Sg><NA> §§<NN>§§ sehen\n"
+        "<+NN><Fem><Acc><Sg><NA> Haus §§<NN>§§ Markt <+NN><Masc><Nom><Sg><NA>\n"
+    ).encode(),
+    "de.surface": "und hier sieht man eine Wolke\nMeeresboden und .\n".encode(),
+    "de.parse": "KON ADV VVFIN-Sg PIS-Nom.Sg ART-Acc.Sg.Fem NN-Acc.Sg.Fem\nNN-Dat.Sg.Masc KON $.\n".encode(),
+    "hyp.txt": b"the cat sat on the mat .\nA dog barks\n",
+    "ref.txt": b"the cat is on the mat .\na dog barks\n",
+    "short.txt": b"one line\n",
+    "train.txt": b"bekannt wort\nthe cat\n",
+    "empty.txt": b"",
+    "bad.txt": b"valid start \xff\xfe invalid\n",
+    "run.conf": b"mode = morphgen\nlexicon = cs.tsv\nmerges = 4\n",
+}
+
+# name -> (argv, stdin text)
+CHARACTERIZATION_CASES = {
+    "prepare-stdin": (["prepare", "--mode", "morphgen", "--lexicon", "cs.tsv", "--merges", "5"],
+                      f"{FIG1_SURFACE}\npizzy .\n"),
+    "prepare-files": (["prepare", "--mode", "serialization", "--lexicon", "cs.tsv",
+                       "--source", "src.txt", "--target", "cs.txt", "--out-source", "out.src",
+                       "--out-target", "out.tgt", "--merge-table-out", "table.txt",
+                       "--merges", "10", "--protect-tags", "--no-joint-bpe"], None),
+    "prepare-dropped": (["prepare", "--mode", "morphgen", "--lexicon", "cs.tsv", "--merges", "0",
+                         "--manifest", "run.json"], "pizzy .\nzzzunknown .\n. pizzy\n"),
+    "prepare-filter": (["prepare", "--config", "run.conf", "--filter", "--maxlen", "20",
+                        "--target", "cs.txt", "--out-target", "-"], None),
+    "prepare-german": (["prepare", "--mode", "german-stemmed-split", "--lexicon", "de.tsv",
+                        "--target", "de.surface", "--parse-tags", "de.parse", "--merges", "6",
+                        "--protect-tags", "--out-target", "de.out"], None),
+    "prepare-baseline-empty-table": (["prepare", "--mode", "baseline", "--merges", "0",
+                                      "--merge-table-out", "table.txt"], "a b\n"),
+    "prepare-no-mode": (["prepare"], "x\n"),
+    "bpe-learn-stdin": (["bpe-learn", "--merges", "3"], "low low lowest\nlower\n"),
+    "bpe-learn-output": (["bpe-learn", "--config", "run.conf", "-o", "learned.txt", "cs.txt"], None),
+    "bpe-learn-no-merges": (["bpe-learn"], "x\n"),
+    "bpe-apply-stdin": (["bpe-apply", "--merge-table", "merges.txt"], "pizzy pizza\n\nzy\n"),
+    "bpe-apply-output": (["bpe-apply", "--merge-table", "merges.txt", "--protect-tags", "--mode",
+                          "morphgen", "-o", "seg.txt", "morph.txt"], None),
+    "bpe-apply-jobs": (["bpe-apply", "--merge-table", "merges.txt", "--jobs", "2"],
+                       "pizzy\npizza piz\nzy zy\n"),
+    "bpe-apply-protect-no-mode": (["bpe-apply", "--merge-table", "merges.txt", "--protect-tags"], "x\n"),
+    "bpe-revert-stdin": (["bpe-revert"], "piz@@ zy ex@@ ist\n\n"),
+    "bpe-revert-output": (["bpe-revert", "--output", "rev.txt", "-"], "a@@ b c\n"),
+    "bpe-revert-dangling": (["bpe-revert"], "ok\npiz@@\n"),
+    "bpe-revert-bad-utf8": (["bpe-revert", "bad.txt"], None),
+    "bpe-revert-missing-input": (["bpe-revert", "nope.txt"], None),
+    "bpe-revert-unwritable-output": (["bpe-revert", "-o", "nodir/out.txt"], "a\n"),
+    "analyze-stdin": (["analyze", "--lexicon", "de.tsv"], "vulkanischen\nxyzzy\n\n eine \n"),
+    "analyze-output": (["analyze", "--lexicon", "cs.tsv", "-o", "an.txt"], "pizzy\n"),
+    "analyze-no-lexicon": (["analyze"], "pizzy\n"),
+    "generate-stdin": (["generate", "--lexicon", "cs.tsv"],
+                       "pizza\tNNFS2-----A----\n\nBraper\tNNFS1-----A----\npizza\tNNFS7-----A----\n"),
+    "generate-output": (["generate", "--lexicon", "de.tsv", "-o", "gen.txt"],
+                        "Meeresboden\t<+NN><Masc><Dat><Sg><NA>\nund\t[KON]\n"),
+    "generate-no-tab": (["generate", "--lexicon", "cs.tsv"], "pizza\tNNFS2-----A----\nno tab\n"),
+    "generate-bad-tag": (["generate", "--lexicon", "cs.tsv"], "pizza\tNN\n"),
+    "split-compounds-stdin": (["split-compounds"],
+                              "und[KON] längs<ADJ>Achse||<+NN><Fem><Dat><Sg><NA>\n\nWolke||<+NN><Fem><Acc><Sg><NA>\n"),
+    "split-compounds-output": (["split-compounds", "-o", "split.txt", "de.txt"], None),
+    "split-compounds-malformed": (["split-compounds"], "und[KON]\nx||<bad\n"),
+    "merge-compounds-stdin": (["merge-compounds", "--lexicon", "de.tsv", "de.split"], None),
+    "merge-compounds-output": (["merge-compounds", "--lexicon", "de.tsv", "-o", "merged.txt"],
+                               "Meer §§<NN>§§ Boden <+NN><Masc><Dat><Sg><NA>\n"),
+    "merge-compounds-unparseable": (["merge-compounds", "--lexicon", "de.tsv"],
+                                    "a<NN>§§<X>§§ <+NN><Masc><Dat><Sg><NA>\n"),
+    "translate-stdin": (["translate", "--backend", "cat"], "a b\n\nc\n"),
+    "translate-output": (["translate", "--backend", "tr a-z A-Z", "-o", "tr.txt", "src.txt"], None),
+    "translate-failing": (["translate", "--backend", "false"], "a\n"),
+    "translate-line-count": (["translate", "--backend", "head -n 1"], "a\nb\n"),
+    "translate-no-backend": (["translate"], "a\n"),
+    "postprocess-stdin": (["postprocess", "--mode", "morphgen", "--lexicon", "cs.tsv", "morph.txt"], None),
+    "postprocess-output": (["postprocess", "--config", "run.conf", "-o", "surface.txt"],
+                           f"{FIG1_MORPHGEN}\n"),
+    "postprocess-manifest": (["postprocess", "--mode", "german-stemmed-split", "--lexicon", "de.tsv",
+                              "--manifest", "pp.json", "--jobs", "2", "de.split"], None),
+    "postprocess-serialization": (["postprocess", "--mode", "serialization"],
+                                  "NNFS2-----A---- pizzy existují\n"),
+    "postprocess-no-mode": (["postprocess", "--lexicon", "cs.tsv"], "x\n"),
+    "bleu": (["bleu", "hyp.txt", "ref.txt"], None),
+    "bleu-options": (["bleu", "--lowercase", "--smooth", "--manifest", "bleu.json", "hyp.txt", "ref.txt"], None),
+    "bleu-empty": (["bleu", "empty.txt", "empty.txt"], None),
+    "bleu-length-mismatch": (["bleu", "hyp.txt", "short.txt"], None),
+    "novel-forms": (["novel-forms", "--train", "train.txt", "--source", "src.txt",
+                     "--references", "ref.txt", "--lowercase"], "bekannt neuwort\nthe dog\n"),
+    "novel-forms-mismatch": (["novel-forms", "--train", "train.txt", "--source", "short.txt",
+                              "--references", "ref.txt", "hyp.txt"], None),
+    "stats-vocab": (["stats", "--vocab", "cs.txt", "morph.txt", "--merges", "8"], None),
+    "stats-word-ends-stdin": (["stats", "--word-ends", "--manifest", "st.json"],
+                              "spiel@@ ten\nspiel@@ ten la@@ ten\n"),
+    "stats-word-ends-file": (["stats", "--word-ends", "morph.txt"], None),
+    "stats-nothing": (["stats"], None),
+}
+
+SUBCOMMANDS = [
+    "prepare", "bpe-learn", "bpe-apply", "bpe-revert", "analyze", "generate",
+    "split-compounds", "merge-compounds", "translate", "postprocess", "bleu",
+    "novel-forms", "stats",
+]
+
+
+def characterize(argv, stdin_text, workdir, monkeypatch):
+    """Run ``main`` in ``workdir`` on the characterization inputs and return
+    the exit code, stdout, stderr and every file the run wrote."""
+    for name, data in CHARACTERIZATION_FILES.items():
+        (workdir / name).write_bytes(data)
+    monkeypatch.chdir(workdir)
+    stdin = io.TextIOWrapper(io.BytesIO((stdin_text or "").encode("utf-8")), encoding="utf-8")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    written = {
+        path.name: path.read_bytes().decode("utf-8")
+        for path in sorted(workdir.iterdir())
+        if path.name not in CHARACTERIZATION_FILES
+    }
+    return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue(), "files": written}
+
+
+def parser_signature():
+    """Every subcommand's actions: flags, metavar as shown, default, help, arity."""
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return {
+        name: [
+            repr((a.option_strings, a.metavar or (a.dest.upper() if a.option_strings else a.dest),
+                  a.default, a.help, a.nargs, a.const, a.type, a.choices, a.required))
+            for a in sub._actions
+        ]
+        for name, sub in subparsers.choices.items()
+    }
+
+
+def render_help(argv, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
+        main(argv)
+    return out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+
+
+class TestRunContract:
+    def test_every_subcommand_is_covered(self):
+        covered = {argv[0] for argv, _ in CHARACTERIZATION_CASES.values()}
+        assert covered == set(SUBCOMMANDS)
+
+    @pytest.mark.parametrize("name", sorted(CHARACTERIZATION_CASES))
+    def test_case(self, name, golden, tmp_path, monkeypatch):
+        argv, stdin_text = CHARACTERIZATION_CASES[name]
+        assert characterize(argv, stdin_text, tmp_path, monkeypatch) == golden["cases"][name]
+
+    def test_flags_defaults_and_help_text(self, golden):
+        assert parser_signature() == golden["parser"]
+
+    @pytest.mark.parametrize("command", [None] + SUBCOMMANDS)
+    def test_rendered_help(self, command, golden, monkeypatch):
+        # argparse's layout differs between Python versions; the rendered
+        # text is pinned for the version that recorded it, the flags and
+        # help strings on every version by the test above.
+        argv = ["--help"] if command is None else [command, "--help"]
+        text = render_help(argv, monkeypatch)
+        recorded = golden["help"].get(f"{sys.version_info[0]}.{sys.version_info[1]}")
+        if recorded is not None:
+            assert text == recorded[command or ""]
+        else:
+            assert text.startswith("usage: morphmt")
+
+
+def record_golden() -> None:
+    """Rewrite the golden file from the current code (review the diff!)."""
+    import tempfile
+
+    cases = {}
+    for name, (argv, stdin_text) in sorted(CHARACTERIZATION_CASES.items()):
+        with tempfile.TemporaryDirectory() as workdir, pytest.MonkeyPatch.context() as mp:
+            cases[name] = characterize(argv, stdin_text, Path(workdir), mp)
+    helps = {}
+    for command in [None] + SUBCOMMANDS:
+        with pytest.MonkeyPatch.context() as mp:
+            argv = ["--help"] if command is None else [command, "--help"]
+            helps[command or ""] = render_help(argv, mp)
+    version = f"{sys.version_info[0]}.{sys.version_info[1]}"
+    golden = {"cases": cases, "parser": parser_signature(), "help": {version: helps}}
+    GOLDEN_PATH.write_text(
+        json.dumps(golden, ensure_ascii=False, indent=1, sort_keys=True) + "\n", encoding="utf-8"
+    )
+
+
+if __name__ == "__main__":
+    # PYTHONPATH=src python tests/test_cli.py
+    record_golden()

@@ -45,6 +45,11 @@ class TestLoadLexicon:
         lex = load_lexicon("# comment\n\na\tZ:-------------\tb\n")
         assert len(lex) == 1
 
+    def test_separator_inside_a_surface(self):
+        lex = load_lexicon("a\tZ:-------------\tb\u2028c\r\n")
+        assert len(lex) == 1
+        assert analyze(lex, "b\u2028c")[0].lemma == "a"
+
     def test_conflicting_rows_rejected(self):
         with pytest.raises(LexiconConflict):
             lexicon_of(("a", "Z:-------------", "x"), ("a", "Z:-------------", "y"))

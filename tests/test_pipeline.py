@@ -88,6 +88,14 @@ class TestFilterCorpus:
         indices = [lines.index(t) for t in once.targets]
         assert indices == sorted(indices)
 
+    def test_dropped_index_is_the_input_index(self, czech_lexicon):
+        cfg = PipelineConfig.for_mode("morphgen", maxlen=3)
+        targets = ["pizzy pizzy pizzy pizzy", "pizzy .", "zzzunknown", ". pizzy"]
+        kept = filter_corpus(ParallelCorpus.from_lines([""] * 4, targets), cfg)
+        prepared = prepare_variant(filter_corpus(kept, cfg), cfg, czech_lexicon)
+        assert prepared.dropped == [(2, "no analysis for 'zzzunknown'")]
+        assert len(prepared.corpus) == 2
+
     def test_misaligned_corpus_rejected(self):
         with pytest.raises(ValueError):
             ParallelCorpus.from_lines(["a"], ["x", "y"])
@@ -199,6 +207,9 @@ class TestTranslateExternal:
 
     def test_empty_corpus(self):
         assert translate_external([], ["cat"]) == []
+
+    def test_carriage_return_inside_a_line(self):
+        assert translate_external(["a\rb", "c\u2028d"], ["cat"]) == ["a\rb", "c\u2028d"]
 
 
 class TestPostprocess:

@@ -19,6 +19,7 @@ from morphmt.tagsets import (
     parse_feature_seq,
     parse_german_analysis,
     parse_stem_side,
+    split_lines,
 )
 
 from conftest import TABLE1_ROWS
@@ -255,6 +256,31 @@ class TestRoundTripProperties:
         analysis = parse_german_analysis(raw)
         assert format_analysis(analysis) == raw
         assert parse_german_analysis(format_analysis(analysis)) == analysis
+
+
+class TestSplitLines:
+    @pytest.mark.parametrize(
+        "text, lines",
+        [
+            ("", []),
+            ("\n", [""]),
+            ("a", ["a"]),
+            ("a\nb\n", ["a", "b"]),
+            ("a\n\nb", ["a", "", "b"]),
+            ("a\r\nb\r\n", ["a", "b"]),
+            ("a\rb\r", ["a\rb\r"]),
+            ("a\r\r\n", ["a\r"]),
+            ("a\u0085b\u2028c\u2029d\x0ce\x0bf\x1cg\n", ["a\u0085b\u2028c\u2029d\x0ce\x0bf\x1cg"]),
+        ],
+    )
+    def test_only_newline_ends_a_line(self, text, lines):
+        assert split_lines(text) == lines
+
+    @given(st.lists(st.text(alphabet="ab\r\u0085\u2028\x0c "), max_size=6))
+    def test_inverse_of_joining_lines(self, lines):
+        lines = [line.rstrip("\r") for line in lines]
+        assert split_lines("".join(line + "\n" for line in lines)) == lines
+        assert split_lines("".join(line + "\r\n" for line in lines)) == lines
 
 
 class TestTokenPredicates:
