@@ -3,6 +3,9 @@
 Merges are learned per word over character symbols: the most frequent
 adjacent symbol pair is merged iteratively, frequency ties broken by
 lexicographic order on the pair so that learning is fully deterministic.
+Pair counts are kept incrementally (Sennrich et al. 2016): one initial
+count, a pair -> word index and a heap with lazy invalidation, so each
+merge touches only the word types that contain the merged pair.
 Applying a merge table splits a token into pieces, all but the last
 carrying the ``@@`` continuation marker; reverting concatenates marked
 runs back into whole tokens.  Segmentation is lossless:
@@ -11,7 +14,8 @@ runs back into whole tokens.  Segmentation is lossless:
 
 from __future__ import annotations
 
-from collections import Counter
+import heapq
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -48,6 +52,12 @@ class MergeTable:
         if len(set(self.merges)) != len(self.merges):
             raise ValueError("duplicate pairs in merge table")
         object.__setattr__(self, "rank", {p: i for i, p in enumerate(self.merges)})
+        # segment_line's memo: [protected predicate, {token: segmented text}].
+        object.__setattr__(self, "_memo", [None, {}])
+
+    def __reduce__(self):
+        # Pickle the merges only: the rank and the memo are rebuilt.
+        return (MergeTable, (self.merges,))
 
     def __len__(self) -> int:
         return len(self.merges)
@@ -80,18 +90,42 @@ def learn_bpe(tokens: Iterable[str], num_merges: int) -> MergeTable:
         raise ValueError("num_merges must be >= 0")
     vocab = Counter(tokens)
     words: list[list[str]] = [list(w) for w in vocab]
-    freqs: list[int] = [vocab[w] for w in vocab]
+    freqs: list[int] = list(vocab.values())
+    counts: Counter[tuple[str, str]] = Counter()
+    where: defaultdict[tuple[str, str], set[int]] = defaultdict(set)
+    for i, (symbols, freq) in enumerate(zip(words, freqs)):
+        for pair in zip(symbols, symbols[1:]):
+            counts[pair] += freq
+            where[pair].add(i)
+    # Min-heap on (-count, pair): highest count, then the smallest pair.
+    # An entry whose count is no longer the pair's count is stale.
+    heap = [(-count, pair) for pair, count in counts.items()]
+    heapq.heapify(heap)
     merges: list[tuple[str, str]] = []
-    for _ in range(num_merges):
-        pair_counts: Counter[tuple[str, str]] = Counter()
-        for symbols, freq in zip(words, freqs):
-            for pair in zip(symbols, symbols[1:]):
-                pair_counts[pair] += freq
-        if not pair_counts:
-            break
-        best = min(pair_counts.items(), key=lambda kv: (-kv[1], kv[0]))[0]
+    while heap and len(merges) < num_merges:
+        negative, best = heapq.heappop(heap)
+        if counts[best] != -negative:
+            continue
         merges.append(best)
-        words = [_merge_word(symbols, best) for symbols in words]
+        delta: Counter[tuple[str, str]] = Counter()
+        # A pair can form again after its merge, so `where` may be re-filled.
+        for i in where.pop(best):
+            symbols = words[i]
+            merged = _merge_word(symbols, best)
+            if len(merged) == len(symbols):
+                continue  # the index is a superset: this word lost the pair earlier
+            freq = freqs[i]
+            for pair in zip(symbols, symbols[1:]):
+                delta[pair] -= freq
+            for pair in zip(merged, merged[1:]):
+                delta[pair] += freq
+                where[pair].add(i)
+            words[i] = merged
+        for pair, change in delta.items():
+            if change:
+                counts[pair] += change
+                if counts[pair]:
+                    heapq.heappush(heap, (-counts[pair], pair))
     return MergeTable(tuple(merges))
 
 
@@ -147,11 +181,23 @@ def segment_line(
     line: str,
     protected: Callable[[str], bool] | None = None,
 ) -> str:
-    """Apply BPE to every whitespace token of a line."""
-    pieces: list[str] = []
+    """Apply BPE to every whitespace token of a line.
+
+    Each distinct token is segmented once per table and predicate: the
+    table keeps the segmentations under the last predicate it was used
+    with (compared by identity) and drops them when the predicate changes.
+    """
+    memo = table._memo
+    if memo[0] is not protected:
+        memo[:] = [protected, {}]
+    segmented = memo[1]
+    out: list[str] = []
     for token in line.split():
-        pieces.extend(apply_bpe(table, token, protected))
-    return " ".join(pieces)
+        text = segmented.get(token)
+        if text is None:
+            text = segmented[token] = " ".join(apply_bpe(table, token, protected))
+        out.append(text)
+    return " ".join(out)
 
 
 def revert_bpe(subwords: list[str]) -> list[str]:

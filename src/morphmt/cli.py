@@ -211,6 +211,11 @@ def cmd_prepare(args: argparse.Namespace, config: dict[str, str], inputs: _Input
     else:
         source_lines = [""] * len(target_lines)
     corpus = pipeline.ParallelCorpus.from_lines(source_lines, target_lines)
+    parse_tags = _read_tag_lines(args.parse_tags, inputs)
+    source_tags = _read_tag_lines(args.source_tags, inputs)
+    for flag, tag_lines in (("--parse-tags", parse_tags), ("--source-tags", source_tags)):
+        if tag_lines is not None and len(tag_lines) != len(target_lines):
+            raise CliError(f"{flag} has {len(tag_lines)} lines for {len(target_lines)} target lines")
     kept = corpus
     if args.filter or cfg.sample_size is not None:
         kept = pipeline.filter_corpus(corpus, cfg)
@@ -218,8 +223,8 @@ def cmd_prepare(args: argparse.Namespace, config: dict[str, str], inputs: _Input
         kept,
         cfg,
         lex,
-        target_parse_tags=_read_tag_lines(args.parse_tags, inputs),
-        source_tags=_read_tag_lines(args.source_tags, inputs),
+        target_parse_tags=parse_tags,
+        source_tags=source_tags,
     )
     side_outputs = []
     if args.out_source is not None:

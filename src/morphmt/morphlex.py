@@ -25,6 +25,7 @@ supplies linking elements and Umlautung base-form mappings.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 
 from .tagsets import (
@@ -156,9 +157,12 @@ class ParadigmLexicon:
         self._forward[key] = surface
         self._lemmas.add(lemma)
         self.entries.append((lemma, tag, surface))
-        candidates = self._inverse.setdefault(surface, [])
-        candidates.append(MorphAnalysis(lemma, tag, surface))
-        candidates.sort(key=lambda a: (a.tag_text, a.lemma))
+        # Inserted after equal keys, like a stable sort of the appended list.
+        bisect.insort(
+            self._inverse.setdefault(surface, []),
+            MorphAnalysis(lemma, tag, surface),
+            key=lambda a: (a.tag_text, a.lemma),
+        )
 
     def add_modifier(self, lemma: str, form: str) -> None:
         existing = self.modifier_table.get(lemma)
@@ -184,6 +188,7 @@ class ParadigmLexicon:
 def load_lexicon(document: str) -> ParadigmLexicon:
     """Build a lexicon from TSV content; see the module docstring."""
     lex = ParadigmLexicon()
+    tags: dict[str, PositionalTag | GermanFeatureSeq] = {}  # one parse per tag text
     for lineno, line in enumerate(split_lines(document), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
@@ -202,10 +207,12 @@ def load_lexicon(document: str) -> ParadigmLexicon:
         lemma, tag_text, surface = columns
         if not lemma or not surface:
             raise LexiconParse(f"line {lineno}: empty lemma or surface")
-        try:
-            tag = parse_tag_text(tag_text)
-        except (MalformedTag, MalformedAnalysis) as exc:
-            raise LexiconParse(f"line {lineno}: bad tag {tag_text!r}: {exc}") from exc
+        tag = tags.get(tag_text)
+        if tag is None:
+            try:
+                tag = tags[tag_text] = parse_tag_text(tag_text)
+            except (MalformedTag, MalformedAnalysis) as exc:
+                raise LexiconParse(f"line {lineno}: bad tag {tag_text!r}: {exc}") from exc
         lex.add_entry(lemma, tag, surface)
     return lex
 

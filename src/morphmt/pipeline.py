@@ -215,18 +215,17 @@ def filter_corpus(corpus: ParallelCorpus, cfg: PipelineConfig) -> ParallelCorpus
 # ---------------------------------------------------------------------------
 
 
-def tag_predicate_for_mode(mode: str) -> Callable[[str], bool]:
-    """Predicate marking tag-like tokens for BPE protection."""
-    if _is_german(mode):
-        def german(token: str) -> bool:
-            return (
-                is_feature_token(token)
-                or is_bare_token(token)
-                or is_separator_token(token)
-            )
+def _is_german_tag_token(token: str) -> bool:
+    return is_feature_token(token) or is_bare_token(token) or is_separator_token(token)
 
-        return german
-    return is_czech_tag
+
+def tag_predicate_for_mode(mode: str) -> Callable[[str], bool]:
+    """Predicate marking tag-like tokens for BPE protection.
+
+    A module-level function, so it pickles for ``--jobs`` workers and is
+    the same object on every call (``segment_line`` keys its memo by it).
+    """
+    return _is_german_tag_token if _is_german(mode) else is_czech_tag
 
 
 @dataclass

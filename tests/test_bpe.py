@@ -1,9 +1,11 @@
 """BPE learning, application, reversion and corpus statistics."""
 
+import pickle
 import random
+from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from morphmt.bpe import (
     DanglingMarker,
@@ -11,6 +13,7 @@ from morphmt.bpe import (
     apply_bpe,
     learn_bpe,
     revert_bpe,
+    _merge_word,
     segment_line,
     vocab_stats,
     word_end_fragment_stats,
@@ -225,3 +228,129 @@ class TestVocabStats:
         }
         character_inventory = {c for t in corpus for c in t}
         assert len(pieces) <= budget + len(character_inventory)
+
+
+# ---------------------------------------------------------------------------
+# The incremental learner against the naive one it replaced
+# ---------------------------------------------------------------------------
+
+
+def naive_learn_bpe(tokens, num_merges):
+    """Reference learner: recount every pair of every word type per merge.
+
+    Returns the merges as a list; unlike ``MergeTable`` it does not reject
+    a pair that forms again after its merge and is picked twice.
+    """
+    vocab = Counter(tokens)
+    words = [list(w) for w in vocab]
+    freqs = [vocab[w] for w in vocab]
+    merges = []
+    for _ in range(num_merges):
+        pair_counts = Counter()
+        for symbols, freq in zip(words, freqs):
+            for pair in zip(symbols, symbols[1:]):
+                pair_counts[pair] += freq
+        if not pair_counts:
+            break
+        best = min(pair_counts.items(), key=lambda kv: (-kv[1], kv[0]))[0]
+        merges.append(best)
+        words = [_merge_word(symbols, best) for symbols in words]
+    return merges
+
+
+def assert_same_merges(tokens, num_merges):
+    expected = naive_learn_bpe(tokens, num_merges)
+    if len(set(expected)) != len(expected):
+        with pytest.raises(ValueError, match="duplicate"):
+            learn_bpe(tokens, num_merges)
+    else:
+        assert learn_bpe(tokens, num_merges).merges == tuple(expected)
+
+
+learner_tokens = st.one_of(
+    st.text(alphabet="a", min_size=1, max_size=9),  # runs of one character
+    st.text(alphabet="ab@§éž", min_size=1, max_size=8),
+    st.sampled_from(["@@", "§§", "a@@", "§§<NN>§§", "x", "ß", "@"]),
+)
+
+
+class TestIncrementalLearner:
+    @settings(max_examples=300)
+    @given(st.lists(learner_tokens, max_size=40), st.integers(0, 120))
+    @example([], 5)
+    @example(["aaaa", "aaa", "aa", "a"], 50)
+    @example(["@@", "a@@", "§§", "x"], 0)
+    def test_matches_naive_learner(self, tokens, num_merges):
+        assert_same_merges(tokens, num_merges)
+
+    @settings(max_examples=50)
+    @given(st.lists(learner_tokens, min_size=1, max_size=30))
+    def test_matches_naive_learner_past_the_fixpoint(self, tokens):
+        budget = sum(len(w) - 1 for w in set(tokens)) + 3
+        assert len(naive_learn_bpe(tokens, budget)) < budget
+        assert_same_merges(tokens, budget)
+
+    def test_matches_naive_learner_on_a_zipfian_corpus(self):
+        rng = random.Random(5)
+        types = ["".join(rng.choice("abcdeáč") for _ in range(rng.randint(1, 9)))
+                 for _ in range(300)]
+        corpus = rng.choices(types, [1 / (r + 1) for r in range(len(types))], k=3000)
+        assert_same_merges(corpus, 150)
+
+
+# ---------------------------------------------------------------------------
+# segment_line's memo against uncached apply_bpe
+# ---------------------------------------------------------------------------
+
+
+class Unhashable:
+    """A predicate that cannot be a dict key."""
+
+    __hash__ = None
+
+    def __call__(self, token):
+        return token.startswith("<")
+
+
+def is_short(token):
+    return len(token) < 3
+
+
+PREDICATES = [None, is_czech_tag, is_short, Unhashable()]
+memo_lines = st.lists(
+    st.lists(st.one_of(tokens, st.sampled_from(["<x>", "NNFS2-----A----", "ab"])),
+             max_size=8).map(" ".join),
+    max_size=6,
+)
+
+
+def uncached(table, line, protected):
+    return " ".join(" ".join(apply_bpe(table, t, protected)) for t in line.split())
+
+
+class TestSegmentationMemo:
+    @settings(max_examples=60)
+    @given(merge_tables(), memo_lines, st.sampled_from(PREDICATES))
+    def test_matches_apply_bpe(self, table, lines, protected):
+        for line in lines + lines:
+            assert segment_line(table, line, protected) == uncached(table, line, protected)
+
+    @settings(max_examples=60)
+    @given(merge_tables(), memo_lines,
+           st.lists(st.sampled_from(PREDICATES), min_size=2, max_size=5))
+    def test_one_table_under_predicates_in_turn(self, table, lines, predicates):
+        for protected in predicates:
+            for line in lines:
+                assert segment_line(table, line, protected) == uncached(table, line, protected)
+
+    @settings(max_examples=40)
+    @given(merge_tables(), memo_lines, st.sampled_from(PREDICATES[:3]))
+    def test_pickled_after_use(self, table, lines, protected):
+        fresh = pickle.dumps(MergeTable(table.merges))
+        for line in lines:
+            segment_line(table, line, protected)
+        assert pickle.dumps(table) == fresh  # the memo is not shipped
+        copy = pickle.loads(pickle.dumps(table))
+        assert copy == table and copy.rank == table.rank
+        for line in lines:
+            assert segment_line(copy, line, protected) == uncached(table, line, protected)

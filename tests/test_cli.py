@@ -183,6 +183,18 @@ class TestPrepareCommand:
         assert out == "e@@ i@@ n@@ e@@ <@@ I@@ n@@ d@@ e@@ f@@ > <+ART><Fem><Acc><Sg><St> " \
             "W@@ o@@ l@@ k@@ e <+NN><Fem><Acc><Sg><NA>\n"
 
+    @pytest.mark.parametrize("flag", ["--parse-tags", "--source-tags"])
+    def test_short_tag_file_is_an_error(self, run, tmp_path, flag):
+        tags = tmp_path / "tags.txt"
+        tags.write_text("ART-Acc.Sg.Fem NN-Acc.Sg.Fem\n")
+        code, out, err = run(
+            ["prepare", "--mode", "german-stemmed-split", "--lexicon", GERMAN_LEXICON,
+             "--merges", "0", flag, str(tags)],
+            stdin_text="eine Wolke\neine Wolke\n",
+        )
+        assert (code, out) == (1, "")
+        assert err == f"morphmt: error: {flag} has 1 lines for 2 target lines\n"
+
     def test_rerun_is_byte_identical(self, run):
         args = ["prepare", "--mode", "morphgen", "--lexicon", CZECH_LEXICON, "--seed", "3"]
         _, out1, _ = run(args, stdin_text=FIG1_SURFACE + "\n")
@@ -233,6 +245,24 @@ class TestBpeCommands:
         )
         assert code == 0
         assert out == tag + " a@@ b\n"
+
+
+    def test_apply_jobs_with_german_protection(self, run, tmp_path):
+        # The German tag predicate used to be a closure that --jobs 2 could not pickle.
+        table_path = tmp_path / "merges.txt"
+        table_path.write_text("W o\nWo l\n< +\n")
+        stream = ("eine <+ART><Fem><Acc><Sg><St> Wolke <+NN><Fem><Acc><Sg><NA>\n"
+                  "Meer §§<NN>§§ Wolke <+NN><Fem><Nom><Sg><NA> und[KON]\n") * 3
+        args = ["bpe-apply", "--merge-table", str(table_path), "--mode",
+                "german-stemmed-split", "--protect-tags"]
+        code1, out1, _ = run(args + ["--jobs", "1"], stdin_text=stream)
+        code2, out2, err2 = run(args + ["--jobs", "2"], stdin_text=stream)
+        assert (code1, code2) == (0, 0), err2
+        assert out2 == out1
+        assert out1.splitlines()[:2] == [
+            "e@@ i@@ n@@ e <+ART><Fem><Acc><Sg><St> Wol@@ k@@ e <+NN><Fem><Acc><Sg><NA>",
+            "M@@ e@@ e@@ r §§<NN>§§ Wol@@ k@@ e <+NN><Fem><Nom><Sg><NA> und[KON]",
+        ]
 
 
 class TestLexiconCommands:

@@ -1,5 +1,7 @@
 """Lexicon loading, analysis, disambiguation and generation."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,6 +11,7 @@ from morphmt.morphlex import (
     LexiconConflict,
     LexiconParse,
     NoCompatibleAnalysis,
+    ParadigmLexicon,
     REASON_INCOMPATIBLE_TAG,
     REASON_UNKNOWN_LEMMA,
     analyze,
@@ -16,10 +19,11 @@ from morphmt.morphlex import (
     generate,
     generate_with_fallback,
     load_lexicon,
+    parse_tag_text,
 )
 from morphmt.tagsets import MorphAnalysis, format_tag, parse_czech_tag, parse_feature_seq
 
-from conftest import VULKANISCH_CANDIDATES
+from conftest import DATA_DIR, VULKANISCH_CANDIDATES
 
 
 def lexicon_of(*rows):
@@ -71,6 +75,53 @@ class TestLoadLexicon:
     def test_conflicting_modifier_rows_rejected(self):
         with pytest.raises(LexiconConflict):
             load_lexicon("@mod\tMeer\tMeeres\n@mod\tMeer\tMeeren\n")
+
+
+def lexicon_rows(name):
+    text = (DATA_DIR / name).read_text(encoding="utf-8")
+    return [line.split("\t") for line in text.split("\n") if line and not line.startswith("#")]
+
+
+# Rows sharing surfaces across lemmas and tags, so the order needs both keys.
+SHARED_SURFACE_ROWS = [
+    (lemma, tag, surface)
+    for surface, tags in (
+        ("ženy", ("NNFS2-----A----", "NNFP1-----A----", "NNFP4-----A----")),
+        ("hrady", ("NNIP1-----A----", "NNIP4-----A----", "NNIP5-----A----")),
+    )
+    for lemma in ("žena", "hrad", "brada")
+    for tag in tags
+]
+
+
+def candidate_order(lex):
+    return {
+        surface: [(c.lemma, c.tag_text) for c in lex.candidates_for(surface)]
+        for _, _, surface in lex.entries
+    }
+
+
+class TestCandidateOrder:
+    @pytest.mark.parametrize("name", ["czech_toy.tsv", "german_toy.tsv", None])
+    def test_independent_of_row_order(self, name):
+        rows = lexicon_rows(name) if name else SHARED_SURFACE_ROWS
+        expected = candidate_order(lexicon_of(*rows))
+        rng = random.Random(7)
+        for _ in range(5):
+            shuffled = list(rows)
+            rng.shuffle(shuffled)
+            assert candidate_order(lexicon_of(*shuffled)) == expected
+
+    @given(st.permutations(SHARED_SURFACE_ROWS))
+    def test_add_entry_matches_load_lexicon(self, rows):
+        direct = ParadigmLexicon()
+        for lemma, tag, surface in rows:
+            direct.add_entry(lemma, parse_tag_text(tag), surface)
+        expected = candidate_order(lexicon_of(*SHARED_SURFACE_ROWS))
+        assert candidate_order(direct) == expected
+        assert expected["ženy"][:3] == [
+            ("brada", "NNFP1-----A----"), ("hrad", "NNFP1-----A----"), ("žena", "NNFP1-----A----")
+        ]
 
 
 class TestAnalyze:
