@@ -27,8 +27,8 @@ from .tagsets import (  # noqa: F401
     parse_german_analysis,
 )
 from .morphlex import (  # noqa: F401
+    Diagnostics,
     GenerationFailure,
-    GenerationReport,
     LexiconConflict,
     LexiconParse,
     NoCompatibleAnalysis,
@@ -76,7 +76,6 @@ from .pipeline import (  # noqa: F401
 from .evaluation import (  # noqa: F401
     EmptyCorpus,
     NovelFormReport,
-    WellformednessReport,
     bleu,
     novel_forms,
     wellformedness,

@@ -185,7 +185,6 @@ def _pipeline_config(args: argparse.Namespace, config: dict[str, str]) -> pipeli
         joint_bpe=setting(args, config, "joint_bpe", bool),
         split_source_hyphens=setting(args, config, "split_source_hyphens", bool),
         lexicon_path=setting(args, config, "lexicon"),
-        merge_table_path=setting(args, config, "merge_table"),
     )
 
 
@@ -226,21 +225,29 @@ def cmd_prepare(args: argparse.Namespace, config: dict[str, str], inputs: _Input
         target_parse_tags=parse_tags,
         source_tags=source_tags,
     )
+    counters = {
+        "pairs_in": len(corpus),
+        "pairs_out": len(prepared.corpus),
+        "dropped": len(prepared.dropped),
+        "merges_learned": len(prepared.target_table),
+    }
     side_outputs = []
     if args.out_source is not None:
         side_outputs.append((args.out_source, prepared.corpus.sources))
     if args.merge_table_out is not None:
         # One entry for the whole table, so the file ends in a newline even when empty.
         side_outputs.append((args.merge_table_out, [prepared.target_table.to_text()]))
+    if not cfg.joint_bpe:
+        counters["source_merges_learned"] = len(prepared.source_table)
+        if args.merge_table_out not in (None, "-"):
+            # Next to the target table, like the OUT.manifest.json sidecar.
+            side_outputs.append(
+                (args.merge_table_out + ".source", [prepared.source_table.to_text()])
+            )
     return _Result(
         prepared.corpus.targets,
         cfg.snapshot(),
-        {
-            "pairs_in": len(corpus),
-            "pairs_out": len(prepared.corpus),
-            "dropped": len(prepared.dropped),
-            "merges_learned": len(prepared.target_table),
-        },
+        counters,
         seed=cfg.seed,
         notes=[f"morphmt: dropped pair {index}: {reason}" for index, reason in prepared.dropped],
         side_outputs=side_outputs,
@@ -269,8 +276,7 @@ def cmd_bpe_apply(args: argparse.Namespace, config: dict[str, str], inputs: _Inp
         raise CliError("--protect-tags needs --mode to pick the tag shape")
     protected = pipeline.tag_predicate_for_mode(mode) if protect else None
     lines = inputs.lines(args.input)
-    jobs = setting(args, config, "jobs", int, 1)
-    out = pipeline._map_lines(lines, jobs, bpe_mod.segment_line, table, protected=protected)
+    out = [bpe_mod.segment_line(table, line, protected) for line in lines]
     return _Result(
         out,
         {"merge_table": table_path, "protect_tags": protect, "mode": mode},
@@ -311,7 +317,7 @@ def cmd_analyze(args: argparse.Namespace, config: dict[str, str], inputs: _Input
 
 def cmd_generate(args: argparse.Namespace, config: dict[str, str], inputs: _Inputs) -> _Result:
     lex = _load_lexicon(setting(args, config, "lexicon"), inputs)
-    report = morphlex.GenerationReport()
+    diagnostics = morphlex.Diagnostics()
     out = []
     for lineno, line in enumerate(inputs.lines(args.input), 1):
         if not line.strip():
@@ -324,12 +330,12 @@ def cmd_generate(args: argparse.Namespace, config: dict[str, str], inputs: _Inpu
             tag = morphlex.parse_tag_text(tag_text)
         except (MalformedTag, MalformedAnalysis) as exc:
             raise CliError(f"line {lineno}: {exc}") from exc
-        out.append(morphlex.generate_with_fallback(lex, lemma, tag, report))
+        out.append(morphlex.generate_with_fallback(lex, lemma, tag, diagnostics))
     return _Result(
         out,
         {"lexicon": setting(args, config, "lexicon")},
-        {"generated": report.total, "fallbacks": report.fallbacks},
-        notes=[report.to_text()] if report.fallbacks else [],
+        {"generated": diagnostics.generated, "fallbacks": len(diagnostics.fallbacks)},
+        notes=[diagnostics.to_text()] if diagnostics.fallbacks else [],
     )
 
 
@@ -403,22 +409,20 @@ def cmd_postprocess(args: argparse.Namespace, config: dict[str, str], inputs: _I
     lines = inputs.lines(args.input)
     jobs = setting(args, config, "jobs", int, 1)
     result = pipeline.postprocess(lines, cfg, lex, jobs=jobs)
-    notes = []
-    if result.report.fallbacks or result.wellformedness.errors:
-        notes = [result.report.to_text(), result.wellformedness.to_text()]
+    diagnostics = result.diagnostics
     return _Result(
         result.lines,
         cfg.snapshot(),
         {
-            "lines": len(lines),
-            "generated": result.report.total,
-            "fallbacks": result.report.fallbacks,
-            "malformed_lines": result.wellformedness.malformed_lines,
-            "recovery_events": len(result.recovery_events),
-            "unknown_modifiers": len(result.unknown_modifiers),
+            "lines": diagnostics.lines,
+            "generated": diagnostics.generated,
+            "fallbacks": len(diagnostics.fallbacks),
+            "malformed_lines": diagnostics.malformed_lines,
+            "recovery_events": len(diagnostics.repairs),
+            "unknown_modifiers": len(diagnostics.unknown_modifiers),
         },
         seed=cfg.seed,
-        notes=notes,
+        notes=[diagnostics.to_text()] if diagnostics.fallbacks or diagnostics.errors else [],
     )
 
 
@@ -512,7 +516,6 @@ def _add_pipeline_options(sub: argparse.ArgumentParser) -> None:
         dest="split_source_hyphens",
         default=None,
     )
-    sub.add_argument("--merge-table", dest="merge_table")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -550,7 +553,6 @@ def build_parser() -> argparse.ArgumentParser:
         dest="protect_tags",
         default=None,
     )
-    p.add_argument("--jobs", type=int)
     p.add_argument("input", nargs="?")
     _add_common(p, cmd_bpe_apply)
 

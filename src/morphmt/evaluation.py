@@ -7,8 +7,8 @@
 * :func:`novel_forms` - tokens produced by the system that occur neither
   in the training target vocabulary nor in the aligned source sentence;
   a novel form is confirmed when the aligned reference contains it.
-* :func:`wellformedness` - per-line interleaving validation, aggregating
-  error kinds and counts.
+* :func:`wellformedness` - per-line interleaving validation; the errors
+  are the ``errors`` of a :class:`~morphmt.morphlex.Diagnostics`.
 """
 
 from __future__ import annotations
@@ -19,11 +19,11 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from . import interleave
+from .morphlex import Diagnostics
 
 __all__ = [
     "EmptyCorpus",
     "NovelFormReport",
-    "WellformednessReport",
     "bleu",
     "novel_forms",
     "wellformedness",
@@ -182,44 +182,13 @@ def novel_forms(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WellformednessReport:
-    """Per-line interleaving errors aggregated over a corpus."""
-
-    total_lines: int
-    errors: tuple[tuple[int, str, int], ...]  # (line index, kind, position)
-
-    @property
-    def counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for _, kind, _ in self.errors:
-            counts[kind] = counts.get(kind, 0) + 1
-        return counts
-
-    @property
-    def malformed_lines(self) -> int:
-        return len({line for line, _, _ in self.errors})
-
-    def to_text(self) -> str:
-        lines = [
-            f"lines checked: {self.total_lines}",
-            f"malformed lines: {self.malformed_lines}",
-        ]
-        for kind, count in sorted(self.counts.items()):
-            lines.append(f"  {kind}: {count}")
-        for line, kind, position in self.errors:
-            lines.append(f"  line {line}: {kind} at token {position}")
-        return "\n".join(lines)
-
-
-def wellformedness(lines: Iterable[str], mode: str) -> WellformednessReport:
+def wellformedness(lines: Iterable[str], mode: str) -> Diagnostics:
     """Validate every line's tag/word interleaving (BPE already reverted)."""
-    errors: list[tuple[int, str, int]] = []
-    total = 0
-    for index, line in enumerate(lines):
-        total += 1
+    diagnostics = Diagnostics()
+    for line in lines:
         try:
             interleave.decode(line.split(), mode)
         except interleave.WellformednessError as exc:
-            errors.append((index, exc.kind, exc.position))
-    return WellformednessReport(total_lines=total, errors=tuple(errors))
+            diagnostics.errors.append((diagnostics.lines, exc.kind, exc.position))
+        diagnostics.lines += 1
+    return diagnostics

@@ -51,7 +51,7 @@ __all__ = [
     "NoCompatibleAnalysis",
     "ParadigmLexicon",
     "GenerationFailure",
-    "GenerationReport",
+    "Diagnostics",
     "REASON_UNKNOWN_LEMMA",
     "REASON_INCOMPATIBLE_TAG",
     "load_lexicon",
@@ -97,32 +97,58 @@ class GenerationFailure:
 
 
 @dataclass
-class GenerationReport:
-    """Counts generation attempts and records every lemma fallback."""
+class Diagnostics:
+    """Everything a run reports besides its text, for a run of ``lines`` lines.
 
-    total: int = 0
-    fallback_items: list[GenerationFailure] = field(default_factory=list)
+    Each record starts with the index of the line it belongs to; a
+    producer keys a record by ``lines``, the index of the line it is
+    working on, and counts the line when done.  ``merge`` appends
+    another run's lines after this one's, so merging per-line (or
+    per-chunk) diagnostics in input order gives the corpus's.
+    """
+
+    lines: int = 0  # lines checked
+    generated: int = 0  # generation attempts
+    fallbacks: list[tuple[int, GenerationFailure]] = field(default_factory=list)
+    repairs: list[tuple[int, int, str]] = field(default_factory=list)  # (line, position, event)
+    errors: list[tuple[int, str, int]] = field(default_factory=list)  # (line, kind, position)
+    unknown_modifiers: list[tuple[int, str]] = field(default_factory=list)  # (line, lexeme)
+
+    def merge(self, other: Diagnostics) -> None:
+        """Associative sum: ``other``'s line indexes shift by ``self.lines``."""
+        offset = self.lines
+        self.lines += other.lines
+        self.generated += other.generated
+        self.fallbacks += [(offset + line, failure) for line, failure in other.fallbacks]
+        self.repairs += [(offset + line, pos, event) for line, pos, event in other.repairs]
+        self.errors += [(offset + line, kind, pos) for line, kind, pos in other.errors]
+        self.unknown_modifiers += [
+            (offset + line, lexeme) for line, lexeme in other.unknown_modifiers
+        ]
 
     @property
-    def fallbacks(self) -> int:
-        return len(self.fallback_items)
+    def malformed_lines(self) -> int:
+        return len({line for line, _, _ in self.errors})
 
-    def record(self, failure: GenerationFailure) -> None:
-        self.fallback_items.append(failure)
-
-    def merge(self, other: GenerationReport) -> None:
-        """Associative sum of per-worker reports."""
-        self.total += other.total
-        self.fallback_items.extend(other.fallback_items)
+    @property
+    def counts(self) -> dict[str, int]:
+        """Well-formedness errors per kind."""
+        counts: dict[str, int] = {}
+        for _, kind, _ in self.errors:
+            counts[kind] = counts.get(kind, 0) + 1
+        return counts
 
     def to_text(self) -> str:
-        lines = [
-            f"generated: {self.total}",
-            f"fallbacks: {self.fallbacks}",
-        ]
-        for item in self.fallback_items:
-            lines.append(f"  {item.reason}\t{item.lemma}\t{item.tag_text}")
-        return "\n".join(lines)
+        """Generation counts and fallbacks, then, if any line was checked,
+        the well-formedness summary and errors."""
+        out = [f"generated: {self.generated}", f"fallbacks: {len(self.fallbacks)}"]
+        for _, item in self.fallbacks:
+            out.append(f"  {item.reason}\t{item.lemma}\t{item.tag_text}")
+        if self.lines:
+            out += [f"lines checked: {self.lines}", f"malformed lines: {self.malformed_lines}"]
+            out += [f"  {kind}: {count}" for kind, count in sorted(self.counts.items())]
+            out += [f"  line {line}: {kind} at token {pos}" for line, kind, pos in self.errors]
+        return "\n".join(out)
 
 
 class ParadigmLexicon:
@@ -348,13 +374,14 @@ def generate_with_fallback(
     lex: ParadigmLexicon,
     lemma: str,
     tag: PositionalTag | GermanFeatureSeq,
-    report: GenerationReport,
+    diagnostics: Diagnostics,
 ) -> str:
     """Like :func:`generate`, but never fails: the bare lemma (markup
-    removed) is emitted on failure and the failure recorded in ``report``."""
-    report.total += 1
+    removed) is emitted on failure and the failure recorded in
+    ``diagnostics``, under line ``diagnostics.lines``."""
+    diagnostics.generated += 1
     result = generate(lex, lemma, tag)
     if isinstance(result, GenerationFailure):
-        report.record(result)
+        diagnostics.fallbacks.append((diagnostics.lines, result))
         return strip_markup(lemma)
     return result

@@ -15,11 +15,12 @@ output line; malformed segments are repaired rather than fatal (an
 orphan word is emitted verbatim, an orphan tag is dropped, a stem that
 cannot be parsed or merged is emitted verbatim) and all repairs,
 generation fallbacks and well-formedness violations are reported
-alongside the text.
+alongside the text, in one :class:`~morphmt.morphlex.Diagnostics`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import subprocess
 from concurrent.futures import ProcessPoolExecutor
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Sequence
 
-from . import evaluation, interleave
+from . import interleave
 from .bpe import (
     DanglingMarker,
     MARKER,
@@ -44,7 +45,7 @@ from .compounds import (
     split_compound,
 )
 from .morphlex import (
-    GenerationReport,
+    Diagnostics,
     NoCompatibleAnalysis,
     ParadigmLexicon,
     analyze,
@@ -59,7 +60,6 @@ from .tagsets import (
     is_feature_token,
     parse_czech_tag,
     split_lines,
-    KIND_BARE,
 )
 
 __all__ = [
@@ -119,7 +119,6 @@ class PipelineConfig:
     joint_bpe: bool = True
     split_source_hyphens: bool = False
     lexicon_path: str | None = None
-    merge_table_path: str | None = None
 
     def __post_init__(self) -> None:
         if self.mode not in PIPELINE_MODES:
@@ -143,19 +142,7 @@ class PipelineConfig:
         return cls(**values)
 
     def snapshot(self) -> dict:
-        return {
-            "mode": self.mode,
-            "bpe_merges": self.bpe_merges,
-            "maxlen": self.maxlen,
-            "minlen": self.minlen,
-            "sample_size": self.sample_size,
-            "seed": self.seed,
-            "protect_tags": self.protect_tags,
-            "joint_bpe": self.joint_bpe,
-            "split_source_hyphens": self.split_source_hyphens,
-            "lexicon_path": self.lexicon_path,
-            "merge_table_path": self.merge_table_path,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass
@@ -222,8 +209,8 @@ def _is_german_tag_token(token: str) -> bool:
 def tag_predicate_for_mode(mode: str) -> Callable[[str], bool]:
     """Predicate marking tag-like tokens for BPE protection.
 
-    A module-level function, so it pickles for ``--jobs`` workers and is
-    the same object on every call (``segment_line`` keys its memo by it).
+    A module-level function, so it is the same object on every call
+    (``segment_line`` keys its memo by it).
     """
     return _is_german_tag_token if _is_german(mode) else is_czech_tag
 
@@ -268,11 +255,8 @@ def _encode_target(analyses: list[MorphAnalysis], mode: str) -> list[str]:
         return list(interleave.encode(analyses, mode).tokens)
     tokens: list[str] = []
     for a in analyses:
-        if getattr(a.tag, "kind", None) == KIND_BARE:
-            tokens.extend(interleave.encode([a], interleave.MODE_GERMAN_STEMMED).tokens)
-            continue
-        analysis = a.to_german_analysis()
-        split = split_compound(analysis)
+        # A bare analysis is not inflected, so split_compound returns it.
+        split = split_compound(a.to_german_analysis())
         if isinstance(split, CompoundSplit):
             tokens.extend(split.tokens)
         else:
@@ -410,94 +394,76 @@ EVENT_UNPARSEABLE_STEM = "unparseable-stem"
 
 
 @dataclass
-class _LineResult:
-    text: str
-    report: GenerationReport
-    events: list[tuple[int, str]]
-    wf_errors: list[tuple[str, int]]
-    unknown_modifiers: list[str]
-
-
-@dataclass
 class PostprocessResult:
     """Surface text plus every diagnostic collected on the way."""
 
     lines: list[str]
-    report: GenerationReport
-    wellformedness: evaluation.WellformednessReport
-    recovery_events: list[tuple[int, int, str]] = field(default_factory=list)
-    unknown_modifiers: list[tuple[int, str]] = field(default_factory=list)
+    diagnostics: Diagnostics
 
     @property
     def text(self) -> str:
         return "".join(line + "\n" for line in self.lines)
 
 
-def _revert_lenient(tokens: list[str], events: list[tuple[int, str]]) -> list[str]:
+def _revert_lenient(tokens: list[str], repairs: list[tuple[int, int, str]]) -> list[str]:
     tokens = list(tokens)
     while True:
         try:
             return revert_bpe(tokens)
         except DanglingMarker:
-            events.append((len(tokens) - 1, EVENT_DANGLING_MARKER))
+            repairs.append((0, len(tokens) - 1, EVENT_DANGLING_MARKER))
             tokens[-1] = tokens[-1][: -len(MARKER)]
 
 
-def postprocess_line(line: str, mode: str, lex: ParadigmLexicon | None) -> _LineResult:
-    """Deterministically turn one backend output line into surface text."""
-    report = GenerationReport()
-    events: list[tuple[int, str]] = []
-    wf_errors: list[tuple[str, int]] = []
-    unknown_modifiers: list[str] = []
-    tokens = _revert_lenient(line.split(), events)
+def postprocess_line(
+    line: str, mode: str, lex: ParadigmLexicon | None
+) -> tuple[str, Diagnostics]:
+    """Deterministically turn one backend output line into surface text.
+
+    The diagnostics cover this one line, so every record is at line 0.
+    """
+    diagnostics = Diagnostics()
+    repairs = diagnostics.repairs
+    tokens = _revert_lenient(line.split(), repairs)
 
     if mode == interleave.MODE_BASELINE:
-        return _LineResult(" ".join(tokens), report, events, wf_errors, unknown_modifiers)
+        diagnostics.lines = 1
+        return " ".join(tokens), diagnostics
 
     if mode == MODE_GERMAN_STEMMED_SPLIT:
         tokens, orphans = rejoin_split_tokens(tokens)
-        events.extend((pos, EVENT_ORPHAN_SEPARATOR) for pos, _ in orphans)
+        repairs.extend((0, pos, EVENT_ORPHAN_SEPARATOR) for pos, _ in orphans)
 
     stream = interleave.walk(tokens, _base_mode(mode))
     if stream.error is not None:
-        wf_errors.append((stream.error.kind, stream.error.position))
+        diagnostics.errors.append((0, stream.error.kind, stream.error.position))
 
     words: list[str] = []
+    unknown_modifiers: list[str] = []
     for item in stream.items:
         if item.kind == EVENT_DROPPED_TAG:
-            events.append((item.position, item.kind))
+            repairs.append((0, item.position, item.kind))
         elif item.kind == EVENT_WORD_WITHOUT_TAG:
-            events.append((item.position, item.kind))
+            repairs.append((0, item.position, item.kind))
             words.append(item.word)
         elif item.kind == interleave.ITEM_BARE or mode == interleave.MODE_SERIALIZATION:
             words.append(item.word)
         elif mode == interleave.MODE_MORPHGEN:
             tag = parse_czech_tag(item.tag)
-            words.append(generate_with_fallback(lex, item.word, tag, report))
+            words.append(generate_with_fallback(lex, item.word, tag, diagnostics))
         else:
             try:
                 analysis, _ = merge_stem(item.word, item.features, lex, unknown_modifiers)
             except MalformedAnalysis:
-                events.append((item.position, EVENT_UNPARSEABLE_STEM))
+                repairs.append((0, item.position, EVENT_UNPARSEABLE_STEM))
                 words.append(item.word)
                 continue
             words.append(
-                generate_with_fallback(lex, analysis.stem_text, item.features, report)
+                generate_with_fallback(lex, analysis.stem_text, item.features, diagnostics)
             )
-    return _LineResult(" ".join(words), report, events, wf_errors, unknown_modifiers)
-
-
-def _map_lines(lines: list[str], jobs: int, fn: Callable, *args, **kwargs) -> list:
-    """``fn(*args, line, **kwargs)`` for each line, in input order.
-
-    With ``jobs > 1`` the lines are spread over that many worker
-    processes; ``fn`` and its arguments are pickled with every chunk.
-    """
-    worker = partial(fn, *args, **kwargs)
-    if jobs > 1 and len(lines) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as executor:
-            return list(executor.map(worker, lines, chunksize=max(1, len(lines) // (jobs * 4))))
-    return [worker(line) for line in lines]
+    diagnostics.unknown_modifiers = [(0, lexeme) for lexeme in unknown_modifiers]
+    diagnostics.lines = 1
+    return " ".join(words), diagnostics
 
 
 def postprocess(
@@ -511,7 +477,8 @@ def postprocess(
     Baseline mode is exactly BPE reversion; serialization needs no
     lexicon either, as its word tokens are already surface forms.  Every
     input line yields an output line; see the module docstring for the
-    recovery rules.
+    recovery rules.  With ``jobs > 1`` the lines are spread over that
+    many worker processes; the lexicon is pickled with every chunk.
     """
     needs_lexicon = cfg.mode not in (
         interleave.MODE_BASELINE,
@@ -519,26 +486,14 @@ def postprocess(
     )
     if needs_lexicon and lex is None:
         raise ValueError(f"mode {cfg.mode!r} needs a lexicon")
-    results = _map_lines(lines, jobs, postprocess_line, mode=cfg.mode, lex=lex)
-
-    report = GenerationReport()
-    wf_errors: list[tuple[int, str, int]] = []
-    recovery_events: list[tuple[int, int, str]] = []
-    unknown_modifiers: list[tuple[int, str]] = []
-    out_lines: list[str] = []
-    for index, result in enumerate(results):
-        out_lines.append(result.text)
-        report.merge(result.report)
-        wf_errors.extend((index, kind, pos) for kind, pos in result.wf_errors)
-        recovery_events.extend((index, pos, kind) for pos, kind in result.events)
-        unknown_modifiers.extend((index, lexeme) for lexeme in result.unknown_modifiers)
-    wf_report = evaluation.WellformednessReport(
-        total_lines=len(lines), errors=tuple(wf_errors)
-    )
-    return PostprocessResult(
-        lines=out_lines,
-        report=report,
-        wellformedness=wf_report,
-        recovery_events=recovery_events,
-        unknown_modifiers=unknown_modifiers,
-    )
+    worker = partial(postprocess_line, mode=cfg.mode, lex=lex)
+    if jobs > 1 and len(lines) > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as executor:
+            results = list(executor.map(worker, lines, chunksize=max(1, len(lines) // (jobs * 4))))
+    else:
+        results = map(worker, lines)
+    result = PostprocessResult([], Diagnostics())
+    for text, diagnostics in results:
+        result.lines.append(text)
+        result.diagnostics.merge(diagnostics)
+    return result

@@ -80,7 +80,7 @@ def test_criterion_2_table1_reproduction(german_lexicon):
         surface_line = " ".join(surface for _, surface in TABLE1_ROWS)
         assert result.lines == [surface_line]
         assert "Meeresboden" in result.lines[0]
-        assert result.report.fallbacks == 0
+        assert result.diagnostics.fallbacks == []
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0, f"took {elapsed:.3f}s"
 
@@ -111,11 +111,10 @@ def test_criterion_4_lemma_fallback(czech_lexicon):
         cfg = PipelineConfig.for_mode("morphgen")
         result = postprocess(lines, cfg, czech_lexicon)
         assert result.lines == lemmas
-        assert result.report.total == 1000
-        assert result.report.fallbacks == 1000
-        assert all(
-            item.reason == "unknown-lemma" for item in result.report.fallback_items
-        )
+        assert result.diagnostics.generated == 1000
+        assert [(line, item.reason) for line, item in result.diagnostics.fallbacks] == [
+            (line, "unknown-lemma") for line in range(1000)
+        ]
 
 
 def test_criterion_5_bpe_losslessness():

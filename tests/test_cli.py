@@ -195,6 +195,30 @@ class TestPrepareCommand:
         assert (code, out) == (1, "")
         assert err == f"morphmt: error: {flag} has 1 lines for 2 target lines\n"
 
+    def test_separate_tables_both_written(self, run, tmp_path):
+        # With --no-joint-bpe the source side has its own table, written
+        # next to the target table; it segments the raw source the same way.
+        src = tmp_path / "src.txt"
+        src.write_text("the source side differs from\nthe target side entirely\n")
+        tgt = tmp_path / "tgt.txt"
+        tgt.write_text("pizza pizzy pizzu\npizzou pizze\n")
+        table = tmp_path / "table.txt"
+        code, out, err = run(
+            ["prepare", "--mode", "baseline", "--merges", "6", "--no-joint-bpe",
+             "--source", str(src), "--target", str(tgt), "--out-source", str(tmp_path / "out.src"),
+             "--merge-table-out", str(table)],
+        )
+        assert code == 0, err
+        counters = json.loads(err.strip().splitlines()[-1])["counters"]
+        assert counters["merges_learned"] == counters["source_merges_learned"] == 6
+        for side, path in (("source", src), ("target", tgt)):
+            side_table = f"{table}.source" if side == "source" else str(table)
+            code, segmented, _ = run(["bpe-apply", "--merge-table", side_table, str(path)])
+            assert code == 0
+            expected = (tmp_path / "out.src").read_text() if side == "source" else out
+            assert segmented == expected
+        assert (tmp_path / "table.txt.source").read_text() != table.read_text()
+
     def test_rerun_is_byte_identical(self, run):
         args = ["prepare", "--mode", "morphgen", "--lexicon", CZECH_LEXICON, "--seed", "3"]
         _, out1, _ = run(args, stdin_text=FIG1_SURFACE + "\n")
@@ -245,24 +269,6 @@ class TestBpeCommands:
         )
         assert code == 0
         assert out == tag + " a@@ b\n"
-
-
-    def test_apply_jobs_with_german_protection(self, run, tmp_path):
-        # The German tag predicate used to be a closure that --jobs 2 could not pickle.
-        table_path = tmp_path / "merges.txt"
-        table_path.write_text("W o\nWo l\n< +\n")
-        stream = ("eine <+ART><Fem><Acc><Sg><St> Wolke <+NN><Fem><Acc><Sg><NA>\n"
-                  "Meer §§<NN>§§ Wolke <+NN><Fem><Nom><Sg><NA> und[KON]\n") * 3
-        args = ["bpe-apply", "--merge-table", str(table_path), "--mode",
-                "german-stemmed-split", "--protect-tags"]
-        code1, out1, _ = run(args + ["--jobs", "1"], stdin_text=stream)
-        code2, out2, err2 = run(args + ["--jobs", "2"], stdin_text=stream)
-        assert (code1, code2) == (0, 0), err2
-        assert out2 == out1
-        assert out1.splitlines()[:2] == [
-            "e@@ i@@ n@@ e <+ART><Fem><Acc><Sg><St> Wol@@ k@@ e <+NN><Fem><Acc><Sg><NA>",
-            "M@@ e@@ e@@ r §§<NN>§§ Wol@@ k@@ e <+NN><Fem><Nom><Sg><NA> und[KON]",
-        ]
 
 
 class TestLexiconCommands:
@@ -586,8 +592,6 @@ CHARACTERIZATION_CASES = {
     "bpe-apply-stdin": (["bpe-apply", "--merge-table", "merges.txt"], "pizzy pizza\n\nzy\n"),
     "bpe-apply-output": (["bpe-apply", "--merge-table", "merges.txt", "--protect-tags", "--mode",
                           "morphgen", "-o", "seg.txt", "morph.txt"], None),
-    "bpe-apply-jobs": (["bpe-apply", "--merge-table", "merges.txt", "--jobs", "2"],
-                       "pizzy\npizza piz\nzy zy\n"),
     "bpe-apply-protect-no-mode": (["bpe-apply", "--merge-table", "merges.txt", "--protect-tags"], "x\n"),
     "bpe-revert-stdin": (["bpe-revert"], "piz@@ zy ex@@ ist\n\n"),
     "bpe-revert-output": (["bpe-revert", "--output", "rev.txt", "-"], "a@@ b c\n"),

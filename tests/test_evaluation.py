@@ -151,8 +151,8 @@ class TestWellformedness:
     def test_all_well_formed(self):
         lines = [FIG1_MORPHGEN, FIG1_MORPHGEN]
         report = wellformedness(lines, "morphgen")
-        assert report.errors == ()
-        assert report.total_lines == 2
+        assert report.errors == []
+        assert report.lines == 2
         assert report.malformed_lines == 0
 
     def test_odd_line_counted(self):

@@ -311,4 +311,4 @@ class TestWalkMatchesReference:
         if not any("@@" in line or "§§" in line for line in lines):
             base = "german-stemmed" if mode.startswith("german") else mode
             expected = evaluation.wellformedness(lines, base).errors
-            assert result.wellformedness.errors == expected
+            assert result.diagnostics.errors == expected

@@ -1,13 +1,14 @@
 """Lexicon loading, analysis, disambiguation and generation."""
 
+import copy
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from morphmt.morphlex import (
+    Diagnostics,
     GenerationFailure,
-    GenerationReport,
     LexiconConflict,
     LexiconParse,
     NoCompatibleAnalysis,
@@ -236,71 +237,120 @@ class TestGenerate:
                 ]
 
 
+@st.composite
+def diagnostics_values(draw):
+    """A Diagnostics of up to 4 lines whose records sit on those lines."""
+    lines = draw(st.integers(0, 4))
+    if lines == 0:
+        return Diagnostics(generated=draw(st.integers(0, 3)))
+    line = st.integers(0, lines - 1)
+    failure = st.builds(
+        GenerationFailure,
+        st.sampled_from(["pizza", "Braper"]),
+        st.sampled_from(["NNFS1-----A----", "<+NN><Masc><Nom><Sg><NA>"]),
+        st.sampled_from([REASON_UNKNOWN_LEMMA, REASON_INCOMPATIBLE_TAG]),
+    )
+    position = st.integers(0, 5)
+    event = st.sampled_from(["dropped-tag", "dangling-marker"])
+    kind = st.sampled_from(["odd-length", "tag-expected"])
+    lexeme = st.sampled_from(["Nacht", "Haus"])
+    return Diagnostics(
+        lines=lines,
+        generated=draw(st.integers(0, 6)),
+        fallbacks=draw(st.lists(st.tuples(line, failure), max_size=3)),
+        repairs=draw(st.lists(st.tuples(line, position, event), max_size=3)),
+        errors=draw(st.lists(st.tuples(line, kind, position), max_size=3)),
+        unknown_modifiers=draw(st.lists(st.tuples(line, lexeme), max_size=3)),
+    )
+
+
 class TestGenerateWithFallback:
     def test_success_leaves_report_clean(self, czech_lexicon):
-        report = GenerationReport()
+        report = Diagnostics()
         tag = parse_czech_tag("NNFS2-----A----")
         assert generate_with_fallback(czech_lexicon, "pizza", tag, report) == "pizzy"
-        assert report.total == 1
-        assert report.fallbacks == 0
+        assert report.generated == 1
+        assert report.fallbacks == []
 
     def test_unknown_proper_name_falls_back(self, czech_lexicon):
-        report = GenerationReport()
+        report = Diagnostics()
         tag = parse_czech_tag("NNFS1-----A----")
         assert generate_with_fallback(czech_lexicon, "Braper", tag, report) == "Braper"
-        assert report.fallbacks == 1
-        assert report.fallback_items[0].reason == REASON_UNKNOWN_LEMMA
+        assert report.fallbacks == [
+            (0, GenerationFailure("Braper", "NNFS1-----A----", REASON_UNKNOWN_LEMMA))
+        ]
 
     def test_incompatible_tag_falls_back(self, czech_lexicon):
-        report = GenerationReport()
+        report = Diagnostics()
         tag = parse_czech_tag("VB-P---3P-AA---")
         assert generate_with_fallback(czech_lexicon, "pizza", tag, report) == "pizza"
-        assert report.fallback_items[0].reason == REASON_INCOMPATIBLE_TAG
+        assert report.fallbacks[0][1].reason == REASON_INCOMPATIBLE_TAG
+
+    def test_fallback_is_keyed_by_the_current_line(self, czech_lexicon):
+        report = Diagnostics(lines=3)
+        tag = parse_czech_tag("NNFS1-----A----")
+        generate_with_fallback(czech_lexicon, "Braper", tag, report)
+        assert [line for line, _ in report.fallbacks] == [3]
 
     def test_markup_stripped_on_fallback(self, german_lexicon):
-        report = GenerationReport()
+        report = Diagnostics()
         tag = parse_feature_seq("<+NN><Neut><Gen><Sg><NA>")
         out = generate_with_fallback(german_lexicon, "Parunelogramm<NN>", tag, report)
         assert out == "Parunelogramm"
 
     @given(st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=12))
     def test_never_fails(self, czech_lexicon, lemma):
-        report = GenerationReport()
+        report = Diagnostics()
         tag = parse_czech_tag("NNFS2-----A----")
         out = generate_with_fallback(czech_lexicon, lemma, tag, report)
         assert out
-        assert report.total == 1
+        assert report.generated == 1
 
-    def test_report_merge_is_associative_sum(self):
-        def failure(i):
-            return GenerationFailure(f"l{i}", "t", REASON_UNKNOWN_LEMMA)
-
-        a = GenerationReport(total=1, fallback_items=[failure(1)])
-        b = GenerationReport(total=2, fallback_items=[failure(2)])
-        c = GenerationReport(total=3, fallback_items=[failure(3), failure(4)])
-
-        left = GenerationReport()
+    @settings(max_examples=200)
+    @given(st.lists(diagnostics_values(), min_size=3, max_size=3))
+    def test_report_merge_is_associative_sum(self, parts):
+        a, b, c = parts
+        left = Diagnostics()
         for part in (a, b, c):
             left.merge(part)
-        bc = GenerationReport()
-        bc.merge(b)
+        bc = copy.deepcopy(b)
         bc.merge(c)
-        right = GenerationReport()
-        right.merge(a)
+        right = copy.deepcopy(a)
         right.merge(bc)
-        assert left.total == right.total == 6
-        assert [f.lemma for f in left.fallback_items] == [
-            f.lemma for f in right.fallback_items
+        assert left == right
+        # The sum concatenates the runs: counts add up, and each record
+        # moves past the lines before it.
+        assert left.lines == a.lines + b.lines + c.lines
+        assert left.generated == a.generated + b.generated + c.generated
+        offsets = (0, a.lines, a.lines + b.lines)
+        assert left.repairs == [
+            (offset + line, pos, event)
+            for part, offset in zip(parts, offsets)
+            for line, pos, event in part.repairs
         ]
+        assert left.malformed_lines == sum(part.malformed_lines for part in parts)
+        empty = Diagnostics()
+        empty.merge(a)
+        assert empty == a
 
     def test_report_text_shape(self):
-        report = GenerationReport()
-        report.total = 2
-        report.record(GenerationFailure("Braper", "NNFS1-----A----", REASON_UNKNOWN_LEMMA))
-        text = report.to_text()
-        assert "generated: 2" in text
-        assert "fallbacks: 1" in text
-        assert "unknown-lemma\tBraper" in text
+        report = Diagnostics(generated=2)
+        report.fallbacks.append(
+            (0, GenerationFailure("Braper", "NNFS1-----A----", REASON_UNKNOWN_LEMMA))
+        )
+        assert report.to_text() == (
+            "generated: 2\nfallbacks: 1\n  unknown-lemma\tBraper\tNNFS1-----A----"
+        )
+        report.lines = 2
+        report.errors += [(1, "odd-length", 2), (0, "tag-expected", 0)]
+        assert report.to_text().split("\n")[3:] == [
+            "lines checked: 2",
+            "malformed lines: 2",
+            "  odd-length: 1",
+            "  tag-expected: 1",
+            "  line 1: odd-length at token 2",
+            "  line 0: tag-expected at token 0",
+        ]
 
 
 @st.composite

@@ -217,8 +217,8 @@ class TestPostprocess:
         cfg = PipelineConfig.for_mode("morphgen")
         result = postprocess([FIG1_MORPHGEN], cfg, czech_lexicon)
         assert result.lines == [FIG1_SURFACE]
-        assert result.report.fallbacks == 0
-        assert result.wellformedness.errors == ()
+        assert result.diagnostics.fallbacks == []
+        assert result.diagnostics.errors == []
 
     def test_baseline_is_bpe_reversion(self):
         cfg = PipelineConfig.for_mode("baseline")
@@ -239,28 +239,29 @@ class TestPostprocess:
         cfg = PipelineConfig.for_mode("morphgen")
         result = postprocess(["NNFS1-----A---- Hvanda"], cfg, czech_lexicon)
         assert result.lines == ["Hvanda"]
-        assert result.report.fallbacks == 1
-        assert result.report.fallback_items[0].reason == "unknown-lemma"
+        assert [(line, f.reason) for line, f in result.diagnostics.fallbacks] == [
+            (0, "unknown-lemma")
+        ]
 
     def test_orphan_word_emitted_verbatim(self, czech_lexicon):
         cfg = PipelineConfig.for_mode("morphgen")
         result = postprocess(["existovat"], cfg, czech_lexicon)
         assert result.lines == ["existovat"]
-        assert result.recovery_events == [(0, 0, "word-without-tag")]
-        assert result.wellformedness.counts == {"odd-length": 1}
+        assert result.diagnostics.repairs == [(0, 0, "word-without-tag")]
+        assert result.diagnostics.counts == {"odd-length": 1}
 
     def test_orphan_tag_dropped(self, czech_lexicon):
         cfg = PipelineConfig.for_mode("morphgen")
         line = FIG1_MORPHGEN + " NNFS2-----A----"
         result = postprocess([line], cfg, czech_lexicon)
         assert result.lines == [FIG1_SURFACE]
-        assert any(kind == "dropped-tag" for _, _, kind in result.recovery_events)
+        assert any(kind == "dropped-tag" for _, _, kind in result.diagnostics.repairs)
 
     def test_dangling_marker_recovered(self, czech_lexicon):
         cfg = PipelineConfig.for_mode("baseline")
         result = postprocess(["exi@@ stují mili@@"], cfg)
         assert result.lines == ["existují mili"]
-        assert any(kind == "dangling-marker" for _, _, kind in result.recovery_events)
+        assert any(kind == "dangling-marker" for _, _, kind in result.diagnostics.repairs)
 
     def test_line_count_preserved(self, czech_lexicon):
         cfg = PipelineConfig.for_mode("morphgen")
@@ -272,7 +273,7 @@ class TestPostprocess:
         cfg = PipelineConfig.for_mode("german-stemmed-split")
         line = "Nacht §§<NN>§§ Markt <+NN><Masc><Nom><Sg><NA>"
         result = postprocess([line], cfg, german_lexicon)
-        assert result.unknown_modifiers == [(0, "Nacht")]
+        assert result.diagnostics.unknown_modifiers == [(0, "Nacht")]
         # degraded concatenation reaches generation and falls back
         assert result.lines == ["Nachtmarkt"]
 
@@ -290,17 +291,52 @@ class TestPostprocess:
         lines = [f"{stem_tokens} <+NN><Masc><Dat><Sg><NA>", "und[KON]"]
         result = postprocess(lines, cfg, german_lexicon)
         assert result.lines == [stem, "und"]
-        assert result.recovery_events == [(0, 0, "unparseable-stem")]
-        assert result.wellformedness.errors == ()
+        assert result.diagnostics.repairs == [(0, 0, "unparseable-stem")]
+        assert result.diagnostics.errors == []
 
-    def test_jobs_preserve_order_and_reports(self, czech_lexicon):
-        cfg = PipelineConfig.for_mode("morphgen")
-        lines = [FIG1_MORPHGEN, "NNFS1-----A---- Hvanda"] * 6
-        sequential = postprocess(lines, cfg, czech_lexicon, jobs=1)
-        parallel = postprocess(lines, cfg, czech_lexicon, jobs=2)
-        assert sequential.lines == parallel.lines
-        assert sequential.report.total == parallel.report.total
-        assert sequential.report.fallbacks == parallel.report.fallbacks
+    def test_jobs_preserve_order_and_reports(self, czech_lexicon, german_lexicon):
+        malformed = {
+            "morphgen": [
+                FIG1_MORPHGEN,
+                "NNFS1-----A---- Hvanda",
+                "existovat",
+                FIG1_MORPHGEN + " NNFS2-----A----",
+                "NNFS2-----A---- piz@@ za mili@@",
+                "",
+            ],
+            "german-stemmed-split": [
+                "und[KON] Meer §§<NN>§§ Bo@@ den <+NN><Masc><Dat><Sg><NA>",
+                "Nacht §§<NN>§§ Markt <+NN><Masc><Nom><Sg><NA> §§<NN>§§ sehen",
+                "<+NN><Fem><Acc><Sg><NA> Haus §§<NN>§§ Markt <+NN><Masc><Nom><Sg><NA>",
+                "a<NN>§§<X>§§ <+NN><Masc><Dat><Sg><NA> Wolke@@",
+                "treffen <+V><3><Sg><Pres><Ind>",
+            ],
+        }
+        for mode, block in malformed.items():
+            lex = german_lexicon if mode.startswith("german") else czech_lexicon
+            lines = block * 4
+            cfg = PipelineConfig.for_mode(mode)
+            sequential = postprocess(lines, cfg, lex, jobs=1)
+            parallel = postprocess(lines, cfg, lex, jobs=2)
+            assert sequential.lines == parallel.lines
+            assert sequential.diagnostics == parallel.diagnostics
+            diagnostics = sequential.diagnostics
+            assert diagnostics.lines == len(lines)
+            # Every record of the block recurs on each repeat, at its line.
+            for records in (
+                diagnostics.fallbacks,
+                diagnostics.repairs,
+                diagnostics.errors,
+                diagnostics.unknown_modifiers,
+            ):
+                first = [record for record in records if record[0] < len(block)]
+                assert records == [
+                    (line + repeat * len(block), *rest)
+                    for repeat in range(4)
+                    for line, *rest in first
+                ]
+            assert diagnostics.fallbacks and diagnostics.repairs and diagnostics.errors
+            assert diagnostics.unknown_modifiers or mode == "morphgen"
 
 
 class TestFullRoundTrip:
@@ -319,7 +355,7 @@ class TestFullRoundTrip:
         raw = translate_external(prepared.corpus.targets, ["cat"])
         result = postprocess(raw, cfg, czech_lexicon)
         assert result.lines == targets
-        assert result.report.fallbacks == 0
+        assert result.diagnostics.fallbacks == []
 
     @pytest.mark.parametrize("mode", ["german-stemmed", "german-stemmed-split"])
     def test_german_round_trip(self, german_lexicon, mode):
