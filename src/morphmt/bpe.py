@@ -70,7 +70,7 @@ class MergeTable:
     def from_text(cls, text: str) -> MergeTable:
         merges = []
         for lineno, line in enumerate(split_lines(text), start=1):
-            if not line.strip() or line.startswith("#"):
+            if not line.strip():
                 continue
             parts = line.split(" ")
             if len(parts) != 2:

@@ -13,7 +13,8 @@ and returns a :class:`_Result`.  :func:`main` writes the result, the
 diagnostics and the manifest.
 
 Configuration precedence is flags > config file (``key=value`` lines,
-``--config``) > built-in defaults.
+``--config``; each key names an option of some subcommand) > built-in
+defaults.
 """
 
 from __future__ import annotations
@@ -129,7 +130,14 @@ def emit_manifest(manifest: RunManifest, output_path: str | None, manifest_path:
 # ---------------------------------------------------------------------------
 
 
-def load_config_file(path: str | None) -> dict[str, str]:
+def config_keys(parser: argparse.ArgumentParser) -> set[str]:
+    """The valid config keys: the destinations of every subcommand's options."""
+    (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {a.dest for sub in subs.choices.values() for a in sub._actions
+            if a.option_strings and a.default != argparse.SUPPRESS}
+
+
+def load_config_file(path: str | None, keys: set[str]) -> dict[str, str]:
     if path is None:
         return {}
     values: dict[str, str] = {}
@@ -141,7 +149,10 @@ def load_config_file(path: str | None) -> dict[str, str]:
         key, sep, value = stripped.partition("=")
         if not sep:
             raise CliError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        values[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        if key not in keys:
+            raise CliError(f"{path}:{lineno}: unknown key {key!r}")
+        values[key] = value.strip()
     return values
 
 
@@ -327,10 +338,10 @@ def cmd_generate(args: argparse.Namespace, config: dict[str, str], inputs: _Inpu
             raise CliError(f"line {lineno}: expected lemma<TAB>tag, got {line!r}")
         lemma, tag_text = columns
         try:
-            tag = morphlex.parse_tag_text(tag_text)
+            morphlex.parse_tag_text(tag_text)
         except (MalformedTag, MalformedAnalysis) as exc:
             raise CliError(f"line {lineno}: {exc}") from exc
-        out.append(morphlex.generate_with_fallback(lex, lemma, tag, diagnostics))
+        out.append(morphlex.generate_with_fallback(lex, lemma, tag_text, diagnostics))
     return _Result(
         out,
         {"lexicon": setting(args, config, "lexicon")},
@@ -635,10 +646,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand: the handler computes, this writes its output
     lines, side outputs, diagnostics and run manifest."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     inputs = _Inputs()
     try:
-        result = args.handler(args, load_config_file(args.config), inputs)
+        result = args.handler(args, load_config_file(args.config, config_keys(parser)), inputs)
         write_lines(args.output, result.lines)
         for path, lines in result.side_outputs:
             write_lines(path, lines)

@@ -1,13 +1,14 @@
 """Paradigm lexicon: analysis, disambiguation and deterministic generation.
 
 The lexicon is a plain table of (lemma, tag, surface) triples read from a
-TSV document.  It answers two questions:
+TSV document and keyed by tag text.  It answers two questions:
 
 * analysis: which (lemma, tag) pairs can produce this surface form?
-* generation: which surface form does this (lemma, tag) pair produce?
+  (The index behind it is built on the first analysis.)
+* generation: which surface form does this (lemma, tag text) pair produce?
 
 Generation is a pure lookup and therefore total and deterministic over
-the stored entries.  When it fails, callers can either receive a
+the stored rows.  When it fails, callers can either receive a
 :class:`GenerationFailure` value (so failures can be counted) or fall
 back to emitting the bare lemma via :func:`generate_with_fallback`.
 
@@ -25,7 +26,6 @@ supplies linking elements and Umlautung base-form mappings.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 
 from .tagsets import (
@@ -34,7 +34,6 @@ from .tagsets import (
     MalformedTag,
     MorphAnalysis,
     PositionalTag,
-    format_tag,
     parse_czech_tag,
     parse_feature_seq,
     split_lines,
@@ -154,24 +153,25 @@ class Diagnostics:
 class ParadigmLexicon:
     """Bidirectional lemma+tag <-> surface store with a modifier table.
 
-    The forward index is a function (at most one surface per lemma+tag);
-    the inverse index lists candidates per surface in canonical order:
-    lexicographic by formatted tag text, then by lemma.  Immutable after
-    loading; all queries are read-only.
+    Rows are keyed by tag text; each distinct tag text is parsed once,
+    when its first row is added.  The forward index is a function (at
+    most one surface per lemma+tag).  The inverse index lists candidates
+    per surface in canonical order: lexicographic by tag text, then by
+    lemma.  It is built on the first analysis, and adding a row drops it.
     """
 
     def __init__(self) -> None:
-        self.entries: list[tuple[str, PositionalTag | GermanFeatureSeq, str]] = []
         self.modifier_table: dict[str, str] = {}
-        self._forward: dict[tuple[str, str], str] = {}
-        self._inverse: dict[str, list[MorphAnalysis]] = {}
+        self._forward: dict[tuple[str, str], str] = {}  # (tag text, lemma) -> surface
+        self._tags: dict[str, PositionalTag | GermanFeatureSeq] = {}
+        self._inverse: dict[str, list[MorphAnalysis]] | None = None
         self._lemmas: set[str] = set()
 
-    def add_entry(
-        self, lemma: str, tag: PositionalTag | GermanFeatureSeq, surface: str
-    ) -> None:
-        tag_text = format_tag(tag)
-        key = (lemma, tag_text)
+    def add_entry(self, lemma: str, tag_text: str, surface: str) -> None:
+        """Store one row; raises MalformedTag or MalformedAnalysis for a bad tag."""
+        if tag_text not in self._tags:
+            self._tags[tag_text] = parse_tag_text(tag_text)
+        key = (tag_text, lemma)
         existing = self._forward.get(key)
         if existing is not None:
             if existing != surface:
@@ -182,13 +182,7 @@ class ParadigmLexicon:
             return
         self._forward[key] = surface
         self._lemmas.add(lemma)
-        self.entries.append((lemma, tag, surface))
-        # Inserted after equal keys, like a stable sort of the appended list.
-        bisect.insort(
-            self._inverse.setdefault(surface, []),
-            MorphAnalysis(lemma, tag, surface),
-            key=lambda a: (a.tag_text, a.lemma),
-        )
+        self._inverse = None
 
     def add_modifier(self, lemma: str, form: str) -> None:
         existing = self.modifier_table.get(lemma)
@@ -199,22 +193,30 @@ class ParadigmLexicon:
         self.modifier_table[lemma] = form
 
     def surface_for(self, lemma: str, tag_text: str) -> str | None:
-        return self._forward.get((lemma, tag_text))
+        return self._forward.get((tag_text, lemma))
 
     def knows_lemma(self, lemma: str) -> bool:
         return lemma in self._lemmas
 
     def candidates_for(self, surface: str) -> list[MorphAnalysis]:
+        if self._inverse is None:
+            # Group, then sort each surface's keys: far faster than one sort of all.
+            keys: dict[str, list[tuple[str, str]]] = {}
+            for key, form in self._forward.items():
+                keys.setdefault(form, []).append(key)
+            self._inverse = {
+                form: [MorphAnalysis(lemma, self._tags[tag], form) for tag, lemma in sorted(pairs)]
+                for form, pairs in keys.items()
+            }
         return list(self._inverse.get(surface, ()))
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._forward)
 
 
 def load_lexicon(document: str) -> ParadigmLexicon:
     """Build a lexicon from TSV content; see the module docstring."""
     lex = ParadigmLexicon()
-    tags: dict[str, PositionalTag | GermanFeatureSeq] = {}  # one parse per tag text
     for lineno, line in enumerate(split_lines(document), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
@@ -233,13 +235,10 @@ def load_lexicon(document: str) -> ParadigmLexicon:
         lemma, tag_text, surface = columns
         if not lemma or not surface:
             raise LexiconParse(f"line {lineno}: empty lemma or surface")
-        tag = tags.get(tag_text)
-        if tag is None:
-            try:
-                tag = tags[tag_text] = parse_tag_text(tag_text)
-            except (MalformedTag, MalformedAnalysis) as exc:
-                raise LexiconParse(f"line {lineno}: bad tag {tag_text!r}: {exc}") from exc
-        lex.add_entry(lemma, tag, surface)
+        try:
+            lex.add_entry(lemma, tag_text, surface)
+        except (MalformedTag, MalformedAnalysis) as exc:
+            raise LexiconParse(f"line {lineno}: bad tag {tag_text!r}: {exc}") from exc
     return lex
 
 
@@ -338,22 +337,18 @@ def disambiguate(candidates: list[MorphAnalysis], context: str) -> MorphAnalysis
 # ---------------------------------------------------------------------------
 
 
-def generate(
-    lex: ParadigmLexicon, lemma: str, tag: PositionalTag | GermanFeatureSeq
-) -> str | GenerationFailure:
-    """Surface form for (lemma, tag), or a failure value with the reason.
+def generate(lex: ParadigmLexicon, lemma: str, tag_text: str) -> str | GenerationFailure:
+    """Surface form for (lemma, tag text), or a failure value with the reason.
 
     Failures are values rather than exceptions so that callers can count
-    them: ``unknown-lemma`` when the lemma has no entries at all, and
+    them: ``unknown-lemma`` when the lemma has no rows at all, and
     ``incompatible-tag`` when the lemma exists but not with this tag.
     """
-    tag_text = format_tag(tag)
     surface = lex.surface_for(lemma, tag_text)
     if surface is not None:
         return surface
-    if lex.knows_lemma(lemma):
-        return GenerationFailure(lemma, tag_text, REASON_INCOMPATIBLE_TAG)
-    return GenerationFailure(lemma, tag_text, REASON_UNKNOWN_LEMMA)
+    reason = REASON_INCOMPATIBLE_TAG if lex.knows_lemma(lemma) else REASON_UNKNOWN_LEMMA
+    return GenerationFailure(lemma, tag_text, reason)
 
 
 def strip_markup(lemma: str) -> str:
@@ -373,14 +368,14 @@ def strip_markup(lemma: str) -> str:
 def generate_with_fallback(
     lex: ParadigmLexicon,
     lemma: str,
-    tag: PositionalTag | GermanFeatureSeq,
+    tag_text: str,
     diagnostics: Diagnostics,
 ) -> str:
     """Like :func:`generate`, but never fails: the bare lemma (markup
     removed) is emitted on failure and the failure recorded in
     ``diagnostics``, under line ``diagnostics.lines``."""
     diagnostics.generated += 1
-    result = generate(lex, lemma, tag)
+    result = generate(lex, lemma, tag_text)
     if isinstance(result, GenerationFailure):
         diagnostics.fallbacks.append((diagnostics.lines, result))
         return strip_markup(lemma)

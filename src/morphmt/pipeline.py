@@ -58,7 +58,6 @@ from .tagsets import (
     is_bare_token,
     is_czech_tag,
     is_feature_token,
-    parse_czech_tag,
     split_lines,
 )
 
@@ -400,10 +399,6 @@ class PostprocessResult:
     lines: list[str]
     diagnostics: Diagnostics
 
-    @property
-    def text(self) -> str:
-        return "".join(line + "\n" for line in self.lines)
-
 
 def _revert_lenient(tokens: list[str], repairs: list[tuple[int, int, str]]) -> list[str]:
     tokens = list(tokens)
@@ -449,8 +444,7 @@ def postprocess_line(
         elif item.kind == interleave.ITEM_BARE or mode == interleave.MODE_SERIALIZATION:
             words.append(item.word)
         elif mode == interleave.MODE_MORPHGEN:
-            tag = parse_czech_tag(item.tag)
-            words.append(generate_with_fallback(lex, item.word, tag, diagnostics))
+            words.append(generate_with_fallback(lex, item.word, item.tag, diagnostics))
         else:
             try:
                 analysis, _ = merge_stem(item.word, item.features, lex, unknown_modifiers)
@@ -458,9 +452,7 @@ def postprocess_line(
                 repairs.append((0, item.position, EVENT_UNPARSEABLE_STEM))
                 words.append(item.word)
                 continue
-            words.append(
-                generate_with_fallback(lex, analysis.stem_text, item.features, diagnostics)
-            )
+            words.append(generate_with_fallback(lex, analysis.stem_text, item.tag, diagnostics))
     diagnostics.unknown_modifiers = [(0, lexeme) for lexeme in unknown_modifiers]
     diagnostics.lines = 1
     return " ".join(words), diagnostics

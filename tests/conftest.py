@@ -86,6 +86,17 @@ VULKANISCH_CANDIDATES = [
 ]
 
 
+def lexicon_rows(name):
+    """The rows of a lexicon under ``data/``, ``@mod`` rows included."""
+    text = (DATA_DIR / name).read_text(encoding="utf-8")
+    return [line.split("\t") for line in text.split("\n") if line and not line.startswith("#")]
+
+
+def entry_rows(name):
+    """The lemma, tag, surface rows of a lexicon under ``data/``, in file order."""
+    return [row for row in lexicon_rows(name) if row[0] != "@mod"]
+
+
 @pytest.fixture(scope="session")
 def czech_lexicon():
     return morphlex.load_lexicon((DATA_DIR / "czech_toy.tsv").read_text(encoding="utf-8"))

@@ -37,6 +37,7 @@ from conftest import (
     FIG1_SURFACE,
     TABLE1_ROWS,
     VULKANISCH_CANDIDATES,
+    entry_rows,
 )
 
 
@@ -241,39 +242,40 @@ def test_criterion_8_novel_form_semantics():
         assert report.confirmed_by_reference > 0
 
 
-def synthetic_czech_lexicon():
+def synthetic_czech_rows():
     rows = []
     cases = "1234567"
     for i in range(40):
         lemma = f"slovo{i}"
         for case in cases[: (i % 3) + 1]:
-            tag = f"NNIS{case}-----A----"
-            rows.append(f"{lemma}\t{tag}\t{lemma}u{case}")
-    rows.append(".\tZ:-------------\t.")
-    return load_lexicon("\n".join(rows))
+            rows.append((lemma, f"NNIS{case}-----A----", f"{lemma}u{case}"))
+    rows.append((".", "Z:-------------", "."))
+    return rows
 
 
 def test_criterion_9_full_pipeline_round_trip(german_lexicon):
     with criterion(9, "500-sentence round trip in every non-baseline mode"):
         start = time.perf_counter()
-        czech_lex = synthetic_czech_lexicon()
+        czech_rows = synthetic_czech_rows()
+        czech_lex = load_lexicon("\n".join("\t".join(row) for row in czech_rows))
+        german_rows = entry_rows("german_toy.tsv")
         rng = random.Random(97)
 
-        def sentences(lex):
-            surfaces = sorted({s for _, _, s in lex.entries})
+        def sentences(rows):
+            surfaces = sorted({s for _, _, s in rows})
             return [
                 " ".join(rng.choice(surfaces) for _ in range(rng.randint(3, 9)))
                 for _ in range(500)
             ]
 
         jobs = [
-            ("morphgen", czech_lex),
-            ("serialization", czech_lex),
-            ("german-stemmed", german_lexicon),
-            ("german-stemmed-split", german_lexicon),
+            ("morphgen", czech_lex, czech_rows),
+            ("serialization", czech_lex, czech_rows),
+            ("german-stemmed", german_lexicon, german_rows),
+            ("german-stemmed-split", german_lexicon, german_rows),
         ]
-        for mode, lex in jobs:
-            targets = sentences(lex)
+        for mode, lex, rows in jobs:
+            targets = sentences(rows)
             corpus = ParallelCorpus.from_lines([""] * len(targets), targets)
             cfg = PipelineConfig.for_mode(mode)
             prepared = prepare_variant(corpus, cfg, lex)

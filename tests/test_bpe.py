@@ -107,6 +107,19 @@ class TestMergeTableSerialization:
         table = learn_bpe(["low", "low", "lowest"], 2)
         assert MergeTable.from_text(table.to_text()).merges == table.merges
 
+    def test_merge_starting_with_hash_kept(self):
+        table = learn_bpe(["#tag"] * 5, 3)
+        assert table.merges[0] == ("#", "t")
+        restored = MergeTable.from_text(table.to_text())
+        assert restored.merges == table.merges
+        assert segment_line(restored, "#tag") == "#tag"
+
+    @given(st.lists(st.text(alphabet="#ab", min_size=1, max_size=6), max_size=12),
+           st.integers(0, 20))
+    def test_text_round_trip_with_hash(self, words, merges):
+        table = learn_bpe(words, merges)
+        assert MergeTable.from_text(table.to_text()).merges == table.merges
+
     def test_separator_inside_a_merge(self):
         table = MergeTable.from_text("a\x0cb c\r\nd e\r\n")
         assert table.merges == (("a\x0cb", "c"), ("d", "e"))

@@ -473,6 +473,25 @@ class TestConfigPrecedence:
         assert code == 0
         assert out == "l o\nlo w\n"
 
+    def test_unknown_key_rejected(self, run, tmp_path):
+        config = tmp_path / "run.conf"
+        config.write_text("# budget\nmerge = 3\n")
+        code, out, err = run(
+            ["prepare", "--mode", "baseline", "--config", str(config)], stdin_text="a b\n"
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"morphmt: error: {config}:2: unknown key 'merge'\n"
+
+    def test_keys_of_other_subcommands_accepted(self, run, tmp_path):
+        # One config file serves the whole pipeline: bpe-learn ignores the
+        # prepare keys, and spelled flags name the same keys.
+        config = tmp_path / "run.conf"
+        config.write_text(f"mode = morphgen\nlexicon = {CZECH_LEXICON}\nsample-size = 3\nmerges = 2\n")
+        code, out, _ = run(["bpe-learn", "--config", str(config)], stdin_text="low low lowest\n")
+        assert code == 0
+        assert out == "l o\nlo w\n"
+
 
 class TestLineSplitting:
     """A line ends at \\n (\\r\\n is one line end); other separators are content."""

@@ -136,8 +136,8 @@ class TestMergeCompound:
         # the same surface as the unsplit analysis.
         a = analysis(raw)
         merged = merge_compound(split_compound(a), german_lexicon)
-        direct = generate(german_lexicon, merged.stem_text, merged.feature_seq)
-        via_markup = generate(german_lexicon, a.stem_text, a.feature_seq)
+        direct = generate(german_lexicon, merged.stem_text, format_tag(merged.feature_seq))
+        via_markup = generate(german_lexicon, a.stem_text, format_tag(a.feature_seq))
         assert isinstance(direct, str)
         assert direct == via_markup
 

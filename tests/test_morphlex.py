@@ -22,9 +22,9 @@ from morphmt.morphlex import (
     load_lexicon,
     parse_tag_text,
 )
-from morphmt.tagsets import MorphAnalysis, format_tag, parse_czech_tag, parse_feature_seq
+from morphmt.tagsets import MalformedTag, MorphAnalysis, parse_feature_seq
 
-from conftest import DATA_DIR, VULKANISCH_CANDIDATES
+from conftest import VULKANISCH_CANDIDATES, entry_rows, lexicon_rows
 
 
 def lexicon_of(*rows):
@@ -38,8 +38,7 @@ NINE_LEXICON = lexicon_of(
 
 class TestLoadLexicon:
     def test_pizza_row(self, czech_lexicon):
-        tag = parse_czech_tag("NNFS2-----A----")
-        assert generate(czech_lexicon, "pizza", tag) == "pizzy"
+        assert generate(czech_lexicon, "pizza", "NNFS2-----A----") == "pizzy"
 
     def test_empty_document(self):
         lex = load_lexicon("")
@@ -66,8 +65,8 @@ class TestLoadLexicon:
     def test_malformed_row_rejected(self):
         with pytest.raises(LexiconParse):
             load_lexicon("just one column\n")
-        with pytest.raises(LexiconParse):
-            load_lexicon("a\tnot-a-tag\tb\n")
+        with pytest.raises(LexiconParse, match="^line 2: bad tag 'not-a-tag': "):
+            load_lexicon("# comment\na\tnot-a-tag\tb\n")
 
     def test_modifier_rows(self, german_lexicon):
         assert german_lexicon.modifier_table["Meer"] == "Meeres"
@@ -76,11 +75,6 @@ class TestLoadLexicon:
     def test_conflicting_modifier_rows_rejected(self):
         with pytest.raises(LexiconConflict):
             load_lexicon("@mod\tMeer\tMeeres\n@mod\tMeer\tMeeren\n")
-
-
-def lexicon_rows(name):
-    text = (DATA_DIR / name).read_text(encoding="utf-8")
-    return [line.split("\t") for line in text.split("\n") if line and not line.startswith("#")]
 
 
 # Rows sharing surfaces across lemmas and tags, so the order needs both keys.
@@ -95,10 +89,11 @@ SHARED_SURFACE_ROWS = [
 ]
 
 
-def candidate_order(lex):
+def candidate_order(lex, rows):
     return {
         surface: [(c.lemma, c.tag_text) for c in lex.candidates_for(surface)]
-        for _, _, surface in lex.entries
+        for lemma, _, surface in rows
+        if lemma != "@mod"
     }
 
 
@@ -106,20 +101,20 @@ class TestCandidateOrder:
     @pytest.mark.parametrize("name", ["czech_toy.tsv", "german_toy.tsv", None])
     def test_independent_of_row_order(self, name):
         rows = lexicon_rows(name) if name else SHARED_SURFACE_ROWS
-        expected = candidate_order(lexicon_of(*rows))
+        expected = candidate_order(lexicon_of(*rows), rows)
         rng = random.Random(7)
         for _ in range(5):
             shuffled = list(rows)
             rng.shuffle(shuffled)
-            assert candidate_order(lexicon_of(*shuffled)) == expected
+            assert candidate_order(lexicon_of(*shuffled), rows) == expected
 
     @given(st.permutations(SHARED_SURFACE_ROWS))
     def test_add_entry_matches_load_lexicon(self, rows):
         direct = ParadigmLexicon()
         for lemma, tag, surface in rows:
-            direct.add_entry(lemma, parse_tag_text(tag), surface)
-        expected = candidate_order(lexicon_of(*SHARED_SURFACE_ROWS))
-        assert candidate_order(direct) == expected
+            direct.add_entry(lemma, tag, surface)
+        expected = candidate_order(lexicon_of(*SHARED_SURFACE_ROWS), SHARED_SURFACE_ROWS)
+        assert candidate_order(direct, SHARED_SURFACE_ROWS) == expected
         assert expected["ženy"][:3] == [
             ("brada", "NNFP1-----A----"), ("hrad", "NNFP1-----A----"), ("žena", "NNFP1-----A----")
         ]
@@ -198,41 +193,37 @@ class TestDisambiguate:
 
 class TestGenerate:
     def test_trifft(self, german_lexicon):
-        tag = parse_feature_seq("<+V><3><Sg><Pres><Ind>")
-        assert generate(german_lexicon, "treffen", tag) == "trifft"
+        assert generate(german_lexicon, "treffen", "<+V><3><Sg><Pres><Ind>") == "trifft"
 
     def test_blaues(self, german_lexicon):
-        tag = parse_feature_seq("<+ADJ><Neut><Nom><Sg><St>")
-        assert generate(german_lexicon, "blau", tag) == "blaues"
+        assert generate(german_lexicon, "blau", "<+ADJ><Neut><Nom><Sg><St>") == "blaues"
 
     def test_unknown_lemma(self, czech_lexicon):
-        result = generate(czech_lexicon, "Braper", parse_czech_tag("NNFS2-----A----"))
+        result = generate(czech_lexicon, "Braper", "NNFS2-----A----")
         assert isinstance(result, GenerationFailure)
         assert result.reason == REASON_UNKNOWN_LEMMA
 
     def test_incompatible_tag(self, czech_lexicon):
-        verbal_tag = parse_czech_tag("VB-P---3P-AA---")
+        verbal_tag = "VB-P---3P-AA---"
         # The toy lexicon pairs "pizza" only with nominal tags: exhaustive check.
         assert all(
-            format_tag(tag) != format_tag(verbal_tag)
-            for lemma, tag, _ in czech_lexicon.entries
-            if lemma == "pizza"
+            tag != verbal_tag for lemma, tag, _ in entry_rows("czech_toy.tsv") if lemma == "pizza"
         )
         result = generate(czech_lexicon, "pizza", verbal_tag)
         assert isinstance(result, GenerationFailure)
         assert result.reason == REASON_INCOMPATIBLE_TAG
 
     def test_deterministic(self, czech_lexicon):
-        tag = parse_czech_tag("NNIP1-----A----")
+        tag = "NNIP1-----A----"
         assert generate(czech_lexicon, "milión", tag) == generate(
             czech_lexicon, "milión", tag
         )
 
     def test_round_trip_over_all_entries(self, czech_lexicon, german_lexicon):
-        for lex in (czech_lexicon, german_lexicon):
-            for lemma, tag, surface in lex.entries:
+        for lex, name in ((czech_lexicon, "czech_toy.tsv"), (german_lexicon, "german_toy.tsv")):
+            for lemma, tag, surface in entry_rows(name):
                 assert generate(lex, lemma, tag) == surface
-                assert (lemma, format_tag(tag)) in [
+                assert (lemma, tag) in [
                     (c.lemma, c.tag_text) for c in analyze(lex, surface)
                 ]
 
@@ -267,14 +258,14 @@ def diagnostics_values(draw):
 class TestGenerateWithFallback:
     def test_success_leaves_report_clean(self, czech_lexicon):
         report = Diagnostics()
-        tag = parse_czech_tag("NNFS2-----A----")
+        tag = "NNFS2-----A----"
         assert generate_with_fallback(czech_lexicon, "pizza", tag, report) == "pizzy"
         assert report.generated == 1
         assert report.fallbacks == []
 
     def test_unknown_proper_name_falls_back(self, czech_lexicon):
         report = Diagnostics()
-        tag = parse_czech_tag("NNFS1-----A----")
+        tag = "NNFS1-----A----"
         assert generate_with_fallback(czech_lexicon, "Braper", tag, report) == "Braper"
         assert report.fallbacks == [
             (0, GenerationFailure("Braper", "NNFS1-----A----", REASON_UNKNOWN_LEMMA))
@@ -282,26 +273,26 @@ class TestGenerateWithFallback:
 
     def test_incompatible_tag_falls_back(self, czech_lexicon):
         report = Diagnostics()
-        tag = parse_czech_tag("VB-P---3P-AA---")
+        tag = "VB-P---3P-AA---"
         assert generate_with_fallback(czech_lexicon, "pizza", tag, report) == "pizza"
         assert report.fallbacks[0][1].reason == REASON_INCOMPATIBLE_TAG
 
     def test_fallback_is_keyed_by_the_current_line(self, czech_lexicon):
         report = Diagnostics(lines=3)
-        tag = parse_czech_tag("NNFS1-----A----")
+        tag = "NNFS1-----A----"
         generate_with_fallback(czech_lexicon, "Braper", tag, report)
         assert [line for line, _ in report.fallbacks] == [3]
 
     def test_markup_stripped_on_fallback(self, german_lexicon):
         report = Diagnostics()
-        tag = parse_feature_seq("<+NN><Neut><Gen><Sg><NA>")
+        tag = "<+NN><Neut><Gen><Sg><NA>"
         out = generate_with_fallback(german_lexicon, "Parunelogramm<NN>", tag, report)
         assert out == "Parunelogramm"
 
     @given(st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=12))
     def test_never_fails(self, czech_lexicon, lemma):
         report = Diagnostics()
-        tag = parse_czech_tag("NNFS2-----A----")
+        tag = "NNFS2-----A----"
         out = generate_with_fallback(czech_lexicon, lemma, tag, report)
         assert out
         assert report.generated == 1
@@ -377,8 +368,7 @@ class TestLexiconProperties:
     def test_forward_inverse_mirror(self, rows):
         lex = load_lexicon("\n".join("\t".join(r) for r in rows))
         for lemma, tag_text, surface in rows:
-            tag = parse_czech_tag(tag_text)
-            assert generate(lex, lemma, tag) == surface
+            assert generate(lex, lemma, tag_text) == surface
             assert (lemma, tag_text) in [
                 (c.lemma, c.tag_text) for c in analyze(lex, surface)
             ]
@@ -386,3 +376,74 @@ class TestLexiconProperties:
         for surface, candidates in lex._inverse.items():
             for c in candidates:
                 assert lex.surface_for(c.lemma, c.tag_text) == surface
+
+
+# Czech and German tag texts, lemmas and surfaces from small pools, so rows
+# share surfaces, lemmas meet other tags and some rows conflict.
+MIXED_TAGS = [
+    "NNFS2-----A----", "NNFP1-----A----", "VB-P---3P-AA---", "Z:-------------",
+    "<+NN><Fem><Acc><Sg><NA>", "<+ADJ><Pos><NoGend><Dat><Sg><Wk>",
+    "<+V><3><Sg><Pres><Ind>", "[KON]",
+]
+MIXED_LEMMAS = ["žena", "hrad", "Wolke", "die<Def>", "und", "vulkanisch"]
+MIXED_SURFACES = ["ženy", "hrady", "Wolke", "und", "vulkanischen"]
+mixed_rows = st.tuples(
+    st.sampled_from(MIXED_LEMMAS), st.sampled_from(MIXED_TAGS), st.sampled_from(MIXED_SURFACES)
+)
+
+
+class TestTextKeyedLexicon:
+    # At least two rounds of (add rows, then analyze), so rows are also
+    # added to a lexicon that has already answered a query.
+    @settings(max_examples=200)
+    @given(st.lists(
+        st.tuples(st.lists(mixed_rows, min_size=1, max_size=6),
+                  st.lists(st.sampled_from(MIXED_SURFACES), min_size=1, max_size=3)),
+        min_size=2, max_size=4,
+    ))
+    def test_matches_a_sorted_model(self, rounds):
+        lex = ParadigmLexicon()
+        model: dict[tuple[str, str], str] = {}  # (tag text, lemma) -> surface
+        parsed = {}  # tag text -> the one parsed tag the lexicon hands out
+        for rows, queries in rounds:
+            for lemma, tag_text, surface in rows:
+                if model.get((tag_text, lemma), surface) != surface:
+                    with pytest.raises(LexiconConflict):
+                        lex.add_entry(lemma, tag_text, surface)
+                else:
+                    lex.add_entry(lemma, tag_text, surface)
+                    model[(tag_text, lemma)] = surface
+            for surface in queries:
+                candidates = analyze(lex, surface)
+                assert [(c.tag_text, c.lemma) for c in candidates] == sorted(
+                    key for key, form in model.items() if form == surface
+                )
+                for c in candidates:
+                    assert c.surface == surface
+                    assert parsed.setdefault(c.tag_text, c.tag) is c.tag
+                    assert c.tag == parse_tag_text(c.tag_text)
+        assert len(lex) == len(model)
+        lemmas = {lemma for _, lemma in model}
+        for tag_text in MIXED_TAGS:
+            for lemma in MIXED_LEMMAS + ["Braper"]:
+                result = generate(lex, lemma, tag_text)
+                if (tag_text, lemma) in model:
+                    assert result == model[(tag_text, lemma)]
+                elif lemma in lemmas:
+                    assert result == GenerationFailure(lemma, tag_text, REASON_INCOMPATIBLE_TAG)
+                else:
+                    assert result == GenerationFailure(lemma, tag_text, REASON_UNKNOWN_LEMMA)
+
+    def test_row_added_after_a_query_is_found(self):
+        lex = lexicon_of(("hrad", "NNIP1-----A----", "hrady"))
+        assert [c.lemma for c in analyze(lex, "hrady")] == ["hrad"]
+        lex.add_entry("brada", "NNIP1-----A----", "hrady")
+        assert [c.lemma for c in analyze(lex, "hrady")] == ["brada", "hrad"]
+        assert len(lex) == 2
+
+    def test_bad_tag_text_rejected_and_not_stored(self):
+        lex = ParadigmLexicon()
+        with pytest.raises(MalformedTag):
+            lex.add_entry("a", "NN", "b")
+        assert len(lex) == 0
+        assert generate(lex, "a", "NN") == GenerationFailure("a", "NN", REASON_UNKNOWN_LEMMA)

@@ -22,6 +22,7 @@ from conftest import (
     FIG1_SURFACE,
     TABLE1_PARSE_TAGS,
     TABLE1_ROWS,
+    entry_rows,
 )
 
 TABLE1_SURFACE = " ".join(surface for _, surface in TABLE1_ROWS)
@@ -343,7 +344,7 @@ class TestFullRoundTrip:
     @pytest.mark.parametrize("mode", ["morphgen", "serialization"])
     def test_czech_round_trip(self, czech_lexicon, mode):
         rng = random.Random(3)
-        surfaces = [s for _, _, s in czech_lexicon.entries]
+        surfaces = [s for _, _, s in entry_rows("czech_toy.tsv")]
         targets = [
             " ".join(rng.choice(surfaces) for _ in range(rng.randint(1, 9)))
             for _ in range(40)
@@ -360,7 +361,7 @@ class TestFullRoundTrip:
     @pytest.mark.parametrize("mode", ["german-stemmed", "german-stemmed-split"])
     def test_german_round_trip(self, german_lexicon, mode):
         rng = random.Random(4)
-        surfaces = sorted({s for _, _, s in german_lexicon.entries})
+        surfaces = sorted({s for _, _, s in entry_rows("german_toy.tsv")})
         targets = [
             " ".join(rng.choice(surfaces) for _ in range(rng.randint(1, 8)))
             for _ in range(40)
