@@ -204,20 +204,16 @@ def revert_bpe(subwords: list[str]) -> list[str]:
     """Concatenate marked runs back into whole tokens.
 
     The inverse of :func:`apply_bpe` over a whole sequence; raises
-    :class:`DanglingMarker` when the sequence ends mid-word.
+    :class:`DanglingMarker` when the sequence ends mid-word.  The pieces
+    are joined into one line and every ``@@`` before a space is deleted
+    (the reference ``sed 's/@@ //g'``), so no piece may contain U+0020;
+    ``str.split()`` output never does.
     """
-    out: list[str] = []
-    current: list[str] = []
-    for piece in subwords:
-        if piece.endswith(MARKER):
-            current.append(piece[: -len(MARKER)])
-        else:
-            current.append(piece)
-            out.append("".join(current))
-            current = []
-    if current:
+    if not subwords:
+        return []
+    if subwords[-1].endswith(MARKER):
         raise DanglingMarker(f"sequence ends on a continuation marker: {subwords[-1]!r}")
-    return out
+    return " ".join(subwords).replace(MARKER + " ", "").split(" ")
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ diagnostics and the manifest.
 
 Configuration precedence is flags > config file (``key=value`` lines,
 ``--config``; each key names an option of some subcommand) > built-in
-defaults.
+defaults.  The config file fills in the options that the command line
+leaves unset, before the handler runs.
 """
 
 from __future__ import annotations
@@ -130,11 +131,21 @@ def emit_manifest(manifest: RunManifest, output_path: str | None, manifest_path:
 # ---------------------------------------------------------------------------
 
 
+def _subcommands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return subs.choices
+
+
+def _configurable(sub: argparse.ArgumentParser) -> list[argparse.Action]:
+    """The options of a subcommand a config file can set: all but --help and
+    --config itself (a config file cannot name another one)."""
+    return [a for a in sub._actions
+            if a.option_strings and a.default != argparse.SUPPRESS and a.dest != "config"]
+
+
 def config_keys(parser: argparse.ArgumentParser) -> set[str]:
     """The valid config keys: the destinations of every subcommand's options."""
-    (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return {a.dest for sub in subs.choices.values() for a in sub._actions
-            if a.option_strings and a.default != argparse.SUPPRESS}
+    return {a.dest for sub in _subcommands(parser).values() for a in _configurable(sub)}
 
 
 def load_config_file(path: str | None, keys: set[str]) -> dict[str, str]:
@@ -165,14 +176,25 @@ def _bool(text: str) -> bool:
     raise CliError(f"not a boolean: {text!r}")
 
 
-def setting(args: argparse.Namespace, config: dict[str, str], name: str, cast=str, default=None):
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    if name in config:
-        raw = config[name]
-        return _bool(raw) if cast is bool else cast(raw)
-    return default
+def apply_config(args: argparse.Namespace, sub: argparse.ArgumentParser, config: dict[str, str]) -> None:
+    """Set every option of ``sub`` that the command line left at its default
+    from ``config``, converted as the option converts its argument.  Keys
+    of other subcommands are left for them, so one file serves a pipeline."""
+    for action in _configurable(sub):
+        raw = config.get(action.dest)
+        if raw is None or getattr(args, action.dest) != action.default:
+            continue
+        cast = action.type or str
+        if action.nargs == 0:  # --flag, or --flag/--no-flag
+            value = _bool(raw)
+        elif action.nargs in ("+", "*"):
+            value = [cast(item) for item in raw.split()]
+        else:
+            value = cast(raw)
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise CliError(f"{args.config}: {action.dest}: invalid choice: {raw!r} (choose from {choices})")
+        setattr(args, action.dest, value)
 
 
 def _load_lexicon(path: str | None, inputs: _Inputs) -> morphlex.ParadigmLexicon:
@@ -181,21 +203,20 @@ def _load_lexicon(path: str | None, inputs: _Inputs) -> morphlex.ParadigmLexicon
     return morphlex.load_lexicon(inputs.text(path))
 
 
-def _pipeline_config(args: argparse.Namespace, config: dict[str, str]) -> pipeline.PipelineConfig:
-    mode = setting(args, config, "mode")
-    if mode is None:
+def _pipeline_config(args: argparse.Namespace) -> pipeline.PipelineConfig:
+    if args.mode is None:
         raise CliError("a mode is required (--mode)")
     return pipeline.PipelineConfig.for_mode(
-        mode,
-        bpe_merges=setting(args, config, "merges", int),
-        maxlen=setting(args, config, "maxlen", int),
-        minlen=setting(args, config, "minlen", int),
-        sample_size=setting(args, config, "sample_size", int),
-        seed=setting(args, config, "seed", int),
-        protect_tags=setting(args, config, "protect_tags", bool),
-        joint_bpe=setting(args, config, "joint_bpe", bool),
-        split_source_hyphens=setting(args, config, "split_source_hyphens", bool),
-        lexicon_path=setting(args, config, "lexicon"),
+        args.mode,
+        bpe_merges=args.merges,
+        maxlen=args.maxlen,
+        minlen=args.minlen,
+        sample_size=args.sample_size,
+        seed=args.seed,
+        protect_tags=args.protect_tags,
+        joint_bpe=args.joint_bpe,
+        split_source_hyphens=args.split_source_hyphens,
+        lexicon_path=args.lexicon,
     )
 
 
@@ -210,8 +231,8 @@ def _read_tag_lines(path: str | None, inputs: _Inputs) -> list[list[str]] | None
 # ---------------------------------------------------------------------------
 
 
-def cmd_prepare(args: argparse.Namespace, config: dict[str, str], inputs: _Inputs) -> _Result:
-    cfg = _pipeline_config(args, config)
+def cmd_prepare(args: argparse.Namespace, inputs: _Inputs) -> _Result:
+    cfg = _pipeline_config(args)
     lex = None
     if cfg.mode != interleave.MODE_BASELINE:
         lex = _load_lexicon(cfg.lexicon_path, inputs)
@@ -265,37 +286,34 @@ def cmd_prepare(args: argparse.Namespace, config: dict[str, str], inputs: _Input
     )
 
 
-def cmd_bpe_learn(args: argparse.Namespace, config: dict[str, str], inputs: _Inputs) -> _Result:
-    merges = setting(args, config, "merges", int)
-    if merges is None:
+def cmd_bpe_learn(args: argparse.Namespace, inputs: _Inputs) -> _Result:
+    if args.merges is None:
         raise CliError("--merges is required")
     lines = inputs.lines(args.input)
     table = bpe_mod.learn_bpe(
-        (token for line in lines for token in line.split()), merges
+        (token for line in lines for token in line.split()), args.merges
     )
-    return _Result(split_lines(table.to_text()), {"merges": merges}, {"merges_learned": len(table)})
+    return _Result(split_lines(table.to_text()), {"merges": args.merges}, {"merges_learned": len(table)})
 
 
-def cmd_bpe_apply(args: argparse.Namespace, config: dict[str, str], inputs: _Inputs) -> _Result:
-    table_path = setting(args, config, "merge_table")
-    if table_path is None:
+def cmd_bpe_apply(args: argparse.Namespace, inputs: _Inputs) -> _Result:
+    if args.merge_table is None:
         raise CliError("--merge-table is required")
-    table = bpe_mod.MergeTable.from_text(inputs.text(table_path))
-    protect = setting(args, config, "protect_tags", bool, False)
-    mode = setting(args, config, "mode")
-    if protect and mode is None:
+    table = bpe_mod.MergeTable.from_text(inputs.text(args.merge_table))
+    protect = bool(args.protect_tags)
+    if protect and args.mode is None:
         raise CliError("--protect-tags needs --mode to pick the tag shape")
-    protected = pipeline.tag_predicate_for_mode(mode) if protect else None
+    protected = pipeline.tag_predicate_for_mode(args.mode) if protect else None
     lines = inputs.lines(args.input)
     out = [bpe_mod.segment_line(table, line, protected) for line in lines]
     return _Result(
         out,
-        {"merge_table": table_path, "protect_tags": protect, "mode": mode},
+        {"merge_table": args.merge_table, "protect_tags": protect, "mode": args.mode},
         {"lines": len(lines)},
     )
 
 
-def cmd_bpe_revert(args: argparse.Namespace, config: dict[str, str], inputs: _Inputs) -> _Result:
+def cmd_bpe_revert(args: argparse.Namespace, inputs: _Inputs) -> _Result:
     out = []
     for lineno, line in enumerate(inputs.lines(args.input), 1):
         try:
@@ -305,8 +323,8 @@ def cmd_bpe_revert(args: argparse.Namespace, config: dict[str, str], inputs: _In
     return _Result(out, {}, {"lines": len(out)})
 
 
-def cmd_analyze(args: argparse.Namespace, config: dict[str, str], inputs: _Inputs) -> _Result:
-    lex = _load_lexicon(setting(args, config, "lexicon"), inputs)
+def cmd_analyze(args: argparse.Namespace, inputs: _Inputs) -> _Result:
+    lex = _load_lexicon(args.lexicon, inputs)
     lines = inputs.lines(args.input)
     out = []
     unknown = 0
@@ -321,16 +339,17 @@ def cmd_analyze(args: argparse.Namespace, config: dict[str, str], inputs: _Input
             out.append(f"{surface}\t{candidate.lemma}\t{candidate.tag_text}")
     return _Result(
         out,
-        {"lexicon": setting(args, config, "lexicon")},
+        {"lexicon": args.lexicon},
         {"surfaces": len(lines), "unknown": unknown},
     )
 
 
-def cmd_generate(args: argparse.Namespace, config: dict[str, str], inputs: _Inputs) -> _Result:
-    lex = _load_lexicon(setting(args, config, "lexicon"), inputs)
+def cmd_generate(args: argparse.Namespace, inputs: _Inputs) -> _Result:
+    lex = _load_lexicon(args.lexicon, inputs)
     diagnostics = morphlex.Diagnostics()
     out = []
-    for lineno, line in enumerate(inputs.lines(args.input), 1):
+    for index, line in enumerate(inputs.lines(args.input)):
+        lineno = index + 1
         if not line.strip():
             continue
         columns = line.split("\t")
@@ -341,16 +360,18 @@ def cmd_generate(args: argparse.Namespace, config: dict[str, str], inputs: _Inpu
             morphlex.parse_tag_text(tag_text)
         except (MalformedTag, MalformedAnalysis) as exc:
             raise CliError(f"line {lineno}: {exc}") from exc
-        out.append(morphlex.generate_with_fallback(lex, lemma, tag_text, diagnostics))
+        # Keyed by input line, while diagnostics.lines stays 0: generate
+        # checks no line's well-formedness.
+        out.append(morphlex.generate_with_fallback(lex, lemma, tag_text, diagnostics, line=index))
     return _Result(
         out,
-        {"lexicon": setting(args, config, "lexicon")},
+        {"lexicon": args.lexicon},
         {"generated": diagnostics.generated, "fallbacks": len(diagnostics.fallbacks)},
         notes=[diagnostics.to_text()] if diagnostics.fallbacks else [],
     )
 
 
-def cmd_split_compounds(args: argparse.Namespace, config: dict[str, str], inputs: _Inputs) -> _Result:
+def cmd_split_compounds(args: argparse.Namespace, inputs: _Inputs) -> _Result:
     out = []
     split_count = 0
     for lineno, line in enumerate(inputs.lines(args.input), 1):
@@ -374,8 +395,8 @@ def cmd_split_compounds(args: argparse.Namespace, config: dict[str, str], inputs
     return _Result(out, {}, {"lines": len(out), "compounds_split": split_count})
 
 
-def cmd_merge_compounds(args: argparse.Namespace, config: dict[str, str], inputs: _Inputs) -> _Result:
-    lex = _load_lexicon(setting(args, config, "lexicon"), inputs)
+def cmd_merge_compounds(args: argparse.Namespace, inputs: _Inputs) -> _Result:
+    lex = _load_lexicon(args.lexicon, inputs)
     out = []
     unknown_modifiers: list[str] = []
     merged_count = 0
@@ -393,7 +414,7 @@ def cmd_merge_compounds(args: argparse.Namespace, config: dict[str, str], inputs
         out.append(" ".join(result_tokens))
     return _Result(
         out,
-        {"lexicon": setting(args, config, "lexicon")},
+        {"lexicon": args.lexicon},
         {
             "lines": len(out),
             "compounds_merged": merged_count,
@@ -403,23 +424,21 @@ def cmd_merge_compounds(args: argparse.Namespace, config: dict[str, str], inputs
     )
 
 
-def cmd_translate(args: argparse.Namespace, config: dict[str, str], inputs: _Inputs) -> _Result:
-    backend = setting(args, config, "backend")
-    if backend is None:
+def cmd_translate(args: argparse.Namespace, inputs: _Inputs) -> _Result:
+    if args.backend is None:
         raise CliError("--backend is required")
     lines = inputs.lines(args.input)
-    out = pipeline.translate_external(lines, shlex.split(backend))
-    return _Result(out, {"backend": backend}, {"lines": len(lines)})
+    out = pipeline.translate_external(lines, shlex.split(args.backend))
+    return _Result(out, {"backend": args.backend}, {"lines": len(lines)})
 
 
-def cmd_postprocess(args: argparse.Namespace, config: dict[str, str], inputs: _Inputs) -> _Result:
-    cfg = _pipeline_config(args, config)
+def cmd_postprocess(args: argparse.Namespace, inputs: _Inputs) -> _Result:
+    cfg = _pipeline_config(args)
     lex = None
     if cfg.mode not in (interleave.MODE_BASELINE, interleave.MODE_SERIALIZATION):
         lex = _load_lexicon(cfg.lexicon_path, inputs)
     lines = inputs.lines(args.input)
-    jobs = setting(args, config, "jobs", int, 1)
-    result = pipeline.postprocess(lines, cfg, lex, jobs=jobs)
+    result = pipeline.postprocess(lines, cfg, lex, jobs=args.jobs or 1)
     diagnostics = result.diagnostics
     return _Result(
         result.lines,
@@ -437,11 +456,11 @@ def cmd_postprocess(args: argparse.Namespace, config: dict[str, str], inputs: _I
     )
 
 
-def cmd_bleu(args: argparse.Namespace, config: dict[str, str], inputs: _Inputs) -> _Result:
+def cmd_bleu(args: argparse.Namespace, inputs: _Inputs) -> _Result:
     hypotheses = inputs.lines(args.hypotheses)
     references = inputs.lines(args.references)
-    lowercase = setting(args, config, "lowercase", bool, False)
-    smooth = setting(args, config, "smooth", bool, False)
+    lowercase = bool(args.lowercase)
+    smooth = bool(args.smooth)
     score = evaluation.bleu(hypotheses, references, lowercase=lowercase, smooth=smooth)
     return _Result(
         [f"{score:.2f}"],
@@ -450,12 +469,12 @@ def cmd_bleu(args: argparse.Namespace, config: dict[str, str], inputs: _Inputs) 
     )
 
 
-def cmd_novel_forms(args: argparse.Namespace, config: dict[str, str], inputs: _Inputs) -> _Result:
+def cmd_novel_forms(args: argparse.Namespace, inputs: _Inputs) -> _Result:
     outputs = inputs.lines(args.input)
     train_lines = inputs.lines(args.train)
     sources = inputs.lines(args.source)
     references = inputs.lines(args.references)
-    lowercase = setting(args, config, "lowercase", bool, False)
+    lowercase = bool(args.lowercase)
     vocab = {token for line in train_lines for token in line.split()}
     report = evaluation.novel_forms(outputs, vocab, sources, references, lowercase)
     return _Result(
@@ -469,9 +488,9 @@ def cmd_novel_forms(args: argparse.Namespace, config: dict[str, str], inputs: _I
     )
 
 
-def cmd_stats(args: argparse.Namespace, config: dict[str, str], inputs: _Inputs) -> _Result:
+def cmd_stats(args: argparse.Namespace, inputs: _Inputs) -> _Result:
     if args.vocab:
-        merges = setting(args, config, "merges", int, pipeline.GERMAN_DEFAULT_MERGES)
+        merges = pipeline.GERMAN_DEFAULT_MERGES if args.merges is None else args.merges
         variants = []
         for path in args.vocab:
             tokens = [token for line in inputs.lines(path) for token in line.split()]
@@ -650,7 +669,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     inputs = _Inputs()
     try:
-        result = args.handler(args, load_config_file(args.config, config_keys(parser)), inputs)
+        config = load_config_file(args.config, config_keys(parser))
+        apply_config(args, _subcommands(parser)[args.command], config)
+        result = args.handler(args, inputs)
         write_lines(args.output, result.lines)
         for path, lines in result.side_outputs:
             write_lines(path, lines)

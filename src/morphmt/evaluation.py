@@ -36,10 +36,11 @@ class EmptyCorpus(ValueError):
     """BLEU is undefined for an empty corpus."""
 
 
-def _ngrams(tokens: list[str], order: int) -> Counter[tuple[str, ...]]:
-    return Counter(
-        tuple(tokens[i : i + order]) for i in range(len(tokens) - order + 1)
-    )
+def _ngrams(tokens: list[str], order: int) -> list:
+    """The n-grams of ``tokens`` in order; unigrams are the tokens themselves."""
+    if order == 1:
+        return tokens
+    return list(zip(*[tokens[i:] for i in range(order)]))
 
 
 def bleu(
@@ -74,11 +75,13 @@ def bleu(
         ref_length += len(ref_tokens)
         for n in range(1, MAX_ORDER + 1):
             hyp_ngrams = _ngrams(hyp_tokens, n)
-            ref_ngrams = _ngrams(ref_tokens, n)
-            totals[n - 1] += sum(hyp_ngrams.values())
-            matches[n - 1] += sum(
-                min(count, ref_ngrams[ngram]) for ngram, count in hyp_ngrams.items()
-            )
+            # Each hypothesis n-gram uses up one reference occurrence; what
+            # goes negative is the count clipped away.
+            unused = Counter(_ngrams(ref_tokens, n))
+            unused.subtract(hyp_ngrams)
+            clipped = sum(-count for count in unused.values() if count < 0)
+            totals[n - 1] += len(hyp_ngrams)
+            matches[n - 1] += len(hyp_ngrams) - clipped
 
     if hyp_length == 0:
         return 0.0

@@ -177,10 +177,10 @@ def walk(tokens: list[str], mode: str) -> Walk:
     if mode in (MODE_MORPHGEN, MODE_SERIALIZATION):
         tag_first = True
         features: list[GermanFeatureSeq | None] = [None] * len(tokens)
-        is_tag = [is_czech_tag(token) for token in tokens]
+        is_tag = list(map(is_czech_tag, tokens))
     elif mode == MODE_GERMAN_STEMMED:
         tag_first = False
-        features = [parse_feature_token(token) for token in tokens]
+        features = list(map(parse_feature_token, tokens))
         is_tag = [f is not None for f in features]
     elif mode == MODE_BASELINE:
         raise ValueError("baseline sequences carry no tag/word pairs")

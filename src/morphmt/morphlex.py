@@ -4,7 +4,7 @@ The lexicon is a plain table of (lemma, tag, surface) triples read from a
 TSV document and keyed by tag text.  It answers two questions:
 
 * analysis: which (lemma, tag) pairs can produce this surface form?
-  (The index behind it is built on the first analysis.)
+  (The index behind it is built per surface, on its first analysis.)
 * generation: which surface form does this (lemma, tag text) pair produce?
 
 Generation is a pure lookup and therefore total and deterministic over
@@ -157,14 +157,17 @@ class ParadigmLexicon:
     when its first row is added.  The forward index is a function (at
     most one surface per lemma+tag).  The inverse index lists candidates
     per surface in canonical order: lexicographic by tag text, then by
-    lemma.  It is built on the first analysis, and adding a row drops it.
+    lemma.  The first analysis groups the rows by surface; a surface's
+    candidates are sorted and built when that surface is first asked
+    for.  Adding a row drops both.
     """
 
     def __init__(self) -> None:
         self.modifier_table: dict[str, str] = {}
         self._forward: dict[tuple[str, str], str] = {}  # (tag text, lemma) -> surface
         self._tags: dict[str, PositionalTag | GermanFeatureSeq] = {}
-        self._inverse: dict[str, list[MorphAnalysis]] | None = None
+        self._by_surface: dict[str, list[tuple[str, str]]] | None = None  # surface -> keys
+        self._inverse: dict[str, list[MorphAnalysis]] = {}  # surfaces asked for so far
         self._lemmas: set[str] = set()
 
     def add_entry(self, lemma: str, tag_text: str, surface: str) -> None:
@@ -182,7 +185,7 @@ class ParadigmLexicon:
             return
         self._forward[key] = surface
         self._lemmas.add(lemma)
-        self._inverse = None
+        self._by_surface = None
 
     def add_modifier(self, lemma: str, form: str) -> None:
         existing = self.modifier_table.get(lemma)
@@ -199,16 +202,22 @@ class ParadigmLexicon:
         return lemma in self._lemmas
 
     def candidates_for(self, surface: str) -> list[MorphAnalysis]:
-        if self._inverse is None:
-            # Group, then sort each surface's keys: far faster than one sort of all.
-            keys: dict[str, list[tuple[str, str]]] = {}
+        if self._by_surface is None:
+            by_surface: dict[str, list[tuple[str, str]]] = {}
             for key, form in self._forward.items():
-                keys.setdefault(form, []).append(key)
-            self._inverse = {
-                form: [MorphAnalysis(lemma, self._tags[tag], form) for tag, lemma in sorted(pairs)]
-                for form, pairs in keys.items()
-            }
-        return list(self._inverse.get(surface, ()))
+                by_surface.setdefault(form, []).append(key)
+            self._by_surface = by_surface
+            self._inverse = {}
+        candidates = self._inverse.get(surface)
+        if candidates is None:
+            keys = self._by_surface.get(surface)
+            if keys is None:
+                return []
+            tags = self._tags
+            candidates = self._inverse[surface] = [
+                MorphAnalysis(lemma, tags[tag], surface) for tag, lemma in sorted(keys)
+            ]
+        return list(candidates)
 
     def __len__(self) -> int:
         return len(self._forward)
@@ -370,13 +379,14 @@ def generate_with_fallback(
     lemma: str,
     tag_text: str,
     diagnostics: Diagnostics,
+    line: int | None = None,
 ) -> str:
     """Like :func:`generate`, but never fails: the bare lemma (markup
     removed) is emitted on failure and the failure recorded in
-    ``diagnostics``, under line ``diagnostics.lines``."""
+    ``diagnostics``, under ``line`` (default: ``diagnostics.lines``)."""
     diagnostics.generated += 1
     result = generate(lex, lemma, tag_text)
     if isinstance(result, GenerationFailure):
-        diagnostics.fallbacks.append((diagnostics.lines, result))
+        diagnostics.fallbacks.append((diagnostics.lines if line is None else line, result))
         return strip_markup(lemma)
     return result

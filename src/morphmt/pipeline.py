@@ -23,14 +23,12 @@ from __future__ import annotations
 import dataclasses
 import random
 import subprocess
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Sequence
 
 from . import interleave
 from .bpe import (
-    DanglingMarker,
     MARKER,
     MergeTable,
     learn_bpe,
@@ -401,13 +399,18 @@ class PostprocessResult:
 
 
 def _revert_lenient(tokens: list[str], repairs: list[tuple[int, int, str]]) -> list[str]:
-    tokens = list(tokens)
-    while True:
-        try:
-            return revert_bpe(tokens)
-        except DanglingMarker:
+    """Revert BPE after stripping dangling markers off the last token, in place.
+
+    Each stripped marker is one repair at the last token; a last token
+    that was only markers stays as an empty token.
+    """
+    if tokens:
+        last = tokens[-1]
+        while last.endswith(MARKER):
             repairs.append((0, len(tokens) - 1, EVENT_DANGLING_MARKER))
-            tokens[-1] = tokens[-1][: -len(MARKER)]
+            last = last[: -len(MARKER)]
+        tokens[-1] = last
+    return revert_bpe(tokens)
 
 
 def postprocess_line(
@@ -470,7 +473,8 @@ def postprocess(
     lexicon either, as its word tokens are already surface forms.  Every
     input line yields an output line; see the module docstring for the
     recovery rules.  With ``jobs > 1`` the lines are spread over that
-    many worker processes; the lexicon is pickled with every chunk.
+    many worker processes; the lexicon is pickled with every chunk.  The
+    process pool (and ``multiprocessing``) is imported only then.
     """
     needs_lexicon = cfg.mode not in (
         interleave.MODE_BASELINE,
@@ -480,6 +484,8 @@ def postprocess(
         raise ValueError(f"mode {cfg.mode!r} needs a lexicon")
     worker = partial(postprocess_line, mode=cfg.mode, lex=lex)
     if jobs > 1 and len(lines) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as executor:
             results = list(executor.map(worker, lines, chunksize=max(1, len(lines) // (jobs * 4))))
     else:

@@ -98,6 +98,12 @@ SLOT_NAMES = (
 
 # ASCII letters and digits plus ':' (sub-POS of punctuation) and '-' (unset).
 TAG_ALPHABET = frozenset(string.ascii_letters + string.digits + ":-")
+_TAG_RE = re.compile(f"[A-Za-z0-9:-]{{{TAG_LENGTH}}}")  # TAG_ALPHABET, TAG_LENGTH times
+
+# The token parsers below memoize per distinct text in a plain dict (an
+# lru_cache wrapper would hide them from function-level tracing).  A memo
+# holds only immutable values and is emptied when it reaches this size.
+_MEMO_LIMIT = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -192,9 +198,7 @@ def parse_czech_tag(raw: str) -> PositionalTag:
 
 def is_czech_tag(token: str) -> bool:
     """True iff ``token`` parses as a positional tag."""
-    if len(token) != TAG_LENGTH:
-        return False
-    return all(ch in TAG_ALPHABET for ch in token)
+    return len(token) == TAG_LENGTH and _TAG_RE.fullmatch(token) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -347,14 +351,23 @@ def _classify_values(values: tuple[str, ...]) -> str:
     return KIND_NOMINAL
 
 
+_FEATURE_TOKENS: dict[str, GermanFeatureSeq | None] = {}
+
+
 def parse_feature_token(token: str) -> GermanFeatureSeq | None:
     """The feature sequence of a pure angle-bracket token, else None."""
-    if not _ANGLE_SEQ_RE.match(token):
-        return None
-    try:
-        return parse_feature_seq(token)
-    except MalformedAnalysis:
-        return None
+    if token in _FEATURE_TOKENS:
+        return _FEATURE_TOKENS[token]
+    features = None
+    if _ANGLE_SEQ_RE.match(token):
+        try:
+            features = parse_feature_seq(token)
+        except MalformedAnalysis:
+            pass
+    if len(_FEATURE_TOKENS) >= _MEMO_LIMIT:
+        _FEATURE_TOKENS.clear()
+    _FEATURE_TOKENS[token] = features
+    return features
 
 
 def is_feature_token(token: str) -> bool:
@@ -419,8 +432,21 @@ class GermanAnalysis:
         return format_analysis(self)
 
 
+_STEM_SIDES: dict[str, tuple[StemSegment, ...]] = {}
+
+
 def parse_stem_side(text: str) -> tuple[StemSegment, ...]:
     """Decompose the stem side of an analysis at embedded markup tags."""
+    segments = _STEM_SIDES.get(text)
+    if segments is None:
+        segments = _parse_stem_side(text)
+        if len(_STEM_SIDES) >= _MEMO_LIMIT:
+            _STEM_SIDES.clear()
+        _STEM_SIDES[text] = segments
+    return segments
+
+
+def _parse_stem_side(text: str) -> tuple[StemSegment, ...]:
     if not text:
         raise MalformedAnalysis("empty stem side")
     segments: list[StemSegment] = []

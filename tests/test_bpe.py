@@ -18,6 +18,7 @@ from morphmt.bpe import (
     vocab_stats,
     word_end_fragment_stats,
 )
+from morphmt.pipeline import PipelineConfig, postprocess
 from morphmt.tagsets import is_czech_tag
 
 
@@ -100,6 +101,73 @@ class TestRevertBpe:
     def test_multiple_words(self):
         pieces = ["exi@@", "stují", "mili@@", "ony", "."]
         assert revert_bpe(pieces) == ["existují", "miliony", "."]
+
+
+def token_loop_revert(subwords):
+    """revert_bpe as a loop over the pieces, the oracle for the one-pass version."""
+    out, current = [], []
+    for piece in subwords:
+        if piece.endswith("@@"):
+            current.append(piece[:-2])
+        else:
+            current.append(piece)
+            out.append("".join(current))
+            current = []
+    if current:
+        raise DanglingMarker(f"sequence ends on a continuation marker: {subwords[-1]!r}")
+    return out
+
+
+def token_loop_lenient(tokens):
+    """Postprocessing's reversion as a retry per dangling marker; returns (tokens, repairs)."""
+    tokens, repairs = list(tokens), []
+    while True:
+        try:
+            return token_loop_revert(tokens), repairs
+        except DanglingMarker:
+            repairs.append((0, len(tokens) - 1, "dangling-marker"))
+            tokens[-1] = tokens[-1][:-2]
+
+
+# Pieces as str.split() yields them, but also empty: markers alone, runs of
+# "@", markers mid-piece, and the separators str.split() cuts at (tab,
+# U+0085) that a hand-built piece list may still hold.
+revert_pieces = st.lists(
+    st.lists(st.sampled_from(["a", "b", "@", "@@", "@@@", "\t", "\x85"]), max_size=4).map("".join),
+    max_size=8,
+)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DanglingMarker as exc:
+        return ("DanglingMarker", str(exc))
+
+
+class TestRevertMatchesTokenLoop:
+    @settings(max_examples=300)
+    @given(revert_pieces)
+    @example([])
+    @example(["@@"])
+    @example(["a@@", "@@", "b"])
+    @example(["@@@", "x", "a@@@@"])
+    @example(["a\t@@", "b\x85"])
+    def test_revert(self, pieces):
+        assert outcome(revert_bpe, pieces) == outcome(token_loop_revert, pieces)
+
+    @settings(max_examples=300)
+    @given(revert_pieces)
+    @example(["x", "@@"])
+    @example(["x@@", "@@"])
+    @example(["a@@@@@"])
+    @example(["@@@@"])
+    def test_postprocess_repairs(self, pieces):
+        line = " ".join(pieces)
+        tokens, repairs = token_loop_lenient(line.split())
+        result = postprocess([line], PipelineConfig.for_mode("baseline"))
+        assert result.lines == [" ".join(tokens)]
+        assert result.diagnostics.repairs == repairs
 
 
 class TestMergeTableSerialization:

@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from morphmt.cli import build_parser, main
+from morphmt import morphlex
+from morphmt.cli import apply_config, build_parser, config_keys, main
 
 from conftest import (
     DATA_DIR,
@@ -288,6 +289,25 @@ class TestLexiconCommands:
         assert out == "pizzy\nBraper\n"
         assert "unknown-lemma" in err
 
+    def test_generate_keys_fallbacks_by_input_line(self, run, monkeypatch):
+        # Lines 3 and 4 (1-based, the blank line 2 counted) fall back.
+        seen = []
+        real = morphlex.generate_with_fallback
+
+        def spy(lex, lemma, tag_text, diagnostics, **kwargs):
+            seen.append(diagnostics)
+            return real(lex, lemma, tag_text, diagnostics, **kwargs)
+
+        monkeypatch.setattr(morphlex, "generate_with_fallback", spy)
+        code, out, err = run(
+            ["generate", "--lexicon", CZECH_LEXICON],
+            stdin_text="pizza\tNNFS2-----A----\n\nBraper\tNNFS1-----A----\npizza\tNNFS7-----A----\n",
+        )
+        assert code == 0
+        assert [line for line, _ in seen[-1].fallbacks] == [2, 3]
+        assert seen[-1].lines == 0
+        assert "lines checked" not in err
+
     def test_generate_rejects_malformed_line(self, run):
         code, _, err = run(
             ["generate", "--lexicon", CZECH_LEXICON], stdin_text="no tab here\n"
@@ -493,6 +513,70 @@ class TestConfigPrecedence:
         assert out == "l o\nlo w\n"
 
 
+    def test_prepare_keys_take_effect(self, run, tmp_path):
+        # filter, out_source and manifest are read from args by the handler,
+        # so the config file has to reach them there too.
+        (tmp_path / "src.txt").write_text("x\ny z\n")
+        config = tmp_path / "run.conf"
+        config.write_text(f"mode = baseline\nfilter = yes\nmaxlen = 1\nmerges = 0\n"
+                          f"source = {tmp_path / 'src.txt'}\nout_source = {tmp_path / 'out.src'}\n"
+                          f"manifest = {tmp_path / 'run.json'}\n")
+        code, out, err = run(["prepare", "--config", str(config)], stdin_text="a\nb c\n")
+        assert (code, out, err) == (0, "a\n", "")
+        assert (tmp_path / "out.src").read_text() == "x\n"
+        manifest = json.loads((tmp_path / "run.json").read_text())
+        assert manifest["counters"]["pairs_out"] == 1
+
+    def test_flag_overrides_a_boolean_key(self, run, tmp_path):
+        config = tmp_path / "run.conf"
+        config.write_text("mode = baseline\nmerges = 0\nfilter = no\nmaxlen = 1\n")
+        _, out, _ = run(["prepare", "--config", str(config)], stdin_text="a\nb c\n")
+        assert out == "a\nb c\n"
+        _, out, _ = run(["prepare", "--config", str(config), "--filter"], stdin_text="a\nb c\n")
+        assert out == "a\n"
+
+    def test_config_key_rejected(self, run, tmp_path):
+        config = tmp_path / "run.conf"
+        config.write_text("config = other.conf\n")
+        code, out, err = run(["bpe-learn", "--merges", "1", "--config", str(config)], stdin_text="ab\n")
+        assert (code, out) == (1, "")
+        assert err == f"morphmt: error: {config}:1: unknown key 'config'\n"
+
+    def test_value_outside_the_choices_rejected(self, run, tmp_path):
+        # As on the command line: bpe-apply would protect Czech tags.
+        (tmp_path / "merges.txt").write_text("a b\n")
+        config = tmp_path / "run.conf"
+        config.write_text("mode = german\n")
+        code, out, err = run(["bpe-apply", "--merge-table", str(tmp_path / "merges.txt"),
+                              "--protect-tags", "--config", str(config)], stdin_text="ab\n")
+        assert (code, out) == (1, "")
+        assert err == (f"morphmt: error: {config}: mode: invalid choice: 'german' (choose from "
+                       "'baseline', 'morphgen', 'serialization', 'german-stemmed', "
+                       "'german-stemmed-split')\n")
+
+    def test_every_key_reaches_its_option(self):
+        # Derived from the parser: for every subcommand, every key a config
+        # file may name sets the option's value when the flag is absent.
+        parser = build_parser()
+        subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        samples = {int: "7", None: "x.txt"}
+        for name, sub in subparsers.choices.items():
+            positionals = [] if name != "bleu" else ["h", "r"]
+            required = ["--train", "t", "--source", "s", "--references", "r"] if name == "novel-forms" else []
+            for action in sub._actions:
+                if not action.option_strings or action.dest in ("help", "config") or action.required:
+                    continue
+                args = parser.parse_args([name, *required, *positionals])
+                if action.nargs == 0:
+                    raw = "yes"
+                else:
+                    raw = action.choices[-1] if action.choices else samples[action.type]
+                apply_config(args, sub, {action.dest: raw})
+                value = getattr(args, action.dest)
+                assert value != action.default, (name, action.dest)
+                assert action.dest in config_keys(parser)
+
+
 class TestLineSplitting:
     """A line ends at \\n (\\r\\n is one line end); other separators are content."""
 
@@ -527,6 +611,18 @@ class TestUtf8Strictness:
 
 
 class TestConsoleScript:
+    def test_import_leaves_the_process_pool_out(self):
+        # concurrent.futures.process pulls in multiprocessing, a fixed cost
+        # of every CLI process; only postprocess --jobs N > 1 needs it.
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import morphmt.cli, sys; print(sorted(m for m in sys.modules"
+             " if m.startswith(('concurrent', 'multiprocessing'))))"],
+            capture_output=True,
+            text=True,
+        )
+        assert (result.returncode, result.stdout) == (0, "[]\n"), result.stderr
+
     def test_pipe_through_installed_script(self):
         result = subprocess.run(
             [sys.executable, "-m", "morphmt.cli", "postprocess", "--mode", "morphgen",

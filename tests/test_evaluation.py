@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from morphmt.evaluation import (
     EmptyCorpus,
@@ -84,6 +84,69 @@ class TestBleu:
     @given(st.lists(st.sampled_from(["a b c d e", "f g h i j", "k l m"]), min_size=1, max_size=8))
     def test_self_bleu_is_100(self, lines):
         assert bleu(lines, lines) == pytest.approx(100.0)
+
+
+def generator_bleu(hypotheses, references, lowercase=False, smooth=False):
+    """bleu() with n-gram Counters and a min() generator per n-gram: the oracle."""
+    from collections import Counter
+
+    def ngrams(tokens, order):
+        return Counter(tuple(tokens[i : i + order]) for i in range(len(tokens) - order + 1))
+
+    if lowercase:
+        hypotheses = [h.lower() for h in hypotheses]
+        references = [r.lower() for r in references]
+    matches, totals = [0] * 4, [0] * 4
+    hyp_length = ref_length = 0
+    for hyp, ref in zip(hypotheses, references):
+        hyp_tokens, ref_tokens = hyp.split(), ref.split()
+        hyp_length += len(hyp_tokens)
+        ref_length += len(ref_tokens)
+        for n in range(1, 5):
+            hyp_ngrams, ref_ngrams = ngrams(hyp_tokens, n), ngrams(ref_tokens, n)
+            totals[n - 1] += sum(hyp_ngrams.values())
+            matches[n - 1] += sum(min(c, ref_ngrams[g]) for g, c in hyp_ngrams.items())
+    if hyp_length == 0:
+        return 0.0
+    log_sum, orders = 0.0, 0
+    for n in range(1, 5):
+        m, t = matches[n - 1], totals[n - 1]
+        if t == 0:
+            continue
+        if smooth and n > 1:
+            m, t = m + 1, t + 1
+        if m == 0:
+            return 0.0
+        log_sum += math.log(m / t)
+        orders += 1
+    penalty = math.exp(1.0 - ref_length / hyp_length) if hyp_length < ref_length else 1.0
+    return 100.0 * penalty * math.exp(log_sum / orders)
+
+
+# Sentences of 0 to 6 tokens over a few words that differ only in case, so
+# clipping, lowercasing and orders above the sentence length all occur.
+bleu_sentence = st.lists(st.sampled_from(["a", "A", "b", "B", "c", "."]), max_size=6).map(" ".join)
+bleu_corpus = st.lists(st.tuples(bleu_sentence, bleu_sentence), min_size=1, max_size=6)
+
+
+class TestBleuMatchesGeneratorCounts:
+    @settings(max_examples=300)
+    @given(bleu_corpus, st.booleans(), st.booleans())
+    def test_same_score(self, pairs, lowercase, smooth):
+        hyps, refs = [h for h, _ in pairs], [r for _, r in pairs]
+        assert bleu(hyps, refs, lowercase, smooth) == generator_bleu(hyps, refs, lowercase, smooth)
+
+    def test_random_corpus(self):
+        rng = random.Random(7)
+        words = [f"w{i}" for i in range(40)]
+        hyps = [rng.choices(words, k=rng.randint(0, 25)) for _ in range(200)]
+        # References share most of their hypothesis, so every order matches.
+        refs = [" ".join(w if rng.random() < 0.8 else rng.choice(words) for w in h) for h in hyps]
+        hyps = [" ".join(h) for h in hyps]
+        for smooth in (False, True):
+            score = bleu(hyps, refs, smooth=smooth)
+            assert 0 < score < 100
+            assert score == generator_bleu(hyps, refs, smooth=smooth)
 
 
 class TestNovelForms:

@@ -447,3 +447,70 @@ class TestTextKeyedLexicon:
             lex.add_entry("a", "NN", "b")
         assert len(lex) == 0
         assert generate(lex, "a", "NN") == GenerationFailure("a", "NN", REASON_UNKNOWN_LEMMA)
+
+
+class EagerIndexLexicon(ParadigmLexicon):
+    """The surface index built for every surface at the first analysis: the
+    oracle for the index built per surface."""
+
+    def add_entry(self, lemma, tag_text, surface):
+        super().add_entry(lemma, tag_text, surface)
+        self._eager = None
+
+    def candidates_for(self, surface):
+        if getattr(self, "_eager", None) is None:
+            keys = {}
+            for key, form in self._forward.items():
+                keys.setdefault(form, []).append(key)
+            self._eager = {
+                form: [MorphAnalysis(lemma, self._tags[tag], form) for tag, lemma in sorted(pairs)]
+                for form, pairs in keys.items()
+            }
+        return list(self._eager.get(surface, ()))
+
+
+class TestIndexPerSurface:
+    # Adds and analyses interleaved at random, so rows also arrive after
+    # queries, and queries name surfaces no row has.
+    @settings(max_examples=200)
+    @given(st.lists(
+        st.one_of(
+            mixed_rows.map(lambda row: ("add", row)),
+            st.sampled_from(MIXED_SURFACES + ["xyzzy"]).map(lambda surface: ("analyze", surface)),
+        ),
+        max_size=25,
+    ))
+    def test_matches_the_eager_index(self, operations):
+        lazy, eager = ParadigmLexicon(), EagerIndexLexicon()
+        queried = set()
+        for operation, argument in operations:
+            if operation == "add":
+                outcomes = []
+                for lex in (lazy, eager):
+                    try:
+                        lex.add_entry(*argument)
+                        outcomes.append(None)
+                    except LexiconConflict as exc:
+                        outcomes.append(str(exc))
+                assert outcomes[0] == outcomes[1]
+            else:
+                queried.add(argument)
+                candidates = analyze(lazy, argument)
+                assert candidates == analyze(eager, argument)
+                candidates.clear()  # callers get a copy
+                assert analyze(lazy, argument) == analyze(eager, argument)
+        # Only surfaces asked for since the last row are built.
+        assert set(lazy._inverse) <= queried
+        assert len(lazy) == len(eager)
+
+    def test_row_added_after_a_query(self):
+        lazy, eager = ParadigmLexicon(), EagerIndexLexicon()
+        for lex in (lazy, eager):
+            lex.add_entry("hrad", "NNIP1-----A----", "hrady")
+            analyze(lex, "hrady")
+            analyze(lex, "hradu")
+            lex.add_entry("hrad", "NNIS2-----A----", "hradu")
+            lex.add_entry("brada", "NNIP1-----A----", "hrady")
+        for surface in ("hrady", "hradu", "brady"):
+            assert analyze(lazy, surface) == analyze(eager, surface)
+        assert [c.lemma for c in analyze(lazy, "hrady")] == ["brada", "hrad"]

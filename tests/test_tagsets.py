@@ -296,3 +296,92 @@ class TestTokenPredicates:
         assert is_bare_token(",[$]")
         assert not is_bare_token("[KON]")
         assert not is_bare_token("Wolke")
+
+
+def loop_is_czech_tag(token):
+    """is_czech_tag as a loop over the characters: the oracle for the pattern."""
+    return len(token) == tagsets.TAG_LENGTH and all(ch in tagsets.TAG_ALPHABET for ch in token)
+
+
+def uncached_feature_token(token):
+    if not tagsets._ANGLE_SEQ_RE.match(token):
+        return None
+    try:
+        return parse_feature_seq(token)
+    except MalformedAnalysis:
+        return None
+
+
+def uncached_stem_side(text):
+    if not text:
+        raise MalformedAnalysis("empty stem side")
+    segments, pos = [], 0
+    while pos < len(text):
+        m = tagsets._SEGMENT_RE.match(text, pos)
+        if m is None or m.start() != pos:
+            raise MalformedAnalysis(f"cannot parse stem side {text!r} at offset {pos}")
+        segments.append(StemSegment(m.group(1), m.group(2)))
+        pos = m.end()
+    return tuple(segments)
+
+
+def parse_outcome(fn, text):
+    try:
+        return fn(text)
+    except MalformedAnalysis as exc:
+        return ("MalformedAnalysis", str(exc))
+
+
+# Near-tags: 14 to 16 characters, mostly from the tag alphabet, with
+# look-alikes that a looser class would accept (non-ASCII letters and
+# digits, '=', '_', a trailing newline).
+near_tags = st.text(
+    alphabet=st.sampled_from(list("AZaz09:-") + ["=", "_", "é", "٣", "\n", " "]),
+    min_size=14, max_size=16,
+)
+# Feature-ish and stem-ish tokens from the characters their grammars use.
+markup_texts = st.lists(
+    st.sampled_from(["<", ">", "+NN", "Fem", "Acc", "Sg", "NA", "+V", "3", "Pres", "Ind",
+                     "[", "]", "KON", "Meer", "|", "", " "]),
+    max_size=8,
+).map("".join)
+
+
+class TestTokenParsersMatchUncached:
+    @given(near_tags)
+    def test_czech_tag_pattern(self, token):
+        assert is_czech_tag(token) == loop_is_czech_tag(token)
+
+    @given(st.lists(markup_texts, min_size=1, max_size=4))
+    def test_feature_token_memo(self, tokens):
+        for token in tokens + tokens:
+            assert tagsets.parse_feature_token(token) == uncached_feature_token(token)
+
+    @given(st.lists(markup_texts, min_size=1, max_size=4))
+    def test_stem_side_memo(self, texts):
+        for text in texts + texts:
+            assert parse_outcome(parse_stem_side, text) == parse_outcome(uncached_stem_side, text)
+
+    @pytest.mark.parametrize("token", ["<+NN><Fem><Acc><Sg><NA>", "<Foo><Bar>", "Wolke", ""])
+    def test_feature_token_repeated(self, token):
+        first = tagsets.parse_feature_token(token)
+        assert tagsets.parse_feature_token(token) == first == uncached_feature_token(token)
+
+    @pytest.mark.parametrize("text", ["", "a||b", "Meer<NN", "<NN>"])
+    def test_invalid_stem_side_raises_each_time(self, text):
+        messages = set()
+        for _ in range(2):
+            with pytest.raises(MalformedAnalysis) as exc:
+                parse_stem_side(text)
+            messages.add(str(exc.value))
+        assert len(messages) == 1
+
+    def test_memos_stay_bounded(self, monkeypatch):
+        monkeypatch.setattr(tagsets, "_MEMO_LIMIT", 3)
+        monkeypatch.setattr(tagsets, "_FEATURE_TOKENS", {})
+        monkeypatch.setattr(tagsets, "_STEM_SIDES", {})
+        for i in range(10):
+            assert tagsets.parse_feature_token(f"<+V><{i}>") == uncached_feature_token(f"<+V><{i}>")
+            assert parse_stem_side(f"a{i}<NN>b") == uncached_stem_side(f"a{i}<NN>b")
+            assert len(tagsets._FEATURE_TOKENS) <= 3
+            assert len(tagsets._STEM_SIDES) <= 3
