@@ -25,6 +25,7 @@ import random
 import subprocess
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import repeat
 from typing import Callable, Sequence
 
 from . import interleave
@@ -44,6 +45,7 @@ from .compounds import (
 )
 from .morphlex import (
     Diagnostics,
+    GenerationFailure,
     NoCompatibleAnalysis,
     ParadigmLexicon,
     analyze,
@@ -53,6 +55,7 @@ from .morphlex import (
 from .tagsets import (
     MalformedAnalysis,
     MorphAnalysis,
+    _remember,
     is_bare_token,
     is_czech_tag,
     is_feature_token,
@@ -222,45 +225,73 @@ class PreparedVariant:
     dropped: list[tuple[int, str]] = field(default_factory=list)
 
 
-def _analyses_for(
-    lex: ParadigmLexicon, tokens: list[str], parse_tags: list[str] | None
-) -> list[MorphAnalysis]:
-    """One analysis per token, disambiguated when parse tags are given.
+def _analysis_for(lex: ParadigmLexicon, token: str, parse_tag: str | None) -> MorphAnalysis:
+    """The analysis of one token, disambiguated when a parse tag is given.
 
-    Without parse tags the first candidate in canonical order is taken;
+    Without a parse tag the first candidate in canonical order is taken;
     every candidate of a surface regenerates that same surface, so the
     choice never affects round-tripping.
+    """
+    candidates = analyze(lex, token)
+    if not candidates:
+        raise MalformedAnalysis(f"no analysis for {token!r}")
+    return candidates[0] if parse_tag is None else disambiguate(candidates, parse_tag)
+
+
+def _encode_analysis(a: MorphAnalysis, mode: str) -> tuple[str, ...]:
+    if mode == MODE_GERMAN_STEMMED_SPLIT:
+        # A bare analysis is not inflected, so split_compound returns it.
+        split = split_compound(a.to_german_analysis())
+        if isinstance(split, CompoundSplit):
+            return split.tokens
+    return interleave.encode([a], _base_mode(mode)).tokens
+
+
+_Dropped = MalformedAnalysis | NoCompatibleAnalysis
+_Encoded = tuple[str, ...] | _Dropped
+
+
+def _encode_tokens(
+    lex: ParadigmLexicon,
+    tokens: list[str],
+    parse_tags: list[str] | None,
+    mode: str,
+    memo: dict[tuple[str, str | None], _Encoded],
+) -> list[str] | _Dropped:
+    """The encoded target tokens of one sentence, or why it is dropped.
+
+    ``memo`` maps (token, parse tag or None) to the token's encoding or
+    to its analysis failure, so each distinct pair is analysed and
+    encoded once.  As when every token is analysed before any is
+    encoded, an analysis failure drops the sentence even after a token
+    whose encoding raised; that error is raised only when no later token
+    drops the sentence.
     """
     if parse_tags is not None and len(parse_tags) != len(tokens):
         raise ValueError(
             f"{len(tokens)} tokens but {len(parse_tags)} parse tags"
         )
-    analyses = []
-    for position, token in enumerate(tokens):
-        candidates = analyze(lex, token)
-        if not candidates:
-            raise MalformedAnalysis(f"no analysis for {token!r}")
-        if parse_tags is None:
-            analyses.append(candidates[0])
-        else:
-            analyses.append(disambiguate(candidates, parse_tags[position]))
-    return analyses
-
-
-def _encode_target(analyses: list[MorphAnalysis], mode: str) -> list[str]:
-    if mode != MODE_GERMAN_STEMMED_SPLIT:
-        return list(interleave.encode(analyses, mode).tokens)
-    tokens: list[str] = []
-    for a in analyses:
-        # A bare analysis is not inflected, so split_compound returns it.
-        split = split_compound(a.to_german_analysis())
-        if isinstance(split, CompoundSplit):
-            tokens.extend(split.tokens)
-        else:
-            tokens.extend(
-                interleave.encode([a], interleave.MODE_GERMAN_STEMMED).tokens
-            )
-    return tokens
+    out: list[str] = []
+    encoding_error = None
+    for key in zip(tokens, repeat(None) if parse_tags is None else parse_tags):
+        entry = memo.get(key)
+        if entry is None:
+            try:
+                analysis = _analysis_for(lex, *key)
+            except (MalformedAnalysis, NoCompatibleAnalysis) as exc:
+                entry = _remember(memo, key, exc.with_traceback(None))
+            else:
+                try:
+                    entry = _remember(memo, key, _encode_analysis(analysis, mode))
+                except ValueError as exc:
+                    encoding_error = encoding_error or exc
+                    continue
+        if isinstance(entry, Exception):
+            return entry
+        out += entry
+    if encoding_error is not None:
+        raise encoding_error
+    return out
 
 
 def _split_hyphens(tokens: list[str]) -> list[str]:
@@ -293,30 +324,34 @@ def prepare_variant(
     splitting (``cfg.split_source_hyphens``) runs before tagging, so
     source tags must align with the split tokens.  Parse tags and source
     tags are indexed by original pair index, so they stay aligned with
-    the input when ``corpus`` comes from :func:`filter_corpus`.
+    the input when ``corpus`` comes from :func:`filter_corpus`.  Each
+    distinct (target token, parse tag) pair is analysed and encoded once
+    per call.
     """
     if cfg.mode != interleave.MODE_BASELINE and lex is None:
         raise ValueError(f"mode {cfg.mode!r} needs a lexicon")
     encoded: list[tuple[str, str]] = []
     dropped: list[tuple[int, str]] = []
+    memo: dict[tuple[str, str | None], _Encoded] = {}
     for index, (source, target) in zip(corpus._origin or range(len(corpus)), corpus.pairs):
         target_tokens = target.split()
         if cfg.mode == interleave.MODE_BASELINE:
             target_out = target_tokens
         else:
             tags = target_parse_tags[index] if target_parse_tags is not None else None
-            try:
-                analyses = _analyses_for(lex, target_tokens, tags)
-            except (MalformedAnalysis, NoCompatibleAnalysis) as exc:
-                dropped.append((index, str(exc)))
+            target_out = _encode_tokens(lex, target_tokens, tags, cfg.mode, memo)
+            if isinstance(target_out, Exception):
+                dropped.append((index, str(target_out)))
                 continue
-            target_out = _encode_target(analyses, cfg.mode)
         source_tokens = source.split()
         if cfg.split_source_hyphens:
             source_tokens = _split_hyphens(source_tokens)
         if source_tags is not None:
             source_tokens = interleave.tag_source(source_tokens, source_tags[index])
         encoded.append((" ".join(source_tokens), " ".join(target_out)))
+    # Freed before BPE is learned: kept alive through learn_bpe, the memo
+    # slowed learning on the Czech benchmark corpus (not with gc disabled).
+    del memo
 
     protected = tag_predicate_for_mode(cfg.mode) if cfg.protect_tags else None
     source_lines = [s for s, _ in encoded]
@@ -402,23 +437,51 @@ def _revert_lenient(tokens: list[str], repairs: list[tuple[int, int, str]]) -> l
     """Revert BPE after stripping dangling markers off the last token, in place.
 
     Each stripped marker is one repair at the last token; a last token
-    that was only markers stays as an empty token.
+    that was only markers is dropped.
     """
-    if tokens:
-        last = tokens[-1]
-        while last.endswith(MARKER):
-            repairs.append((0, len(tokens) - 1, EVENT_DANGLING_MARKER))
-            last = last[: -len(MARKER)]
-        tokens[-1] = last
-    return revert_bpe(tokens)
+    if not tokens:
+        return []
+    last = tokens[-1]
+    while last.endswith(MARKER):
+        repairs.append((0, len(tokens) - 1, EVENT_DANGLING_MARKER))
+        last = last[: -len(MARKER)]
+    tokens[-1] = last
+    words = revert_bpe(tokens)
+    if not words[-1]:
+        # The empty token was not joined to a marked word before it.
+        words.pop()
+    return words
+
+
+# What merging and generating one German (stem, tag) pair records: the
+# surface (None when the stem does not parse), the unknown modifiers and
+# the generation failure, if any.
+_StemOutcome = tuple[str | None, tuple[str, ...], GenerationFailure | None]
+
+
+def _stem_outcome(item: interleave.Item, lex: ParadigmLexicon) -> _StemOutcome:
+    unknown_modifiers: list[str] = []
+    try:
+        analysis, _ = merge_stem(item.word, item.features, lex, unknown_modifiers)
+    except MalformedAnalysis:
+        return None, tuple(unknown_modifiers), None
+    generated = Diagnostics()
+    surface = generate_with_fallback(lex, analysis.stem_text, item.tag, generated)
+    failure = generated.fallbacks[0][1] if generated.fallbacks else None
+    return surface, tuple(unknown_modifiers), failure
 
 
 def postprocess_line(
-    line: str, mode: str, lex: ParadigmLexicon | None
+    line: str,
+    mode: str,
+    lex: ParadigmLexicon | None,
+    memo: dict[tuple[str, str], _StemOutcome],
 ) -> tuple[str, Diagnostics]:
     """Deterministically turn one backend output line into surface text.
 
     The diagnostics cover this one line, so every record is at line 0.
+    German (stem, tag) pairs are merged and generated once per distinct
+    pair in ``memo``; each occurrence replays the recorded outcome.
     """
     diagnostics = Diagnostics()
     repairs = diagnostics.repairs
@@ -449,16 +512,34 @@ def postprocess_line(
         elif mode == interleave.MODE_MORPHGEN:
             words.append(generate_with_fallback(lex, item.word, item.tag, diagnostics))
         else:
-            try:
-                analysis, _ = merge_stem(item.word, item.features, lex, unknown_modifiers)
-            except MalformedAnalysis:
+            outcome = memo.get((item.word, item.tag))
+            if outcome is None:
+                outcome = _remember(memo, (item.word, item.tag), _stem_outcome(item, lex))
+            surface, modifiers, failure = outcome
+            unknown_modifiers += modifiers
+            if surface is None:
                 repairs.append((0, item.position, EVENT_UNPARSEABLE_STEM))
                 words.append(item.word)
                 continue
-            words.append(generate_with_fallback(lex, analysis.stem_text, item.tag, diagnostics))
+            diagnostics.generated += 1
+            if failure is not None:
+                diagnostics.fallbacks.append((0, failure))
+            words.append(surface)
     diagnostics.unknown_modifiers = [(0, lexeme) for lexeme in unknown_modifiers]
     diagnostics.lines = 1
     return " ".join(words), diagnostics
+
+
+def _postprocess_lines(
+    lines: list[str], mode: str, lex: ParadigmLexicon | None
+) -> PostprocessResult:
+    memo: dict[tuple[str, str], _StemOutcome] = {}
+    result = PostprocessResult([], Diagnostics())
+    for line in lines:
+        text, diagnostics = postprocess_line(line, mode, lex, memo)
+        result.lines.append(text)
+        result.diagnostics.merge(diagnostics)
+    return result
 
 
 def postprocess(
@@ -472,9 +553,12 @@ def postprocess(
     Baseline mode is exactly BPE reversion; serialization needs no
     lexicon either, as its word tokens are already surface forms.  Every
     input line yields an output line; see the module docstring for the
-    recovery rules.  With ``jobs > 1`` the lines are spread over that
-    many worker processes; the lexicon is pickled with every chunk.  The
-    process pool (and ``multiprocessing``) is imported only then.
+    recovery rules.  German (stem, tag) pairs are merged and generated
+    once per distinct pair, in a memo that lives for one call.  With
+    ``jobs > 1`` the lines are cut into chunks spread over that many
+    worker processes; the lexicon is pickled with every chunk, and each
+    chunk starts with an empty memo.  The process pool (and
+    ``multiprocessing``) is imported only then.
     """
     needs_lexicon = cfg.mode not in (
         interleave.MODE_BASELINE,
@@ -482,16 +566,17 @@ def postprocess(
     )
     if needs_lexicon and lex is None:
         raise ValueError(f"mode {cfg.mode!r} needs a lexicon")
-    worker = partial(postprocess_line, mode=cfg.mode, lex=lex)
-    if jobs > 1 and len(lines) > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    if jobs <= 1 or len(lines) <= 1:
+        return _postprocess_lines(lines, cfg.mode, lex)
+    from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as executor:
-            results = list(executor.map(worker, lines, chunksize=max(1, len(lines) // (jobs * 4))))
-    else:
-        results = map(worker, lines)
+    size = max(1, len(lines) // (jobs * 4))
+    chunks = [lines[start : start + size] for start in range(0, len(lines), size)]
+    worker = partial(_postprocess_lines, mode=cfg.mode, lex=lex)
+    with ProcessPoolExecutor(max_workers=jobs) as executor:
+        parts = list(executor.map(worker, chunks))
     result = PostprocessResult([], Diagnostics())
-    for text, diagnostics in results:
-        result.lines.append(text)
-        result.diagnostics.merge(diagnostics)
+    for part in parts:
+        result.lines += part.lines
+        result.diagnostics.merge(part.diagnostics)
     return result

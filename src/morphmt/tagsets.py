@@ -101,9 +101,18 @@ TAG_ALPHABET = frozenset(string.ascii_letters + string.digits + ":-")
 _TAG_RE = re.compile(f"[A-Za-z0-9:-]{{{TAG_LENGTH}}}")  # TAG_ALPHABET, TAG_LENGTH times
 
 # The token parsers below memoize per distinct text in a plain dict (an
-# lru_cache wrapper would hide them from function-level tracing).  A memo
-# holds only immutable values and is emptied when it reaches this size.
+# lru_cache wrapper would hide them from function-level tracing), and the
+# pipeline keeps one dict per call for its per-token work.  A memo's values
+# are never mutated, and _remember empties a memo when it reaches this size.
 _MEMO_LIMIT = 1 << 16
+
+
+def _remember(memo: dict, key, value):
+    """Store and return ``value``, emptying ``memo`` first when it is full."""
+    if len(memo) >= _MEMO_LIMIT:
+        memo.clear()
+    memo[key] = value
+    return value
 
 
 @dataclass(frozen=True)
@@ -364,10 +373,7 @@ def parse_feature_token(token: str) -> GermanFeatureSeq | None:
             features = parse_feature_seq(token)
         except MalformedAnalysis:
             pass
-    if len(_FEATURE_TOKENS) >= _MEMO_LIMIT:
-        _FEATURE_TOKENS.clear()
-    _FEATURE_TOKENS[token] = features
-    return features
+    return _remember(_FEATURE_TOKENS, token, features)
 
 
 def is_feature_token(token: str) -> bool:
@@ -439,10 +445,7 @@ def parse_stem_side(text: str) -> tuple[StemSegment, ...]:
     """Decompose the stem side of an analysis at embedded markup tags."""
     segments = _STEM_SIDES.get(text)
     if segments is None:
-        segments = _parse_stem_side(text)
-        if len(_STEM_SIDES) >= _MEMO_LIMIT:
-            _STEM_SIDES.clear()
-        _STEM_SIDES[text] = segments
+        segments = _remember(_STEM_SIDES, text, _parse_stem_side(text))
     return segments
 
 

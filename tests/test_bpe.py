@@ -119,11 +119,15 @@ def token_loop_revert(subwords):
 
 
 def token_loop_lenient(tokens):
-    """Postprocessing's reversion as a retry per dangling marker; returns (tokens, repairs)."""
+    """Postprocessing's reversion as a retry per dangling marker; returns (tokens, repairs).
+
+    A last token that was only markers is dropped, unless it joined the word before it.
+    """
     tokens, repairs = list(tokens), []
     while True:
         try:
-            return token_loop_revert(tokens), repairs
+            words = token_loop_revert(tokens)
+            return (words[:-1] if words and not words[-1] else words), repairs
         except DanglingMarker:
             repairs.append((0, len(tokens) - 1, "dangling-marker"))
             tokens[-1] = tokens[-1][:-2]

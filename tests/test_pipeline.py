@@ -264,6 +264,16 @@ class TestPostprocess:
         assert result.lines == ["existují mili"]
         assert any(kind == "dangling-marker" for _, _, kind in result.diagnostics.repairs)
 
+    @pytest.mark.parametrize(
+        "mode, line, text, position",
+        [("baseline", "x @@", "x", 1), ("morphgen", "NNFS2-----A---- pizza @@", "pizzy", 2)],
+    )
+    def test_last_token_of_markers_only_dropped(self, czech_lexicon, mode, line, text, position):
+        result = postprocess([line], PipelineConfig.for_mode(mode), czech_lexicon)
+        assert result.lines == [text]
+        assert result.diagnostics.repairs == [(0, position, "dangling-marker")]
+        assert result.diagnostics.errors == []
+
     def test_line_count_preserved(self, czech_lexicon):
         cfg = PipelineConfig.for_mode("morphgen")
         lines = [FIG1_MORPHGEN, "", "garbage only", FIG1_MORPHGEN]
