@@ -19,7 +19,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from .tagsets import split_lines
+from .conventions import split_lines
 
 __all__ = [
     "MARKER",

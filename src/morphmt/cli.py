@@ -16,6 +16,9 @@ Configuration precedence is flags > config file (``key=value`` lines,
 ``--config``; each key names an option of some subcommand) > built-in
 defaults.  The config file fills in the options that the command line
 leaves unset, before the handler runs.
+
+Each handler imports the library modules it runs, when it runs, so a
+stage loads only what it uses.
 """
 
 from __future__ import annotations
@@ -24,23 +27,22 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import shlex
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
-from . import bpe as bpe_mod
-from . import evaluation, interleave, morphlex, pipeline
-from .compounds import CompoundSplit, merge_stem, rejoin_split_tokens, split_compound
-from .tagsets import (
-    MalformedAnalysis,
-    MalformedTag,
-    format_analysis,
-    format_tag,
-    parse_german_analysis,
+from .conventions import (
+    MODE_BASELINE,
+    MODE_GERMAN_STEMMED,
+    MODE_SERIALIZATION,
+    PIPELINE_MODES,
     split_lines,
 )
+
+if TYPE_CHECKING:
+    from . import morphlex, pipeline
 
 __all__ = ["main", "RunManifest"]
 
@@ -198,12 +200,16 @@ def apply_config(args: argparse.Namespace, sub: argparse.ArgumentParser, config:
 
 
 def _load_lexicon(path: str | None, inputs: _Inputs) -> morphlex.ParadigmLexicon:
+    from . import morphlex
+
     if path is None:
         raise CliError("a lexicon is required (--lexicon)")
     return morphlex.load_lexicon(inputs.text(path))
 
 
 def _pipeline_config(args: argparse.Namespace) -> pipeline.PipelineConfig:
+    from . import pipeline
+
     if args.mode is None:
         raise CliError("a mode is required (--mode)")
     return pipeline.PipelineConfig.for_mode(
@@ -232,9 +238,11 @@ def _read_tag_lines(path: str | None, inputs: _Inputs) -> list[list[str]] | None
 
 
 def cmd_prepare(args: argparse.Namespace, inputs: _Inputs) -> _Result:
+    from . import pipeline
+
     cfg = _pipeline_config(args)
     lex = None
-    if cfg.mode != interleave.MODE_BASELINE:
+    if cfg.mode != MODE_BASELINE:
         lex = _load_lexicon(cfg.lexicon_path, inputs)
     target_lines = inputs.lines(args.target)
     if args.source is not None:
@@ -287,25 +295,33 @@ def cmd_prepare(args: argparse.Namespace, inputs: _Inputs) -> _Result:
 
 
 def cmd_bpe_learn(args: argparse.Namespace, inputs: _Inputs) -> _Result:
+    from . import bpe
+
     if args.merges is None:
         raise CliError("--merges is required")
     lines = inputs.lines(args.input)
-    table = bpe_mod.learn_bpe(
+    table = bpe.learn_bpe(
         (token for line in lines for token in line.split()), args.merges
     )
     return _Result(split_lines(table.to_text()), {"merges": args.merges}, {"merges_learned": len(table)})
 
 
 def cmd_bpe_apply(args: argparse.Namespace, inputs: _Inputs) -> _Result:
+    from . import bpe
+
     if args.merge_table is None:
         raise CliError("--merge-table is required")
-    table = bpe_mod.MergeTable.from_text(inputs.text(args.merge_table))
+    table = bpe.MergeTable.from_text(inputs.text(args.merge_table))
     protect = bool(args.protect_tags)
     if protect and args.mode is None:
         raise CliError("--protect-tags needs --mode to pick the tag shape")
-    protected = pipeline.tag_predicate_for_mode(args.mode) if protect else None
+    protected = None
+    if protect:
+        from . import pipeline
+
+        protected = pipeline.tag_predicate_for_mode(args.mode)
     lines = inputs.lines(args.input)
-    out = [bpe_mod.segment_line(table, line, protected) for line in lines]
+    out = [bpe.segment_line(table, line, protected) for line in lines]
     return _Result(
         out,
         {"merge_table": args.merge_table, "protect_tags": protect, "mode": args.mode},
@@ -314,16 +330,20 @@ def cmd_bpe_apply(args: argparse.Namespace, inputs: _Inputs) -> _Result:
 
 
 def cmd_bpe_revert(args: argparse.Namespace, inputs: _Inputs) -> _Result:
+    from . import bpe
+
     out = []
     for lineno, line in enumerate(inputs.lines(args.input), 1):
         try:
-            out.append(" ".join(bpe_mod.revert_bpe(line.split())))
-        except bpe_mod.DanglingMarker as exc:
+            out.append(" ".join(bpe.revert_bpe(line.split())))
+        except bpe.DanglingMarker as exc:
             raise CliError(f"line {lineno}: {exc}") from exc
     return _Result(out, {}, {"lines": len(out)})
 
 
 def cmd_analyze(args: argparse.Namespace, inputs: _Inputs) -> _Result:
+    from . import morphlex
+
     lex = _load_lexicon(args.lexicon, inputs)
     lines = inputs.lines(args.input)
     out = []
@@ -345,6 +365,9 @@ def cmd_analyze(args: argparse.Namespace, inputs: _Inputs) -> _Result:
 
 
 def cmd_generate(args: argparse.Namespace, inputs: _Inputs) -> _Result:
+    from . import morphlex
+    from .tagsets import MalformedAnalysis, MalformedTag
+
     lex = _load_lexicon(args.lexicon, inputs)
     diagnostics = morphlex.Diagnostics()
     out = []
@@ -372,45 +395,49 @@ def cmd_generate(args: argparse.Namespace, inputs: _Inputs) -> _Result:
 
 
 def cmd_split_compounds(args: argparse.Namespace, inputs: _Inputs) -> _Result:
+    from . import compounds, tagsets
+
     out = []
     split_count = 0
     for lineno, line in enumerate(inputs.lines(args.input), 1):
         tokens: list[str] = []
         for token in line.split():
             try:
-                analysis = parse_german_analysis(token)
-            except MalformedAnalysis as exc:
+                analysis = tagsets.parse_german_analysis(token)
+            except tagsets.MalformedAnalysis as exc:
                 raise CliError(f"line {lineno}: {exc}") from exc
             if not analysis.inflected:
-                tokens.append(format_analysis(analysis))
+                tokens.append(tagsets.format_analysis(analysis))
                 continue
-            result = split_compound(analysis)
-            if isinstance(result, CompoundSplit):
+            result = compounds.split_compound(analysis)
+            if isinstance(result, compounds.CompoundSplit):
                 split_count += 1
                 tokens.extend(result.tokens)
             else:
                 tokens.append(result.stem_text)
-                tokens.append(format_tag(result.feature_seq))
+                tokens.append(tagsets.format_tag(result.feature_seq))
         out.append(" ".join(tokens))
     return _Result(out, {}, {"lines": len(out), "compounds_split": split_count})
 
 
 def cmd_merge_compounds(args: argparse.Namespace, inputs: _Inputs) -> _Result:
+    from . import compounds, interleave, tagsets
+
     lex = _load_lexicon(args.lexicon, inputs)
     out = []
     unknown_modifiers: list[str] = []
     merged_count = 0
     for line in inputs.lines(args.input):
-        tokens, _ = rejoin_split_tokens(line.split())
+        tokens, _ = compounds.rejoin_split_tokens(line.split())
         result_tokens: list[str] = []
-        for item in interleave.walk(tokens, interleave.MODE_GERMAN_STEMMED).items:
+        for item in interleave.walk(tokens, MODE_GERMAN_STEMMED).items:
             if item.kind != interleave.ITEM_PAIR:
                 # Bare tokens, orphan words and orphan tags pass through.
                 result_tokens.append(tokens[item.position])
                 continue
-            analysis, merged = merge_stem(item.word, item.features, lex, unknown_modifiers)
+            analysis, merged = compounds.merge_stem(item.word, item.features, lex, unknown_modifiers)
             merged_count += merged
-            result_tokens.append(format_analysis(analysis))
+            result_tokens.append(tagsets.format_analysis(analysis))
         out.append(" ".join(result_tokens))
     return _Result(
         out,
@@ -425,6 +452,10 @@ def cmd_merge_compounds(args: argparse.Namespace, inputs: _Inputs) -> _Result:
 
 
 def cmd_translate(args: argparse.Namespace, inputs: _Inputs) -> _Result:
+    import shlex
+
+    from . import pipeline
+
     if args.backend is None:
         raise CliError("--backend is required")
     lines = inputs.lines(args.input)
@@ -433,9 +464,11 @@ def cmd_translate(args: argparse.Namespace, inputs: _Inputs) -> _Result:
 
 
 def cmd_postprocess(args: argparse.Namespace, inputs: _Inputs) -> _Result:
+    from . import pipeline
+
     cfg = _pipeline_config(args)
     lex = None
-    if cfg.mode not in (interleave.MODE_BASELINE, interleave.MODE_SERIALIZATION):
+    if cfg.mode not in (MODE_BASELINE, MODE_SERIALIZATION):
         lex = _load_lexicon(cfg.lexicon_path, inputs)
     lines = inputs.lines(args.input)
     result = pipeline.postprocess(lines, cfg, lex, jobs=args.jobs or 1)
@@ -457,6 +490,8 @@ def cmd_postprocess(args: argparse.Namespace, inputs: _Inputs) -> _Result:
 
 
 def cmd_bleu(args: argparse.Namespace, inputs: _Inputs) -> _Result:
+    from . import evaluation
+
     hypotheses = inputs.lines(args.hypotheses)
     references = inputs.lines(args.references)
     lowercase = bool(args.lowercase)
@@ -470,6 +505,8 @@ def cmd_bleu(args: argparse.Namespace, inputs: _Inputs) -> _Result:
 
 
 def cmd_novel_forms(args: argparse.Namespace, inputs: _Inputs) -> _Result:
+    from . import evaluation
+
     outputs = inputs.lines(args.input)
     train_lines = inputs.lines(args.train)
     sources = inputs.lines(args.source)
@@ -489,17 +526,21 @@ def cmd_novel_forms(args: argparse.Namespace, inputs: _Inputs) -> _Result:
 
 
 def cmd_stats(args: argparse.Namespace, inputs: _Inputs) -> _Result:
+    from . import bpe
+
     if args.vocab:
-        merges = pipeline.GERMAN_DEFAULT_MERGES if args.merges is None else args.merges
+        from .pipeline import GERMAN_DEFAULT_MERGES
+
+        merges = GERMAN_DEFAULT_MERGES if args.merges is None else args.merges
         variants = []
         for path in args.vocab:
             tokens = [token for line in inputs.lines(path) for token in line.split()]
-            variants.append((path, tokens, bpe_mod.learn_bpe(tokens, merges)))
-        report = bpe_mod.vocab_stats(variants)
+            variants.append((path, tokens, bpe.learn_bpe(tokens, merges)))
+        report = bpe.vocab_stats(variants)
         return _Result([report.to_text()], {}, {"variants": len(variants)})
     if args.word_ends is not None:
         lines = inputs.lines(args.word_ends)
-        fragments = bpe_mod.word_end_fragment_stats(lines)
+        fragments = bpe.word_end_fragment_stats(lines)
         out = [f"{count}\t{fragment}" for fragment, count in fragments]
         return _Result(out, {}, {"fragments": len(fragments)})
     raise CliError("choose --vocab FILES or --word-ends [FILE]")
@@ -519,7 +560,7 @@ def _add_common(sub: argparse.ArgumentParser, handler, output: bool = True) -> N
 
 
 def _add_pipeline_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--mode", choices=pipeline.PIPELINE_MODES)
+    sub.add_argument("--mode", choices=PIPELINE_MODES)
     sub.add_argument("--lexicon", help="lexicon TSV file")
     sub.add_argument("--merges", type=int, help="BPE merge budget")
     sub.add_argument("--maxlen", type=int)
@@ -576,7 +617,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("bpe-apply", help="segment text with a merge table")
     p.add_argument("--merge-table", dest="merge_table")
-    p.add_argument("--mode", choices=pipeline.PIPELINE_MODES)
+    p.add_argument("--mode", choices=PIPELINE_MODES)
     p.add_argument(
         "--protect-tags",
         action=argparse.BooleanOptionalAction,
@@ -687,21 +728,14 @@ def main(argv: list[str] | None = None) -> int:
         )
         emit_manifest(manifest, args.output, args.manifest)
         return 0
-    except (
-        CliError,
-        MalformedTag,
-        MalformedAnalysis,
-        morphlex.LexiconConflict,
-        morphlex.LexiconParse,
-        morphlex.NoCompatibleAnalysis,
-        interleave.WellformednessError,
-        interleave.LengthMismatch,
-        bpe_mod.DanglingMarker,
-        pipeline.BackendFailure,
-        evaluation.EmptyCorpus,
-        ValueError,
-        OSError,
-    ) as exc:
+    except Exception as exc:
+        # The library's other errors (bad tags, lexicon rows and streams,
+        # dangling markers, empty corpora) are ValueErrors.
+        from .morphlex import NoCompatibleAnalysis
+        from .pipeline import BackendFailure
+
+        if not isinstance(exc, (CliError, ValueError, OSError, NoCompatibleAnalysis, BackendFailure)):
+            raise
         print(f"morphmt: error: {exc}", file=sys.stderr)
         return 1
 

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .morphlex import ParadigmLexicon
 from .tagsets import (
     GermanAnalysis,
     GermanFeatureSeq,
@@ -33,6 +33,9 @@ from .tagsets import (
     parse_stem_side,
     KIND_NOMINAL,
 )
+
+if TYPE_CHECKING:
+    from .morphlex import ParadigmLexicon
 
 __all__ = [
     "SPLIT_MARKUP",

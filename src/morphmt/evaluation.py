@@ -16,10 +16,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import repeat
+from typing import TYPE_CHECKING, Iterable
 
-from . import interleave
-from .morphlex import Diagnostics
+if TYPE_CHECKING:
+    from .morphlex import Diagnostics
 
 __all__ = [
     "EmptyCorpus",
@@ -36,11 +37,11 @@ class EmptyCorpus(ValueError):
     """BLEU is undefined for an empty corpus."""
 
 
-def _ngrams(tokens: list[str], order: int) -> list:
+def _ngrams(tokens: list[str], order: int) -> Iterable:
     """The n-grams of ``tokens`` in order; unigrams are the tokens themselves."""
     if order == 1:
         return tokens
-    return list(zip(*[tokens[i:] for i in range(order)]))
+    return zip(*[tokens[i:] for i in range(order)])
 
 
 def bleu(
@@ -73,15 +74,21 @@ def bleu(
         ref_tokens = ref.split()
         hyp_length += len(hyp_tokens)
         ref_length += len(ref_tokens)
-        for n in range(1, MAX_ORDER + 1):
-            hyp_ngrams = _ngrams(hyp_tokens, n)
-            # Each hypothesis n-gram uses up one reference occurrence; what
-            # goes negative is the count clipped away.
-            unused = Counter(_ngrams(ref_tokens, n))
-            unused.subtract(hyp_ngrams)
-            clipped = sum(-count for count in unused.values() if count < 0)
-            totals[n - 1] += len(hyp_ngrams)
-            matches[n - 1] += len(hyp_ngrams) - clipped
+        for n in range(1, min(len(hyp_tokens), MAX_ORDER) + 1):
+            count = len(hyp_tokens) - n + 1
+            totals[n - 1] += count
+            # Clipped matches: each reference occurrence covers at most one
+            # hypothesis n-gram.  Counted by set intersection while the
+            # hypothesis n-grams are distinct, by Counters otherwise.
+            distinct = set(_ngrams(hyp_tokens, n))
+            if len(distinct) == count:
+                matches[n - 1] += len(distinct.intersection(_ngrams(ref_tokens, n)))
+            else:
+                hyp_counts = Counter(_ngrams(hyp_tokens, n))
+                ref_counts = Counter(_ngrams(ref_tokens, n))
+                matches[n - 1] += sum(
+                    map(min, hyp_counts.values(), map(ref_counts.get, hyp_counts, repeat(0)))
+                )
 
     if hyp_length == 0:
         return 0.0
@@ -187,6 +194,9 @@ def novel_forms(
 
 def wellformedness(lines: Iterable[str], mode: str) -> Diagnostics:
     """Validate every line's tag/word interleaving (BPE already reverted)."""
+    from . import interleave
+    from .morphlex import Diagnostics
+
     diagnostics = Diagnostics()
     for line in lines:
         try:

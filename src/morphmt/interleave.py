@@ -23,6 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from .conventions import (
+    MODE_BASELINE,
+    MODE_GERMAN_STEMMED,
+    MODE_MORPHGEN,
+    MODE_SERIALIZATION,
+    MODES,
+)
 from .tagsets import (
     GermanFeatureSeq,
     MorphAnalysis,
@@ -49,16 +56,11 @@ __all__ = [
     "WellformednessError",
     "LengthMismatch",
     "encode",
+    "encode_analysis",
     "walk",
     "decode",
     "tag_source",
 ]
-
-MODE_BASELINE = "baseline"
-MODE_MORPHGEN = "morphgen"
-MODE_SERIALIZATION = "serialization"
-MODE_GERMAN_STEMMED = "german-stemmed"
-MODES = (MODE_BASELINE, MODE_MORPHGEN, MODE_SERIALIZATION, MODE_GERMAN_STEMMED)
 
 ERROR_ODD_LENGTH = "odd-length"
 ERROR_TAG_EXPECTED = "tag-expected"
@@ -110,20 +112,22 @@ def encode(analyses: list[MorphAnalysis], mode: str) -> InterleavedSentence:
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    tokens: list[str] = []
-    for a in analyses:
-        if mode == MODE_BASELINE:
-            tokens.append(_surface_of(a))
-            continue
-        if mode == MODE_MORPHGEN:
-            tokens += [format_tag(a.tag), a.lemma]
-        elif mode == MODE_SERIALIZATION:
-            tokens += [format_tag(a.tag), _surface_of(a)]
-        elif _is_bare(a):  # german-stemmed
-            tokens.append(f"{a.lemma}{format_tag(a.tag)}")
-        else:
-            tokens += [a.lemma, format_tag(a.tag)]
-    return InterleavedSentence(mode, tuple(tokens))
+    return InterleavedSentence(mode, tuple(t for a in analyses for t in encode_analysis(a, mode)))
+
+
+def encode_analysis(a: MorphAnalysis, mode: str) -> tuple[str, ...]:
+    """The tokens of one word's analysis, as :func:`encode` emits them."""
+    if mode == MODE_BASELINE:
+        return (_surface_of(a),)
+    if mode == MODE_MORPHGEN:
+        return (format_tag(a.tag), a.lemma)
+    if mode == MODE_SERIALIZATION:
+        return (format_tag(a.tag), _surface_of(a))
+    if mode != MODE_GERMAN_STEMMED:
+        raise ValueError(f"unknown mode {mode!r}")
+    if _is_bare(a):
+        return (f"{a.lemma}{format_tag(a.tag)}",)
+    return (a.lemma, format_tag(a.tag))
 
 
 def _surface_of(a: MorphAnalysis) -> str:

@@ -27,6 +27,7 @@ supplies linking elements and Umlautung base-form mappings.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .tagsets import (
     GermanFeatureSeq,
@@ -224,7 +225,52 @@ class ParadigmLexicon:
 
 
 def load_lexicon(document: str) -> ParadigmLexicon:
-    """Build a lexicon from TSV content; see the module docstring."""
+    """Build a lexicon from TSV content; see the module docstring.
+
+    A document of regular rows is read in one pass (:func:`_load_regular`).
+    At its first irregular row the document is read again row by row
+    (:func:`_load_rows`), which raises the error of the first bad line.
+    """
+    lex = _load_regular(document)
+    return _load_rows(document) if lex is None else lex
+
+
+def _load_regular(document: str) -> ParadigmLexicon | None:
+    """The lexicon of ``document``, or None if a row is irregular.
+
+    Blank lines, comments, ``@mod`` rows and three-column rows are
+    handled inline; each distinct tag text is parsed once, after the
+    pass, and the lemma set is read off the forward index.  Irregular
+    are: a line that starts with whitespace (it may be blank or a
+    comment), a wrong column count, an empty lemma or surface, a
+    conflicting row or modifier, and a bad tag.
+    """
+    lex = ParadigmLexicon()
+    forward, modifiers = lex._forward, lex.modifier_table
+    for line in split_lines(document):
+        if not line or line[0] == "#":
+            continue
+        columns = line.split("\t")
+        if len(columns) != 3 or line[0].isspace():
+            return None
+        lemma, tag_text, surface = columns
+        if lemma == "@mod":
+            if modifiers.setdefault(tag_text, surface) != surface:
+                return None
+        elif not lemma or not surface or forward.setdefault((tag_text, lemma), surface) != surface:
+            return None
+    try:
+        # Tag texts in order of first row, as add_entry would parse them.
+        lex._tags = {tag: parse_tag_text(tag) for tag in dict.fromkeys(map(itemgetter(0), forward))}
+    except (MalformedTag, MalformedAnalysis):
+        return None
+    lex._lemmas = set(map(itemgetter(1), forward))
+    return lex
+
+
+def _load_rows(document: str) -> ParadigmLexicon:
+    """Build a lexicon one :meth:`~ParadigmLexicon.add_entry` call per row,
+    raising at the first bad line."""
     lex = ParadigmLexicon()
     for lineno, line in enumerate(split_lines(document), start=1):
         if not line.strip() or line.lstrip().startswith("#"):

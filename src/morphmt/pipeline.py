@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import dataclasses
 import random
-import subprocess
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import repeat
@@ -43,6 +42,7 @@ from .compounds import (
     rejoin_split_tokens,
     split_compound,
 )
+from .conventions import MODE_GERMAN_STEMMED_SPLIT, PIPELINE_MODES
 from .morphlex import (
     Diagnostics,
     GenerationFailure,
@@ -76,9 +76,6 @@ __all__ = [
     "postprocess",
     "tag_predicate_for_mode",
 ]
-
-MODE_GERMAN_STEMMED_SPLIT = "german-stemmed-split"
-PIPELINE_MODES = interleave.MODES + (MODE_GERMAN_STEMMED_SPLIT,)
 
 CZECH_DEFAULT_MERGES = 49500
 GERMAN_DEFAULT_MERGES = 29500
@@ -244,7 +241,7 @@ def _encode_analysis(a: MorphAnalysis, mode: str) -> tuple[str, ...]:
         split = split_compound(a.to_german_analysis())
         if isinstance(split, CompoundSplit):
             return split.tokens
-    return interleave.encode([a], _base_mode(mode)).tokens
+    return interleave.encode_analysis(a, _base_mode(mode))
 
 
 _Dropped = MalformedAnalysis | NoCompatibleAnalysis
@@ -397,6 +394,8 @@ def translate_external(
     if callable(backend):
         output = list(backend(list(lines)))
     else:
+        import subprocess  # only the translate stage runs a backend
+
         # Bytes, not text mode: text mode would read a lone \r as a line end.
         data = "".join(line + "\n" for line in lines).encode("utf-8")
         try:

@@ -643,6 +643,76 @@ class TestConsoleScript:
         assert result.returncode == 2
 
 
+# One run of each subcommand on the toy data: (argv, stdin text).  Paths are
+# absolute, so the manifests of both runs name the same inputs.
+FRESH_PROCESS_RUNS = {
+    "prepare": (["prepare", "--mode", "morphgen", "--lexicon", CZECH_LEXICON, "--merges", "5"],
+                FIG1_SURFACE + "\n"),
+    "bpe-learn": (["bpe-learn", "--merges", "5", CZECH_LEXICON], None),
+    "bpe-apply": (["bpe-apply", "--merge-table", "MERGES", "--protect-tags", "--mode", "morphgen"],
+                  FIG1_MORPHGEN + "\n"),
+    "bpe-revert": (["bpe-revert"], "piz@@ zy .\n"),
+    "analyze": (["analyze", "--lexicon", GERMAN_LEXICON], "vulkanischen\n"),
+    "generate": (["generate", "--lexicon", CZECH_LEXICON], "pizza\tNNFS2-----A----\nBraper\tNNFS1-----A----\n"),
+    "split-compounds": (["split-compounds"], "und[KON] Meer<NN>Boden||<+NN><Masc><Dat><Sg><NA>\n"),
+    "merge-compounds": (["merge-compounds", "--lexicon", GERMAN_LEXICON],
+                        "Meer §§<NN>§§ Boden <+NN><Masc><Dat><Sg><NA>\n"),
+    "translate": (["translate", "--backend", "cat"], "a b\n"),
+    "postprocess": (["postprocess", "--mode", "morphgen", "--lexicon", CZECH_LEXICON],
+                    FIG1_MORPHGEN + "\n"),
+    "bleu": (["bleu", "-", CZECH_LEXICON],
+             (DATA_DIR / "czech_toy.tsv").read_text(encoding="utf-8").replace("pizzy", "pizza")),
+    "novel-forms": (["novel-forms", "--train", GERMAN_LEXICON, "--source", CZECH_LEXICON,
+                     "--references", CZECH_LEXICON, CZECH_LEXICON], None),
+    "stats": (["stats", "--word-ends"], "spiel@@ ten la@@ ten\n"),
+}
+
+# Every module a stage that neither reads a lexicon nor walks a stream
+# should leave unloaded.
+LIBRARY_MODULES = ("morphmt.pipeline", "morphmt.morphlex", "morphmt.bpe", "morphmt.compounds",
+                   "morphmt.interleave")
+
+
+class TestFreshProcess:
+    """Each subcommand in a new interpreter, where only the modules its
+    handler imports are loaded (in-process runs see every module)."""
+
+    def test_every_subcommand_is_covered(self):
+        assert sorted(FRESH_PROCESS_RUNS) == sorted(SUBCOMMANDS)
+
+    @pytest.mark.parametrize("command", sorted(FRESH_PROCESS_RUNS))
+    def test_same_as_in_process(self, command, run, tmp_path):
+        argv, stdin_text = FRESH_PROCESS_RUNS[command]
+        merges = tmp_path / "merges.txt"
+        merges.write_text("p i\npi z\nz y\n", encoding="utf-8")
+        argv = [str(merges) if arg == "MERGES" else arg for arg in argv]
+        result = subprocess.run(
+            [sys.executable, "-m", "morphmt.cli", *argv],
+            input=stdin_text or "", capture_output=True, text=True,
+        )
+        assert (result.returncode, result.stdout, result.stderr) == run(argv, stdin_text)
+        assert result.returncode == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["--version"],
+        ["bleu", CZECH_LEXICON, CZECH_LEXICON],
+    ])
+    def test_library_left_unloaded(self, argv):
+        # As ``python -m morphmt.cli ARGV``, then the loaded modules on stderr.
+        probe = (
+            "import json, runpy, sys\n"
+            "try:\n"
+            "    runpy.run_module('morphmt.cli', run_name='__main__')\n"
+            "except SystemExit:\n"
+            "    pass\n"
+            "print(json.dumps([m for m in sys.modules if m.startswith('morphmt')]), file=sys.stderr)\n"
+        )
+        result = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True)
+        loaded = set(json.loads(result.stderr.splitlines()[-1]))
+        assert "morphmt.conventions" in loaded
+        assert not loaded & set(LIBRARY_MODULES), result.stderr
+
+
 # ---------------------------------------------------------------------------
 # Characterization of the run contract: every subcommand, byte for byte
 # ---------------------------------------------------------------------------

@@ -124,8 +124,12 @@ def generator_bleu(hypotheses, references, lowercase=False, smooth=False):
 
 
 # Sentences of 0 to 6 tokens over a few words that differ only in case, so
-# clipping, lowercasing and orders above the sentence length all occur.
-bleu_sentence = st.lists(st.sampled_from(["a", "A", "b", "B", "c", "."]), max_size=6).map(" ".join)
+# clipping, lowercasing and orders above the sentence length all occur; and
+# of up to 12 tokens over two words, so n-grams of every order repeat.
+bleu_sentence = st.one_of(
+    st.lists(st.sampled_from(["a", "A", "b", "B", "c", "."]), max_size=6),
+    st.lists(st.sampled_from(["a", "b"]), max_size=12),
+).map(" ".join)
 bleu_corpus = st.lists(st.tuples(bleu_sentence, bleu_sentence), min_size=1, max_size=6)
 
 

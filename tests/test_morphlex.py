@@ -19,6 +19,8 @@ from morphmt.morphlex import (
     disambiguate,
     generate,
     generate_with_fallback,
+    _load_regular,
+    _load_rows,
     load_lexicon,
     parse_tag_text,
 )
@@ -75,6 +77,98 @@ class TestLoadLexicon:
     def test_conflicting_modifier_rows_rejected(self):
         with pytest.raises(LexiconConflict):
             load_lexicon("@mod\tMeer\tMeeres\n@mod\tMeer\tMeeren\n")
+
+
+def loaded_state(lex):
+    """Everything a load stores, in insertion order."""
+    return (
+        list(lex._forward.items()),
+        list(lex._tags.items()),
+        lex._lemmas,
+        list(lex.modifier_table.items()),
+    )
+
+
+def load_outcome(loader, document):
+    """The loaded state, or the type and message of the load's error."""
+    try:
+        return loaded_state(loader(document))
+    except (LexiconParse, LexiconConflict) as exc:
+        return type(exc), str(exc)
+
+
+# Fields that are empty, start with whitespace or "#", hold a Unicode
+# separator or "\r", or repeat, so rows collide, conflict and go bad.
+LEXICON_FIELDS = ["a", "b", "", " a", "#a", " #a", "a\x85", "a\u2028b", "b\r", "@mod"]
+LEXICON_TAGS = [
+    "NNFS2-----A----", "NNFS1-----A----", "Z:-------------", "C=-------------",
+    "[KON]", "<+NN><Fem><Acc><Sg><NA>", "NN", "<bad", "",
+]
+LEXICON_SURFACES = ["x", "y", "", " ", "x\u2028", "y\x85"]
+lexicon_row = st.tuples(
+    st.sampled_from(LEXICON_FIELDS), st.sampled_from(LEXICON_TAGS), st.sampled_from(LEXICON_SURFACES)
+).map("\t".join)
+lexicon_line = st.one_of(
+    lexicon_row,
+    lexicon_row,
+    st.tuples(st.sampled_from(LEXICON_FIELDS), st.sampled_from(LEXICON_SURFACES)).map(
+        lambda pair: "@mod\t" + "\t".join(pair)
+    ),
+    st.sampled_from([
+        "", " ", "\t", "\x0c", "\x85", "\u2028", "\t\t", " \t \t ", "# comment", "  # indented",
+        "\t# tab-indented\tNNFS2-----A----\tx", "a\tNNFS2-----A----", "a\tNNFS2-----A----\tx\ty",
+        "@mod\ta", "@mod\ta\tb\tc", " a\tNNFS2-----A----\tx",
+    ]),
+)
+lexicon_document = st.tuples(
+    st.lists(lexicon_line, max_size=8), st.sampled_from(["\n", "\r\n"]), st.booleans()
+).map(lambda doc: doc[1].join(doc[0]) + (doc[1] if doc[2] else ""))
+
+
+class TestOnePassLoadMatchesRowLoader:
+    """load_lexicon against the row-by-row loader, which it falls back on."""
+
+    @settings(max_examples=500)
+    @given(lexicon_document)
+    def test_same_lexicon_or_same_error(self, document):
+        expected = load_outcome(_load_rows, document)
+        assert load_outcome(load_lexicon, document) == expected
+        fast = _load_regular(document)
+        if fast is not None:
+            assert loaded_state(fast) == expected
+
+    @settings(max_examples=200)
+    @given(st.lists(st.tuples(
+        st.sampled_from(["a", "b", "ab"]),
+        st.sampled_from(["NNFS2-----A----", "[KON]", "<+NN><Fem><Acc><Sg><NA>"]),
+        st.sampled_from(["x", "y"]),
+    ), max_size=8))
+    def test_regular_rows_take_the_one_pass(self, rows):
+        # One surface per (lemma, tag), so no row conflicts.
+        rows = [(lemma, tag, f"{lemma}{tag}") for lemma, tag, _ in rows]
+        document = "# rows\n\n" + "".join("\t".join(row) + "\n" for row in rows)
+        document += "@mod\tMeer\tMeeres\n@mod\tMeer\tMeeres\n"
+        fast = _load_regular(document)
+        assert fast is not None
+        assert loaded_state(fast) == loaded_state(_load_rows(document))
+
+    @pytest.mark.parametrize("document, error", [
+        ("  # indented comment\n \t \t \na\tNNFS2-----A----\tx\n", None),
+        ("a\tNN\tx\nb\tc\n", "line 1: bad tag 'NN': "),
+        ("a\tNNFS2-----A----\tx\nb\tc\n", "line 2: expected lemma<TAB>tag<TAB>surface"),
+        ("a\tNNFS2-----A----\tx\na\tNNFS2-----A----\ty\nb\tNN\tx\n", "a + NNFS2-----A---- maps to both"),
+        ("@mod\tM\tx\n@mod\tM\ty\n\tNN\tx\n", "modifier M maps to both"),
+        ("\tNNFS2-----A----\tx\n", "line 1: empty lemma or surface"),
+        ("@mod\t\t\n", None),
+        (" #a\tNNFS2-----A----\tx\n", None),
+    ])
+    def test_first_bad_line_decides(self, document, error):
+        outcome = load_outcome(load_lexicon, document)
+        assert outcome == load_outcome(_load_rows, document)
+        if error is None:
+            assert isinstance(outcome[0], list)
+        else:
+            assert outcome[1].startswith(error)
 
 
 # Rows sharing surfaces across lemmas and tags, so the order needs both keys.
