@@ -227,9 +227,9 @@ class ParadigmLexicon:
 def load_lexicon(document: str) -> ParadigmLexicon:
     """Build a lexicon from TSV content; see the module docstring.
 
-    A document of regular rows is read in one pass (:func:`_load_regular`).
-    At its first irregular row the document is read again row by row
-    (:func:`_load_rows`), which raises the error of the first bad line.
+    The document is read in one pass (:func:`_load_regular`).  At its
+    first irregular row it is read again row by row (:func:`_load_rows`),
+    which raises the error of the first bad line.
     """
     lex = _load_regular(document)
     return _load_rows(document) if lex is None else lex
@@ -241,17 +241,18 @@ def _load_regular(document: str) -> ParadigmLexicon | None:
     Blank lines, comments, ``@mod`` rows and three-column rows are
     handled inline; each distinct tag text is parsed once, after the
     pass, and the lemma set is read off the forward index.  Irregular
-    are: a line that starts with whitespace (it may be blank or a
-    comment), a wrong column count, an empty lemma or surface, a
-    conflicting row or modifier, and a bad tag.
+    are the rows :func:`_load_rows` rejects: a wrong column count, an
+    empty lemma or surface, a conflicting row or modifier, and a bad tag.
     """
     lex = ParadigmLexicon()
     forward, modifiers = lex._forward, lex.modifier_table
     for line in split_lines(document):
         if not line or line[0] == "#":
             continue
+        if line[0].isspace() and (line.isspace() or line.lstrip()[0] == "#"):
+            continue  # blank, or an indented comment
         columns = line.split("\t")
-        if len(columns) != 3 or line[0].isspace():
+        if len(columns) != 3:
             return None
         lemma, tag_text, surface = columns
         if lemma == "@mod":

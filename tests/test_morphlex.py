@@ -146,7 +146,7 @@ class TestOnePassLoadMatchesRowLoader:
     def test_regular_rows_take_the_one_pass(self, rows):
         # One surface per (lemma, tag), so no row conflicts.
         rows = [(lemma, tag, f"{lemma}{tag}") for lemma, tag, _ in rows]
-        document = "# rows\n\n" + "".join("\t".join(row) + "\n" for row in rows)
+        document = "# rows\n\n  # indented\n \t\x85\n" + "".join("\t".join(row) + "\n" for row in rows)
         document += "@mod\tMeer\tMeeres\n@mod\tMeer\tMeeres\n"
         fast = _load_regular(document)
         assert fast is not None
