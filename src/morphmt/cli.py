@@ -729,15 +729,26 @@ def main(argv: list[str] | None = None) -> int:
         emit_manifest(manifest, args.output, args.manifest)
         return 0
     except Exception as exc:
-        # The library's other errors (bad tags, lexicon rows and streams,
+        # Most library errors (bad tags, lexicon rows and streams,
         # dangling markers, empty corpora) are ValueErrors.
-        from .morphlex import NoCompatibleAnalysis
-        from .pipeline import BackendFailure
-
-        if not isinstance(exc, (CliError, ValueError, OSError, NoCompatibleAnalysis, BackendFailure)):
+        if not isinstance(exc, (CliError, ValueError, OSError)) and not isinstance(
+            exc, _loaded_library_errors()
+        ):
             raise
         print(f"morphmt: error: {exc}", file=sys.stderr)
         return 1
+
+
+def _loaded_library_errors() -> tuple[type[Exception], ...]:
+    """The library errors that are not ValueErrors, from the modules
+    loaded so far: a handler cannot have raised one from a module it
+    never imported."""
+    errors = []
+    for module, name in (("morphlex", "NoCompatibleAnalysis"), ("pipeline", "BackendFailure")):
+        loaded = sys.modules.get(f"{__package__}.{module}")
+        if loaded is not None:
+            errors.append(getattr(loaded, name))
+    return tuple(errors)
 
 
 if __name__ == "__main__":

@@ -78,13 +78,12 @@ def bleu(
             count = len(hyp_tokens) - n + 1
             totals[n - 1] += count
             # Clipped matches: each reference occurrence covers at most one
-            # hypothesis n-gram.  Counted by set intersection while the
-            # hypothesis n-grams are distinct, by Counters otherwise.
-            distinct = set(_ngrams(hyp_tokens, n))
-            if len(distinct) == count:
-                matches[n - 1] += len(distinct.intersection(_ngrams(ref_tokens, n)))
+            # hypothesis n-gram.  When the hypothesis n-grams are distinct,
+            # that is the number of them the reference contains.
+            hyp_counts = Counter(_ngrams(hyp_tokens, n))
+            if len(hyp_counts) == count:
+                matches[n - 1] += len(hyp_counts.keys() & _ngrams(ref_tokens, n))
             else:
-                hyp_counts = Counter(_ngrams(hyp_tokens, n))
                 ref_counts = Counter(_ngrams(ref_tokens, n))
                 matches[n - 1] += sum(
                     map(min, hyp_counts.values(), map(ref_counts.get, hyp_counts, repeat(0)))

@@ -227,74 +227,40 @@ class ParadigmLexicon:
 def load_lexicon(document: str) -> ParadigmLexicon:
     """Build a lexicon from TSV content; see the module docstring.
 
-    The document is read in one pass (:func:`_load_regular`).  At its
-    first irregular row it is read again row by row (:func:`_load_rows`),
-    which raises the error of the first bad line.
-    """
-    lex = _load_regular(document)
-    return _load_rows(document) if lex is None else lex
-
-
-def _load_regular(document: str) -> ParadigmLexicon | None:
-    """The lexicon of ``document``, or None if a row is irregular.
-
-    Blank lines, comments, ``@mod`` rows and three-column rows are
-    handled inline; each distinct tag text is parsed once, after the
-    pass, and the lemma set is read off the forward index.  Irregular
-    are the rows :func:`_load_rows` rejects: a wrong column count, an
-    empty lemma or surface, a conflicting row or modifier, and a bad tag.
+    One pass over the lines, raising at the first bad one: each distinct
+    tag text is parsed at its first row, and the lemma set is read off
+    the forward index at the end.
     """
     lex = ParadigmLexicon()
-    forward, modifiers = lex._forward, lex.modifier_table
-    for line in split_lines(document):
+    forward, tags = lex._forward, lex._tags
+    for lineno, line in enumerate(split_lines(document), start=1):
         if not line or line[0] == "#":
             continue
         if line[0].isspace() and (line.isspace() or line.lstrip()[0] == "#"):
             continue  # blank, or an indented comment
         columns = line.split("\t")
         if len(columns) != 3:
-            return None
-        lemma, tag_text, surface = columns
-        if lemma == "@mod":
-            if modifiers.setdefault(tag_text, surface) != surface:
-                return None
-        elif not lemma or not surface or forward.setdefault((tag_text, lemma), surface) != surface:
-            return None
-    try:
-        # Tag texts in order of first row, as add_entry would parse them.
-        lex._tags = {tag: parse_tag_text(tag) for tag in dict.fromkeys(map(itemgetter(0), forward))}
-    except (MalformedTag, MalformedAnalysis):
-        return None
-    lex._lemmas = set(map(itemgetter(1), forward))
-    return lex
-
-
-def _load_rows(document: str) -> ParadigmLexicon:
-    """Build a lexicon one :meth:`~ParadigmLexicon.add_entry` call per row,
-    raising at the first bad line."""
-    lex = ParadigmLexicon()
-    for lineno, line in enumerate(split_lines(document), start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        columns = line.split("\t")
-        if columns[0] == "@mod":
-            if len(columns) != 3:
+            if columns[0] == "@mod":
                 raise LexiconParse(
                     f"line {lineno}: @mod rows need modifier and form, got {line!r}"
                 )
-            lex.add_modifier(columns[1], columns[2])
-            continue
-        if len(columns) != 3:
             raise LexiconParse(
                 f"line {lineno}: expected lemma<TAB>tag<TAB>surface, got {line!r}"
             )
         lemma, tag_text, surface = columns
+        if lemma == "@mod":
+            lex.add_modifier(tag_text, surface)
+            continue
         if not lemma or not surface:
             raise LexiconParse(f"line {lineno}: empty lemma or surface")
-        try:
-            lex.add_entry(lemma, tag_text, surface)
-        except (MalformedTag, MalformedAnalysis) as exc:
-            raise LexiconParse(f"line {lineno}: bad tag {tag_text!r}: {exc}") from exc
+        if tag_text not in tags:
+            try:
+                tags[tag_text] = parse_tag_text(tag_text)
+            except (MalformedTag, MalformedAnalysis) as exc:
+                raise LexiconParse(f"line {lineno}: bad tag {tag_text!r}: {exc}") from exc
+        if forward.setdefault((tag_text, lemma), surface) != surface:
+            lex.add_entry(lemma, tag_text, surface)  # raises the conflict
+    lex._lemmas = set(map(itemgetter(1), forward))
     return lex
 
 

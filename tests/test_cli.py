@@ -387,6 +387,15 @@ class TestTranslateCommand:
         assert code == 1
         assert "backend" in err
 
+    def test_other_errors_propagate(self, run, monkeypatch):
+        # Only the library's and the CLI's own errors become a message.
+        def broken(*args, **kwargs):
+            raise RuntimeError("not a library error")
+
+        monkeypatch.setattr("morphmt.pipeline.translate_external", broken)
+        with pytest.raises(RuntimeError, match="not a library error"):
+            run(["translate", "--backend", "cat"], stdin_text="a\n")
+
 
 class TestBleuCommand:
     def test_identity_prints_100(self, run, tmp_path):
@@ -693,9 +702,23 @@ class TestFreshProcess:
         assert (result.returncode, result.stdout, result.stderr) == run(argv, stdin_text)
         assert result.returncode == 0
 
+    @pytest.mark.parametrize("argv, stdin_text", [
+        (["translate", "--backend", "false"], "a\n"),  # BackendFailure, not a ValueError
+        (["bleu", CZECH_LEXICON, GERMAN_LEXICON], None),  # unequal line counts
+    ])
+    def test_error_same_as_in_process(self, argv, stdin_text, run):
+        result = subprocess.run(
+            [sys.executable, "-m", "morphmt.cli", *argv],
+            input=stdin_text or "", capture_output=True, text=True,
+        )
+        assert (result.returncode, result.stdout, result.stderr) == run(argv, stdin_text)
+        assert result.returncode == 1
+        assert result.stderr.startswith("morphmt: error: ")
+
     @pytest.mark.parametrize("argv", [
         ["--version"],
         ["bleu", CZECH_LEXICON, CZECH_LEXICON],
+        ["bleu", CZECH_LEXICON, GERMAN_LEXICON],  # the error path
     ])
     def test_library_left_unloaded(self, argv):
         # As ``python -m morphmt.cli ARGV``, then the loaded modules on stderr.

@@ -19,12 +19,16 @@ from morphmt.morphlex import (
     disambiguate,
     generate,
     generate_with_fallback,
-    _load_regular,
-    _load_rows,
     load_lexicon,
     parse_tag_text,
 )
-from morphmt.tagsets import MalformedTag, MorphAnalysis, parse_feature_seq
+from morphmt.tagsets import (
+    MalformedAnalysis,
+    MalformedTag,
+    MorphAnalysis,
+    parse_feature_seq,
+    split_lines,
+)
 
 from conftest import VULKANISCH_CANDIDATES, entry_rows, lexicon_rows
 
@@ -79,6 +83,35 @@ class TestLoadLexicon:
             load_lexicon("@mod\tMeer\tMeeres\n@mod\tMeer\tMeeren\n")
 
 
+def load_rows(document):
+    """Oracle for load_lexicon: one add_entry call per row, raising at the
+    first bad line."""
+    lex = ParadigmLexicon()
+    for lineno, line in enumerate(split_lines(document), start=1):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        columns = line.split("\t")
+        if columns[0] == "@mod":
+            if len(columns) != 3:
+                raise LexiconParse(
+                    f"line {lineno}: @mod rows need modifier and form, got {line!r}"
+                )
+            lex.add_modifier(columns[1], columns[2])
+            continue
+        if len(columns) != 3:
+            raise LexiconParse(
+                f"line {lineno}: expected lemma<TAB>tag<TAB>surface, got {line!r}"
+            )
+        lemma, tag_text, surface = columns
+        if not lemma or not surface:
+            raise LexiconParse(f"line {lineno}: empty lemma or surface")
+        try:
+            lex.add_entry(lemma, tag_text, surface)
+        except (MalformedTag, MalformedAnalysis) as exc:
+            raise LexiconParse(f"line {lineno}: bad tag {tag_text!r}: {exc}") from exc
+    return lex
+
+
 def loaded_state(lex):
     """Everything a load stores, in insertion order."""
     return (
@@ -125,17 +158,13 @@ lexicon_document = st.tuples(
 ).map(lambda doc: doc[1].join(doc[0]) + (doc[1] if doc[2] else ""))
 
 
-class TestOnePassLoadMatchesRowLoader:
-    """load_lexicon against the row-by-row loader, which it falls back on."""
+class TestLoadMatchesRowLoader:
+    """load_lexicon against the row-by-row add_entry loader."""
 
     @settings(max_examples=500)
     @given(lexicon_document)
     def test_same_lexicon_or_same_error(self, document):
-        expected = load_outcome(_load_rows, document)
-        assert load_outcome(load_lexicon, document) == expected
-        fast = _load_regular(document)
-        if fast is not None:
-            assert loaded_state(fast) == expected
+        assert load_outcome(load_lexicon, document) == load_outcome(load_rows, document)
 
     @settings(max_examples=200)
     @given(st.lists(st.tuples(
@@ -143,14 +172,12 @@ class TestOnePassLoadMatchesRowLoader:
         st.sampled_from(["NNFS2-----A----", "[KON]", "<+NN><Fem><Acc><Sg><NA>"]),
         st.sampled_from(["x", "y"]),
     ), max_size=8))
-    def test_regular_rows_take_the_one_pass(self, rows):
+    def test_regular_rows_load(self, rows):
         # One surface per (lemma, tag), so no row conflicts.
         rows = [(lemma, tag, f"{lemma}{tag}") for lemma, tag, _ in rows]
         document = "# rows\n\n  # indented\n \t\x85\n" + "".join("\t".join(row) + "\n" for row in rows)
         document += "@mod\tMeer\tMeeres\n@mod\tMeer\tMeeres\n"
-        fast = _load_regular(document)
-        assert fast is not None
-        assert loaded_state(fast) == loaded_state(_load_rows(document))
+        assert loaded_state(load_lexicon(document)) == loaded_state(load_rows(document))
 
     @pytest.mark.parametrize("document, error", [
         ("  # indented comment\n \t \t \na\tNNFS2-----A----\tx\n", None),
@@ -164,7 +191,7 @@ class TestOnePassLoadMatchesRowLoader:
     ])
     def test_first_bad_line_decides(self, document, error):
         outcome = load_outcome(load_lexicon, document)
-        assert outcome == load_outcome(_load_rows, document)
+        assert outcome == load_outcome(load_rows, document)
         if error is None:
             assert isinstance(outcome[0], list)
         else:
