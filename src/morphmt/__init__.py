@@ -91,6 +91,53 @@ _REEXPORTS = {
 }
 _ORIGIN = {name: module for module, names in _REEXPORTS.items() for name in names}
 
+
+class Record:
+    """Base of the value types: a record's fields are its ``__init__`` parameters.
+
+    Unlike ``@dataclass``, a class statement generates no code at import.
+    Records of one class are equal when their fields are, and ``repr``
+    shows them; a parameter named with a leading underscore is left out
+    of both.  A record pickles as a call of its class on all its fields.
+    """
+
+    _params: tuple[str, ...] = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        if "__init__" in cls.__dict__:
+            code = cls.__init__.__code__
+            cls._params = code.co_varnames[1 : code.co_argcount]
+            cls._fields = tuple(name for name in cls._params if not name.startswith("_"))
+
+    def _asdict(self) -> dict:
+        return {name: getattr(self, name) for name in self._fields}
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._asdict() == other._asdict()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self._asdict().items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, name) for name in self._params])
+
+
+class FrozenRecord(Record):
+    """A record that rejects assignment, so ``__init__`` sets fields through ``vars(self)``."""
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __hash__(self) -> int:
+        return hash(tuple([getattr(self, name) for name in self._fields]))
+
+
 __all__ = [*_ORIGIN, *_REEXPORTS]
 
 

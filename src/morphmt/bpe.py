@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
+from . import FrozenRecord
 from .conventions import split_lines
 
 __all__ = [
@@ -41,23 +41,16 @@ class DanglingMarker(ValueError):
     """A subword sequence ends on a continuation marker."""
 
 
-@dataclass(frozen=True)
-class MergeTable:
+class MergeTable(FrozenRecord):
     """Ordered list of learned merges; rank is the learning position."""
 
-    merges: tuple[tuple[str, str], ...]
-    rank: dict[tuple[str, str], int] = field(default_factory=dict, compare=False)
-
-    def __post_init__(self) -> None:
-        if len(set(self.merges)) != len(self.merges):
+    def __init__(self, merges: tuple[tuple[str, str], ...]) -> None:
+        if len(set(merges)) != len(merges):
             raise ValueError("duplicate pairs in merge table")
-        object.__setattr__(self, "rank", {p: i for i, p in enumerate(self.merges)})
         # segment_line's memo: [protected predicate, {token: segmented text}].
-        object.__setattr__(self, "_memo", [None, {}])
-
-    def __reduce__(self):
-        # Pickle the merges only: the rank and the memo are rebuilt.
-        return (MergeTable, (self.merges,))
+        # Neither it nor the rank is a field, so a pickle holds the merges only.
+        rank = {p: i for i, p in enumerate(merges)}
+        vars(self).update(merges=merges, rank=rank, _memo=[None, {}])
 
     def __len__(self) -> int:
         return len(self.merges)
@@ -239,11 +232,11 @@ def word_end_fragment_stats(lines: Iterable[str]) -> list[tuple[str, int]]:
     return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
-@dataclass(frozen=True)
-class VocabReport:
+class VocabReport(FrozenRecord):
     """Distinct-token counts per corpus variant, before and after BPE."""
 
-    rows: tuple[tuple[str, int, int], ...]
+    def __init__(self, rows: tuple[tuple[str, int, int], ...]) -> None:
+        vars(self).update(rows=rows)
 
     def to_text(self) -> str:
         name_width = max([len("variant")] + [len(r[0]) for r in self.rows])

@@ -24,15 +24,13 @@ stage loads only what it uses.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from . import __version__
+from . import Record, __version__
 from .conventions import (
     MODE_BASELINE,
     MODE_GERMAN_STEMMED,
@@ -51,34 +49,41 @@ class CliError(RuntimeError):
     """Operational failure reported with a diagnostic and exit code 1."""
 
 
-@dataclass
-class RunManifest:
+class RunManifest(Record):
     """Everything needed to reproduce a run byte-for-byte."""
 
-    tool_version: str
-    command: str
-    config: dict
-    input_checksums: dict[str, str]
-    counters: dict[str, int] = field(default_factory=dict)
-    seed: int | None = None
+    def __init__(
+        self, tool_version: str, command: str, config: dict, input_checksums: dict[str, str],
+        counters: dict[str, int] | None = None, seed: int | None = None,
+    ) -> None:
+        self.tool_version = tool_version
+        self.command = command
+        self.config = config
+        self.input_checksums = input_checksums
+        self.counters = {} if counters is None else counters
+        self.seed = seed
 
     def to_json(self, compact: bool = False) -> str:
-        data = dataclasses.asdict(self)
+        data = self._asdict()
         if compact:
             return json.dumps(data, ensure_ascii=False, sort_keys=True)
         return json.dumps(data, ensure_ascii=False, sort_keys=True, indent=2)
 
 
-@dataclass
-class _Result:
+class _Result(Record):
     """What a handler computed: output lines, manifest fields, diagnostics."""
 
-    lines: list[str]
-    config: dict
-    counters: dict[str, int]
-    seed: int | None = None
-    notes: list[str] = field(default_factory=list)  # printed to stderr
-    side_outputs: list[tuple[str, list[str]]] = field(default_factory=list)  # (path, lines)
+    def __init__(
+        self, lines: list[str], config: dict, counters: dict[str, int], seed: int | None = None,
+        notes: list[str] | None = None,  # printed to stderr
+        side_outputs: list[tuple[str, list[str]]] | None = None,  # (path, lines)
+    ) -> None:
+        self.lines = lines
+        self.config = config
+        self.counters = counters
+        self.seed = seed
+        self.notes = [] if notes is None else notes
+        self.side_outputs = [] if side_outputs is None else side_outputs
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +99,8 @@ class _Inputs:
 
     def text(self, path: str | None) -> str:
         if path is None or path == "-":
+            if "<stdin>" in self.checksums:
+                raise CliError("stdin (-) can be only one of the inputs")
             data = sys.stdin.buffer.read()
             origin = "<stdin>"
         else:

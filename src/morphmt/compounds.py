@@ -18,9 +18,9 @@ always produced; such events are reported to the caller.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from . import FrozenRecord
 from .tagsets import (
     GermanAnalysis,
     GermanFeatureSeq,
@@ -62,18 +62,15 @@ def _separator(markup: str) -> str:
     return f"§§<{markup}>§§"
 
 
-@dataclass(frozen=True)
-class CompoundSplit:
+class CompoundSplit(FrozenRecord):
     """Token sequence of a split compound.
 
     Lexeme tokens alternate with ``§§<TAG>§§`` separators; the final
     token is the head's feature sequence.
     """
 
-    tokens: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        t = self.tokens
+    def __init__(self, tokens: tuple[str, ...]) -> None:
+        t = tokens
         if len(t) < 4 or len(t) % 2 != 0:
             raise MalformedAnalysis(f"not a compound split: {t}")
         if not is_feature_token(t[-1]):
@@ -84,6 +81,7 @@ class CompoundSplit:
                     raise MalformedAnalysis(f"lexeme expected at {i} in {t}")
             elif not is_separator_token(token):
                 raise MalformedAnalysis(f"separator expected at {i} in {t}")
+        vars(self).update(tokens=tokens)
 
     @property
     def modifier_lexemes(self) -> tuple[str, ...]:

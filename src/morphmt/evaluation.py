@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from itertools import repeat
 from typing import TYPE_CHECKING, Iterable
+
+from . import FrozenRecord
 
 if TYPE_CHECKING:
     from .morphlex import Diagnostics
@@ -119,14 +120,17 @@ def bleu(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NovelFormReport:
+class NovelFormReport(FrozenRecord):
     """Novel-form counts: occurrences, distinct types, reference hits."""
 
-    novel_tokens: int
-    novel_types: int
-    confirmed_by_reference: int
-    items: tuple[tuple[str, int, bool], ...]  # (token, sentence index, confirmed)
+    def __init__(
+        self, novel_tokens: int, novel_types: int, confirmed_by_reference: int,
+        items: tuple[tuple[str, int, bool], ...],  # (token, sentence index, confirmed)
+    ) -> None:
+        vars(self).update(
+            novel_tokens=novel_tokens, novel_types=novel_types,
+            confirmed_by_reference=confirmed_by_reference, items=items,
+        )
 
     def to_text(self) -> str:
         lines = [

@@ -20,9 +20,9 @@ the items directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
+from . import FrozenRecord
 from .conventions import (
     MODE_BASELINE,
     MODE_GERMAN_STEMMED,
@@ -90,12 +90,11 @@ class LengthMismatch(ValueError):
     """Source words and source tags differ in count."""
 
 
-@dataclass(frozen=True)
-class InterleavedSentence:
+class InterleavedSentence(FrozenRecord):
     """A validated token sequence in one representation mode."""
 
-    mode: str
-    tokens: tuple[str, ...]
+    def __init__(self, mode: str, tokens: tuple[str, ...]) -> None:
+        vars(self).update(mode=mode, tokens=tokens)
 
     @property
     def text(self) -> str:

@@ -26,9 +26,9 @@ supplies linking elements and Umlautung base-form mappings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import itemgetter
 
+from . import FrozenRecord, Record
 from .tagsets import (
     GermanFeatureSeq,
     MalformedAnalysis,
@@ -87,17 +87,17 @@ def parse_tag_text(text: str) -> PositionalTag | GermanFeatureSeq:
     return parse_czech_tag(text)
 
 
-@dataclass(frozen=True)
-class GenerationFailure:
-    """Why the generator produced no surface form for (lemma, tag)."""
+class GenerationFailure(FrozenRecord):
+    """Why the generator produced no surface form for (lemma, tag).
 
-    lemma: str
-    tag_text: str
-    reason: str  # REASON_UNKNOWN_LEMMA or REASON_INCOMPATIBLE_TAG
+    ``reason`` is REASON_UNKNOWN_LEMMA or REASON_INCOMPATIBLE_TAG.
+    """
+
+    def __init__(self, lemma: str, tag_text: str, reason: str) -> None:
+        vars(self).update(lemma=lemma, tag_text=tag_text, reason=reason)
 
 
-@dataclass
-class Diagnostics:
+class Diagnostics(Record):
     """Everything a run reports besides its text, for a run of ``lines`` lines.
 
     Each record starts with the index of the line it belongs to; a
@@ -107,12 +107,19 @@ class Diagnostics:
     per-chunk) diagnostics in input order gives the corpus's.
     """
 
-    lines: int = 0  # lines checked
-    generated: int = 0  # generation attempts
-    fallbacks: list[tuple[int, GenerationFailure]] = field(default_factory=list)
-    repairs: list[tuple[int, int, str]] = field(default_factory=list)  # (line, position, event)
-    errors: list[tuple[int, str, int]] = field(default_factory=list)  # (line, kind, position)
-    unknown_modifiers: list[tuple[int, str]] = field(default_factory=list)  # (line, lexeme)
+    def __init__(
+        self, lines: int = 0, generated: int = 0,
+        fallbacks: list[tuple[int, GenerationFailure]] | None = None,
+        repairs: list[tuple[int, int, str]] | None = None,  # (line, position, event)
+        errors: list[tuple[int, str, int]] | None = None,  # (line, kind, position)
+        unknown_modifiers: list[tuple[int, str]] | None = None,  # (line, lexeme)
+    ) -> None:
+        self.lines = lines  # lines checked
+        self.generated = generated  # generation attempts
+        self.fallbacks = [] if fallbacks is None else fallbacks
+        self.repairs = [] if repairs is None else repairs
+        self.errors = [] if errors is None else errors
+        self.unknown_modifiers = [] if unknown_modifiers is None else unknown_modifiers
 
     def merge(self, other: Diagnostics) -> None:
         """Associative sum: ``other``'s line indexes shift by ``self.lines``."""
@@ -249,6 +256,8 @@ def load_lexicon(document: str) -> ParadigmLexicon:
             )
         lemma, tag_text, surface = columns
         if lemma == "@mod":
+            if not tag_text or not surface:
+                raise LexiconParse(f"line {lineno}: empty modifier or form")
             lex.add_modifier(tag_text, surface)
             continue
         if not lemma or not surface:

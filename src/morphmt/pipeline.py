@@ -20,14 +20,12 @@ alongside the text, in one :class:`~morphmt.morphlex.Diagnostics`.
 
 from __future__ import annotations
 
-import dataclasses
 import random
-from dataclasses import dataclass, field
 from functools import partial
 from itertools import repeat
 from typing import Callable, Sequence
 
-from . import interleave
+from . import Record, interleave
 from .bpe import (
     MARKER,
     MergeTable,
@@ -98,34 +96,34 @@ def _is_german(mode: str) -> bool:
     return mode.startswith("german")
 
 
-@dataclass
-class PipelineConfig:
+class PipelineConfig(Record):
     """Run configuration; use :meth:`for_mode` for per-mode defaults.
 
     Interleaving a tag per word doubles sentence length, so interleaved
     modes default ``maxlen`` to twice the baseline value.
     """
 
-    mode: str
-    bpe_merges: int
-    maxlen: int
-    minlen: int = 1
-    sample_size: int | None = None
-    seed: int = 0
-    protect_tags: bool = False
-    joint_bpe: bool = True
-    split_source_hyphens: bool = False
-    lexicon_path: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.mode not in PIPELINE_MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if not (self.maxlen >= self.minlen >= 1):
-            raise ValueError(
-                f"need maxlen >= minlen >= 1, got {self.maxlen} / {self.minlen}"
-            )
-        if self.bpe_merges < 0:
+    def __init__(
+        self, mode: str, bpe_merges: int, maxlen: int, minlen: int = 1,
+        sample_size: int | None = None, seed: int = 0, protect_tags: bool = False,
+        joint_bpe: bool = True, split_source_hyphens: bool = False, lexicon_path: str | None = None,
+    ) -> None:
+        if mode not in PIPELINE_MODES:
+            raise ValueError(f"unknown mode {mode!r}")
+        if not (maxlen >= minlen >= 1):
+            raise ValueError(f"need maxlen >= minlen >= 1, got {maxlen} / {minlen}")
+        if bpe_merges < 0:
             raise ValueError("bpe_merges must be >= 0")
+        self.mode = mode
+        self.bpe_merges = bpe_merges
+        self.maxlen = maxlen
+        self.minlen = minlen
+        self.sample_size = sample_size
+        self.seed = seed
+        self.protect_tags = protect_tags
+        self.joint_bpe = joint_bpe
+        self.split_source_hyphens = split_source_hyphens
+        self.lexicon_path = lexicon_path
 
     @classmethod
     def for_mode(cls, mode: str, **overrides) -> PipelineConfig:
@@ -139,17 +137,17 @@ class PipelineConfig:
         return cls(**values)
 
     def snapshot(self) -> dict:
-        return dataclasses.asdict(self)
+        return self._asdict()
 
 
-@dataclass
-class ParallelCorpus:
+class ParallelCorpus(Record):
     """Aligned (source line, target line) pairs."""
 
-    pairs: list[tuple[str, str]]
-    # The input pair index of each pair, kept through filter_corpus;
-    # None means the pairs are the input, 0..n-1.
-    _origin: list[int] | None = field(default=None, repr=False, compare=False)
+    def __init__(self, pairs: list[tuple[str, str]], _origin: list[int] | None = None) -> None:
+        self.pairs = pairs
+        # The input pair index of each pair, kept through filter_corpus;
+        # None means the pairs are the input, 0..n-1.
+        self._origin = _origin
 
     @classmethod
     def from_lines(
@@ -212,14 +210,17 @@ def tag_predicate_for_mode(mode: str) -> Callable[[str], bool]:
     return _is_german_tag_token if _is_german(mode) else is_czech_tag
 
 
-@dataclass
-class PreparedVariant:
+class PreparedVariant(Record):
     """Output of :func:`prepare_variant`."""
 
-    corpus: ParallelCorpus
-    source_table: MergeTable
-    target_table: MergeTable
-    dropped: list[tuple[int, str]] = field(default_factory=list)
+    def __init__(
+        self, corpus: ParallelCorpus, source_table: MergeTable, target_table: MergeTable,
+        dropped: list[tuple[int, str]] | None = None,
+    ) -> None:
+        self.corpus = corpus
+        self.source_table = source_table
+        self.target_table = target_table
+        self.dropped = [] if dropped is None else dropped
 
 
 def _analysis_for(lex: ParadigmLexicon, token: str, parse_tag: str | None) -> MorphAnalysis:
@@ -389,10 +390,13 @@ def translate_external(
     sequence for a process that reads input lines on stdin and writes
     exactly one output line per input line to stdout.  The identity
     backend ``["cat"]`` is supported for testing.  Raises
-    :class:`BackendFailure` on nonzero exit or line-count mismatch.
+    :class:`BackendFailure` on an empty argv, nonzero exit or line-count
+    mismatch.
     """
     if callable(backend):
         output = list(backend(list(lines)))
+    elif not backend:
+        raise BackendFailure("empty backend command")
     else:
         import subprocess  # only the translate stage runs a backend
 
@@ -424,12 +428,12 @@ EVENT_ORPHAN_SEPARATOR = "orphan-separator"
 EVENT_UNPARSEABLE_STEM = "unparseable-stem"
 
 
-@dataclass
-class PostprocessResult:
+class PostprocessResult(Record):
     """Surface text plus every diagnostic collected on the way."""
 
-    lines: list[str]
-    diagnostics: Diagnostics
+    def __init__(self, lines: list[str], diagnostics: Diagnostics) -> None:
+        self.lines = lines
+        self.diagnostics = diagnostics
 
 
 def _revert_lenient(tokens: list[str], repairs: list[tuple[int, int, str]]) -> list[str]:

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import re
 import string
-from dataclasses import dataclass
 
+from . import FrozenRecord
 from .conventions import split_lines
 
 __all__ = [
@@ -105,27 +105,23 @@ def _remember(memo: dict, key, value):
     return value
 
 
-@dataclass(frozen=True)
-class PositionalTag:
+class PositionalTag(FrozenRecord):
     """A 15-character positional tag; each position encodes one category.
 
     ``raw`` is the authoritative representation.  The named slot accessors
     index into it, so formatting a parsed tag reproduces the input exactly.
     """
 
-    raw: str
-
-    def __post_init__(self) -> None:
-        if len(self.raw) != TAG_LENGTH:
+    def __init__(self, raw: str) -> None:
+        if len(raw) != TAG_LENGTH:
             raise MalformedTag(
                 f"positional tag must have {TAG_LENGTH} characters, "
-                f"got {len(self.raw)}: {self.raw!r}"
+                f"got {len(raw)}: {raw!r}"
             )
-        for i, ch in enumerate(self.raw):
+        for i, ch in enumerate(raw):
             if ch not in TAG_ALPHABET:
-                raise MalformedTag(
-                    f"illegal character {ch!r} at position {i} in tag {self.raw!r}"
-                )
+                raise MalformedTag(f"illegal character {ch!r} at position {i} in tag {raw!r}")
+        vars(self).update(raw=raw)
 
     def slot(self, name: str) -> str:
         return self.raw[SLOT_NAMES.index(name)]
@@ -224,8 +220,7 @@ _BARE_RE = re.compile(r"^([^<>\[\]\s]+)\[([^\[\]\s]+)\]$")
 _BARE_TAG_RE = re.compile(r"^\[([^\[\]\s]+)\]$")
 
 
-@dataclass(frozen=True)
-class GermanFeatureSeq:
+class GermanFeatureSeq(FrozenRecord):
     """The tag half of a German analysis.
 
     ``values`` holds the angle-bracketed feature values in order, without
@@ -238,25 +233,22 @@ class GermanFeatureSeq:
     carry a bracketed parse tag in ``bare_tag`` instead.
     """
 
-    kind: str
-    values: tuple[str, ...] = ()
-    bare_tag: str = ""
-
-    def __post_init__(self) -> None:
-        if self.kind == KIND_BARE:
-            if not self.bare_tag or self.values:
+    def __init__(self, kind: str, values: tuple[str, ...] = (), bare_tag: str = "") -> None:
+        vars(self).update(kind=kind, values=values, bare_tag=bare_tag)
+        if kind == KIND_BARE:
+            if not bare_tag or values:
                 raise MalformedAnalysis("bare feature sequence needs only a parse tag")
             return
-        if self.bare_tag:
-            raise MalformedAnalysis(f"{self.kind} sequence cannot carry a bare tag")
-        v = self.values
-        if self.kind == KIND_PARTICIPLE:
+        if bare_tag:
+            raise MalformedAnalysis(f"{kind} sequence cannot carry a bare tag")
+        v = values
+        if kind == KIND_PARTICIPLE:
             if v != ("+V", "PPast"):
                 raise MalformedAnalysis(f"participle must be <+V><PPast>, got {v}")
-        elif self.kind == KIND_INFINITIVE:
+        elif kind == KIND_INFINITIVE:
             if v != ("+V", "Inf"):
                 raise MalformedAnalysis(f"infinitive must be <+V><Inf>, got {v}")
-        elif self.kind == KIND_VERBAL_FINITE:
+        elif kind == KIND_VERBAL_FINITE:
             if (
                 len(v) != 5
                 or v[0] != "+V"
@@ -266,7 +258,7 @@ class GermanFeatureSeq:
                 or v[4] not in MOODS
             ):
                 raise MalformedAnalysis(f"bad finite-verb feature sequence: {v}")
-        elif self.kind == KIND_NOMINAL:
+        elif kind == KIND_NOMINAL:
             if len(v) < 5 or not v[0].startswith("+") or v[0] == "+V":
                 raise MalformedAnalysis(f"bad nominal feature sequence: {v}")
             if v[-4] not in GENDERS:
@@ -281,7 +273,7 @@ class GermanFeatureSeq:
                     "(the dummy value NA is required when strength is immaterial)"
                 )
         else:
-            raise MalformedAnalysis(f"unknown feature-sequence kind {self.kind!r}")
+            raise MalformedAnalysis(f"unknown feature-sequence kind {kind!r}")
 
     # Nominal accessors (undefined for other kinds).
     @property
@@ -383,12 +375,11 @@ def is_bare_token(token: str) -> bool:
 _SEGMENT_RE = re.compile(r"([^<>\[\]|\s]+)(?:<([^<>\s]+)>)?")
 
 
-@dataclass(frozen=True)
-class StemSegment:
+class StemSegment(FrozenRecord):
     """One lexeme of a stem, with its verbatim markup tag if any."""
 
-    lexeme: str
-    markup: str | None = None
+    def __init__(self, lexeme: str, markup: str | None = None) -> None:
+        vars(self).update(lexeme=lexeme, markup=markup)
 
     def __str__(self) -> str:
         if self.markup is None:
@@ -396,8 +387,7 @@ class StemSegment:
         return f"{self.lexeme}<{self.markup}>"
 
 
-@dataclass(frozen=True)
-class GermanAnalysis:
+class GermanAnalysis(FrozenRecord):
     """A word analysis: stem segments plus a feature sequence.
 
     Inflected analyses are written ``STEM||<features>``; non-inflected
@@ -407,18 +397,18 @@ class GermanAnalysis:
     and is never interpreted here.
     """
 
-    stem_segments: tuple[StemSegment, ...]
-    feature_seq: GermanFeatureSeq
-    inflected: bool = True
-
-    def __post_init__(self) -> None:
-        if not self.stem_segments:
+    def __init__(
+        self, stem_segments: tuple[StemSegment, ...], feature_seq: GermanFeatureSeq,
+        inflected: bool = True,
+    ) -> None:
+        if not stem_segments:
             raise MalformedAnalysis("analysis needs at least one stem segment")
-        if not self.inflected:
-            if self.feature_seq.kind != KIND_BARE:
+        if not inflected:
+            if feature_seq.kind != KIND_BARE:
                 raise MalformedAnalysis("non-inflected analyses carry a bare tag")
-            if len(self.stem_segments) != 1:
+            if len(stem_segments) != 1:
                 raise MalformedAnalysis("non-inflected analyses have one segment")
+        vars(self).update(stem_segments=stem_segments, feature_seq=feature_seq, inflected=inflected)
 
     @property
     def stem_text(self) -> str:
@@ -510,17 +500,17 @@ def format_analysis(a: PositionalTag | GermanAnalysis) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MorphAnalysis:
+class MorphAnalysis(FrozenRecord):
     """A (lemma, tag) pair, optionally with the original surface form.
 
     ``lemma`` is the plain lemma for positional tags and the stem-side
     text (markup included) for German analyses.
     """
 
-    lemma: str
-    tag: PositionalTag | GermanFeatureSeq
-    surface: str | None = None
+    def __init__(
+        self, lemma: str, tag: PositionalTag | GermanFeatureSeq, surface: str | None = None
+    ) -> None:
+        vars(self).update(lemma=lemma, tag=tag, surface=surface)
 
     @property
     def tag_text(self) -> str:

@@ -387,6 +387,17 @@ class TestTranslateCommand:
         assert code == 1
         assert "backend" in err
 
+    @pytest.mark.parametrize("backend", ["", " \t "])
+    def test_empty_backend_is_an_error(self, run, backend):
+        code, out, err = run(["translate", "--backend", backend], stdin_text="a\n")
+        assert (code, out, err) == (1, "", "morphmt: error: empty backend command\n")
+
+    def test_empty_backend_key_is_an_error(self, run, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_text("backend =\n", encoding="utf-8")
+        code, out, err = run(["translate", "--config", str(conf)], stdin_text="a\n")
+        assert (code, out, err) == (1, "", "morphmt: error: empty backend command\n")
+
     def test_other_errors_propagate(self, run, monkeypatch):
         # Only the library's and the CLI's own errors become a message.
         def broken(*args, **kwargs):
@@ -610,6 +621,26 @@ class TestLineSplitting:
         assert out == "l o\nlo w\n"
 
 
+class TestStdinReadOnce:
+    """Standard input can feed one input of a run; a second read would see
+    nothing and record the SHA-256 of the empty string as its checksum."""
+
+    @pytest.mark.parametrize("argv", [
+        ["postprocess", "--mode", "morphgen", "--lexicon", "-", "-"],
+        ["postprocess", "--mode", "morphgen", "--lexicon", "-"],
+        ["bleu", "-", "-"],
+    ])
+    def test_second_read_is_an_error(self, run, argv):
+        code, out, err = run(argv, stdin_text="pizza\tNNFS1-----A----\tpizza\n")
+        assert (code, out, err) == (1, "", "morphmt: error: stdin (-) can be only one of the inputs\n")
+
+    def test_one_read_is_fine(self, run, tmp_path):
+        ref = tmp_path / "ref.txt"
+        ref.write_text("a b c d\n", encoding="utf-8")
+        code, out, _ = run(["bleu", "-", str(ref)], stdin_text="a b c d\n")
+        assert (code, out) == (0, "100.00\n")
+
+
 class TestUtf8Strictness:
     def test_invalid_bytes_abort(self, run, tmp_path):
         bad = tmp_path / "bad.txt"
@@ -830,6 +861,7 @@ CHARACTERIZATION_CASES = {
     "translate-failing": (["translate", "--backend", "false"], "a\n"),
     "translate-line-count": (["translate", "--backend", "head -n 1"], "a\nb\n"),
     "translate-no-backend": (["translate"], "a\n"),
+    "translate-empty-backend": (["translate", "--backend", ""], "a\n"),
     "postprocess-stdin": (["postprocess", "--mode", "morphgen", "--lexicon", "cs.tsv", "morph.txt"], None),
     "postprocess-output": (["postprocess", "--config", "run.conf", "-o", "surface.txt"],
                            f"{FIG1_MORPHGEN}\n"),
@@ -838,10 +870,13 @@ CHARACTERIZATION_CASES = {
     "postprocess-serialization": (["postprocess", "--mode", "serialization"],
                                   "NNFS2-----A---- pizzy existují\n"),
     "postprocess-no-mode": (["postprocess", "--lexicon", "cs.tsv"], "x\n"),
+    "postprocess-stdin-twice": (["postprocess", "--mode", "morphgen", "--lexicon", "-", "-"],
+                                "pizza\tNNFS1-----A----\tpizza\n"),
     "bleu": (["bleu", "hyp.txt", "ref.txt"], None),
     "bleu-options": (["bleu", "--lowercase", "--smooth", "--manifest", "bleu.json", "hyp.txt", "ref.txt"], None),
     "bleu-empty": (["bleu", "empty.txt", "empty.txt"], None),
     "bleu-length-mismatch": (["bleu", "hyp.txt", "short.txt"], None),
+    "bleu-stdin-twice": (["bleu", "-", "-"], "a b\n"),
     "novel-forms": (["novel-forms", "--train", "train.txt", "--source", "src.txt",
                      "--references", "ref.txt", "--lowercase"], "bekannt neuwort\nthe dog\n"),
     "novel-forms-mismatch": (["novel-forms", "--train", "train.txt", "--source", "short.txt",

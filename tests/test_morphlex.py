@@ -96,6 +96,8 @@ def load_rows(document):
                 raise LexiconParse(
                     f"line {lineno}: @mod rows need modifier and form, got {line!r}"
                 )
+            if not columns[1] or not columns[2]:
+                raise LexiconParse(f"line {lineno}: empty modifier or form")
             lex.add_modifier(columns[1], columns[2])
             continue
         if len(columns) != 3:
@@ -186,7 +188,9 @@ class TestLoadMatchesRowLoader:
         ("a\tNNFS2-----A----\tx\na\tNNFS2-----A----\ty\nb\tNN\tx\n", "a + NNFS2-----A---- maps to both"),
         ("@mod\tM\tx\n@mod\tM\ty\n\tNN\tx\n", "modifier M maps to both"),
         ("\tNNFS2-----A----\tx\n", "line 1: empty lemma or surface"),
-        ("@mod\t\t\n", None),
+        ("@mod\t\t\n", "line 1: empty modifier or form"),
+        ("a\tNNFS2-----A----\tx\n@mod\tHaus\t\n", "line 2: empty modifier or form"),
+        ("@mod\t\tHäuser\n", "line 1: empty modifier or form"),
         (" #a\tNNFS2-----A----\tx\n", None),
     ])
     def test_first_bad_line_decides(self, document, error):

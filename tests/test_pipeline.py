@@ -197,6 +197,11 @@ class TestTranslateExternal:
         with pytest.raises(BackendFailure):
             translate_external(["a"], ["definitely-not-a-real-binary-xyz"])
 
+    @pytest.mark.parametrize("lines", [["a"], []])
+    def test_empty_argv(self, lines):
+        with pytest.raises(BackendFailure, match="^empty backend command$"):
+            translate_external(lines, [])
+
     def test_table_lookup_mock(self, czech_lexicon):
         # a mock backend that "translates" the source into the morphgen line
         table = {FIG1_SOURCE: FIG1_MORPHGEN}
