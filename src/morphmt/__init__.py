@@ -127,7 +127,7 @@ class Record:
 
 
 class FrozenRecord(Record):
-    """A record that rejects assignment, so ``__init__`` sets fields through ``vars(self)``."""
+    """A record that rejects assignment: ``__init__`` sets fields with ``object.__setattr__``."""
 
     def __setattr__(self, name: str, value=None) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -47,10 +47,11 @@ class MergeTable(FrozenRecord):
     def __init__(self, merges: tuple[tuple[str, str], ...]) -> None:
         if len(set(merges)) != len(merges):
             raise ValueError("duplicate pairs in merge table")
-        # segment_line's memo: [protected predicate, {token: segmented text}].
-        # Neither it nor the rank is a field, so a pickle holds the merges only.
-        rank = {p: i for i, p in enumerate(merges)}
-        vars(self).update(merges=merges, rank=rank, _memo=[None, {}])
+        object.__setattr__(self, "merges", merges)
+        # Neither the rank nor segment_line's memo, [protected predicate,
+        # {token: segmented text}], is a field, so a pickle holds the merges only.
+        object.__setattr__(self, "rank", {p: i for i, p in enumerate(merges)})
+        object.__setattr__(self, "_memo", [None, {}])
 
     def __len__(self) -> int:
         return len(self.merges)
@@ -236,7 +237,7 @@ class VocabReport(FrozenRecord):
     """Distinct-token counts per corpus variant, before and after BPE."""
 
     def __init__(self, rows: tuple[tuple[str, int, int], ...]) -> None:
-        vars(self).update(rows=rows)
+        object.__setattr__(self, "rows", rows)
 
     def to_text(self) -> str:
         name_width = max([len("variant")] + [len(r[0]) for r in self.rows])

@@ -81,7 +81,7 @@ class CompoundSplit(FrozenRecord):
                     raise MalformedAnalysis(f"lexeme expected at {i} in {t}")
             elif not is_separator_token(token):
                 raise MalformedAnalysis(f"separator expected at {i} in {t}")
-        vars(self).update(tokens=tokens)
+        object.__setattr__(self, "tokens", tokens)
 
     @property
     def modifier_lexemes(self) -> tuple[str, ...]:

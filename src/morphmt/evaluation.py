@@ -127,10 +127,10 @@ class NovelFormReport(FrozenRecord):
         self, novel_tokens: int, novel_types: int, confirmed_by_reference: int,
         items: tuple[tuple[str, int, bool], ...],  # (token, sentence index, confirmed)
     ) -> None:
-        vars(self).update(
-            novel_tokens=novel_tokens, novel_types=novel_types,
-            confirmed_by_reference=confirmed_by_reference, items=items,
-        )
+        object.__setattr__(self, "novel_tokens", novel_tokens)
+        object.__setattr__(self, "novel_types", novel_types)
+        object.__setattr__(self, "confirmed_by_reference", confirmed_by_reference)
+        object.__setattr__(self, "items", items)
 
     def to_text(self) -> str:
         lines = [

@@ -94,7 +94,8 @@ class InterleavedSentence(FrozenRecord):
     """A validated token sequence in one representation mode."""
 
     def __init__(self, mode: str, tokens: tuple[str, ...]) -> None:
-        vars(self).update(mode=mode, tokens=tokens)
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "tokens", tokens)
 
     @property
     def text(self) -> str:

@@ -88,13 +88,12 @@ def parse_tag_text(text: str) -> PositionalTag | GermanFeatureSeq:
 
 
 class GenerationFailure(FrozenRecord):
-    """Why the generator produced no surface form for (lemma, tag).
-
-    ``reason`` is REASON_UNKNOWN_LEMMA or REASON_INCOMPATIBLE_TAG.
-    """
+    """Why the generator produced no surface form for (lemma, tag)."""
 
     def __init__(self, lemma: str, tag_text: str, reason: str) -> None:
-        vars(self).update(lemma=lemma, tag_text=tag_text, reason=reason)
+        object.__setattr__(self, "lemma", lemma)
+        object.__setattr__(self, "tag_text", tag_text)
+        object.__setattr__(self, "reason", reason)  # a REASON_* constant
 
 
 class Diagnostics(Record):

@@ -121,7 +121,7 @@ class PositionalTag(FrozenRecord):
         for i, ch in enumerate(raw):
             if ch not in TAG_ALPHABET:
                 raise MalformedTag(f"illegal character {ch!r} at position {i} in tag {raw!r}")
-        vars(self).update(raw=raw)
+        object.__setattr__(self, "raw", raw)
 
     def slot(self, name: str) -> str:
         return self.raw[SLOT_NAMES.index(name)]
@@ -234,7 +234,9 @@ class GermanFeatureSeq(FrozenRecord):
     """
 
     def __init__(self, kind: str, values: tuple[str, ...] = (), bare_tag: str = "") -> None:
-        vars(self).update(kind=kind, values=values, bare_tag=bare_tag)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "bare_tag", bare_tag)
         if kind == KIND_BARE:
             if not bare_tag or values:
                 raise MalformedAnalysis("bare feature sequence needs only a parse tag")
@@ -379,7 +381,8 @@ class StemSegment(FrozenRecord):
     """One lexeme of a stem, with its verbatim markup tag if any."""
 
     def __init__(self, lexeme: str, markup: str | None = None) -> None:
-        vars(self).update(lexeme=lexeme, markup=markup)
+        object.__setattr__(self, "lexeme", lexeme)
+        object.__setattr__(self, "markup", markup)
 
     def __str__(self) -> str:
         if self.markup is None:
@@ -408,7 +411,9 @@ class GermanAnalysis(FrozenRecord):
                 raise MalformedAnalysis("non-inflected analyses carry a bare tag")
             if len(stem_segments) != 1:
                 raise MalformedAnalysis("non-inflected analyses have one segment")
-        vars(self).update(stem_segments=stem_segments, feature_seq=feature_seq, inflected=inflected)
+        object.__setattr__(self, "stem_segments", stem_segments)
+        object.__setattr__(self, "feature_seq", feature_seq)
+        object.__setattr__(self, "inflected", inflected)
 
     @property
     def stem_text(self) -> str:
@@ -510,7 +515,9 @@ class MorphAnalysis(FrozenRecord):
     def __init__(
         self, lemma: str, tag: PositionalTag | GermanFeatureSeq, surface: str | None = None
     ) -> None:
-        vars(self).update(lemma=lemma, tag=tag, surface=surface)
+        object.__setattr__(self, "lemma", lemma)
+        object.__setattr__(self, "tag", tag)
+        object.__setattr__(self, "surface", surface)
 
     @property
     def tag_text(self) -> str:
