@@ -70,8 +70,11 @@ _REEXPORTS = {
         "merge_compound",
         "split_compound",
     ),
-    "pipeline": (
+    "backend": (
         "BackendFailure",
+        "translate_external",
+    ),
+    "pipeline": (
         "ParallelCorpus",
         "PipelineConfig",
         "PostprocessResult",
@@ -79,7 +82,6 @@ _REEXPORTS = {
         "filter_corpus",
         "postprocess",
         "prepare_variant",
-        "translate_external",
     ),
     "evaluation": (
         "EmptyCorpus",

@@ -17,8 +17,9 @@ Configuration precedence is flags > config file (``key=value`` lines,
 defaults.  The config file fills in the options that the command line
 leaves unset, before the handler runs.
 
-Each handler imports the library modules it runs, when it runs, so a
-stage loads only what it uses.
+Each handler imports the library modules it runs, when it runs, and
+:func:`main` builds the parser of the subcommand it runs, so a stage
+loads and builds only what it uses.
 """
 
 from __future__ import annotations
@@ -157,9 +158,7 @@ def config_keys(parser: argparse.ArgumentParser) -> set[str]:
     return {a.dest for sub in _subcommands(parser).values() for a in _configurable(sub)}
 
 
-def load_config_file(path: str | None, keys: set[str]) -> dict[str, str]:
-    if path is None:
-        return {}
+def load_config_file(path: str, keys: set[str]) -> dict[str, str]:
     values: dict[str, str] = {}
     # Bytes, not read_text: text mode would end a line at a lone \r.
     for lineno, line in enumerate(split_lines(Path(path).read_bytes().decode("utf-8")), 1):
@@ -461,12 +460,12 @@ def cmd_merge_compounds(args: argparse.Namespace, inputs: _Inputs) -> _Result:
 def cmd_translate(args: argparse.Namespace, inputs: _Inputs) -> _Result:
     import shlex
 
-    from . import pipeline
+    from . import backend
 
     if args.backend is None:
         raise CliError("--backend is required")
     lines = inputs.lines(args.input)
-    out = pipeline.translate_external(lines, shlex.split(args.backend))
+    out = backend.translate_external(lines, shlex.split(args.backend))
     return _Result(out, {"backend": args.backend}, {"lines": len(lines)})
 
 
@@ -558,7 +557,7 @@ def cmd_stats(args: argparse.Namespace, inputs: _Inputs) -> _Result:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser, handler, output: bool = True) -> None:
+def _add_common(sub: argparse.ArgumentParser, handler, output: bool) -> None:
     sub.add_argument("--config", help="key=value configuration file")
     sub.add_argument("--manifest", help="write the run manifest to this path")
     if output:
@@ -596,16 +595,7 @@ def _add_pipeline_options(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="morphmt",
-        description="two-step morphology-aware MT corpus processing",
-    )
-    parser.add_argument("--version", action="version", version=f"morphmt {__version__}")
-    parser.set_defaults(output=None)
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("prepare", help="encode a corpus into a training representation")
+def _prepare_options(p: argparse.ArgumentParser) -> None:
     _add_pipeline_options(p)
     p.add_argument("--source", help="source-side file")
     p.add_argument("--target", help="target-side file (default: stdin)")
@@ -615,14 +605,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-source", dest="out_source")
     p.add_argument("--out-target", dest="output", metavar="OUT_TARGET", help="default: stdout")
     p.add_argument("--merge-table-out", dest="merge_table_out")
-    _add_common(p, cmd_prepare, output=False)
 
-    p = subs.add_parser("bpe-learn", help="learn a BPE merge table")
+
+def _bpe_learn_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--merges", type=int)
     p.add_argument("input", nargs="?")
-    _add_common(p, cmd_bpe_learn)
 
-    p = subs.add_parser("bpe-apply", help="segment text with a merge table")
+
+def _bpe_apply_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--merge-table", dest="merge_table")
     p.add_argument("--mode", choices=PIPELINE_MODES)
     p.add_argument(
@@ -632,43 +622,38 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
     )
     p.add_argument("input", nargs="?")
-    _add_common(p, cmd_bpe_apply)
 
-    p = subs.add_parser("bpe-revert", help="undo BPE segmentation")
+
+def _input_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("input", nargs="?")
-    _add_common(p, cmd_bpe_revert)
 
-    p = subs.add_parser("analyze", help="list lexicon analyses of surface forms")
+
+def _analyze_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lexicon")
     p.add_argument("input", nargs="?", help="one surface form per line")
-    _add_common(p, cmd_analyze)
 
-    p = subs.add_parser("generate", help="generate surface forms from lemma<TAB>tag lines")
+
+def _lexicon_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lexicon")
     p.add_argument("input", nargs="?")
-    _add_common(p, cmd_generate)
 
-    p = subs.add_parser("split-compounds", help="split compound analyses into sub-word tokens")
+
+def _split_compounds_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("input", nargs="?", help="lines of stem||feature analysis tokens")
-    _add_common(p, cmd_split_compounds)
 
-    p = subs.add_parser("merge-compounds", help="reassemble split compounds into analyses")
-    p.add_argument("--lexicon")
-    p.add_argument("input", nargs="?")
-    _add_common(p, cmd_merge_compounds)
 
-    p = subs.add_parser("translate", help="run the external translation backend")
+def _translate_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--backend", help="backend command line (e.g. 'cat')")
     p.add_argument("input", nargs="?")
-    _add_common(p, cmd_translate)
 
-    p = subs.add_parser("postprocess", help="turn backend output into surface text")
+
+def _postprocess_options(p: argparse.ArgumentParser) -> None:
     _add_pipeline_options(p)
     p.add_argument("--jobs", type=int)
     p.add_argument("input", nargs="?")
-    _add_common(p, cmd_postprocess)
 
-    p = subs.add_parser("bleu", help="corpus BLEU of hypotheses against references")
+
+def _bleu_options(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--lowercase",
         action=argparse.BooleanOptionalAction,
@@ -681,9 +666,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("hypotheses")
     p.add_argument("references")
-    _add_common(p, cmd_bleu, output=False)
 
-    p = subs.add_parser("novel-forms", help="count novel surface forms in output")
+
+def _novel_forms_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--train", required=True, help="training target corpus")
     p.add_argument("--source", required=True, help="aligned source sentences")
     p.add_argument("--references", required=True, help="aligned references")
@@ -693,9 +678,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
     )
     p.add_argument("input", nargs="?", help="system output (default: stdin)")
-    _add_common(p, cmd_novel_forms, output=False)
 
-    p = subs.add_parser("stats", help="vocabulary and word-end fragment statistics")
+
+def _stats_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--vocab", nargs="+", help="corpus variant files")
     p.add_argument("--merges", type=int, help="BPE budget for --vocab")
     p.add_argument(
@@ -705,19 +690,71 @@ def build_parser() -> argparse.ArgumentParser:
         dest="word_ends",
         help="segmented corpus (default: stdin)",
     )
-    _add_common(p, cmd_stats, output=False)
 
+
+# name -> (help, options, handler, has --output), in the order of --help
+_COMMANDS = {
+    "prepare": ("encode a corpus into a training representation", _prepare_options, cmd_prepare, False),
+    "bpe-learn": ("learn a BPE merge table", _bpe_learn_options, cmd_bpe_learn, True),
+    "bpe-apply": ("segment text with a merge table", _bpe_apply_options, cmd_bpe_apply, True),
+    "bpe-revert": ("undo BPE segmentation", _input_options, cmd_bpe_revert, True),
+    "analyze": ("list lexicon analyses of surface forms", _analyze_options, cmd_analyze, True),
+    "generate": ("generate surface forms from lemma<TAB>tag lines", _lexicon_options, cmd_generate, True),
+    "split-compounds": ("split compound analyses into sub-word tokens", _split_compounds_options,
+                        cmd_split_compounds, True),
+    "merge-compounds": ("reassemble split compounds into analyses", _lexicon_options,
+                        cmd_merge_compounds, True),
+    "translate": ("run the external translation backend", _translate_options, cmd_translate, True),
+    "postprocess": ("turn backend output into surface text", _postprocess_options, cmd_postprocess, True),
+    "bleu": ("corpus BLEU of hypotheses against references", _bleu_options, cmd_bleu, False),
+    "novel-forms": ("count novel surface forms in output", _novel_forms_options, cmd_novel_forms, False),
+    "stats": ("vocabulary and word-end fragment statistics", _stats_options, cmd_stats, False),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or only of ``command`` when it names
+    one: all that a run of ``command`` needs, with the same usage, help and
+    error messages."""
+    parser = argparse.ArgumentParser(
+        prog="morphmt",
+        description="two-step morphology-aware MT corpus processing",
+    )
+    parser.add_argument("--version", action="version", version=f"morphmt {__version__}")
+    parser.set_defaults(output=None)
+    if command in _COMMANDS:
+        # The top-level usage, printed for an unknown option, lists every
+        # subcommand.  A full parser keeps the default metavar, because
+        # argparse names the argument by its metavar in the errors for a
+        # missing or unknown subcommand, which only a full parser reports.
+        subs = parser.add_subparsers(
+            dest="command", required=True, metavar="{" + ",".join(_COMMANDS) + "}"
+        )
+        names = [command]
+    else:
+        subs = parser.add_subparsers(dest="command", required=True)
+        names = list(_COMMANDS)
+    for name in names:
+        help_text, add_options, handler, output = _COMMANDS[name]
+        p = subs.add_parser(name, help=help_text)
+        add_options(p)
+        _add_common(p, handler, output=output)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand: the handler computes, this writes its output
     lines, side outputs, diagnostics and run manifest."""
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     inputs = _Inputs()
     try:
-        config = load_config_file(args.config, config_keys(parser))
+        config = {}
+        if args.config is not None:
+            # One file serves a pipeline: it may set any subcommand's options.
+            config = load_config_file(args.config, config_keys(build_parser()))
         apply_config(args, _subcommands(parser)[args.command], config)
         result = args.handler(args, inputs)
         write_lines(args.output, result.lines)
@@ -751,7 +788,7 @@ def _loaded_library_errors() -> tuple[type[Exception], ...]:
     loaded so far: a handler cannot have raised one from a module it
     never imported."""
     errors = []
-    for module, name in (("morphlex", "NoCompatibleAnalysis"), ("pipeline", "BackendFailure")):
+    for module, name in (("morphlex", "NoCompatibleAnalysis"), ("backend", "BackendFailure")):
         loaded = sys.modules.get(f"{__package__}.{module}")
         if loaded is not None:
             errors.append(getattr(loaded, name))

@@ -16,6 +16,9 @@ orphan word is emitted verbatim, an orphan tag is dropped, a stem that
 cannot be parsed or merged is emitted verbatim) and all repairs,
 generation fallbacks and well-formedness violations are reported
 alongside the text, in one :class:`~morphmt.morphlex.Diagnostics`.
+
+:func:`translate_external` and :class:`BackendFailure` are defined in
+:mod:`morphmt.backend`, which the ``translate`` stage loads on its own.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from itertools import repeat
 from typing import Callable, Sequence
 
 from . import Record, interleave
+from .backend import BackendFailure, translate_external
 from .bpe import (
     MARKER,
     MergeTable,
@@ -57,7 +61,6 @@ from .tagsets import (
     is_bare_token,
     is_czech_tag,
     is_feature_token,
-    split_lines,
 )
 
 __all__ = [
@@ -79,10 +82,6 @@ CZECH_DEFAULT_MERGES = 49500
 GERMAN_DEFAULT_MERGES = 29500
 BASE_MAXLEN = 50
 GERMAN_MINLEN = 5
-
-
-class BackendFailure(RuntimeError):
-    """The external translation backend misbehaved."""
 
 
 def _base_mode(mode: str) -> str:
@@ -373,48 +372,6 @@ def prepare_variant(
         for s, t in encoded
     ]
     return PreparedVariant(ParallelCorpus(pairs), source_table, target_table, dropped)
-
-
-# ---------------------------------------------------------------------------
-# External backend
-# ---------------------------------------------------------------------------
-
-
-def translate_external(
-    lines: list[str],
-    backend: Sequence[str] | Callable[[list[str]], list[str]],
-) -> list[str]:
-    """Run the translation backend over prepared lines.
-
-    ``backend`` is either a callable (for in-process mocks) or an argv
-    sequence for a process that reads input lines on stdin and writes
-    exactly one output line per input line to stdout.  The identity
-    backend ``["cat"]`` is supported for testing.  Raises
-    :class:`BackendFailure` on an empty argv, nonzero exit or line-count
-    mismatch.
-    """
-    if callable(backend):
-        output = list(backend(list(lines)))
-    elif not backend:
-        raise BackendFailure("empty backend command")
-    else:
-        import subprocess  # only the translate stage runs a backend
-
-        # Bytes, not text mode: text mode would read a lone \r as a line end.
-        data = "".join(line + "\n" for line in lines).encode("utf-8")
-        try:
-            proc = subprocess.run(list(backend), input=data, capture_output=True)
-        except OSError as exc:
-            raise BackendFailure(f"cannot run backend {backend!r}: {exc}") from exc
-        if proc.returncode != 0:
-            stderr = proc.stderr.decode("utf-8", "replace").strip()
-            raise BackendFailure(f"backend exited with {proc.returncode}: {stderr}")
-        output = split_lines(proc.stdout.decode("utf-8"))
-    if len(output) != len(lines):
-        raise BackendFailure(
-            f"backend wrote {len(output)} lines for {len(lines)} inputs"
-        )
-    return output
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -403,7 +404,7 @@ class TestTranslateCommand:
         def broken(*args, **kwargs):
             raise RuntimeError("not a library error")
 
-        monkeypatch.setattr("morphmt.pipeline.translate_external", broken)
+        monkeypatch.setattr("morphmt.backend.translate_external", broken)
         with pytest.raises(RuntimeError, match="not a library error"):
             run(["translate", "--backend", "cat"], stdin_text="a\n")
 
@@ -683,6 +684,50 @@ class TestConsoleScript:
         assert result.returncode == 2
 
 
+# argv -> (the subcommand whose usage argparse prints, or None for the
+# top-level usage; the error line)
+USAGE_ERRORS = {
+    ("prepare", "--no-such-flag"): (None, "morphmt: error: unrecognized arguments: --no-such-flag\n"),
+    ("bleu", "hyp.txt"): ("bleu", "morphmt bleu: error: the following arguments are required: references\n"),
+}
+
+
+class TestUsageErrors:
+    """A usage error exits 2 with the usage of the parser that failed, as the
+    parser of every subcommand renders it, in process and in a new interpreter."""
+
+    @staticmethod
+    def expected_stderr(command, message, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        parser = build_parser()
+        if command is not None:
+            parser = next(
+                a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+            ).choices[command]
+        return parser.format_usage() + message
+
+    def test_top_level_usage_lists_every_subcommand(self, monkeypatch):
+        usage = self.expected_stderr(None, "", monkeypatch)
+        assert "{" + ",".join(SUBCOMMANDS) + "}" in usage
+
+    @pytest.mark.parametrize("argv", sorted(USAGE_ERRORS))
+    def test_in_process(self, argv, monkeypatch, capsys):
+        expected = self.expected_stderr(*USAGE_ERRORS[argv], monkeypatch)
+        with pytest.raises(SystemExit) as exit_info:
+            main(list(argv))
+        assert exit_info.value.code == 2
+        assert capsys.readouterr() == ("", expected)
+
+    @pytest.mark.parametrize("argv", sorted(USAGE_ERRORS))
+    def test_fresh_process(self, argv, monkeypatch):
+        expected = self.expected_stderr(*USAGE_ERRORS[argv], monkeypatch)
+        result = subprocess.run(
+            [sys.executable, "-m", "morphmt.cli", *argv],
+            capture_output=True, text=True, env={**os.environ, "COLUMNS": "80"},
+        )
+        assert (result.returncode, result.stdout, result.stderr) == (2, "", expected)
+
+
 # One run of each subcommand on the toy data: (argv, stdin text).  Paths are
 # absolute, so the manifests of both runs name the same inputs.
 FRESH_PROCESS_RUNS = {
@@ -736,6 +781,7 @@ class TestFreshProcess:
     @pytest.mark.parametrize("argv, stdin_text", [
         (["translate", "--backend", "false"], "a\n"),  # BackendFailure, not a ValueError
         (["bleu", CZECH_LEXICON, GERMAN_LEXICON], None),  # unequal line counts
+        (["translate", "--backend", "printf '\\377\\n'"], "a\n"),  # BackendFailure: not UTF-8
     ])
     def test_error_same_as_in_process(self, argv, stdin_text, run):
         result = subprocess.run(
@@ -750,6 +796,8 @@ class TestFreshProcess:
         ["--version"],
         ["bleu", CZECH_LEXICON, CZECH_LEXICON],
         ["bleu", CZECH_LEXICON, GERMAN_LEXICON],  # the error path
+        ["translate", "--backend", "cat"],
+        ["translate", "--backend", "false"],  # the error path
     ])
     def test_library_left_unloaded(self, argv):
         # As ``python -m morphmt.cli ARGV``, then the loaded modules on stderr.
@@ -761,7 +809,8 @@ class TestFreshProcess:
             "    pass\n"
             "print(json.dumps([m for m in sys.modules if m.startswith('morphmt')]), file=sys.stderr)\n"
         )
-        result = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True)
+        result = subprocess.run([sys.executable, "-c", probe, *argv], input="a b\n",
+                                capture_output=True, text=True)
         loaded = set(json.loads(result.stderr.splitlines()[-1]))
         assert "morphmt.conventions" in loaded
         assert not loaded & set(LIBRARY_MODULES), result.stderr
@@ -862,6 +911,7 @@ CHARACTERIZATION_CASES = {
     "translate-line-count": (["translate", "--backend", "head -n 1"], "a\nb\n"),
     "translate-no-backend": (["translate"], "a\n"),
     "translate-empty-backend": (["translate", "--backend", ""], "a\n"),
+    "translate-invalid-utf8": (["translate", "--backend", "printf '\\377\\n'"], "a\n"),
     "postprocess-stdin": (["postprocess", "--mode", "morphgen", "--lexicon", "cs.tsv", "morph.txt"], None),
     "postprocess-output": (["postprocess", "--config", "run.conf", "-o", "surface.txt"],
                            f"{FIG1_MORPHGEN}\n"),
@@ -914,10 +964,11 @@ def characterize(argv, stdin_text, workdir, monkeypatch):
     return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue(), "files": written}
 
 
-def parser_signature():
-    """Every subcommand's actions: flags, metavar as shown, default, help, arity."""
+def parser_signature(command=None):
+    """Every subcommand's actions: flags, metavar as shown, default, help, arity;
+    of ``command`` alone when given."""
     subparsers = next(
-        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        a for a in build_parser(command)._actions if isinstance(a, argparse._SubParsersAction)
     )
     return {
         name: [
@@ -954,6 +1005,11 @@ class TestRunContract:
 
     def test_flags_defaults_and_help_text(self, golden):
         assert parser_signature() == golden["parser"]
+
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_one_subcommand_parser(self, command, golden):
+        # What main builds for a run of one subcommand.
+        assert parser_signature(command) == {command: golden["parser"][command]}
 
     @pytest.mark.parametrize("command", [None] + SUBCOMMANDS)
     def test_rendered_help(self, command, golden, monkeypatch):

@@ -29,10 +29,10 @@ PUBLIC_NAMES = {
         "vocab_stats", "word_end_fragment_stats",
     ],
     "compounds": ["CompoundSplit", "merge_compound", "split_compound"],
+    "backend": ["BackendFailure", "translate_external"],
     "pipeline": [
-        "BackendFailure", "ParallelCorpus", "PipelineConfig", "PostprocessResult",
-        "PreparedVariant", "filter_corpus", "postprocess", "prepare_variant",
-        "translate_external",
+        "ParallelCorpus", "PipelineConfig", "PostprocessResult", "PreparedVariant",
+        "filter_corpus", "postprocess", "prepare_variant",
     ],
     "evaluation": ["EmptyCorpus", "NovelFormReport", "bleu", "novel_forms", "wellformedness"],
 }
@@ -82,3 +82,24 @@ def test_a_name_loads_only_its_module():
     assert fresh_modules("from morphmt import revert_bpe") == (
         "['morphmt', 'morphmt.bpe', 'morphmt.conventions']"
     )
+    assert fresh_modules("from morphmt import translate_external") == (
+        "['morphmt', 'morphmt.backend', 'morphmt.conventions']"
+    )
+
+
+def test_pipeline_reexports_the_backend():
+    import morphmt.backend
+    import morphmt.pipeline
+
+    for name in PUBLIC_NAMES["backend"]:
+        assert name in morphmt.pipeline.__all__
+        assert getattr(morphmt.pipeline, name) is getattr(morphmt.backend, name)
+
+
+def test_pipeline_import_leaves_subprocess_out():
+    # Only a run of the backend imports subprocess.
+    result = subprocess.run(
+        [sys.executable, "-c", "import morphmt.pipeline, sys; print('subprocess' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert (result.returncode, result.stdout) == (0, "False\n"), result.stderr

@@ -197,6 +197,10 @@ class TestTranslateExternal:
         with pytest.raises(BackendFailure):
             translate_external(["a"], ["definitely-not-a-real-binary-xyz"])
 
+    def test_invalid_utf8_output(self):
+        with pytest.raises(BackendFailure, match="^backend wrote invalid UTF-8 at byte 2$"):
+            translate_external(["a"], ["printf", "ok\\377\\n"])
+
     @pytest.mark.parametrize("lines", [["a"], []])
     def test_empty_argv(self, lines):
         with pytest.raises(BackendFailure, match="^empty backend command$"):
