@@ -33,6 +33,7 @@ from typing import TYPE_CHECKING
 
 from . import Record, __version__
 from .conventions import (
+    GERMAN_DEFAULT_MERGES,
     MODE_BASELINE,
     MODE_GERMAN_STEMMED,
     MODE_SERIALIZATION,
@@ -433,7 +434,7 @@ def cmd_merge_compounds(args: argparse.Namespace, inputs: _Inputs) -> _Result:
     out = []
     unknown_modifiers: list[str] = []
     merged_count = 0
-    for line in inputs.lines(args.input):
+    for lineno, line in enumerate(inputs.lines(args.input), 1):
         tokens, _ = compounds.rejoin_split_tokens(line.split())
         result_tokens: list[str] = []
         for item in interleave.walk(tokens, MODE_GERMAN_STEMMED).items:
@@ -441,7 +442,12 @@ def cmd_merge_compounds(args: argparse.Namespace, inputs: _Inputs) -> _Result:
                 # Bare tokens, orphan words and orphan tags pass through.
                 result_tokens.append(tokens[item.position])
                 continue
-            analysis, merged = compounds.merge_stem(item.word, item.features, lex, unknown_modifiers)
+            try:
+                analysis, merged = compounds.merge_stem(
+                    item.word, item.features, lex, unknown_modifiers
+                )
+            except tagsets.MalformedAnalysis as exc:
+                raise CliError(f"line {lineno}: {exc}") from exc
             merged_count += merged
             result_tokens.append(tagsets.format_analysis(analysis))
         out.append(" ".join(result_tokens))
@@ -535,8 +541,6 @@ def cmd_stats(args: argparse.Namespace, inputs: _Inputs) -> _Result:
     from . import bpe
 
     if args.vocab:
-        from .pipeline import GERMAN_DEFAULT_MERGES
-
         merges = GERMAN_DEFAULT_MERGES if args.merges is None else args.merges
         variants = []
         for path in args.vocab:

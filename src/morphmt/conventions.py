@@ -1,4 +1,4 @@
-"""Text conventions every stage shares: lines and representation modes.
+"""Text conventions every stage shares: lines, representation modes and BPE budgets.
 
 :mod:`morphmt.interleave` encodes and walks the four interleaving
 modes; the pipeline adds the German mode with compounds split.  This
@@ -14,6 +14,10 @@ MODES = (MODE_BASELINE, MODE_MORPHGEN, MODE_SERIALIZATION, MODE_GERMAN_STEMMED)
 
 MODE_GERMAN_STEMMED_SPLIT = "german-stemmed-split"
 PIPELINE_MODES = MODES + (MODE_GERMAN_STEMMED_SPLIT,)
+
+# Default BPE merge budgets of the Czech and the German systems.
+CZECH_DEFAULT_MERGES = 49500
+GERMAN_DEFAULT_MERGES = 29500
 
 
 def split_lines(text: str) -> list[str]:

@@ -20,6 +20,7 @@ the items directly.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import NamedTuple
 
 from . import FrozenRecord
@@ -33,10 +34,9 @@ from .conventions import (
 from .tagsets import (
     GermanFeatureSeq,
     MorphAnalysis,
+    classify_czech_tokens,
+    classify_german_tokens,
     format_tag,
-    is_bare_token,
-    is_czech_tag,
-    parse_feature_token,
     KIND_BARE,
 )
 
@@ -71,10 +71,6 @@ ITEM_BARE = "bare"
 # Orphan items are named after the repair event they stand for.
 EVENT_WORD_WITHOUT_TAG = "word-without-tag"
 EVENT_DROPPED_TAG = "dropped-tag"
-_STRICT_ERROR = {
-    EVENT_WORD_WITHOUT_TAG: ERROR_TAG_EXPECTED,
-    EVENT_DROPPED_TAG: ERROR_WORD_EXPECTED,
-}
 
 
 class WellformednessError(ValueError):
@@ -168,61 +164,97 @@ class Walk(NamedTuple):
 
 
 def walk(tokens: list[str], mode: str) -> Walk:
-    """Classify each token once and pair tags with words leniently.
+    """Classify each token and pair tags with words leniently, in one pass.
 
     Positional-tag modes put the tag first, the German stemmed mode puts
-    the word first.  A token that cannot open or close a pair becomes an
-    orphan item.  The strict error is derived from the first orphan: an
+    the word first.  An open tag (or German stem) is either closed by its
+    partner or becomes an orphan item, and so does any token that cannot
+    open a pair.  The strict error is derived from the first orphan: an
     orphan that opens a pair is reported where its partner was expected.
     An odd-length positional-tag stream is reported as ``odd-length`` at
-    its last token before any other violation.  Inputs must have BPE
-    reverted already.
+    its last token before any other violation.  Tokens are classified
+    once per distinct token (:func:`~morphmt.tagsets.classify_czech_tokens`,
+    :func:`~morphmt.tagsets.classify_german_tokens`).  Inputs must have
+    BPE reverted already.
     """
     if mode in (MODE_MORPHGEN, MODE_SERIALIZATION):
-        tag_first = True
-        features: list[GermanFeatureSeq | None] = [None] * len(tokens)
-        is_tag = list(map(is_czech_tag, tokens))
-    elif mode == MODE_GERMAN_STEMMED:
-        tag_first = False
-        features = list(map(parse_feature_token, tokens))
-        is_tag = [f is not None for f in features]
-    elif mode == MODE_BASELINE:
+        return _walk_tag_first(tokens)
+    if mode == MODE_GERMAN_STEMMED:
+        return _walk_word_first(tokens)
+    if mode == MODE_BASELINE:
         raise ValueError("baseline sequences carry no tag/word pairs")
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    raise ValueError(f"unknown mode {mode!r}")
 
-    items: list[Item] = []
+
+# Items are built with tuple.__new__, which skips the Python-level
+# constructor that a NamedTuple class call runs.
+_new = tuple.__new__
+
+
+def _walk_tag_first(tokens: list[str]) -> Walk:
+    is_tag = classify_czech_tokens(tokens)
     n = len(tokens)
-    i = 0
-    while i < n:
-        token = tokens[i]
-        if is_tag[i]:
-            if tag_first and i + 1 < n and not is_tag[i + 1]:
-                items.append(Item(ITEM_PAIR, i, token, tokens[i + 1]))
-                i += 2
-                continue
-            items.append(Item(EVENT_DROPPED_TAG, i, token, ""))
-        elif not tag_first and is_bare_token(token):
-            lexeme, bracket, rest = token.partition("[")
-            items.append(Item(ITEM_BARE, i, bracket + rest, lexeme))
-        elif not tag_first and i + 1 < n and is_tag[i + 1]:
-            items.append(Item(ITEM_PAIR, i, tokens[i + 1], token, features[i + 1]))
-            i += 2
-            continue
-        else:
-            items.append(Item(EVENT_WORD_WITHOUT_TAG, i, "", token))
-        i += 1
-
+    if n % 2 == 0 and all(is_tag[0::2]) and not any(is_tag[1::2]):
+        # Every tag is followed by its word: build the pairs without a
+        # Python-level loop.
+        pairs = zip(repeat(ITEM_PAIR), range(0, n, 2), tokens[0::2], tokens[1::2], repeat(None))
+        return Walk(list(map(_new, repeat(Item), pairs)), None)
+    items: list[Item] = []
+    append = items.append
     error = None
-    if tag_first and n % 2 != 0:
+    open_tag = -1
+    for i, tag in enumerate(is_tag):
+        if not tag:
+            if open_tag >= 0:
+                append(_new(Item, (ITEM_PAIR, open_tag, tokens[open_tag], tokens[i], None)))
+                open_tag = -1
+                continue
+            append(_new(Item, (EVENT_WORD_WITHOUT_TAG, i, "", tokens[i], None)))
+            if error is None:
+                error = WellformednessError(i, ERROR_TAG_EXPECTED)
+            continue
+        if open_tag >= 0:
+            append(_new(Item, (EVENT_DROPPED_TAG, open_tag, tokens[open_tag], "", None)))
+            if error is None:
+                error = WellformednessError(open_tag + 1, ERROR_WORD_EXPECTED)
+        open_tag = i
+    if open_tag >= 0:
+        append(_new(Item, (EVENT_DROPPED_TAG, open_tag, tokens[open_tag], "", None)))
+        if error is None:
+            error = WellformednessError(open_tag + 1, ERROR_WORD_EXPECTED)
+    if n % 2 != 0:
         error = WellformednessError(n - 1, ERROR_ODD_LENGTH)
-    else:
-        for item in items:
-            if item.kind in _STRICT_ERROR:
-                opens_pair = (item.kind == EVENT_DROPPED_TAG) == tag_first
-                position = item.position + 1 if opens_pair else item.position
-                error = WellformednessError(position, _STRICT_ERROR[item.kind])
-                break
+    return Walk(items, error)
+
+
+def _walk_word_first(tokens: list[str]) -> Walk:
+    items: list[Item] = []
+    append = items.append
+    error = None
+    open_stem = -1
+    for i, (features, bare) in enumerate(classify_german_tokens(tokens)):
+        if features is not None:
+            if open_stem >= 0:
+                append(_new(Item, (ITEM_PAIR, open_stem, tokens[i], tokens[open_stem], features)))
+                open_stem = -1
+                continue
+            append(_new(Item, (EVENT_DROPPED_TAG, i, tokens[i], "", None)))
+            if error is None:
+                error = WellformednessError(i, ERROR_WORD_EXPECTED)
+            continue
+        if open_stem >= 0:
+            append(_new(Item, (EVENT_WORD_WITHOUT_TAG, open_stem, "", tokens[open_stem], None)))
+            if error is None:
+                error = WellformednessError(open_stem + 1, ERROR_TAG_EXPECTED)
+        if bare is None:
+            open_stem = i
+        else:
+            append(_new(Item, (ITEM_BARE, i, *bare, None)))
+            open_stem = -1
+    if open_stem >= 0:
+        append(_new(Item, (EVENT_WORD_WITHOUT_TAG, open_stem, "", tokens[open_stem], None)))
+        if error is None:
+            error = WellformednessError(open_stem + 1, ERROR_TAG_EXPECTED)
     return Walk(items, error)
 
 

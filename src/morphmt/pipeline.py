@@ -44,7 +44,12 @@ from .compounds import (
     rejoin_split_tokens,
     split_compound,
 )
-from .conventions import MODE_GERMAN_STEMMED_SPLIT, PIPELINE_MODES
+from .conventions import (
+    CZECH_DEFAULT_MERGES,
+    GERMAN_DEFAULT_MERGES,
+    MODE_GERMAN_STEMMED_SPLIT,
+    PIPELINE_MODES,
+)
 from .morphlex import (
     Diagnostics,
     GenerationFailure,
@@ -55,6 +60,7 @@ from .morphlex import (
     generate_with_fallback,
 )
 from .tagsets import (
+    GermanFeatureSeq,
     MalformedAnalysis,
     MorphAnalysis,
     _remember,
@@ -78,8 +84,6 @@ __all__ = [
     "tag_predicate_for_mode",
 ]
 
-CZECH_DEFAULT_MERGES = 49500
-GERMAN_DEFAULT_MERGES = 29500
 BASE_MAXLEN = 50
 GERMAN_MINLEN = 5
 
@@ -419,16 +423,30 @@ def _revert_lenient(tokens: list[str], repairs: list[tuple[int, int, str]]) -> l
 _StemOutcome = tuple[str | None, tuple[str, ...], GenerationFailure | None]
 
 
-def _stem_outcome(item: interleave.Item, lex: ParadigmLexicon) -> _StemOutcome:
+def _stem_outcome(
+    stem: str, features: GermanFeatureSeq, tag: str, lex: ParadigmLexicon
+) -> _StemOutcome:
     unknown_modifiers: list[str] = []
     try:
-        analysis, _ = merge_stem(item.word, item.features, lex, unknown_modifiers)
+        analysis, _ = merge_stem(stem, features, lex, unknown_modifiers)
     except MalformedAnalysis:
         return None, tuple(unknown_modifiers), None
     generated = Diagnostics()
-    surface = generate_with_fallback(lex, analysis.stem_text, item.tag, generated)
+    surface = generate_with_fallback(lex, analysis.stem_text, tag, generated)
     failure = generated.fallbacks[0][1] if generated.fallbacks else None
     return surface, tuple(unknown_modifiers), failure
+
+
+def _orphan(kind: str, position: int, word: str, words: list[str], repairs: list) -> None:
+    """Emit a walked item that is not a (tag, word) pair.
+
+    A bare token's word is emitted as it is; an orphan word is emitted
+    verbatim and an orphan tag dropped, each recorded as a repair.
+    """
+    if kind != interleave.ITEM_BARE:
+        repairs.append((0, position, kind))
+    if kind != EVENT_DROPPED_TAG:
+        words.append(word)
 
 
 def postprocess_line(
@@ -440,8 +458,10 @@ def postprocess_line(
     """Deterministically turn one backend output line into surface text.
 
     The diagnostics cover this one line, so every record is at line 0.
-    German (stem, tag) pairs are merged and generated once per distinct
-    pair in ``memo``; each occurrence replays the recorded outcome.
+    A Czech pair found in the lexicon costs one lookup; only a miss goes
+    through :func:`~morphmt.morphlex.generate_with_fallback`.  German
+    (stem, tag) pairs are merged and generated once per distinct pair in
+    ``memo``; each occurrence replays the recorded outcome.
     """
     diagnostics = Diagnostics()
     repairs = diagnostics.repairs
@@ -455,37 +475,52 @@ def postprocess_line(
         tokens, orphans = rejoin_split_tokens(tokens)
         repairs.extend((0, pos, EVENT_ORPHAN_SEPARATOR) for pos, _ in orphans)
 
-    stream = interleave.walk(tokens, _base_mode(mode))
-    if stream.error is not None:
-        diagnostics.errors.append((0, stream.error.kind, stream.error.position))
+    items, error = interleave.walk(tokens, _base_mode(mode))
+    if error is not None:
+        diagnostics.errors.append((0, error.kind, error.position))
 
+    ITEM_PAIR = interleave.ITEM_PAIR
     words: list[str] = []
-    unknown_modifiers: list[str] = []
-    for item in stream.items:
-        if item.kind == EVENT_DROPPED_TAG:
-            repairs.append((0, item.position, item.kind))
-        elif item.kind == EVENT_WORD_WITHOUT_TAG:
-            repairs.append((0, item.position, item.kind))
-            words.append(item.word)
-        elif item.kind == interleave.ITEM_BARE or mode == interleave.MODE_SERIALIZATION:
-            words.append(item.word)
-        elif mode == interleave.MODE_MORPHGEN:
-            words.append(generate_with_fallback(lex, item.word, item.tag, diagnostics))
-        else:
-            outcome = memo.get((item.word, item.tag))
+    if mode == interleave.MODE_SERIALIZATION:
+        for kind, position, _, word, _ in items:
+            if kind == ITEM_PAIR:
+                words.append(word)
+            else:
+                _orphan(kind, position, word, words, repairs)
+    elif mode == interleave.MODE_MORPHGEN:
+        surface_for = lex.surface_for
+        hits = 0
+        for kind, position, tag, word, _ in items:
+            if kind != ITEM_PAIR:
+                _orphan(kind, position, word, words, repairs)
+                continue
+            surface = surface_for(word, tag)
+            if surface is None:
+                surface = generate_with_fallback(lex, word, tag, diagnostics)
+            else:
+                hits += 1
+            words.append(surface)
+        diagnostics.generated += hits
+    else:
+        unknown_modifiers: list[str] = []
+        for kind, position, tag, word, features in items:
+            if kind != ITEM_PAIR:
+                _orphan(kind, position, word, words, repairs)
+                continue
+            outcome = memo.get((word, tag))
             if outcome is None:
-                outcome = _remember(memo, (item.word, item.tag), _stem_outcome(item, lex))
+                outcome = _remember(memo, (word, tag), _stem_outcome(word, features, tag, lex))
             surface, modifiers, failure = outcome
             unknown_modifiers += modifiers
             if surface is None:
-                repairs.append((0, item.position, EVENT_UNPARSEABLE_STEM))
-                words.append(item.word)
+                repairs.append((0, position, EVENT_UNPARSEABLE_STEM))
+                words.append(word)
                 continue
             diagnostics.generated += 1
             if failure is not None:
                 diagnostics.fallbacks.append((0, failure))
             words.append(surface)
-    diagnostics.unknown_modifiers = [(0, lexeme) for lexeme in unknown_modifiers]
+        diagnostics.unknown_modifiers = [(0, lexeme) for lexeme in unknown_modifiers]
     diagnostics.lines = 1
     return " ".join(words), diagnostics
 

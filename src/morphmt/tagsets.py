@@ -43,6 +43,8 @@ __all__ = [
     "is_czech_tag",
     "is_feature_token",
     "is_bare_token",
+    "classify_czech_tokens",
+    "classify_german_tokens",
     "GENDERS",
     "CASES",
     "NUMBERS",
@@ -103,6 +105,24 @@ def _remember(memo: dict, key, value):
         memo.clear()
     memo[key] = value
     return value
+
+
+def _classify_tokens(memo: dict, classify, tokens: list[str]) -> list:
+    """``classify(token)`` for each token, called once per distinct token.
+
+    A token already in ``memo`` costs a dict lookup and no Python-level
+    call; ``classify`` must never return None, which marks a miss.
+    """
+    values = list(map(memo.get, tokens))
+    if None in values:
+        for i, value in enumerate(values):
+            if value is None:
+                token = tokens[i]
+                value = memo.get(token)
+                if value is None:
+                    value = _remember(memo, token, classify(token))
+                values[i] = value
+    return values
 
 
 class PositionalTag(FrozenRecord):
@@ -194,6 +214,14 @@ def parse_czech_tag(raw: str) -> PositionalTag:
 def is_czech_tag(token: str) -> bool:
     """True iff ``token`` parses as a positional tag."""
     return len(token) == TAG_LENGTH and _TAG_RE.fullmatch(token) is not None
+
+
+_CZECH_TOKENS: dict[str, bool] = {}
+
+
+def classify_czech_tokens(tokens: list[str]) -> list[bool]:
+    """:func:`is_czech_tag` of each token, computed once per distinct token."""
+    return _classify_tokens(_CZECH_TOKENS, is_czech_tag, tokens)
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +396,31 @@ def is_feature_token(token: str) -> bool:
 def is_bare_token(token: str) -> bool:
     """True iff ``token`` has the non-inflected ``lexeme[TAG]`` shape."""
     return bool(_BARE_RE.match(token))
+
+
+_GermanClass = tuple[GermanFeatureSeq | None, tuple[str, str] | None]
+_WORD: _GermanClass = (None, None)
+_GERMAN_TOKENS: dict[str, _GermanClass] = {}
+
+
+def _german_class(token: str) -> _GermanClass:
+    features = parse_feature_token(token)
+    if features is not None:
+        return features, None
+    if is_bare_token(token):
+        lexeme, bracket, rest = token.partition("[")
+        return None, (bracket + rest, lexeme)
+    return _WORD
+
+
+def classify_german_tokens(tokens: list[str]) -> list[_GermanClass]:
+    """The class of each German stream token, found once per distinct token.
+
+    A feature token gives ``(features, None)``, a bare ``lexeme[TAG]``
+    token ``(None, ("[TAG]", lexeme))`` and any other token, a word,
+    ``(None, None)``.
+    """
+    return _classify_tokens(_GERMAN_TOKENS, _german_class, tokens)
 
 
 # ---------------------------------------------------------------------------

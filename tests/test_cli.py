@@ -374,6 +374,13 @@ class TestCompoundCommands:
             "unknown_modifiers": 1,
         }
 
+    def test_merge_error_names_its_line(self, run):
+        # The stem spells a separator token: it cannot be merged.
+        lines = "Meer §§<NN>§§ Boden <+NN><Masc><Dat><Sg><NA>\na<NN>§§<X>§§ <+NN><Masc><Dat><Sg><NA>\n"
+        code, out, err = run(["merge-compounds", "--lexicon", GERMAN_LEXICON], stdin_text=lines)
+        assert (code, out) == (1, "")
+        assert err.startswith("morphmt: error: line 2: lexeme expected at 2 in ")
+
 
 class TestTranslateCommand:
     def test_identity_backend(self, run):
@@ -792,15 +799,14 @@ class TestFreshProcess:
         assert result.returncode == 1
         assert result.stderr.startswith("morphmt: error: ")
 
-    @pytest.mark.parametrize("argv", [
-        ["--version"],
-        ["bleu", CZECH_LEXICON, CZECH_LEXICON],
-        ["bleu", CZECH_LEXICON, GERMAN_LEXICON],  # the error path
-        ["translate", "--backend", "cat"],
-        ["translate", "--backend", "false"],  # the error path
-    ])
-    def test_library_left_unloaded(self, argv):
-        # As ``python -m morphmt.cli ARGV``, then the loaded modules on stderr.
+    def test_stats_vocab_loads_only_bpe(self):
+        loaded = self.loaded_modules(["stats", "--vocab", CZECH_LEXICON, "--merges", "5"])
+        assert loaded & set(LIBRARY_MODULES) == {"morphmt.bpe"}
+        assert loaded <= {"morphmt", "morphmt.cli", "morphmt.conventions", "morphmt.bpe"}
+
+    @staticmethod
+    def loaded_modules(argv):
+        """The morphmt modules loaded by ``python -m morphmt.cli ARGV`` on ``a b``."""
         probe = (
             "import json, runpy, sys\n"
             "try:\n"
@@ -811,9 +817,19 @@ class TestFreshProcess:
         )
         result = subprocess.run([sys.executable, "-c", probe, *argv], input="a b\n",
                                 capture_output=True, text=True)
-        loaded = set(json.loads(result.stderr.splitlines()[-1]))
+        return set(json.loads(result.stderr.splitlines()[-1]))
+
+    @pytest.mark.parametrize("argv", [
+        ["--version"],
+        ["bleu", CZECH_LEXICON, CZECH_LEXICON],
+        ["bleu", CZECH_LEXICON, GERMAN_LEXICON],  # the error path
+        ["translate", "--backend", "cat"],
+        ["translate", "--backend", "false"],  # the error path
+    ])
+    def test_library_left_unloaded(self, argv):
+        loaded = self.loaded_modules(argv)
         assert "morphmt.conventions" in loaded
-        assert not loaded & set(LIBRARY_MODULES), result.stderr
+        assert not loaded & set(LIBRARY_MODULES), loaded
 
 
 # ---------------------------------------------------------------------------

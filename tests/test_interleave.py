@@ -3,25 +3,35 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from morphmt import evaluation
+from morphmt import evaluation, tagsets
 
 from morphmt.interleave import (
     ERROR_ODD_LENGTH,
     ERROR_TAG_EXPECTED,
     ERROR_WORD_EXPECTED,
+    EVENT_DROPPED_TAG,
+    EVENT_WORD_WITHOUT_TAG,
+    ITEM_BARE,
+    ITEM_PAIR,
+    Item,
     LengthMismatch,
+    Walk,
     WellformednessError,
     decode,
     encode,
     tag_source,
+    walk,
 )
 from morphmt.pipeline import PipelineConfig, postprocess
 from morphmt.tagsets import (
     MorphAnalysis,
+    classify_czech_tokens,
+    classify_german_tokens,
     is_bare_token,
     is_czech_tag,
     is_feature_token,
     parse_czech_tag,
+    parse_feature_token,
     parse_german_analysis,
 )
 
@@ -312,3 +322,106 @@ class TestWalkMatchesReference:
             base = "german-stemmed" if mode.startswith("german") else mode
             expected = evaluation.wellformedness(lines, base).errors
             assert result.diagnostics.errors == expected
+
+
+# ---------------------------------------------------------------------------
+# The lenient walk as it was written first - one predicate call per token,
+# a NamedTuple constructor per item and the strict error read off the
+# items afterwards - that ``walk`` must match item for item.
+# ---------------------------------------------------------------------------
+
+_STRICT_ERROR = {
+    EVENT_WORD_WITHOUT_TAG: ERROR_TAG_EXPECTED,
+    EVENT_DROPPED_TAG: ERROR_WORD_EXPECTED,
+}
+
+
+def oracle_walk(tokens, mode):
+    if mode in ("morphgen", "serialization"):
+        tag_first = True
+        features = [None] * len(tokens)
+        is_tag = list(map(is_czech_tag, tokens))
+    elif mode == "german-stemmed":
+        tag_first = False
+        features = list(map(parse_feature_token, tokens))
+        is_tag = [f is not None for f in features]
+    else:
+        raise ValueError(mode)
+    items = []
+    n = len(tokens)
+    i = 0
+    while i < n:
+        token = tokens[i]
+        if is_tag[i]:
+            if tag_first and i + 1 < n and not is_tag[i + 1]:
+                items.append(Item(ITEM_PAIR, i, token, tokens[i + 1]))
+                i += 2
+                continue
+            items.append(Item(EVENT_DROPPED_TAG, i, token, ""))
+        elif not tag_first and is_bare_token(token):
+            lexeme, bracket, rest = token.partition("[")
+            items.append(Item(ITEM_BARE, i, bracket + rest, lexeme))
+        elif not tag_first and i + 1 < n and is_tag[i + 1]:
+            items.append(Item(ITEM_PAIR, i, tokens[i + 1], token, features[i + 1]))
+            i += 2
+            continue
+        else:
+            items.append(Item(EVENT_WORD_WITHOUT_TAG, i, "", token))
+        i += 1
+    error = None
+    if tag_first and n % 2 != 0:
+        error = WellformednessError(n - 1, ERROR_ODD_LENGTH)
+    else:
+        for item in items:
+            if item.kind in _STRICT_ERROR:
+                opens_pair = (item.kind == EVENT_DROPPED_TAG) == tag_first
+                position = item.position + 1 if opens_pair else item.position
+                error = WellformednessError(position, _STRICT_ERROR[item.kind])
+                break
+    return Walk(items, error)
+
+
+def walk_view(stream):
+    """A walk's items with their types, and its error as comparable values."""
+    error = stream.error
+    if error is not None:
+        error = (type(error), error.kind, error.position, str(error))
+    return type(stream), [(type(item), item) for item in stream.items], error
+
+
+MODES_WALKED = ["morphgen", "serialization", "german-stemmed"]
+
+
+class TestWalkMatchesOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(streams, st.sampled_from(MODES_WALKED))
+    def test_walk_matches_oracle(self, tokens, mode):
+        assert walk_view(walk(tokens, mode)) == walk_view(oracle_walk(tokens, mode))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(streams, min_size=1, max_size=4), st.sampled_from(MODES_WALKED))
+    def test_classes_survive_an_emptied_memo(self, token_lines, mode):
+        # Fresh memos with room for two tokens, emptied within most lines.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tagsets, "_MEMO_LIMIT", 2)
+            patch.setattr(tagsets, "_CZECH_TOKENS", {})
+            patch.setattr(tagsets, "_GERMAN_TOKENS", {})
+            for tokens in token_lines:
+                assert classify_czech_tokens(tokens) == list(map(is_czech_tag, tokens))
+                classes = classify_german_tokens(tokens)
+                assert [features for features, _ in classes] == list(
+                    map(parse_feature_token, tokens)
+                )
+                assert [bare is not None for _, bare in classes] == [
+                    parse_feature_token(token) is None and is_bare_token(token)
+                    for token in tokens
+                ]
+                assert walk_view(walk(tokens, mode)) == walk_view(oracle_walk(tokens, mode))
+            assert len(tagsets._CZECH_TOKENS) <= 2
+            assert len(tagsets._GERMAN_TOKENS) <= 2
+
+    def test_modes_without_pairs_rejected(self):
+        with pytest.raises(ValueError, match="baseline"):
+            walk(["a"], "baseline")
+        with pytest.raises(ValueError, match="unknown mode"):
+            walk(["a"], "surface")

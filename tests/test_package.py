@@ -96,6 +96,15 @@ def test_pipeline_reexports_the_backend():
         assert getattr(morphmt.pipeline, name) is getattr(morphmt.backend, name)
 
 
+def test_pipeline_reexports_the_merge_budgets():
+    import morphmt.conventions
+    import morphmt.pipeline
+
+    for name in ("CZECH_DEFAULT_MERGES", "GERMAN_DEFAULT_MERGES"):
+        assert getattr(morphmt.pipeline, name) is getattr(morphmt.conventions, name)
+        assert name not in morphmt.pipeline.__all__
+
+
 def test_pipeline_import_leaves_subprocess_out():
     # Only a run of the backend imports subprocess.
     result = subprocess.run(

@@ -1,9 +1,11 @@
 """The per-distinct-pair memos of prepare and postprocess against per-token oracles.
 
 ``prepare_variant`` analyses and encodes each distinct (target token,
-parse tag) pair once, and the German branch of ``postprocess`` merges and
-generates each distinct (stem, tag) pair once.  The oracles below are the
-per-sentence and per-occurrence code those memos replaced.
+parse tag) pair once, the German branch of ``postprocess`` merges and
+generates each distinct (stem, tag) pair once, and a Czech pair found in
+the lexicon is one lookup.  The oracles below are the per-sentence and
+per-occurrence code those shortcuts replaced: every stream goes through
+the oracle walk, and every pair through ``generate_with_fallback``.
 """
 
 import pytest
@@ -31,6 +33,7 @@ from morphmt.pipeline import (
 from morphmt.tagsets import MalformedAnalysis
 
 from conftest import FIG1_MORPHGEN, TABLE1_PARSE_TAGS, TABLE1_ROWS, entry_rows
+from test_interleave import oracle_walk
 
 LEXICON_MODES = ["morphgen", "serialization", "german-stemmed", "german-stemmed-split"]
 
@@ -86,7 +89,8 @@ def oracle_prepare(corpus, cfg, lex, parse_tags):
 
 
 def oracle_postprocess_line(line, mode, lex):
-    """postprocess_line with every German pair merged and generated where it occurs."""
+    """postprocess_line with every pair generated where it occurs, and every
+    German pair merged there too."""
     diagnostics = Diagnostics()
     repairs = diagnostics.repairs
     tokens = pipeline._revert_lenient(line.split(), repairs)
@@ -96,7 +100,7 @@ def oracle_postprocess_line(line, mode, lex):
     if mode == "german-stemmed-split":
         tokens, orphans = rejoin_split_tokens(tokens)
         repairs.extend((0, pos, "orphan-separator") for pos, _ in orphans)
-    stream = interleave.walk(tokens, "german-stemmed" if mode.startswith("german") else mode)
+    stream = oracle_walk(tokens, "german-stemmed" if mode.startswith("german") else mode)
     if stream.error is not None:
         diagnostics.errors.append((0, stream.error.kind, stream.error.position))
     words, unknown_modifiers = [], []
@@ -274,7 +278,8 @@ COVERING_LINES = [
     "§§<NN>§§ Wolke <+NN><Fem><Acc><Sg><NA> §§<ADJ>§§",  # orphan separators
     "Hvanda <+V><3><Sg><Pres><Ind> treffen <+V><3><Sg><Pres><Ind> @@",  # unknown lemma
     FIG1_MORPHGEN,
-    "NNFS1-----A---- Hvanda piz@@ za",
+    "NNFS1-----A---- Hvanda piz@@ za",  # unknown lemma, orphan word
+    "NNIP1-----A---- pizza VB-P---3P-AA--- existovat Z:-------------",  # incompatible tag
 ]
 
 
@@ -288,6 +293,7 @@ class TestPostprocessMatchesOracle:
     @example("german-stemmed-split", COVERING_LINES)
     @example("german-stemmed", COVERING_LINES)
     @example("morphgen", COVERING_LINES)
+    @example("serialization", COVERING_LINES)
     def test_postprocess_matches_oracle(self, czech_lexicon, german_lexicon, mode, lines):
         lex = lexicon_for(mode, czech_lexicon, german_lexicon)
         # Every line twice, so every pair recurs in a later line too.
@@ -295,6 +301,15 @@ class TestPostprocessMatchesOracle:
         assert postprocess(lines, PipelineConfig.for_mode(mode), lex) == oracle_postprocess(
             lines, mode, lex
         )
+
+    def test_covering_lines_cover_every_czech_record(self, czech_lexicon):
+        diagnostics = oracle_postprocess(COVERING_LINES, "morphgen", czech_lexicon).diagnostics
+        events = {event for _, _, event in diagnostics.repairs}
+        assert {"dropped-tag", "word-without-tag", "dangling-marker"} <= events
+        reasons = {failure.reason for _, failure in diagnostics.fallbacks}
+        assert reasons == {"unknown-lemma", "incompatible-tag"}
+        # Lexicon hits as well as misses.
+        assert diagnostics.generated > len(diagnostics.fallbacks)
 
     def test_covering_lines_cover_every_record(self, german_lexicon):
         result = oracle_postprocess(COVERING_LINES, "german-stemmed-split", german_lexicon)
