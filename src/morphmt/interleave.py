@@ -20,7 +20,6 @@ the items directly.
 
 from __future__ import annotations
 
-from itertools import repeat
 from typing import NamedTuple
 
 from . import FrozenRecord
@@ -193,12 +192,6 @@ _new = tuple.__new__
 
 def _walk_tag_first(tokens: list[str]) -> Walk:
     is_tag = classify_czech_tokens(tokens)
-    n = len(tokens)
-    if n % 2 == 0 and all(is_tag[0::2]) and not any(is_tag[1::2]):
-        # Every tag is followed by its word: build the pairs without a
-        # Python-level loop.
-        pairs = zip(repeat(ITEM_PAIR), range(0, n, 2), tokens[0::2], tokens[1::2], repeat(None))
-        return Walk(list(map(_new, repeat(Item), pairs)), None)
     items: list[Item] = []
     append = items.append
     error = None
@@ -222,8 +215,8 @@ def _walk_tag_first(tokens: list[str]) -> Walk:
         append(_new(Item, (EVENT_DROPPED_TAG, open_tag, tokens[open_tag], "", None)))
         if error is None:
             error = WellformednessError(open_tag + 1, ERROR_WORD_EXPECTED)
-    if n % 2 != 0:
-        error = WellformednessError(n - 1, ERROR_ODD_LENGTH)
+    if len(tokens) % 2 != 0:
+        error = WellformednessError(len(tokens) - 1, ERROR_ODD_LENGTH)
     return Walk(items, error)
 
 

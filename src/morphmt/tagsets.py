@@ -379,13 +379,16 @@ def parse_feature_token(token: str) -> GermanFeatureSeq | None:
     """The feature sequence of a pure angle-bracket token, else None."""
     if token in _FEATURE_TOKENS:
         return _FEATURE_TOKENS[token]
-    features = None
+    return _remember(_FEATURE_TOKENS, token, _feature_token(token))
+
+
+def _feature_token(token: str) -> GermanFeatureSeq | None:
     if _ANGLE_SEQ_RE.match(token):
         try:
-            features = parse_feature_seq(token)
+            return parse_feature_seq(token)
         except MalformedAnalysis:
             pass
-    return _remember(_FEATURE_TOKENS, token, features)
+    return None
 
 
 def is_feature_token(token: str) -> bool:
@@ -404,7 +407,7 @@ _GERMAN_TOKENS: dict[str, _GermanClass] = {}
 
 
 def _german_class(token: str) -> _GermanClass:
-    features = parse_feature_token(token)
+    features = _feature_token(token)
     if features is not None:
         return features, None
     if is_bare_token(token):

@@ -385,3 +385,11 @@ class TestTokenParsersMatchUncached:
             assert parse_stem_side(f"a{i}<NN>b") == uncached_stem_side(f"a{i}<NN>b")
             assert len(tagsets._FEATURE_TOKENS) <= 3
             assert len(tagsets._STEM_SIDES) <= 3
+
+    def test_german_classes_are_cached_once(self, monkeypatch):
+        monkeypatch.setattr(tagsets, "_FEATURE_TOKENS", {})
+        monkeypatch.setattr(tagsets, "_GERMAN_TOKENS", {})
+        tokens = ["<+NN><Fem>", "Meer", "Haus[NN]", "<+V>", "Meer"]
+        tagsets.classify_german_tokens(tokens)
+        assert tagsets._FEATURE_TOKENS == {}
+        assert set(tagsets._GERMAN_TOKENS) == set(tokens)
