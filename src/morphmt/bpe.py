@@ -15,7 +15,7 @@ runs back into whole tokens.  Segmentation is lossless:
 from __future__ import annotations
 
 import heapq
-from collections import Counter, defaultdict
+from collections import Counter
 from typing import Callable, Iterable
 
 from . import FrozenRecord
@@ -85,12 +85,12 @@ def learn_bpe(tokens: Iterable[str], num_merges: int) -> MergeTable:
     vocab = Counter(tokens)
     words: list[list[str]] = [list(w) for w in vocab]
     freqs: list[int] = list(vocab.values())
-    counts: Counter[tuple[str, str]] = Counter()
-    where: defaultdict[tuple[str, str], set[int]] = defaultdict(set)
+    counts: dict[tuple[str, str], int] = {}
+    where: dict[tuple[str, str], set[int]] = {}
     for i, (symbols, freq) in enumerate(zip(words, freqs)):
         for pair in zip(symbols, symbols[1:]):
-            counts[pair] += freq
-            where[pair].add(i)
+            counts[pair] = counts.get(pair, 0) + freq
+            where.setdefault(pair, set()).add(i)
     # Min-heap on (-count, pair): highest count, then the smallest pair.
     # An entry whose count is no longer the pair's count is stale.
     heap = [(-count, pair) for pair, count in counts.items()]
@@ -101,7 +101,7 @@ def learn_bpe(tokens: Iterable[str], num_merges: int) -> MergeTable:
         if counts[best] != -negative:
             continue
         merges.append(best)
-        delta: Counter[tuple[str, str]] = Counter()
+        delta: dict[tuple[str, str], int] = {}
         # A pair can form again after its merge, so `where` may be re-filled.
         for i in where.pop(best):
             symbols = words[i]
@@ -110,16 +110,16 @@ def learn_bpe(tokens: Iterable[str], num_merges: int) -> MergeTable:
                 continue  # the index is a superset: this word lost the pair earlier
             freq = freqs[i]
             for pair in zip(symbols, symbols[1:]):
-                delta[pair] -= freq
+                delta[pair] = delta.get(pair, 0) - freq
             for pair in zip(merged, merged[1:]):
-                delta[pair] += freq
-                where[pair].add(i)
+                delta[pair] = delta.get(pair, 0) + freq
+                where.setdefault(pair, set()).add(i)
             words[i] = merged
         for pair, change in delta.items():
             if change:
-                counts[pair] += change
-                if counts[pair]:
-                    heapq.heappush(heap, (-counts[pair], pair))
+                count = counts[pair] = counts.get(pair, 0) + change
+                if count:
+                    heapq.heappush(heap, (-count, pair))
     return MergeTable(tuple(merges))
 
 

@@ -4,7 +4,7 @@ The lexicon is a plain table of (lemma, tag, surface) triples read from a
 TSV document and keyed by tag text.  It answers two questions:
 
 * analysis: which (lemma, tag) pairs can produce this surface form?
-  (The index behind it is built per surface, on its first analysis.)
+  (The index behind it groups the rows by surface at the first analysis.)
 * generation: which surface form does this (lemma, tag text) pair produce?
 
 Generation is a pure lookup and therefore total and deterministic over
@@ -38,6 +38,7 @@ from .tagsets import (
     parse_czech_tag,
     parse_feature_seq,
     split_lines,
+    _remember,
     KIND_BARE,
     KIND_NOMINAL,
     KIND_VERBAL_FINITE,
@@ -57,6 +58,7 @@ __all__ = [
     "load_lexicon",
     "analyze",
     "disambiguate",
+    "select_analysis",
     "generate",
     "generate_with_fallback",
     "parse_tag_text",
@@ -162,11 +164,10 @@ class ParadigmLexicon:
 
     Rows are keyed by tag text; each distinct tag text is parsed once,
     when its first row is added.  The forward index is a function (at
-    most one surface per lemma+tag).  The inverse index lists candidates
-    per surface in canonical order: lexicographic by tag text, then by
-    lemma.  The first analysis groups the rows by surface; a surface's
-    candidates are sorted and built when that surface is first asked
-    for.  Adding a row drops both.
+    most one surface per lemma+tag).  The inverse index lists each
+    surface's row keys, grouped by the first analysis and dropped when a
+    row is added; candidates are built from them in canonical order:
+    lexicographic by tag text, then by lemma.
     """
 
     def __init__(self) -> None:
@@ -174,7 +175,6 @@ class ParadigmLexicon:
         self._forward: dict[tuple[str, str], str] = {}  # (tag text, lemma) -> surface
         self._tags: dict[str, PositionalTag | GermanFeatureSeq] = {}
         self._by_surface: dict[str, list[tuple[str, str]]] | None = None  # surface -> keys
-        self._inverse: dict[str, list[MorphAnalysis]] = {}  # surfaces asked for so far
         self._lemmas: set[str] = set()
 
     def add_entry(self, lemma: str, tag_text: str, surface: str) -> None:
@@ -208,23 +208,18 @@ class ParadigmLexicon:
     def knows_lemma(self, lemma: str) -> bool:
         return lemma in self._lemmas
 
-    def candidates_for(self, surface: str) -> list[MorphAnalysis]:
-        if self._by_surface is None:
-            by_surface: dict[str, list[tuple[str, str]]] = {}
+    def keys_for(self, surface: str) -> list[tuple[str, str]]:
+        """The (tag text, lemma) keys of ``surface``'s rows; do not mutate."""
+        by_surface = self._by_surface
+        if by_surface is None:
+            by_surface = self._by_surface = {}
             for key, form in self._forward.items():
                 by_surface.setdefault(form, []).append(key)
-            self._by_surface = by_surface
-            self._inverse = {}
-        candidates = self._inverse.get(surface)
-        if candidates is None:
-            keys = self._by_surface.get(surface)
-            if keys is None:
-                return []
-            tags = self._tags
-            candidates = self._inverse[surface] = [
-                MorphAnalysis(lemma, tags[tag], surface) for tag, lemma in sorted(keys)
-            ]
-        return list(candidates)
+        return by_surface.get(surface, [])
+
+    def candidates_for(self, surface: str) -> list[MorphAnalysis]:
+        tags = self._tags
+        return [MorphAnalysis(lemma, tags[tag], surface) for tag, lemma in sorted(self.keys_for(surface))]
 
     def __len__(self) -> int:
         return len(self._forward)
@@ -319,8 +314,8 @@ def _pos_compatible(candidate_tag: GermanFeatureSeq, context_pos: str) -> bool:
     return context_pos.startswith(head)
 
 
-def _compatible(candidate: MorphAnalysis, context_pos: str, constraints: dict[str, str]) -> bool:
-    tag = candidate.tag
+def _compatible(tag: PositionalTag | GermanFeatureSeq, context_pos: str,
+                constraints: dict[str, str]) -> bool:
     if not isinstance(tag, GermanFeatureSeq):
         return False
     if not _pos_compatible(tag, context_pos):
@@ -344,6 +339,20 @@ def _compatible(candidate: MorphAnalysis, context_pos: str, constraints: dict[st
     return True
 
 
+_CONTEXTS: dict[str, tuple[str, dict[str, str]]] = {}  # context text -> parsed context
+
+
+def _first_fit(tags: list[PositionalTag | GermanFeatureSeq], context: str) -> int:
+    """Index of the first tag compatible with the context parse tag."""
+    parsed = _CONTEXTS.get(context)
+    if parsed is None:  # a context that fails to parse raises and is not remembered
+        parsed = _remember(_CONTEXTS, context, _parse_context(context))
+    for index, tag in enumerate(tags):
+        if _compatible(tag, *parsed):
+            return index
+    raise NoCompatibleAnalysis(f"none of {len(tags)} analyses is compatible with {context!r}")
+
+
 def disambiguate(candidates: list[MorphAnalysis], context: str) -> MorphAnalysis:
     """Pick the first candidate compatible with the context parse tag.
 
@@ -353,13 +362,27 @@ def disambiguate(candidates: list[MorphAnalysis], context: str) -> MorphAnalysis
     """
     if not candidates:
         raise ValueError("disambiguate needs at least one candidate")
-    context_pos, constraints = _parse_context(context)
-    for candidate in candidates:
-        if _compatible(candidate, context_pos, constraints):
-            return candidate
-    raise NoCompatibleAnalysis(
-        f"none of {len(candidates)} analyses is compatible with {context!r}"
-    )
+    return candidates[_first_fit([c.tag for c in candidates], context)]
+
+
+def select_analysis(lex: ParadigmLexicon, surface: str, context: str | None) -> MorphAnalysis:
+    """``analyze(lex, surface)[0]``, or ``disambiguate`` of it against a
+    context, from the surface's row keys: only the chosen analysis is built.
+
+    Every analysis of a surface regenerates it, so without a context the
+    choice never affects round-tripping.  Raises MalformedAnalysis when
+    no row produces ``surface``.
+    """
+    keys = lex.keys_for(surface)
+    if not keys:
+        raise MalformedAnalysis(f"no analysis for {surface!r}")
+    tags = lex._tags
+    if context is None:
+        tag_text, lemma = min(keys)
+    else:
+        keys = sorted(keys)
+        tag_text, lemma = keys[_first_fit([tags[tag] for tag, _ in keys], context)]
+    return MorphAnalysis(lemma, tags[tag_text], surface)
 
 
 # ---------------------------------------------------------------------------

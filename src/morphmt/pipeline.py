@@ -55,9 +55,8 @@ from .morphlex import (
     GenerationFailure,
     NoCompatibleAnalysis,
     ParadigmLexicon,
-    analyze,
-    disambiguate,
     generate_with_fallback,
+    select_analysis,
 )
 from .tagsets import (
     GermanFeatureSeq,
@@ -226,19 +225,6 @@ class PreparedVariant(Record):
         self.dropped = [] if dropped is None else dropped
 
 
-def _analysis_for(lex: ParadigmLexicon, token: str, parse_tag: str | None) -> MorphAnalysis:
-    """The analysis of one token, disambiguated when a parse tag is given.
-
-    Without a parse tag the first candidate in canonical order is taken;
-    every candidate of a surface regenerates that same surface, so the
-    choice never affects round-tripping.
-    """
-    candidates = analyze(lex, token)
-    if not candidates:
-        raise MalformedAnalysis(f"no analysis for {token!r}")
-    return candidates[0] if parse_tag is None else disambiguate(candidates, parse_tag)
-
-
 def _encode_analysis(a: MorphAnalysis, mode: str) -> tuple[str, ...]:
     if mode == MODE_GERMAN_STEMMED_SPLIT:
         # A bare analysis is not inflected, so split_compound returns it.
@@ -278,7 +264,7 @@ def _encode_tokens(
         entry = memo.get(key)
         if entry is None:
             try:
-                analysis = _analysis_for(lex, *key)
+                analysis = select_analysis(lex, *key)
             except (MalformedAnalysis, NoCompatibleAnalysis) as exc:
                 entry = _remember(memo, key, exc.with_traceback(None))
             else:

@@ -197,6 +197,17 @@ class TestPrepareCommand:
         assert (code, out) == (1, "")
         assert err == f"morphmt: error: {flag} has 1 lines for 2 target lines\n"
 
+    def test_bad_context_is_an_error(self, run, tmp_path):
+        tags = tmp_path / "parse.txt"
+        tags.write_text("ART-Acc.Sg.Fem NN-Foo\nART-Acc.Sg.Fem NN-Foo\n")
+        code, out, err = run(
+            ["prepare", "--mode", "german-stemmed-split", "--lexicon", GERMAN_LEXICON,
+             "--merges", "0", "--parse-tags", str(tags)],
+            stdin_text="eine Wolke\neine Wolke\n",
+        )
+        assert (code, out) == (1, "")
+        assert err == "morphmt: error: unknown context feature 'Foo' in 'NN-Foo'\n"
+
     def test_separate_tables_both_written(self, run, tmp_path):
         # With --no-joint-bpe the source side has its own table, written
         # next to the target table; it segments the raw source the same way.

@@ -21,6 +21,7 @@ from morphmt.morphlex import (
     generate_with_fallback,
     load_lexicon,
     parse_tag_text,
+    select_analysis,
 )
 from morphmt.tagsets import (
     MalformedAnalysis,
@@ -498,9 +499,9 @@ class TestLexiconProperties:
                 (c.lemma, c.tag_text) for c in analyze(lex, surface)
             ]
         # every inverse entry is mirrored in the forward index
-        for surface, candidates in lex._inverse.items():
-            for c in candidates:
-                assert lex.surface_for(c.lemma, c.tag_text) == surface
+        for surface, keys in lex._by_surface.items():
+            for tag_text, lemma in keys:
+                assert lex.surface_for(lemma, tag_text) == surface
 
 
 # Czech and German tag texts, lemmas and surfaces from small pools, so rows
@@ -607,7 +608,6 @@ class TestIndexPerSurface:
     ))
     def test_matches_the_eager_index(self, operations):
         lazy, eager = ParadigmLexicon(), EagerIndexLexicon()
-        queried = set()
         for operation, argument in operations:
             if operation == "add":
                 outcomes = []
@@ -619,13 +619,15 @@ class TestIndexPerSurface:
                         outcomes.append(str(exc))
                 assert outcomes[0] == outcomes[1]
             else:
-                queried.add(argument)
                 candidates = analyze(lazy, argument)
                 assert candidates == analyze(eager, argument)
                 candidates.clear()  # callers get a copy
                 assert analyze(lazy, argument) == analyze(eager, argument)
-        # Only surfaces asked for since the last row are built.
-        assert set(lazy._inverse) <= queried
+        # The surface index, once built, holds every row: adding one drops it.
+        if lazy._by_surface is not None:
+            assert sorted(
+                (key, form) for form, keys in lazy._by_surface.items() for key in keys
+            ) == sorted(lazy._forward.items())
         assert len(lazy) == len(eager)
 
     def test_row_added_after_a_query(self):
@@ -639,3 +641,60 @@ class TestIndexPerSurface:
         for surface in ("hrady", "hradu", "brady"):
             assert analyze(lazy, surface) == analyze(eager, surface)
         assert [c.lemma for c in analyze(lazy, "hrady")] == ["brada", "hrad"]
+
+
+def oracle_select(lex, surface, context):
+    """The first candidate, or the disambiguated one, of the built candidate list."""
+    candidates = analyze(lex, surface)
+    if not candidates:
+        raise MalformedAnalysis(f"no analysis for {surface!r}")
+    return candidates[0] if context is None else disambiguate(candidates, context)
+
+
+def outcome_of(function, *args):
+    try:
+        return function(*args)
+    except (ValueError, LookupError) as exc:
+        return type(exc), str(exc)
+
+
+# German contexts that fit some MIXED_TAGS, one that fits none and a bad one.
+MIXED_CONTEXTS = [None, "NN-Acc.Sg.Fem", "ADJA-Dat.Sg", "VVFIN-Sg", "KON", "NN-Nom", "NN-Foo"]
+
+
+class TestSelectAnalysis:
+    # Adds and selections interleaved at random, so rows also arrive after
+    # queries, and queries name surfaces no row has.
+    @settings(max_examples=200)
+    @given(st.lists(
+        st.one_of(
+            mixed_rows.map(lambda row: ("add", row)),
+            st.tuples(st.sampled_from(MIXED_SURFACES + ["xyzzy"]), st.sampled_from(MIXED_CONTEXTS)),
+        ),
+        max_size=25,
+    ))
+    def test_matches_the_candidate_list(self, operations):
+        lex = ParadigmLexicon()
+        for operation, argument in operations:
+            if operation == "add":
+                try:
+                    lex.add_entry(*argument)
+                except LexiconConflict:
+                    pass
+            else:
+                expected = outcome_of(oracle_select, lex, operation, argument)
+                assert outcome_of(select_analysis, lex, operation, argument) == expected
+
+    def test_no_compatible_analysis_counts_the_keys(self):
+        with pytest.raises(NoCompatibleAnalysis) as info:
+            select_analysis(NINE_LEXICON, "vulkanischen", "VVFIN-Sg")
+        assert str(info.value) == "none of 9 analyses is compatible with 'VVFIN-Sg'"
+
+    def test_a_bad_context_fails_every_time(self, german_lexicon):
+        for _ in range(2):
+            with pytest.raises(ValueError) as info:
+                select_analysis(german_lexicon, "Wolke", "NN-Foo")
+            assert str(info.value) == "unknown context feature 'Foo' in 'NN-Foo'"
+        assert select_analysis(german_lexicon, "Wolke", "NN-Acc.Sg.Fem").lemma == "Wolke"
+        with pytest.raises(ValueError, match="^unknown context feature 'Foo' in 'NN-Foo'$"):
+            disambiguate(analyze(german_lexicon, "Wolke"), "NN-Foo")
