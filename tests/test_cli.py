@@ -881,6 +881,7 @@ CHARACTERIZATION_FILES = {
     "empty.txt": b"",
     "bad.txt": b"valid start \xff\xfe invalid\n",
     "run.conf": b"mode = morphgen\nlexicon = cs.tsv\nmerges = 4\n",
+    "conflict.tsv": b"a\tNNFS1-----A----\tx\nb\tNNFS1-----A----\ty\na\tNNFS1-----A----\tz\n",
 }
 
 # name -> (argv, stdin text)
@@ -947,6 +948,8 @@ CHARACTERIZATION_CASES = {
     "postprocess-serialization": (["postprocess", "--mode", "serialization"],
                                   "NNFS2-----A---- pizzy existují\n"),
     "postprocess-no-mode": (["postprocess", "--lexicon", "cs.tsv"], "x\n"),
+    "postprocess-lexicon-conflict": (["postprocess", "--mode", "morphgen", "--lexicon", "conflict.tsv"],
+                                     "NNFS1-----A---- a\n"),
     "postprocess-stdin-twice": (["postprocess", "--mode", "morphgen", "--lexicon", "-", "-"],
                                 "pizza\tNNFS1-----A----\tpizza\n"),
     "bleu": (["bleu", "hyp.txt", "ref.txt"], None),

@@ -1,7 +1,10 @@
 """Lexicon loading, analysis, disambiguation and generation."""
 
 import copy
+import gc
+import pickle
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -83,6 +86,27 @@ class TestLoadLexicon:
         with pytest.raises(LexiconConflict):
             load_lexicon("@mod\tMeer\tMeeres\n@mod\tMeer\tMeeren\n")
 
+    @pytest.mark.parametrize("document, message", [
+        ("a\tNNFS1-----A----\tx\nb\tNNFS1-----A----\ty\na\tNNFS1-----A----\tz\n",
+         "line 3: a + NNFS1-----A---- maps to both 'x' and 'z'"),
+        ("# c\n1\tNNFS1-----A----\tx\n1\tNNFS1-----A----\ty\n",
+         "line 3: 1 + NNFS1-----A---- maps to both 'x' and 'y'"),
+        ("@mod\tM\tx\n\n@mod\tM\ty\n", "line 3: modifier M maps to both 'x' and 'y'"),
+    ])
+    def test_conflict_names_its_line(self, document, message):
+        with pytest.raises(LexiconConflict) as info:
+            load_lexicon(document)
+        assert str(info.value) == message
+
+    def test_direct_conflicts_name_no_line(self):
+        lex = lexicon_of(("a", "NNFS1-----A----", "x"), ("@mod", "M", "x"))
+        with pytest.raises(LexiconConflict) as info:
+            lex.add_entry("a", "NNFS1-----A----", "z")
+        assert str(info.value) == "a + NNFS1-----A---- maps to both 'x' and 'z'"
+        with pytest.raises(LexiconConflict) as info:
+            lex.add_modifier("M", "y")
+        assert str(info.value) == "modifier M maps to both 'x' and 'y'"
+
 
 def load_rows(document):
     """Oracle for load_lexicon: one add_entry call per row, raising at the
@@ -99,7 +123,10 @@ def load_rows(document):
                 )
             if not columns[1] or not columns[2]:
                 raise LexiconParse(f"line {lineno}: empty modifier or form")
-            lex.add_modifier(columns[1], columns[2])
+            try:
+                lex.add_modifier(columns[1], columns[2])
+            except LexiconConflict as exc:
+                raise LexiconConflict(f"line {lineno}: {exc}") from None
             continue
         if len(columns) != 3:
             raise LexiconParse(
@@ -112,15 +139,21 @@ def load_rows(document):
             lex.add_entry(lemma, tag_text, surface)
         except (MalformedTag, MalformedAnalysis) as exc:
             raise LexiconParse(f"line {lineno}: bad tag {tag_text!r}: {exc}") from exc
+        except LexiconConflict as exc:
+            raise LexiconConflict(f"line {lineno}: {exc}") from None
     return lex
 
 
-def loaded_state(lex):
-    """Everything a load stores, in insertion order."""
+def loaded_state(lex, document):
+    """What the public accessors say about every field of ``document``,
+    read as a lemma, a tag text and a surface."""
+    fields = sorted({field for line in split_lines(document) for field in line.split("\t")})
     return (
-        list(lex._forward.items()),
-        list(lex._tags.items()),
-        lex._lemmas,
+        len(lex),
+        [lex.surface_for(lemma, tag) for tag in fields for lemma in fields],
+        [lex.knows_lemma(lemma) for lemma in fields],
+        [sorted(lex.keys_for(surface)) for surface in fields],
+        [lex.candidates_for(surface) for surface in fields],
         list(lex.modifier_table.items()),
     )
 
@@ -128,7 +161,7 @@ def loaded_state(lex):
 def load_outcome(loader, document):
     """The loaded state, or the type and message of the load's error."""
     try:
-        return loaded_state(loader(document))
+        return loaded_state(loader(document), document)
     except (LexiconParse, LexiconConflict) as exc:
         return type(exc), str(exc)
 
@@ -180,14 +213,15 @@ class TestLoadMatchesRowLoader:
         rows = [(lemma, tag, f"{lemma}{tag}") for lemma, tag, _ in rows]
         document = "# rows\n\n  # indented\n \t\x85\n" + "".join("\t".join(row) + "\n" for row in rows)
         document += "@mod\tMeer\tMeeres\n@mod\tMeer\tMeeres\n"
-        assert loaded_state(load_lexicon(document)) == loaded_state(load_rows(document))
+        assert load_outcome(load_lexicon, document) == load_outcome(load_rows, document)
+        assert len(load_lexicon(document)) == len(set(rows))
 
     @pytest.mark.parametrize("document, error", [
         ("  # indented comment\n \t \t \na\tNNFS2-----A----\tx\n", None),
         ("a\tNN\tx\nb\tc\n", "line 1: bad tag 'NN': "),
         ("a\tNNFS2-----A----\tx\nb\tc\n", "line 2: expected lemma<TAB>tag<TAB>surface"),
-        ("a\tNNFS2-----A----\tx\na\tNNFS2-----A----\ty\nb\tNN\tx\n", "a + NNFS2-----A---- maps to both"),
-        ("@mod\tM\tx\n@mod\tM\ty\n\tNN\tx\n", "modifier M maps to both"),
+        ("a\tNNFS2-----A----\tx\na\tNNFS2-----A----\ty\nb\tNN\tx\n", "line 2: a + NNFS2-----A---- maps to both"),
+        ("@mod\tM\tx\n@mod\tM\ty\n\tNN\tx\n", "line 2: modifier M maps to both"),
         ("\tNNFS2-----A----\tx\n", "line 1: empty lemma or surface"),
         ("@mod\t\t\n", "line 1: empty modifier or form"),
         ("a\tNNFS2-----A----\tx\n@mod\tHaus\t\n", "line 2: empty modifier or form"),
@@ -198,7 +232,7 @@ class TestLoadMatchesRowLoader:
         outcome = load_outcome(load_lexicon, document)
         assert outcome == load_outcome(load_rows, document)
         if error is None:
-            assert isinstance(outcome[0], list)
+            assert not isinstance(outcome[0], type)  # a state, not an error
         else:
             assert outcome[1].startswith(error)
 
@@ -499,8 +533,8 @@ class TestLexiconProperties:
                 (c.lemma, c.tag_text) for c in analyze(lex, surface)
             ]
         # every inverse entry is mirrored in the forward index
-        for surface, keys in lex._by_surface.items():
-            for tag_text, lemma in keys:
+        for _, _, surface in rows:
+            for tag_text, lemma in lex.keys_for(surface):
                 assert lex.surface_for(lemma, tag_text) == surface
 
 
@@ -575,21 +609,128 @@ class TestTextKeyedLexicon:
         assert generate(lex, "a", "NN") == GenerationFailure("a", "NN", REASON_UNKNOWN_LEMMA)
 
 
+def assert_matches_rows(lex, model):
+    """Every public accessor of ``lex`` against ``model``, (tag text, lemma)
+    -> surface, over the MIXED pools and names no row has."""
+    lemmas = {lemma for _, lemma in model}
+    assert len(lex) == len(model)
+    for lemma in MIXED_LEMMAS + ["Braper"]:
+        assert lex.knows_lemma(lemma) == (lemma in lemmas)
+        for tag_text in MIXED_TAGS + ["NNFS7-----A----"]:
+            assert lex.surface_for(lemma, tag_text) == model.get((tag_text, lemma))
+    for surface in MIXED_SURFACES + ["xyzzy"]:
+        keys = sorted(key for key, form in model.items() if form == surface)
+        assert sorted(lex.keys_for(surface)) == keys
+        assert lex.candidates_for(surface) == [
+            MorphAnalysis(lemma, parse_tag_text(tag_text), surface) for tag_text, lemma in keys
+        ]
+
+
+class TestPublicAccessors:
+    # A loaded document, then adds, queries and pickle round trips in any
+    # order, so rows also arrive after queries and after unpickling.
+    @settings(max_examples=200)
+    @given(
+        st.lists(mixed_rows, max_size=8),
+        st.lists(st.one_of(
+            mixed_rows.map(lambda row: ("add", row)),
+            st.sampled_from(MIXED_SURFACES).map(lambda surface: ("query", surface)),
+            st.just(("pickle", None)),
+        ), max_size=12),
+    )
+    def test_match_a_dict_of_rows(self, loaded, operations):
+        model = {(tag_text, lemma): surface for lemma, tag_text, surface in loaded}
+        lex = load_lexicon("".join(f"{lemma}\t{tag}\t{surface}\n" for (tag, lemma), surface in model.items()))
+        assert_matches_rows(lex, model)
+        for operation, argument in operations:
+            if operation == "add":
+                lemma, tag_text, surface = argument
+                existing = model.get((tag_text, lemma))
+                if existing not in (None, surface):
+                    with pytest.raises(LexiconConflict, match=f"^{lemma} \\+ "):
+                        lex.add_entry(lemma, tag_text, surface)
+                else:
+                    lex.add_entry(lemma, tag_text, surface)
+                    model[(tag_text, lemma)] = surface
+            elif operation == "query":
+                lex.keys_for(argument)
+            else:
+                lex = pickle.loads(pickle.dumps(lex))
+            assert_matches_rows(lex, model)
+
+    def test_lemma_strings_are_shared(self):
+        lex = load_lexicon("".join(
+            f"{lemma}\t{tag}\t{lemma}{case}\n"
+            for lemma in ("hrad", "žena") for case, tag in enumerate(MIXED_TAGS)
+        ))
+        keys = lex.keys_for("hrad0") + lex.keys_for("hrad5")
+        assert keys[0][1] is keys[1][1]
+        unpickled = pickle.loads(pickle.dumps(lex))
+        keys = unpickled.keys_for("hrad0") + unpickled.keys_for("hrad5")
+        assert keys[0][1] is keys[1][1]
+
+
+def retained_bytes(build):
+    """Bytes that ``build()``'s result holds, traced by tracemalloc."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        value = build()
+        gc.collect()
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    del value
+    return size
+
+
+def test_rows_retain_at_most_half_the_key_tuple_layout():
+    # A Czech-shaped lexicon: 1 430 lemmas, each with the 14 case forms
+    # of one paradigm, 20 020 rows.
+    rng = random.Random(5)
+    tags = [f"NNF{number}{case}-----A----" for number in "SP" for case in "1234567"]
+    lemmas = sorted({"".join(rng.choices("abcdeěfhkmnorsštuvyž", k=rng.randint(4, 10))) for _ in range(1500)})[:1430]
+    document = "".join(
+        f"{lemma}\t{tag}\t{lemma[:-1]}{'aeiouyáéíý'[i % 10]}{'' if i < 7 else 'ch'}\n"
+        for lemma in lemmas for i, tag in enumerate(tags)
+    )
+    lines = split_lines(document)
+
+    def key_tuples():
+        forward = {}
+        for line in lines:
+            lemma, tag_text, surface = line.split("\t")
+            forward[(tag_text, lemma)] = surface
+        return forward
+
+    lexicon = retained_bytes(lambda: load_lexicon(document))
+    old = retained_bytes(key_tuples)
+    assert len(load_lexicon(document)) == len(key_tuples()) == 20020
+    assert lexicon <= old / 2, (lexicon, old)
+
+
 class EagerIndexLexicon(ParadigmLexicon):
     """The surface index built for every surface at the first analysis: the
-    oracle for the index built per surface."""
+    oracle for the index built per surface.  It keeps its own copy of the
+    rows, (tag text, lemma) -> surface."""
+
+    def __init__(self):
+        super().__init__()
+        self.rows = {}
+        self._eager = None
 
     def add_entry(self, lemma, tag_text, surface):
         super().add_entry(lemma, tag_text, surface)
+        self.rows[(tag_text, lemma)] = surface
         self._eager = None
 
     def candidates_for(self, surface):
-        if getattr(self, "_eager", None) is None:
+        if self._eager is None:
             keys = {}
-            for key, form in self._forward.items():
+            for key, form in self.rows.items():
                 keys.setdefault(form, []).append(key)
             self._eager = {
-                form: [MorphAnalysis(lemma, self._tags[tag], form) for tag, lemma in sorted(pairs)]
+                form: [MorphAnalysis(lemma, parse_tag_text(tag), form) for tag, lemma in sorted(pairs)]
                 for form, pairs in keys.items()
             }
         return list(self._eager.get(surface, ()))
@@ -623,12 +764,12 @@ class TestIndexPerSurface:
                 assert candidates == analyze(eager, argument)
                 candidates.clear()  # callers get a copy
                 assert analyze(lazy, argument) == analyze(eager, argument)
-        # The surface index, once built, holds every row: adding one drops it.
-        if lazy._by_surface is not None:
-            assert sorted(
-                (key, form) for form, keys in lazy._by_surface.items() for key in keys
-            ) == sorted(lazy._forward.items())
-        assert len(lazy) == len(eager)
+        # The surface index holds every row, also those added after a query.
+        for surface in MIXED_SURFACES + ["xyzzy"]:
+            assert sorted(lazy.keys_for(surface)) == sorted(
+                key for key, form in eager.rows.items() if form == surface
+            )
+        assert len(lazy) == len(eager) == len(eager.rows)
 
     def test_row_added_after_a_query(self):
         lazy, eager = ParadigmLexicon(), EagerIndexLexicon()
