@@ -324,9 +324,9 @@ def cmd_bpe_apply(args: argparse.Namespace, inputs: _Inputs) -> _Result:
         raise CliError("--protect-tags needs --mode to pick the tag shape")
     protected = None
     if protect:
-        from . import pipeline
+        from .tagsets import tag_predicate_for_mode
 
-        protected = pipeline.tag_predicate_for_mode(args.mode)
+        protected = tag_predicate_for_mode(args.mode)
     lines = inputs.lines(args.input)
     out = [bpe.segment_line(table, line, protected) for line in lines]
     return _Result(
@@ -413,16 +413,9 @@ def cmd_split_compounds(args: argparse.Namespace, inputs: _Inputs) -> _Result:
                 analysis = tagsets.parse_german_analysis(token)
             except tagsets.MalformedAnalysis as exc:
                 raise CliError(f"line {lineno}: {exc}") from exc
-            if not analysis.inflected:
-                tokens.append(tagsets.format_analysis(analysis))
-                continue
-            result = compounds.split_compound(analysis)
-            if isinstance(result, compounds.CompoundSplit):
-                split_count += 1
-                tokens.extend(result.tokens)
-            else:
-                tokens.append(result.stem_text)
-                tokens.append(tagsets.format_tag(result.feature_seq))
+            split = compounds.split_tokens(analysis)
+            split_count += len(split) > 2  # an unsplit analysis has one or two tokens
+            tokens += split
         out.append(" ".join(tokens))
     return _Result(out, {}, {"lines": len(out), "compounds_split": split_count})
 

@@ -13,22 +13,26 @@ e.g. ``Meer -> Meeres``, ``Haus -> Häuser``), and the parts are
 concatenated into a single stem carrying the head's feature sequence.
 Unknown modifiers degrade to plain concatenation so that a sentence is
 always produced; such events are reported to the caller.
+The separator token's shape belongs to :mod:`morphmt.tagsets`, like
+every stream token's.
 """
 
 from __future__ import annotations
 
-import re
 from typing import TYPE_CHECKING
 
 from . import FrozenRecord
 from .tagsets import (
+    GERMAN_WORD,
     GermanAnalysis,
     GermanFeatureSeq,
     MalformedAnalysis,
     StemSegment,
+    classify_german_tokens,
+    format_analysis,
+    format_separator,
     format_tag,
-    is_bare_token,
-    is_feature_token,
+    is_german_tag_token,
     parse_feature_seq,
     parse_stem_side,
     KIND_NOMINAL,
@@ -40,8 +44,8 @@ if TYPE_CHECKING:
 __all__ = [
     "SPLIT_MARKUP",
     "CompoundSplit",
-    "is_separator_token",
     "split_compound",
+    "split_tokens",
     "merge_compound",
     "merge_stem",
     "rejoin_split_tokens",
@@ -50,17 +54,6 @@ __all__ = [
 # Only noun and adjective borders are split points; other stem markup
 # (degree and determiner markers) stays attached to its segment.
 SPLIT_MARKUP = frozenset({"NN", "ADJ"})
-
-_SEPARATOR_RE = re.compile(r"^§§<([^<>\s]+)>§§$")
-
-
-def is_separator_token(token: str) -> bool:
-    return bool(_SEPARATOR_RE.match(token))
-
-
-def _separator(markup: str) -> str:
-    return f"§§<{markup}>§§"
-
 
 class CompoundSplit(FrozenRecord):
     """Token sequence of a split compound.
@@ -73,13 +66,14 @@ class CompoundSplit(FrozenRecord):
         t = tokens
         if len(t) < 4 or len(t) % 2 != 0:
             raise MalformedAnalysis(f"not a compound split: {t}")
-        if not is_feature_token(t[-1]):
+        classes = classify_german_tokens(t)
+        if classes[-1][0] is None:
             raise MalformedAnalysis(f"split must end on a feature sequence: {t}")
-        for i, token in enumerate(t[:-1]):
+        for i, (features, _, markup) in enumerate(classes[:-1]):
             if i % 2 == 0:
-                if is_separator_token(token) or is_feature_token(token):
+                if markup is not None or features is not None:
                     raise MalformedAnalysis(f"lexeme expected at {i} in {t}")
-            elif not is_separator_token(token):
+            elif markup is None:
                 raise MalformedAnalysis(f"separator expected at {i} in {t}")
         object.__setattr__(self, "tokens", tokens)
 
@@ -121,7 +115,7 @@ def split_compound(a: GermanAnalysis) -> CompoundSplit | GermanAnalysis:
         if segment.markup is None:
             continue
         if not is_last and segment.markup in SPLIT_MARKUP:
-            tokens += [current, _separator(segment.markup)]
+            tokens += [current, format_separator(segment.markup)]
             current = ""
         else:
             current += f"<{segment.markup}>"
@@ -131,6 +125,17 @@ def split_compound(a: GermanAnalysis) -> CompoundSplit | GermanAnalysis:
         return a
     tokens.append(format_tag(a.feature_seq))
     return CompoundSplit(tuple(tokens))
+
+
+def split_tokens(a: GermanAnalysis) -> tuple[str, ...]:
+    """The stream tokens of one analysis in split mode: its ``lexeme[TAG]``
+    token if bare, its :class:`CompoundSplit` tokens, or stem and features."""
+    if not a.inflected:
+        return (format_analysis(a),)
+    split = split_compound(a)
+    if isinstance(split, CompoundSplit):
+        return split.tokens
+    return (a.stem_text, format_tag(a.feature_seq))
 
 
 def _lower_first(text: str) -> str:
@@ -217,27 +222,21 @@ def rejoin_split_tokens(tokens: list[str]) -> tuple[list[str], list[tuple[int, s
     is reported as ``(position, "orphan-separator")``.
     """
 
-    def is_lexeme_like(token: str) -> bool:
-        return not (
-            is_separator_token(token)
-            or is_feature_token(token)
-            or is_bare_token(token)
-        )
-
+    classes = classify_german_tokens(tokens)
     out: list[str] = []
     events: list[tuple[int, str]] = []
+    last_is_word = False
     i = 0
     while i < len(tokens):
-        token = tokens[i]
-        m = _SEPARATOR_RE.match(token)
-        if m is None:
-            out.append(token)
+        features, bare, markup = classes[i]
+        if markup is None:
+            out.append(tokens[i])
+            last_is_word = features is None and bare is None
             i += 1
-            continue
-        left_ok = bool(out) and is_lexeme_like(out[-1])
-        right_ok = i + 1 < len(tokens) and is_lexeme_like(tokens[i + 1])
-        if left_ok and right_ok:
-            out[-1] = f"{out[-1]}<{m.group(1)}>{tokens[i + 1]}"
+        elif last_is_word and i + 1 < len(tokens) and classes[i + 1] is GERMAN_WORD:
+            # The joined token is classified too: it may spell a separator.
+            out[-1] = joined = f"{out[-1]}<{markup}>{tokens[i + 1]}"
+            last_is_word = not is_german_tag_token(joined)
             i += 2
         else:
             events.append((i, "orphan-separator"))

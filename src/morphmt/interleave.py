@@ -225,7 +225,8 @@ def _walk_word_first(tokens: list[str]) -> Walk:
     append = items.append
     error = None
     open_stem = -1
-    for i, (features, bare) in enumerate(classify_german_tokens(tokens)):
+    # A separator is a word here: split streams are rejoined before the walk.
+    for i, (features, bare, _) in enumerate(classify_german_tokens(tokens)):
         if features is not None:
             if open_stem >= 0:
                 append(_new(Item, (ITEM_PAIR, open_stem, tokens[i], tokens[open_stem], features)))

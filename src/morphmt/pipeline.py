@@ -26,7 +26,7 @@ from __future__ import annotations
 import random
 from functools import partial
 from itertools import repeat
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import Record, interleave
 from .backend import BackendFailure, translate_external
@@ -37,13 +37,7 @@ from .bpe import (
     revert_bpe,
     segment_line,
 )
-from .compounds import (
-    CompoundSplit,
-    is_separator_token,
-    merge_stem,
-    rejoin_split_tokens,
-    split_compound,
-)
+from .compounds import merge_stem, rejoin_split_tokens, split_tokens
 from .conventions import (
     CZECH_DEFAULT_MERGES,
     GERMAN_DEFAULT_MERGES,
@@ -63,9 +57,7 @@ from .tagsets import (
     MalformedAnalysis,
     MorphAnalysis,
     _remember,
-    is_bare_token,
-    is_czech_tag,
-    is_feature_token,
+    tag_predicate_for_mode,
 )
 
 __all__ = [
@@ -199,19 +191,6 @@ def filter_corpus(corpus: ParallelCorpus, cfg: PipelineConfig) -> ParallelCorpus
 # ---------------------------------------------------------------------------
 
 
-def _is_german_tag_token(token: str) -> bool:
-    return is_feature_token(token) or is_bare_token(token) or is_separator_token(token)
-
-
-def tag_predicate_for_mode(mode: str) -> Callable[[str], bool]:
-    """Predicate marking tag-like tokens for BPE protection.
-
-    A module-level function, so it is the same object on every call
-    (``segment_line`` keys its memo by it).
-    """
-    return _is_german_tag_token if _is_german(mode) else is_czech_tag
-
-
 class PreparedVariant(Record):
     """Output of :func:`prepare_variant`."""
 
@@ -227,11 +206,8 @@ class PreparedVariant(Record):
 
 def _encode_analysis(a: MorphAnalysis, mode: str) -> tuple[str, ...]:
     if mode == MODE_GERMAN_STEMMED_SPLIT:
-        # A bare analysis is not inflected, so split_compound returns it.
-        split = split_compound(a.to_german_analysis())
-        if isinstance(split, CompoundSplit):
-            return split.tokens
-    return interleave.encode_analysis(a, _base_mode(mode))
+        return split_tokens(a.to_german_analysis())
+    return interleave.encode_analysis(a, mode)
 
 
 _Dropped = MalformedAnalysis | NoCompatibleAnalysis
@@ -313,7 +289,9 @@ def prepare_variant(
     tags are indexed by original pair index, so they stay aligned with
     the input when ``corpus`` comes from :func:`filter_corpus`.  Each
     distinct (target token, parse tag) pair is analysed and encoded once
-    per call.
+    per call.  ``cfg.protect_tags`` keeps the target's tag tokens whole
+    (:func:`~morphmt.tagsets.tag_predicate_for_mode`); source tokens are
+    always segmented.
     """
     if cfg.mode != interleave.MODE_BASELINE and lex is None:
         raise ValueError(f"mode {cfg.mode!r} needs a lexicon")
@@ -354,13 +332,11 @@ def prepare_variant(
         source_table = learn_bpe(tokens_of(source_lines), cfg.bpe_merges)
         target_table = learn_bpe(tokens_of(target_lines), cfg.bpe_merges)
 
-    pairs = [
-        (
-            segment_line(source_table, s, protected),
-            segment_line(target_table, t, protected),
-        )
-        for s, t in encoded
-    ]
+    # All sources, then all targets: the table's segmentation memo is kept
+    # per predicate, and the source side is never protected.
+    sources = [segment_line(source_table, s) for s in source_lines]
+    targets = [segment_line(target_table, t, protected) for t in target_lines]
+    pairs = list(zip(sources, targets))
     return PreparedVariant(ParallelCorpus(pairs), source_table, target_table, dropped)
 
 

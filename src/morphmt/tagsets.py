@@ -14,15 +14,20 @@ Parsing and formatting are exact inverses: ``format(parse(x)) == x`` for
 every accepted input, byte for byte.  Text is cut into lines by
 :func:`~morphmt.conventions.split_lines` (re-exported here) everywhere
 in the package.
+
+Every stream-token shape is defined here: positional tags, and German
+feature, bare and compound-separator (``§§<NN>§§``) tokens, which
+:func:`classify_german_tokens` classifies in one memo that all readers share.
 """
 
 from __future__ import annotations
 
 import re
 import string
+from typing import Callable, Sequence
 
 from . import FrozenRecord
-from .conventions import split_lines
+from .conventions import MODE_BASELINE, split_lines
 
 __all__ = [
     "MalformedTag",
@@ -34,7 +39,6 @@ __all__ = [
     "MorphAnalysis",
     "parse_czech_tag",
     "parse_feature_seq",
-    "parse_feature_token",
     "parse_stem_side",
     "parse_german_analysis",
     "format_tag",
@@ -43,8 +47,13 @@ __all__ = [
     "is_czech_tag",
     "is_feature_token",
     "is_bare_token",
+    "is_separator_token",
+    "is_german_tag_token",
+    "format_separator",
+    "tag_predicate_for_mode",
     "classify_czech_tokens",
     "classify_german_tokens",
+    "GERMAN_WORD",
     "GENDERS",
     "CASES",
     "NUMBERS",
@@ -89,8 +98,9 @@ SLOT_NAMES = (
 )
 
 # ASCII letters and digits plus ':' (sub-POS of punctuation) and '-' (unset).
-TAG_ALPHABET = frozenset(string.ascii_letters + string.digits + ":-")
-_TAG_RE = re.compile(f"[A-Za-z0-9:-]{{{TAG_LENGTH}}}")  # TAG_ALPHABET, TAG_LENGTH times
+_TAG_CHARS = string.ascii_letters + string.digits + ":-"
+TAG_ALPHABET = frozenset(_TAG_CHARS)
+_TAG_RE = re.compile(f"[{re.escape(_TAG_CHARS)}]{{{TAG_LENGTH}}}")
 
 # The token parsers below memoize per distinct text in a plain dict (an
 # lru_cache wrapper would hide them from function-level tracing), and the
@@ -107,7 +117,7 @@ def _remember(memo: dict, key, value):
     return value
 
 
-def _classify_tokens(memo: dict, classify, tokens: list[str]) -> list:
+def _classify_tokens(memo: dict, classify, tokens: Sequence[str]) -> list:
     """``classify(token)`` for each token, called once per distinct token.
 
     A token already in ``memo`` costs a dict lookup and no Python-level
@@ -133,14 +143,12 @@ class PositionalTag(FrozenRecord):
     """
 
     def __init__(self, raw: str) -> None:
-        if len(raw) != TAG_LENGTH:
-            raise MalformedTag(
-                f"positional tag must have {TAG_LENGTH} characters, "
-                f"got {len(raw)}: {raw!r}"
-            )
-        for i, ch in enumerate(raw):
-            if ch not in TAG_ALPHABET:
-                raise MalformedTag(f"illegal character {ch!r} at position {i} in tag {raw!r}")
+        if _TAG_RE.fullmatch(raw) is None:
+            if len(raw) != TAG_LENGTH:
+                raise MalformedTag(f"positional tag must have {TAG_LENGTH} characters, "
+                                   f"got {len(raw)}: {raw!r}")
+            i, ch = next((i, ch) for i, ch in enumerate(raw) if ch not in TAG_ALPHABET)
+            raise MalformedTag(f"illegal character {ch!r} at position {i} in tag {raw!r}")
         object.__setattr__(self, "raw", raw)
 
     def slot(self, name: str) -> str:
@@ -246,6 +254,7 @@ _ANGLE_SEQ_RE = re.compile(r"^(?:<[^<>\s]+>)+$")
 _ANGLE_VALUE_RE = re.compile(r"<([^<>\s]+)>")
 _BARE_RE = re.compile(r"^([^<>\[\]\s]+)\[([^\[\]\s]+)\]$")
 _BARE_TAG_RE = re.compile(r"^\[([^\[\]\s]+)\]$")
+_SEPARATOR_RE = re.compile(r"^§§<([^<>\s]+)>§§$")
 
 
 class GermanFeatureSeq(FrozenRecord):
@@ -372,58 +381,76 @@ def _classify_values(values: tuple[str, ...]) -> str:
     return KIND_NOMINAL
 
 
-_FEATURE_TOKENS: dict[str, GermanFeatureSeq | None] = {}
+def format_separator(markup: str) -> str:
+    """The compound-separator token carrying a modifier's markup."""
+    return f"§§<{markup}>§§"
 
 
-def parse_feature_token(token: str) -> GermanFeatureSeq | None:
-    """The feature sequence of a pure angle-bracket token, else None."""
-    if token in _FEATURE_TOKENS:
-        return _FEATURE_TOKENS[token]
-    return _remember(_FEATURE_TOKENS, token, _feature_token(token))
-
-
-def _feature_token(token: str) -> GermanFeatureSeq | None:
-    if _ANGLE_SEQ_RE.match(token):
-        try:
-            return parse_feature_seq(token)
-        except MalformedAnalysis:
-            pass
-    return None
-
-
-def is_feature_token(token: str) -> bool:
-    """True iff ``token`` is a pure angle-bracket feature sequence."""
-    return parse_feature_token(token) is not None
-
-
-def is_bare_token(token: str) -> bool:
-    """True iff ``token`` has the non-inflected ``lexeme[TAG]`` shape."""
-    return bool(_BARE_RE.match(token))
-
-
-_GermanClass = tuple[GermanFeatureSeq | None, tuple[str, str] | None]
-_WORD: _GermanClass = (None, None)
+_GermanClass = tuple[GermanFeatureSeq | None, tuple[str, str] | None, str | None]
+GERMAN_WORD: _GermanClass = (None, None, None)
 _GERMAN_TOKENS: dict[str, _GermanClass] = {}
 
 
 def _german_class(token: str) -> _GermanClass:
-    features = _feature_token(token)
-    if features is not None:
-        return features, None
-    if is_bare_token(token):
-        lexeme, bracket, rest = token.partition("[")
-        return None, (bracket + rest, lexeme)
-    return _WORD
+    if _ANGLE_SEQ_RE.match(token):
+        try:
+            return parse_feature_seq(token), None, None
+        except MalformedAnalysis:
+            return GERMAN_WORD
+    bare = _BARE_RE.match(token)
+    if bare:
+        lexeme = bare.group(1)
+        return None, (token[len(lexeme):], lexeme), None
+    separator = _SEPARATOR_RE.match(token)
+    if separator:
+        return None, None, separator.group(1)
+    return GERMAN_WORD
 
 
-def classify_german_tokens(tokens: list[str]) -> list[_GermanClass]:
+def classify_german_tokens(tokens: Sequence[str]) -> list[_GermanClass]:
     """The class of each German stream token, found once per distinct token.
 
-    A feature token gives ``(features, None)``, a bare ``lexeme[TAG]``
-    token ``(None, ("[TAG]", lexeme))`` and any other token, a word,
-    ``(None, None)``.
+    A feature token gives ``(features, None, None)``, a bare
+    ``lexeme[TAG]`` token ``(None, ("[TAG]", lexeme), None)``, a compound
+    separator ``§§<T>§§`` ``(None, None, "T")`` and any other token, a
+    word, the one tuple :data:`GERMAN_WORD`.
     """
     return _classify_tokens(_GERMAN_TOKENS, _german_class, tokens)
+
+
+def _german_token(token: str) -> _GermanClass:
+    return _classify_tokens(_GERMAN_TOKENS, _german_class, (token,))[0]
+
+
+def is_feature_token(token: str) -> bool:
+    """True iff ``token`` is a pure angle-bracket feature sequence."""
+    return _german_token(token)[0] is not None
+
+
+def is_bare_token(token: str) -> bool:
+    """True iff ``token`` has the non-inflected ``lexeme[TAG]`` shape."""
+    return _german_token(token)[1] is not None
+
+
+def is_separator_token(token: str) -> bool:
+    """True iff ``token`` is a compound separator ``§§<T>§§``."""
+    return _german_token(token)[2] is not None
+
+
+def is_german_tag_token(token: str) -> bool:
+    """True iff ``token`` is a feature sequence, a bare token or a separator."""
+    return _german_token(token) is not GERMAN_WORD
+
+
+def tag_predicate_for_mode(mode: str) -> Callable[[str], bool] | None:
+    """Predicate marking the tag tokens that BPE leaves whole, or None.
+
+    Baseline streams carry no tags.  A module-level function, so it is
+    the same object on every call (``segment_line`` keys its memo by it).
+    """
+    if mode == MODE_BASELINE:
+        return None
+    return is_german_tag_token if mode.startswith("german") else is_czech_tag
 
 
 # ---------------------------------------------------------------------------

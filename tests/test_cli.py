@@ -125,6 +125,27 @@ class TestPrepareCommand:
         assert code == 0
         assert out == FIG1_MORPHGEN + "\n"
 
+    def test_protect_tags_leaves_source_words_to_bpe(self, run, tmp_path):
+        # "representatives" is 15 ASCII letters: it reads as a positional tag.
+        src = tmp_path / "src.txt"
+        tgt = tmp_path / "tgt.txt"
+        src.write_text("representatives meet .\n")
+        tgt.write_text(FIG1_SURFACE + "\n")
+        outputs = {}
+        for protect in ("--protect-tags", "--no-protect-tags"):
+            out_src = tmp_path / f"out{protect}.src"
+            code, out, _ = run([
+                "prepare", "--mode", "morphgen", "--lexicon", CZECH_LEXICON, protect,
+                "--merges", "5", "--source", str(src), "--target", str(tgt),
+                "--out-source", str(out_src),
+            ])
+            assert code == 0
+            outputs[protect] = (out_src.read_text(), out)
+        protected_source, protected_target = outputs["--protect-tags"]
+        assert protected_source == outputs["--no-protect-tags"][0]
+        assert protected_source.startswith("r@@ e@@ p@@ ")
+        assert "VB-P---3P-AA---" in protected_target.split()
+
     def test_files_and_merge_table_out(self, run, tmp_path):
         src = tmp_path / "src.txt"
         tgt = tmp_path / "tgt.txt"
@@ -282,6 +303,31 @@ class TestBpeCommands:
         )
         assert code == 0
         assert out == tag + " a@@ b\n"
+
+    def test_german_protection_keeps_every_tag_shape(self, run, tmp_path):
+        table_path = tmp_path / "merges.txt"
+        table_path.write_text("M e\n")
+        code, out, _ = run(
+            ["bpe-apply", "--merge-table", str(table_path), "--protect-tags",
+             "--mode", "german-stemmed-split"],
+            stdin_text="Meer §§<NN>§§ Boden <+NN><Masc><Dat><Sg><NA> und[KON] <Foo><Bar>\n",
+        )
+        assert code == 0
+        assert out == (
+            "Me@@ e@@ r §§<NN>§§ B@@ o@@ d@@ e@@ n <+NN><Masc><Dat><Sg><NA> und[KON] "
+            "<@@ F@@ o@@ o@@ >@@ <@@ B@@ a@@ r@@ >\n"
+        )
+
+    def test_baseline_protects_nothing(self, run, tmp_path):
+        # A 15-letter word reads as a positional tag; baseline has no tags.
+        table_path = tmp_path / "merges.txt"
+        table_path.write_text("")
+        code, out, _ = run(
+            ["bpe-apply", "--merge-table", str(table_path), "--protect-tags", "--mode", "baseline"],
+            stdin_text="abcdefghijklmno\n",
+        )
+        assert code == 0
+        assert out == "@@ ".join("abcdefghijklmno") + "\n"
 
 
 class TestLexiconCommands:
@@ -809,6 +855,16 @@ class TestFreshProcess:
         assert (result.returncode, result.stdout, result.stderr) == run(argv, stdin_text)
         assert result.returncode == 1
         assert result.stderr.startswith("morphmt: error: ")
+
+    def test_bpe_apply_protect_tags_loads_only_bpe_and_tagsets(self, tmp_path):
+        table_path = tmp_path / "merges.txt"
+        table_path.write_text("a b\n")
+        loaded = self.loaded_modules(["bpe-apply", "--merge-table", str(table_path),
+                                      "--protect-tags", "--mode", "german-stemmed-split"])
+        assert loaded & set(LIBRARY_MODULES) == {"morphmt.bpe"}
+        assert "morphmt.tagsets" in loaded
+        assert loaded <= {"morphmt", "morphmt.cli", "morphmt.conventions", "morphmt.bpe",
+                          "morphmt.tagsets"}
 
     def test_stats_vocab_loads_only_bpe(self):
         loaded = self.loaded_modules(["stats", "--vocab", CZECH_LEXICON, "--merges", "5"])

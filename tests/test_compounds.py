@@ -1,16 +1,36 @@
 """Compound splitting, separator tokens, and linking-element merges."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from morphmt import interleave
 from morphmt.compounds import (
     CompoundSplit,
-    is_separator_token,
     merge_compound,
     rejoin_split_tokens,
     split_compound,
+    split_tokens,
 )
 from morphmt.morphlex import generate
-from morphmt.tagsets import MalformedAnalysis, format_tag, parse_german_analysis
+from morphmt.tagsets import (
+    GermanAnalysis,
+    GermanFeatureSeq,
+    MalformedAnalysis,
+    MorphAnalysis,
+    StemSegment,
+    format_analysis,
+    format_tag,
+    is_separator_token,
+    parse_feature_seq,
+    parse_german_analysis,
+)
+
+from test_tagsets import (
+    ORACLE_SEPARATOR_RE,
+    oracle_is_bare,
+    oracle_is_separator,
+    uncached_feature_token,
+)
 
 
 def analysis(text):
@@ -169,3 +189,111 @@ class TestRejoinSplitTokens:
         rejoined, events = rejoin_split_tokens(tokens)
         assert rejoined == tokens
         assert events == []
+
+
+def oracle_rejoin(tokens):
+    """rejoin_split_tokens as it was first written: three predicates per neighbour."""
+
+    def is_lexeme_like(token):
+        return not (
+            oracle_is_separator(token)
+            or uncached_feature_token(token) is not None
+            or oracle_is_bare(token)
+        )
+
+    out, events = [], []
+    i = 0
+    while i < len(tokens):
+        token = tokens[i]
+        m = ORACLE_SEPARATOR_RE.match(token)
+        if m is None:
+            out.append(token)
+            i += 1
+            continue
+        left_ok = bool(out) and is_lexeme_like(out[-1])
+        right_ok = i + 1 < len(tokens) and is_lexeme_like(tokens[i + 1])
+        if left_ok and right_ok:
+            out[-1] = f"{out[-1]}<{m.group(1)}>{tokens[i + 1]}"
+            i += 2
+        else:
+            events.append((i, "orphan-separator"))
+            i += 1
+    return out, events
+
+
+# Stream tokens of split lines, with pieces that join into a separator
+# ("§§" <NN> "§§") or into a feature sequence ("<+NN><Fem>" <Acc> "<Sg><NA>").
+split_stream_tokens = st.sampled_from([
+    "Meer", "Boden", "§§", "§§<NN>§§", "§§<ADJ>§§", "§§<X>§§", "§§<Acc>§§", "<+NN><Fem>",
+    "<Sg><NA>", "<+NN><Masc><Dat><Sg><NA>", "und[KON]", ",[$]", "<Foo>", "y", "§§<NN>§",
+])
+
+
+class TestRejoinMatchesOracle:
+    def test_chained_separators_spelling_a_separator(self):
+        tokens = "§§ §§<NN>§§ §§ §§<X>§§ y".split()
+        assert rejoin_split_tokens(tokens) == (["§§<NN>§§", "y"], [(3, "orphan-separator")])
+        assert rejoin_split_tokens(tokens) == oracle_rejoin(tokens)
+
+    def test_joined_feature_sequence_is_not_a_lexeme(self):
+        tokens = "<+NN><Fem> §§<Acc>§§ <Sg><NA> §§<NN>§§ Boden".split()
+        assert rejoin_split_tokens(tokens) == (
+            ["<+NN><Fem><Acc><Sg><NA>", "Boden"], [(3, "orphan-separator")]
+        )
+        assert rejoin_split_tokens(tokens) == oracle_rejoin(tokens)
+
+    @settings(max_examples=300)
+    @given(st.lists(split_stream_tokens, max_size=12))
+    def test_rejoin_matches_oracle(self, tokens):
+        assert rejoin_split_tokens(tokens) == oracle_rejoin(tokens)
+
+
+def oracle_cli_split(analysis):
+    """The tokens the split-compounds command wrote before it shared prepare's function."""
+    if not analysis.inflected:
+        return (format_analysis(analysis),)
+    result = split_compound(analysis)
+    if isinstance(result, CompoundSplit):
+        return result.tokens
+    return (result.stem_text, format_tag(result.feature_seq))
+
+
+def oracle_prepare_split(a):
+    """The tokens prepare encoded per MorphAnalysis in split mode."""
+    split = split_compound(a.to_german_analysis())
+    if isinstance(split, CompoundSplit):
+        return split.tokens
+    return interleave.encode_analysis(a, "german-stemmed")
+
+
+_FEATURE_TEXTS = ["<+NN><Masc><Dat><Sg><NA>", "<+ADJ><Pos><NoGend><Dat><Sg><Wk>",
+                  "<+V><3><Sg><Pres><Ind>", "<+V><PPast>"]
+stem_segments = st.lists(
+    st.builds(StemSegment, st.sampled_from(["Meer", "Boden", "längs", "haus", "a"]),
+              st.sampled_from([None, "NN", "ADJ", "Pos", "Def"])),
+    min_size=1, max_size=4,
+).map(tuple)
+german_analyses = st.one_of(
+    st.builds(GermanAnalysis, stem_segments, st.sampled_from(_FEATURE_TEXTS).map(parse_feature_seq)),
+    st.builds(
+        lambda lexeme, tag: GermanAnalysis(
+            (StemSegment(lexeme),), GermanFeatureSeq("bare", bare_tag=tag), inflected=False
+        ),
+        st.sampled_from(["und", ",", "an"]), st.sampled_from(["KON", "$", "APPR-Dat"]),
+    ),
+)
+
+
+class TestSplitTokens:
+    @settings(max_examples=300)
+    @given(german_analyses)
+    def test_both_callers_agree(self, analysis):
+        tokens = split_tokens(analysis)
+        assert tokens == oracle_cli_split(analysis)
+        assert tokens == oracle_prepare_split(MorphAnalysis.from_german(analysis))
+
+    def test_split_count_reads_the_token_count(self):
+        # split-compounds counts an analysis as split when it gives more than two tokens.
+        assert len(split_tokens(analysis("und[KON]"))) == 1
+        assert len(split_tokens(analysis("Meer||<+NN><Neut><Nom><Sg><NA>"))) == 2
+        assert len(split_tokens(analysis("Meer<NN>Boden||<+NN><Masc><Dat><Sg><NA>"))) == 4

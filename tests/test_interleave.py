@@ -31,7 +31,6 @@ from morphmt.tagsets import (
     is_czech_tag,
     is_feature_token,
     parse_czech_tag,
-    parse_feature_token,
     parse_german_analysis,
 )
 
@@ -41,6 +40,7 @@ from conftest import (
     FIG1_SURFACE,
     TABLE1_ROWS,
 )
+from test_tagsets import oracle_german_class, oracle_is_bare, uncached_feature_token
 
 FIG1_ANALYSES = [
     MorphAnalysis("existovat", parse_czech_tag("VB-P---3P-AA---"), "existují"),
@@ -343,7 +343,7 @@ def oracle_walk(tokens, mode):
         is_tag = list(map(is_czech_tag, tokens))
     elif mode == "german-stemmed":
         tag_first = False
-        features = list(map(parse_feature_token, tokens))
+        features = list(map(uncached_feature_token, tokens))
         is_tag = [f is not None for f in features]
     else:
         raise ValueError(mode)
@@ -358,7 +358,7 @@ def oracle_walk(tokens, mode):
                 i += 2
                 continue
             items.append(Item(EVENT_DROPPED_TAG, i, token, ""))
-        elif not tag_first and is_bare_token(token):
+        elif not tag_first and oracle_is_bare(token):
             lexeme, bracket, rest = token.partition("[")
             items.append(Item(ITEM_BARE, i, bracket + rest, lexeme))
         elif not tag_first and i + 1 < n and is_tag[i + 1]:
@@ -408,14 +408,7 @@ class TestWalkMatchesOracle:
             patch.setattr(tagsets, "_GERMAN_TOKENS", {})
             for tokens in token_lines:
                 assert classify_czech_tokens(tokens) == list(map(is_czech_tag, tokens))
-                classes = classify_german_tokens(tokens)
-                assert [features for features, _ in classes] == list(
-                    map(parse_feature_token, tokens)
-                )
-                assert [bare is not None for _, bare in classes] == [
-                    parse_feature_token(token) is None and is_bare_token(token)
-                    for token in tokens
-                ]
+                assert classify_german_tokens(tokens) == list(map(oracle_german_class, tokens))
                 assert walk_view(walk(tokens, mode)) == walk_view(oracle_walk(tokens, mode))
             assert len(tagsets._CZECH_TOKENS) <= 2
             assert len(tagsets._GERMAN_TOKENS) <= 2

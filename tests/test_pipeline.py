@@ -166,6 +166,27 @@ class TestPrepareVariant:
         tokens = prepared.corpus.targets[0].split()
         assert "VB-P---3P-AA---" in tokens
 
+    @pytest.mark.parametrize("joint_bpe", [True, False])
+    def test_protect_tags_leaves_the_source_alone(self, czech_lexicon, joint_bpe):
+        # A 15-letter English word has the shape of a positional tag.
+        corpus = ParallelCorpus.from_lines(["representatives meet ."], [FIG1_SURFACE])
+        prepared = {
+            protect: prepare_variant(corpus, PipelineConfig.for_mode(
+                "morphgen", bpe_merges=5, protect_tags=protect, joint_bpe=joint_bpe,
+            ), czech_lexicon)
+            for protect in (True, False)
+        }
+        assert prepared[True].corpus.sources == prepared[False].corpus.sources
+        assert prepared[True].corpus.sources[0].startswith("r@@ e@@ p@@ ")
+        assert "VB-P---3P-AA---" in prepared[True].corpus.targets[0].split()
+        assert "VB-P---3P-AA---" not in prepared[False].corpus.targets[0].split()
+
+    def test_baseline_protects_no_token(self):
+        corpus = ParallelCorpus.from_lines(["x"], ["abcdefghijklmno"])
+        cfg = PipelineConfig.for_mode("baseline", bpe_merges=0, protect_tags=True)
+        prepared = prepare_variant(corpus, cfg)
+        assert prepared.corpus.targets == ["@@ ".join("abcdefghijklmno")]
+
     def test_per_side_bpe(self, czech_lexicon):
         cfg = PipelineConfig.for_mode("morphgen", joint_bpe=False, bpe_merges=5)
         prepared = prepare_variant(fig1_corpus(), cfg, czech_lexicon)

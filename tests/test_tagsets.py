@@ -1,7 +1,9 @@
 """Tag parsing and formatting: exact round trips and rejection shapes."""
 
+import re
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from morphmt import tagsets
 from morphmt.tagsets import (
@@ -303,13 +305,42 @@ def loop_is_czech_tag(token):
     return len(token) == tagsets.TAG_LENGTH and all(ch in tagsets.TAG_ALPHABET for ch in token)
 
 
+# The German token predicates as they were before one memo classified
+# every token: each shape is its own pattern, tested per call.
+ORACLE_ANGLE_SEQ_RE = re.compile(r"^(?:<[^<>\s]+>)+$")
+ORACLE_BARE_RE = re.compile(r"^([^<>\[\]\s]+)\[([^\[\]\s]+)\]$")
+ORACLE_SEPARATOR_RE = re.compile(r"^§§<([^<>\s]+)>§§$")
+
+
 def uncached_feature_token(token):
-    if not tagsets._ANGLE_SEQ_RE.match(token):
+    if not ORACLE_ANGLE_SEQ_RE.match(token):
         return None
     try:
         return parse_feature_seq(token)
     except MalformedAnalysis:
         return None
+
+
+def oracle_is_bare(token):
+    return bool(ORACLE_BARE_RE.match(token))
+
+
+def oracle_is_separator(token):
+    return bool(ORACLE_SEPARATOR_RE.match(token))
+
+
+def oracle_german_class(token):
+    """(features, bare, separator) from the per-call predicates."""
+    features = uncached_feature_token(token)
+    if features is not None:
+        return features, None, None
+    if oracle_is_bare(token):
+        lexeme, bracket, rest = token.partition("[")
+        return None, (bracket + rest, lexeme), None
+    separator = ORACLE_SEPARATOR_RE.match(token)
+    if separator:
+        return None, None, separator.group(1)
+    return None, None, None
 
 
 def uncached_stem_side(text):
@@ -355,7 +386,8 @@ class TestTokenParsersMatchUncached:
     @given(st.lists(markup_texts, min_size=1, max_size=4))
     def test_feature_token_memo(self, tokens):
         for token in tokens + tokens:
-            assert tagsets.parse_feature_token(token) == uncached_feature_token(token)
+            assert is_feature_token(token) == (uncached_feature_token(token) is not None)
+            assert tagsets.classify_german_tokens([token])[0][0] == uncached_feature_token(token)
 
     @given(st.lists(markup_texts, min_size=1, max_size=4))
     def test_stem_side_memo(self, texts):
@@ -364,8 +396,10 @@ class TestTokenParsersMatchUncached:
 
     @pytest.mark.parametrize("token", ["<+NN><Fem><Acc><Sg><NA>", "<Foo><Bar>", "Wolke", ""])
     def test_feature_token_repeated(self, token):
-        first = tagsets.parse_feature_token(token)
-        assert tagsets.parse_feature_token(token) == first == uncached_feature_token(token)
+        [(first, _, _)] = tagsets.classify_german_tokens([token])
+        [(again, _, _)] = tagsets.classify_german_tokens([token])
+        assert again is first
+        assert first == uncached_feature_token(token)
 
     @pytest.mark.parametrize("text", ["", "a||b", "Meer<NN", "<NN>"])
     def test_invalid_stem_side_raises_each_time(self, text):
@@ -378,18 +412,119 @@ class TestTokenParsersMatchUncached:
 
     def test_memos_stay_bounded(self, monkeypatch):
         monkeypatch.setattr(tagsets, "_MEMO_LIMIT", 3)
-        monkeypatch.setattr(tagsets, "_FEATURE_TOKENS", {})
+        monkeypatch.setattr(tagsets, "_GERMAN_TOKENS", {})
         monkeypatch.setattr(tagsets, "_STEM_SIDES", {})
         for i in range(10):
-            assert tagsets.parse_feature_token(f"<+V><{i}>") == uncached_feature_token(f"<+V><{i}>")
+            token = f"<+V><{i}>"
+            assert is_feature_token(token) == (uncached_feature_token(token) is not None)
             assert parse_stem_side(f"a{i}<NN>b") == uncached_stem_side(f"a{i}<NN>b")
-            assert len(tagsets._FEATURE_TOKENS) <= 3
+            assert len(tagsets._GERMAN_TOKENS) <= 3
             assert len(tagsets._STEM_SIDES) <= 3
 
     def test_german_classes_are_cached_once(self, monkeypatch):
-        monkeypatch.setattr(tagsets, "_FEATURE_TOKENS", {})
         monkeypatch.setattr(tagsets, "_GERMAN_TOKENS", {})
-        tokens = ["<+NN><Fem>", "Meer", "Haus[NN]", "<+V>", "Meer"]
-        tagsets.classify_german_tokens(tokens)
-        assert tagsets._FEATURE_TOKENS == {}
+        tokens = ["<+NN><Fem>", "Meer", "Haus[NN]", "<+V>", "Meer", "§§<NN>§§"]
+        classes = tagsets.classify_german_tokens(tokens)
         assert set(tagsets._GERMAN_TOKENS) == set(tokens)
+        memo = dict(tagsets._GERMAN_TOKENS)
+        # The predicates read the same memo and add nothing to it.
+        for token in tokens:
+            is_feature_token(token), is_bare_token(token), tagsets.is_separator_token(token)
+            tagsets.is_german_tag_token(token)
+        assert tagsets._GERMAN_TOKENS == memo
+        assert all(a is b for a, b in zip(classes, map(memo.get, tokens)))
+
+
+def old_positional_tag_error(raw):
+    """The checks PositionalTag ran on every tag before it shared is_czech_tag's pattern."""
+    if len(raw) != tagsets.TAG_LENGTH:
+        return (f"positional tag must have {tagsets.TAG_LENGTH} characters, "
+                f"got {len(raw)}: {raw!r}")
+    for i, ch in enumerate(raw):
+        if ch not in tagsets.TAG_ALPHABET:
+            return f"illegal character {ch!r} at position {i} in tag {raw!r}"
+    return None
+
+
+class TestPositionalTagSharesThePattern:
+    @given(st.one_of(near_tags, czech_tag_texts))
+    def test_accepts_what_is_czech_tag_accepts(self, raw):
+        error = old_positional_tag_error(raw)
+        assert (error is None) == is_czech_tag(raw)
+        if error is None:
+            assert parse_czech_tag(raw).raw == raw
+        else:
+            with pytest.raises(MalformedTag) as exc:
+                parse_czech_tag(raw)
+            assert str(exc.value) == error
+
+
+# Tokens from the characters of every German token shape, with valid
+# feature, bare and separator tokens often among them.
+german_token_texts = st.one_of(
+    st.lists(
+        st.one_of(
+            st.sampled_from(list("<>[]§|+") + ["§§", "+NN", "+V", "Fem", "Acc", "Sg", "NA",
+                                              "3", "Pres", "Ind", "PPast", "KON", "NN"]),
+            st.text(alphabet="<>[]§|+aZ09", max_size=3),
+        ),
+        max_size=8,
+    ).map("".join),
+    st.sampled_from([
+        "<+NN><Fem><Acc><Sg><NA>", "<+V><PPast>", "<Foo><Bar>", "und[KON]", ",[$]", "[KON]",
+        "§§<NN>§§", "§§<ADJ>§§", "§§<>§§", "§§<NN>§", "Meer", "Meer<NN>Boden",
+    ]),
+)
+
+
+class TestGermanClassifierMatchesOracle:
+    @settings(max_examples=300)
+    @given(st.lists(german_token_texts, max_size=8))
+    def test_classes_and_predicates(self, tokens):
+        assert tagsets.classify_german_tokens(tokens) == list(map(oracle_german_class, tokens))
+        for token in tokens:
+            features = uncached_feature_token(token) is not None
+            bare, separator = oracle_is_bare(token), oracle_is_separator(token)
+            assert is_feature_token(token) == features
+            assert is_bare_token(token) == bare
+            assert tagsets.is_separator_token(token) == separator
+            assert tagsets.is_german_tag_token(token) == (features or bare or separator)
+
+    @settings(max_examples=100)
+    @given(st.lists(st.lists(german_token_texts, max_size=6), min_size=1, max_size=4))
+    def test_classes_survive_an_emptied_memo(self, token_lines):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tagsets, "_MEMO_LIMIT", 2)
+            patch.setattr(tagsets, "_GERMAN_TOKENS", {})
+            for tokens in token_lines:
+                assert tagsets.classify_german_tokens(tokens) == list(
+                    map(oracle_german_class, tokens)
+                )
+                for token in tokens:
+                    assert tagsets.is_german_tag_token(token) == (
+                        oracle_german_class(token) != (None, None, None)
+                    )
+                assert len(tagsets._GERMAN_TOKENS) <= 2
+
+    def test_a_word_is_the_one_word_class(self):
+        [word, features] = tagsets.classify_german_tokens(["Meer", "<+V><PPast>"])
+        assert word is tagsets.GERMAN_WORD
+        assert features is not tagsets.GERMAN_WORD
+
+
+class TestTagPredicateForMode:
+    @pytest.mark.parametrize("mode, predicate", [
+        ("baseline", None),
+        ("morphgen", is_czech_tag),
+        ("serialization", is_czech_tag),
+        ("german-stemmed", tagsets.is_german_tag_token),
+        ("german-stemmed-split", tagsets.is_german_tag_token),
+    ])
+    def test_predicate_per_mode(self, mode, predicate):
+        assert tagsets.tag_predicate_for_mode(mode) is predicate
+        assert tagsets.tag_predicate_for_mode(mode) is tagsets.tag_predicate_for_mode(mode)
+
+    def test_pipeline_reexports_it(self):
+        from morphmt import pipeline
+
+        assert pipeline.tag_predicate_for_mode is tagsets.tag_predicate_for_mode
