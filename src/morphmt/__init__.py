@@ -26,7 +26,6 @@ _REEXPORTS = {
         "GermanFeatureSeq",
         "MalformedAnalysis",
         "MalformedTag",
-        "MorphAnalysis",
         "PositionalTag",
         "StemSegment",
         "format_analysis",
@@ -42,17 +41,13 @@ _REEXPORTS = {
         "NoCompatibleAnalysis",
         "ParadigmLexicon",
         "analyze",
-        "disambiguate",
         "generate",
         "generate_with_fallback",
         "load_lexicon",
     ),
     "interleave": (
-        "InterleavedSentence",
         "LengthMismatch",
         "WellformednessError",
-        "decode",
-        "encode",
         "tag_source",
     ),
     "bpe": (
@@ -88,7 +83,6 @@ _REEXPORTS = {
         "NovelFormReport",
         "bleu",
         "novel_forms",
-        "wellformedness",
     ),
 }
 _ORIGIN = {name: module for module, names in _REEXPORTS.items() for name in names}

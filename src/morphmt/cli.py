@@ -359,11 +359,11 @@ def cmd_analyze(args: argparse.Namespace, inputs: _Inputs) -> _Result:
         surface = surface.strip()
         if not surface:
             continue
-        candidates = morphlex.analyze(lex, surface)
-        if not candidates:
+        keys = morphlex.analyze(lex, surface)
+        if not keys:
             unknown += 1
-        for candidate in candidates:
-            out.append(f"{surface}\t{candidate.lemma}\t{candidate.tag_text}")
+        for tag_text, lemma in keys:
+            out.append(f"{surface}\t{lemma}\t{tag_text}")
     return _Result(
         out,
         {"lexicon": args.lexicon},

@@ -33,7 +33,6 @@ from .tagsets import (
     format_separator,
     format_tag,
     is_german_tag_token,
-    parse_feature_seq,
     parse_stem_side,
     KIND_NOMINAL,
 )
@@ -80,10 +79,6 @@ class CompoundSplit(FrozenRecord):
     @property
     def modifier_lexemes(self) -> tuple[str, ...]:
         return self.tokens[0:-2:2]
-
-    @property
-    def separators(self) -> tuple[str, ...]:
-        return self.tokens[1:-2:2]
 
     @property
     def head_token(self) -> str:
@@ -158,9 +153,10 @@ def merge_compound(
     verbatim and appended to ``unknown_modifiers`` when given.  Parts
     after the first start lowercase, and the whole stem is capitalized
     for noun heads and lowercased for adjective heads.  The head's
-    feature sequence is preserved for subsequent generation.
+    feature sequence, as the German token memo holds it, is preserved
+    for subsequent generation.
     """
-    feature_seq = parse_feature_seq(split.feature_token)
+    feature_seq = classify_german_tokens((split.feature_token,))[0][0]
     head_lexeme, head_markup = _split_head(split.head_token)
     parts: list[str] = []
     for lexeme in split.modifier_lexemes:

@@ -7,8 +7,10 @@
 * :func:`novel_forms` - tokens produced by the system that occur neither
   in the training target vocabulary nor in the aligned source sentence;
   a novel form is confirmed when the aligned reference contains it.
-* :func:`wellformedness` - per-line interleaving validation; the errors
-  are the ``errors`` of a :class:`~morphmt.morphlex.Diagnostics`.
+
+The well-formedness of a tag/word stream is checked where it is decoded:
+``postprocess`` reports each malformed line in its
+:class:`~morphmt.morphlex.Diagnostics`.
 """
 
 from __future__ import annotations
@@ -16,19 +18,15 @@ from __future__ import annotations
 import math
 from collections import Counter
 from itertools import repeat
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 from . import FrozenRecord
-
-if TYPE_CHECKING:
-    from .morphlex import Diagnostics
 
 __all__ = [
     "EmptyCorpus",
     "NovelFormReport",
     "bleu",
     "novel_forms",
-    "wellformedness",
 ]
 
 MAX_ORDER = 4
@@ -189,22 +187,3 @@ def novel_forms(
         items=tuple(items),
     )
 
-
-# ---------------------------------------------------------------------------
-# Output well-formedness
-# ---------------------------------------------------------------------------
-
-
-def wellformedness(lines: Iterable[str], mode: str) -> Diagnostics:
-    """Validate every line's tag/word interleaving (BPE already reverted)."""
-    from . import interleave
-    from .morphlex import Diagnostics
-
-    diagnostics = Diagnostics()
-    for line in lines:
-        try:
-            interleave.decode(line.split(), mode)
-        except interleave.WellformednessError as exc:
-            diagnostics.errors.append((diagnostics.lines, exc.kind, exc.position))
-        diagnostics.lines += 1
-    return diagnostics

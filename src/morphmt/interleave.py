@@ -9,38 +9,32 @@ Four representation modes:
   a stem token followed by its feature-sequence token
   (``sehen <+V><3><Sg><Pres><Ind>``).
 
-:func:`walk` is the one pass over a decoded token stream.  It classifies
-each token once and returns the stream's items in order - (tag, word)
-pairs, bare tokens, orphan words and orphan tags - together with the
-first violation of the strict alternation.  :func:`decode` is its strict
-view and the well-formedness checker of the evaluation module; the
-pipeline's postprocessing and the ``merge-compounds`` command consume
-the items directly.
+:func:`encode_analysis` emits one word's tokens from its lexicon row
+key, (tag text, lemma), and its surface form.  :func:`walk` is the one
+pass over a decoded token stream.  It classifies each token once and
+returns the stream's items in order - (tag, word) pairs, bare tokens,
+orphan words and orphan tags - together with the first violation of the
+strict alternation, which the pipeline's postprocessing reports; the
+pipeline and the ``merge-compounds`` command consume the items.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from . import FrozenRecord
 from .conventions import (
     MODE_BASELINE,
     MODE_GERMAN_STEMMED,
     MODE_MORPHGEN,
     MODE_SERIALIZATION,
-    MODES,
 )
 from .tagsets import (
     GermanFeatureSeq,
-    MorphAnalysis,
     classify_czech_tokens,
     classify_german_tokens,
-    format_tag,
-    KIND_BARE,
 )
 
 __all__ = [
-    "MODES",
     "MODE_BASELINE",
     "MODE_MORPHGEN",
     "MODE_SERIALIZATION",
@@ -49,15 +43,12 @@ __all__ = [
     "ITEM_BARE",
     "EVENT_WORD_WITHOUT_TAG",
     "EVENT_DROPPED_TAG",
-    "InterleavedSentence",
     "Item",
     "Walk",
     "WellformednessError",
     "LengthMismatch",
-    "encode",
     "encode_analysis",
     "walk",
-    "decode",
     "tag_source",
 ]
 
@@ -85,54 +76,25 @@ class LengthMismatch(ValueError):
     """Source words and source tags differ in count."""
 
 
-class InterleavedSentence(FrozenRecord):
-    """A validated token sequence in one representation mode."""
-
-    def __init__(self, mode: str, tokens: tuple[str, ...]) -> None:
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "tokens", tokens)
-
-    @property
-    def text(self) -> str:
-        return " ".join(self.tokens)
-
-
-def encode(analyses: list[MorphAnalysis], mode: str) -> InterleavedSentence:
-    """Encode per-word analyses into one token sequence.
+def encode_analysis(tag_text: str, lemma: str, surface: str, mode: str) -> tuple[str, ...]:
+    """The tokens of one word, from its lexicon row key and surface form.
 
     Interleaved modes emit the tag token before the word token; the
     German stemmed mode emits the stem first and its feature sequence
-    second, matching the stem||features boundary direction.  Baseline and
-    serialization need the original surface on every analysis.
+    second, matching the stem||features boundary direction, and a bare
+    tag (``[KON]``) as one token with its lexeme (``und[KON]``).
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    return InterleavedSentence(mode, tuple(t for a in analyses for t in encode_analysis(a, mode)))
-
-
-def encode_analysis(a: MorphAnalysis, mode: str) -> tuple[str, ...]:
-    """The tokens of one word's analysis, as :func:`encode` emits them."""
     if mode == MODE_BASELINE:
-        return (_surface_of(a),)
+        return (surface,)
     if mode == MODE_MORPHGEN:
-        return (format_tag(a.tag), a.lemma)
+        return (tag_text, lemma)
     if mode == MODE_SERIALIZATION:
-        return (format_tag(a.tag), _surface_of(a))
+        return (tag_text, surface)
     if mode != MODE_GERMAN_STEMMED:
         raise ValueError(f"unknown mode {mode!r}")
-    if _is_bare(a):
-        return (f"{a.lemma}{format_tag(a.tag)}",)
-    return (a.lemma, format_tag(a.tag))
-
-
-def _surface_of(a: MorphAnalysis) -> str:
-    if a.surface is None:
-        raise ValueError(f"analysis of {a.lemma!r} carries no surface form")
-    return a.surface
-
-
-def _is_bare(a: MorphAnalysis) -> bool:
-    return getattr(a.tag, "kind", None) == KIND_BARE
+    if tag_text.startswith("["):
+        return (lemma + tag_text,)
+    return (lemma, tag_text)
 
 
 class Item(NamedTuple):
@@ -250,19 +212,6 @@ def _walk_word_first(tokens: list[str]) -> Walk:
         if error is None:
             error = WellformednessError(open_stem + 1, ERROR_TAG_EXPECTED)
     return Walk(items, error)
-
-
-def decode(tokens: list[str], mode: str) -> list[tuple[str, str]]:
-    """Validate a token sequence and return its (tag, word) pairs.
-
-    The strict view of :func:`walk`: raises its first
-    :class:`WellformednessError` (odd-length, tag-expected,
-    word-expected) or returns the pairs, bare tokens included.
-    """
-    stream = walk(tokens, mode)
-    if stream.error is not None:
-        raise stream.error
-    return [(item.tag, item.word) for item in stream.items]
 
 
 def tag_source(words: list[str], tags: list[str]) -> list[str]:

@@ -4,8 +4,10 @@ The lexicon is a table of (lemma, tag, surface) triples read from a TSV
 document and stored as one lemma -> surface dict per tag text.  It
 answers two questions:
 
-* analysis: which (lemma, tag) pairs can produce this surface form?
+* analysis: which (tag text, lemma) row keys produce this surface form?
   (The index behind it groups the rows by surface at the first analysis.)
+  :func:`select_analysis` picks one of them, against a context parse tag
+  if one is given.
 * generation: which surface form does this (lemma, tag text) pair produce?
 
 Generation is a pure lookup and therefore total and deterministic over
@@ -32,7 +34,6 @@ from .tagsets import (
     GermanFeatureSeq,
     MalformedAnalysis,
     MalformedTag,
-    MorphAnalysis,
     PositionalTag,
     parse_czech_tag,
     parse_feature_seq,
@@ -56,7 +57,6 @@ __all__ = [
     "REASON_INCOMPATIBLE_TAG",
     "load_lexicon",
     "analyze",
-    "disambiguate",
     "select_analysis",
     "generate",
     "generate_with_fallback",
@@ -173,9 +173,9 @@ class ParadigmLexicon:
     Each distinct tag text is parsed once, when its first row is added.
     The forward index is a function (at most one surface per lemma+tag).
     The inverse index lists each surface's (tag text, lemma) row keys,
-    grouped by the first analysis and dropped when a row is added;
-    candidates are built from them in canonical order: lexicographic by
-    tag text, then by lemma.
+    grouped by the first analysis and dropped when a row is added; the
+    keys are the analyses, and their canonical order is lexicographic by
+    tag text, then by lemma.  ``_tags`` holds each tag text's parsed tag.
     """
 
     def __init__(self) -> None:
@@ -225,10 +225,6 @@ class ParadigmLexicon:
                 for lemma, form in rows.items():
                     by_surface.setdefault(form, []).append((tag_text, lemma))
         return by_surface.get(surface, [])
-
-    def candidates_for(self, surface: str) -> list[MorphAnalysis]:
-        tags = self._tags
-        return [MorphAnalysis(lemma, tags[tag], surface) for tag, lemma in sorted(self.keys_for(surface))]
 
     def __len__(self) -> int:
         return sum(map(len, self._forward.values()))
@@ -305,9 +301,9 @@ def load_lexicon(document: str) -> ParadigmLexicon:
     return lex
 
 
-def analyze(lex: ParadigmLexicon, surface: str) -> list[MorphAnalysis]:
-    """All (lemma, tag) pairs producing ``surface``, canonically ordered."""
-    return lex.candidates_for(surface)
+def analyze(lex: ParadigmLexicon, surface: str) -> list[tuple[str, str]]:
+    """The (tag text, lemma) keys of the rows producing ``surface``, sorted."""
+    return sorted(lex.keys_for(surface))
 
 
 # ---------------------------------------------------------------------------
@@ -391,36 +387,24 @@ def _first_fit(tags: list[PositionalTag | GermanFeatureSeq], context: str) -> in
     raise NoCompatibleAnalysis(f"none of {len(tags)} analyses is compatible with {context!r}")
 
 
-def disambiguate(candidates: list[MorphAnalysis], context: str) -> MorphAnalysis:
-    """Pick the first candidate compatible with the context parse tag.
+def select_analysis(lex: ParadigmLexicon, surface: str, context: str | None) -> tuple[str, str]:
+    """The (tag text, lemma) key of ``surface``'s analysis: the first of
+    :func:`analyze`, or with a context parse tag the first compatible one.
 
     ``NoGend`` in a candidate matches any context gender; slots absent
-    from the context are unconstrained.  Ties go to the first candidate
-    in the given (canonical) order.
-    """
-    if not candidates:
-        raise ValueError("disambiguate needs at least one candidate")
-    return candidates[_first_fit([c.tag for c in candidates], context)]
-
-
-def select_analysis(lex: ParadigmLexicon, surface: str, context: str | None) -> MorphAnalysis:
-    """``analyze(lex, surface)[0]``, or ``disambiguate`` of it against a
-    context, from the surface's row keys: only the chosen analysis is built.
-
-    Every analysis of a surface regenerates it, so without a context the
-    choice never affects round-tripping.  Raises MalformedAnalysis when
-    no row produces ``surface``.
+    from the context are unconstrained.  Every analysis of a surface
+    regenerates it, so without a context the choice never affects
+    round-tripping.  Raises MalformedAnalysis when no row produces
+    ``surface`` and NoCompatibleAnalysis when no analysis fits.
     """
     keys = lex.keys_for(surface)
     if not keys:
         raise MalformedAnalysis(f"no analysis for {surface!r}")
-    tags = lex._tags
     if context is None:
-        tag_text, lemma = min(keys)
-    else:
-        keys = sorted(keys)
-        tag_text, lemma = keys[_first_fit([tags[tag] for tag, _ in keys], context)]
-    return MorphAnalysis(lemma, tags[tag_text], surface)
+        return min(keys)
+    keys = sorted(keys)
+    tags = lex._tags
+    return keys[_first_fit([tags[tag] for tag, _ in keys], context)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
-"""End-to-end corpus pipeline: filter, prepare, translate, postprocess.
+"""End-to-end corpus pipeline: filter, prepare, postprocess.
 
 The pipeline turns a parallel corpus into one of five training
-representations, hands the prepared text to an external line-oriented
-translation backend, and deterministically turns the backend's output
-back into inflected surface text:
+representations, each target word encoded from the lexicon row key,
+(tag text, lemma), chosen for it.  The prepared text goes to an external
+line-oriented translation backend (:mod:`morphmt.backend`, which the
+``translate`` stage loads on its own), and the pipeline deterministically
+turns the backend's output back into inflected surface text:
 
     revert BPE -> rejoin split compounds (split mode) -> walk the stream
     -> merge compounds (German) -> generate surface forms (lemma fallback)
@@ -16,9 +18,6 @@ orphan word is emitted verbatim, an orphan tag is dropped, a stem that
 cannot be parsed or merged is emitted verbatim) and all repairs,
 generation fallbacks and well-formedness violations are reported
 alongside the text, in one :class:`~morphmt.morphlex.Diagnostics`.
-
-:func:`translate_external` and :class:`BackendFailure` are defined in
-:mod:`morphmt.backend`, which the ``translate`` stage loads on its own.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from itertools import repeat
 from typing import Sequence
 
 from . import Record, interleave
-from .backend import BackendFailure, translate_external
 from .bpe import (
     MARKER,
     MergeTable,
@@ -53,26 +51,25 @@ from .morphlex import (
     select_analysis,
 )
 from .tagsets import (
+    GermanAnalysis,
     GermanFeatureSeq,
     MalformedAnalysis,
-    MorphAnalysis,
     _remember,
+    parse_stem_side,
     tag_predicate_for_mode,
+    KIND_BARE,
 )
 
 __all__ = [
     "MODE_GERMAN_STEMMED_SPLIT",
     "PIPELINE_MODES",
-    "BackendFailure",
     "PipelineConfig",
     "ParallelCorpus",
     "PreparedVariant",
     "PostprocessResult",
     "filter_corpus",
     "prepare_variant",
-    "translate_external",
     "postprocess",
-    "tag_predicate_for_mode",
 ]
 
 BASE_MAXLEN = 50
@@ -204,10 +201,20 @@ class PreparedVariant(Record):
         self.dropped = [] if dropped is None else dropped
 
 
-def _encode_analysis(a: MorphAnalysis, mode: str) -> tuple[str, ...]:
-    if mode == MODE_GERMAN_STEMMED_SPLIT:
-        return split_tokens(a.to_german_analysis())
-    return interleave.encode_analysis(a, mode)
+def _encode_analysis(
+    lex: ParadigmLexicon, key: tuple[str, str], surface: str, mode: str
+) -> tuple[str, ...]:
+    """The tokens of a word whose analysis is the row key ``key``; split
+    mode splits the analysis built from the lemma and the parsed tag."""
+    tag_text, lemma = key
+    if mode != MODE_GERMAN_STEMMED_SPLIT:
+        return interleave.encode_analysis(tag_text, lemma, surface, mode)
+    tag = lex._tags[tag_text]
+    if not isinstance(tag, GermanFeatureSeq):
+        raise MalformedAnalysis("not a German analysis")
+    if tag.kind == KIND_BARE:
+        return (lemma + tag_text,)
+    return split_tokens(GermanAnalysis(parse_stem_side(lemma), tag))
 
 
 _Dropped = MalformedAnalysis | NoCompatibleAnalysis
@@ -240,12 +247,12 @@ def _encode_tokens(
         entry = memo.get(key)
         if entry is None:
             try:
-                analysis = select_analysis(lex, *key)
+                row_key = select_analysis(lex, *key)
             except (MalformedAnalysis, NoCompatibleAnalysis) as exc:
                 entry = _remember(memo, key, exc.with_traceback(None))
             else:
                 try:
-                    entry = _remember(memo, key, _encode_analysis(analysis, mode))
+                    entry = _remember(memo, key, _encode_analysis(lex, row_key, key[0], mode))
                 except ValueError as exc:
                     encoding_error = encoding_error or exc
                     continue
@@ -287,7 +294,9 @@ def prepare_variant(
     splitting (``cfg.split_source_hyphens``) runs before tagging, so
     source tags must align with the split tokens.  Parse tags and source
     tags are indexed by original pair index, so they stay aligned with
-    the input when ``corpus`` comes from :func:`filter_corpus`.  Each
+    the input when ``corpus`` comes from :func:`filter_corpus`.  An
+    error in a sentence's parse tags, source tags or encoding is raised
+    with ``line N: `` before it, N the 1-based original pair index.  Each
     distinct (target token, parse tag) pair is analysed and encoded once
     per call.  ``cfg.protect_tags`` keeps the target's tag tokens whole
     (:func:`~morphmt.tagsets.tag_predicate_for_mode`); source tokens are
@@ -299,20 +308,23 @@ def prepare_variant(
     dropped: list[tuple[int, str]] = []
     memo: dict[tuple[str, str | None], _Encoded] = {}
     for index, (source, target) in zip(corpus._origin or range(len(corpus)), corpus.pairs):
-        target_tokens = target.split()
-        if cfg.mode == interleave.MODE_BASELINE:
-            target_out = target_tokens
-        else:
-            tags = target_parse_tags[index] if target_parse_tags is not None else None
-            target_out = _encode_tokens(lex, target_tokens, tags, cfg.mode, memo)
-            if isinstance(target_out, Exception):
-                dropped.append((index, str(target_out)))
-                continue
-        source_tokens = source.split()
-        if cfg.split_source_hyphens:
-            source_tokens = _split_hyphens(source_tokens)
-        if source_tags is not None:
-            source_tokens = interleave.tag_source(source_tokens, source_tags[index])
+        try:
+            target_tokens = target.split()
+            if cfg.mode == interleave.MODE_BASELINE:
+                target_out = target_tokens
+            else:
+                tags = target_parse_tags[index] if target_parse_tags is not None else None
+                target_out = _encode_tokens(lex, target_tokens, tags, cfg.mode, memo)
+                if isinstance(target_out, Exception):
+                    dropped.append((index, str(target_out)))
+                    continue
+            source_tokens = source.split()
+            if cfg.split_source_hyphens:
+                source_tokens = _split_hyphens(source_tokens)
+            if source_tags is not None:
+                source_tokens = interleave.tag_source(source_tokens, source_tags[index])
+        except ValueError as exc:  # its tags or encoding: name the input line
+            raise type(exc)(f"line {index + 1}: {exc}") from None
         encoded.append((" ".join(source_tokens), " ".join(target_out)))
     # Freed before BPE is learned: kept alive through learn_bpe, the memo
     # slowed learning on the Czech benchmark corpus (not with gc disabled).

@@ -36,7 +36,6 @@ __all__ = [
     "GermanFeatureSeq",
     "StemSegment",
     "GermanAnalysis",
-    "MorphAnalysis",
     "parse_czech_tag",
     "parse_feature_seq",
     "parse_stem_side",
@@ -45,9 +44,6 @@ __all__ = [
     "format_stem_side",
     "format_analysis",
     "is_czech_tag",
-    "is_feature_token",
-    "is_bare_token",
-    "is_separator_token",
     "is_german_tag_token",
     "format_separator",
     "tag_predicate_for_mode",
@@ -333,22 +329,6 @@ class GermanFeatureSeq(FrozenRecord):
             return self.values[2]
         return self.values[-2]
 
-    @property
-    def strength(self) -> str:
-        return self.values[-1]
-
-    @property
-    def person(self) -> str:
-        return self.values[1]
-
-    @property
-    def tense(self) -> str:
-        return self.values[3]
-
-    @property
-    def mood(self) -> str:
-        return self.values[4]
-
     def __str__(self) -> str:
         return format_tag(self)
 
@@ -418,28 +398,9 @@ def classify_german_tokens(tokens: Sequence[str]) -> list[_GermanClass]:
     return _classify_tokens(_GERMAN_TOKENS, _german_class, tokens)
 
 
-def _german_token(token: str) -> _GermanClass:
-    return _classify_tokens(_GERMAN_TOKENS, _german_class, (token,))[0]
-
-
-def is_feature_token(token: str) -> bool:
-    """True iff ``token`` is a pure angle-bracket feature sequence."""
-    return _german_token(token)[0] is not None
-
-
-def is_bare_token(token: str) -> bool:
-    """True iff ``token`` has the non-inflected ``lexeme[TAG]`` shape."""
-    return _german_token(token)[1] is not None
-
-
-def is_separator_token(token: str) -> bool:
-    """True iff ``token`` is a compound separator ``§§<T>§§``."""
-    return _german_token(token)[2] is not None
-
-
 def is_german_tag_token(token: str) -> bool:
     """True iff ``token`` is a feature sequence, a bare token or a separator."""
-    return _german_token(token) is not GERMAN_WORD
+    return _classify_tokens(_GERMAN_TOKENS, _german_class, (token,))[0] is not GERMAN_WORD
 
 
 def tag_predicate_for_mode(mode: str) -> Callable[[str], bool] | None:
@@ -582,39 +543,3 @@ def format_analysis(a: PositionalTag | GermanAnalysis) -> str:
         return f"{a.stem_segments[0].lexeme}[{a.feature_seq.bare_tag}]"
     return f"{a.stem_text}||{format_tag(a.feature_seq)}"
 
-
-# ---------------------------------------------------------------------------
-# The unit exchanged between modules
-# ---------------------------------------------------------------------------
-
-
-class MorphAnalysis(FrozenRecord):
-    """A (lemma, tag) pair, optionally with the original surface form.
-
-    ``lemma`` is the plain lemma for positional tags and the stem-side
-    text (markup included) for German analyses.
-    """
-
-    def __init__(
-        self, lemma: str, tag: PositionalTag | GermanFeatureSeq, surface: str | None = None
-    ) -> None:
-        object.__setattr__(self, "lemma", lemma)
-        object.__setattr__(self, "tag", tag)
-        object.__setattr__(self, "surface", surface)
-
-    @property
-    def tag_text(self) -> str:
-        return format_tag(self.tag)
-
-    @classmethod
-    def from_german(cls, a: GermanAnalysis, surface: str | None = None) -> MorphAnalysis:
-        if not a.inflected:
-            return cls(a.stem_segments[0].lexeme, a.feature_seq, surface)
-        return cls(a.stem_text, a.feature_seq, surface)
-
-    def to_german_analysis(self) -> GermanAnalysis:
-        if not isinstance(self.tag, GermanFeatureSeq):
-            raise MalformedAnalysis("not a German analysis")
-        if self.tag.kind == KIND_BARE:
-            return GermanAnalysis((StemSegment(self.lemma),), self.tag, inflected=False)
-        return GermanAnalysis(parse_stem_side(self.lemma), self.tag, inflected=True)

@@ -16,20 +16,15 @@ import pytest
 from morphmt import evaluation, interleave
 from morphmt.bpe import MergeTable, apply_bpe, learn_bpe, revert_bpe, vocab_stats
 from morphmt.compounds import merge_compound, split_compound
-from morphmt.morphlex import disambiguate, load_lexicon
+from morphmt.backend import translate_external
+from morphmt.morphlex import load_lexicon, select_analysis
 from morphmt.pipeline import (
     ParallelCorpus,
     PipelineConfig,
     postprocess,
     prepare_variant,
-    translate_external,
 )
-from morphmt.tagsets import (
-    MorphAnalysis,
-    format_analysis,
-    parse_feature_seq,
-    parse_german_analysis,
-)
+from morphmt.tagsets import format_analysis, format_tag, parse_german_analysis
 
 from conftest import (
     FIG1_MORPHGEN,
@@ -71,13 +66,15 @@ def test_criterion_2_table1_reproduction(german_lexicon):
         for representation, _ in TABLE1_ROWS:
             parsed = parse_german_analysis(representation)
             assert format_analysis(parsed) == representation
-        analyses = [
-            MorphAnalysis.from_german(parse_german_analysis(rep), surface)
-            for rep, surface in TABLE1_ROWS
-        ]
-        encoded = interleave.encode(analyses, "german-stemmed")
+        tokens = []
+        for representation, surface in TABLE1_ROWS:
+            parsed = parse_german_analysis(representation)
+            # The lexicon row key: stem side (or bare lexeme) and tag text.
+            lemma = parsed.stem_text if parsed.inflected else parsed.stem_segments[0].lexeme
+            tag_text = format_tag(parsed.feature_seq)
+            tokens += interleave.encode_analysis(tag_text, lemma, surface, "german-stemmed")
         cfg = PipelineConfig.for_mode("german-stemmed")
-        result = postprocess([encoded.text], cfg, german_lexicon)
+        result = postprocess([" ".join(tokens)], cfg, german_lexicon)
         surface_line = " ".join(surface for _, surface in TABLE1_ROWS)
         assert result.lines == [surface_line]
         assert "Meeresboden" in result.lines[0]
@@ -88,12 +85,11 @@ def test_criterion_2_table1_reproduction(german_lexicon):
 
 def test_criterion_3_disambiguation():
     with criterion(3, "nine-way adjective ambiguity resolved by the parse tag"):
-        candidates = [
-            MorphAnalysis("vulkanisch", parse_feature_seq(text))
-            for text in VULKANISCH_CANDIDATES
-        ]
-        picked = disambiguate(candidates, "ADJA-Dat.Sg.Fem")
-        assert picked.tag_text == "<+ADJ><Pos><NoGend><Dat><Sg><Wk>"
+        lex = load_lexicon("".join(
+            f"vulkanisch\t{tag_text}\tvulkanischen\n" for tag_text in VULKANISCH_CANDIDATES
+        ))
+        tag_text, _ = select_analysis(lex, "vulkanischen", "ADJA-Dat.Sg.Fem")
+        assert tag_text == "<+ADJ><Pos><NoGend><Dat><Sg><Wk>"
 
 
 def test_criterion_4_lemma_fallback(czech_lexicon):

@@ -227,7 +227,29 @@ class TestPrepareCommand:
             stdin_text="eine Wolke\neine Wolke\n",
         )
         assert (code, out) == (1, "")
-        assert err == "morphmt: error: unknown context feature 'Foo' in 'NN-Foo'\n"
+        assert err == "morphmt: error: line 1: unknown context feature 'Foo' in 'NN-Foo'\n"
+
+    @pytest.mark.parametrize("argv, target, files, message", [
+        (["--mode", "german-stemmed", "--lexicon", GERMAN_LEXICON, "--parse-tags", "tags.txt"],
+         "und Wolke\nund Wolke\n", {"tags.txt": "KON NN-Acc.Sg.Fem\nKON\n"},
+         "line 2: 2 tokens but 1 parse tags"),
+        (["--mode", "morphgen", "--lexicon", CZECH_LEXICON, "--source", "src.txt",
+          "--source-tags", "tags.txt"],
+         "pizzy .\npizzy .\n", {"src.txt": "a b\nc d\n", "tags.txt": "X Y\nZ\n"},
+         "line 2: 2 words vs 1 tags"),
+        # The line of the input pair, also after --filter dropped the first.
+        (["--mode", "german-stemmed-split", "--lexicon", CZECH_LEXICON, "--filter",
+          "--minlen", "2"],
+         "pizzy\npizzy .\n", {}, "line 2: not a German analysis"),
+    ], ids=["parse-tags", "source-tags", "czech-lexicon-in-split-mode"])
+    def test_sentence_errors_name_their_line(self, run, tmp_path, monkeypatch, argv, target,
+                                             files, message):
+        monkeypatch.chdir(tmp_path)
+        for name, text in files.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        code, out, err = run(["prepare", "--merges", "0", *argv], stdin_text=target)
+        assert (code, out) == (1, "")
+        assert err == f"morphmt: error: {message}\n"
 
     def test_separate_tables_both_written(self, run, tmp_path):
         # With --no-joint-bpe the source side has its own table, written

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from morphmt import interleave
+from morphmt import pipeline
 from morphmt.compounds import (
     CompoundSplit,
     merge_compound,
@@ -11,19 +11,20 @@ from morphmt.compounds import (
     split_compound,
     split_tokens,
 )
-from morphmt.morphlex import generate
+from morphmt.morphlex import ParadigmLexicon, generate
 from morphmt.tagsets import (
     GermanAnalysis,
     GermanFeatureSeq,
     MalformedAnalysis,
-    MorphAnalysis,
     StemSegment,
+    classify_german_tokens,
     format_analysis,
     format_tag,
-    is_separator_token,
     parse_feature_seq,
     parse_german_analysis,
 )
+
+from oracles import encode_record, from_german
 
 from test_tagsets import (
     ORACLE_SEPARATOR_RE,
@@ -91,10 +92,10 @@ class TestSplitCompound:
 
 class TestSeparatorTokens:
     def test_separator_shape(self):
-        assert is_separator_token("§§<NN>§§")
-        assert is_separator_token("§§<ADJ>§§")
-        assert not is_separator_token("<+NN>")
-        assert not is_separator_token("Meer")
+        markups = [markup for _, _, markup in classify_german_tokens(
+            ["§§<NN>§§", "§§<ADJ>§§", "<+NN>", "Meer"]
+        )]
+        assert markups == ["NN", "ADJ", None, None]
 
 
 class TestMergeCompound:
@@ -258,12 +259,14 @@ def oracle_cli_split(analysis):
     return (result.stem_text, format_tag(result.feature_seq))
 
 
-def oracle_prepare_split(a):
-    """The tokens prepare encoded per MorphAnalysis in split mode."""
-    split = split_compound(a.to_german_analysis())
-    if isinstance(split, CompoundSplit):
-        return split.tokens
-    return interleave.encode_analysis(a, "german-stemmed")
+def prepare_split(analysis):
+    """The tokens prepare encodes in split mode for the analysis's lexicon row."""
+    a = from_german(analysis, "x")
+    lex = ParadigmLexicon()
+    lex.add_entry(a.lemma, a.tag_text, a.surface)
+    tokens = pipeline._encode_analysis(lex, (a.tag_text, a.lemma), a.surface, "german-stemmed-split")
+    assert tokens == encode_record(a, "german-stemmed-split")
+    return tokens
 
 
 _FEATURE_TEXTS = ["<+NN><Masc><Dat><Sg><NA>", "<+ADJ><Pos><NoGend><Dat><Sg><Wk>",
@@ -290,7 +293,7 @@ class TestSplitTokens:
     def test_both_callers_agree(self, analysis):
         tokens = split_tokens(analysis)
         assert tokens == oracle_cli_split(analysis)
-        assert tokens == oracle_prepare_split(MorphAnalysis.from_german(analysis))
+        assert tokens == prepare_split(analysis)
 
     def test_split_count_reads_the_token_count(self):
         # split-compounds counts an analysis as split when it gives more than two tokens.

@@ -1,4 +1,4 @@
-"""BLEU scoring, novel-form analysis and well-formedness checking."""
+"""BLEU scoring, novel-form analysis and the well-formedness report of postprocess."""
 
 import math
 import random
@@ -10,8 +10,8 @@ from morphmt.evaluation import (
     EmptyCorpus,
     bleu,
     novel_forms,
-    wellformedness,
 )
+from morphmt.pipeline import PipelineConfig, postprocess
 
 from conftest import FIG1_MORPHGEN
 
@@ -214,19 +214,31 @@ class TestNovelForms:
             novel_forms(["a"], set(), ["s", "t"], ["r"])
 
 
+@pytest.fixture
+def wellformedness(czech_lexicon, german_lexicon):
+    """The diagnostics postprocess reports for system output in a mode."""
+
+    def check(lines, mode):
+        lex = german_lexicon if mode.startswith("german") else czech_lexicon
+        return postprocess(lines, PipelineConfig.for_mode(mode), lex).diagnostics
+
+    return check
+
+
 class TestWellformedness:
-    def test_all_well_formed(self):
+    def test_all_well_formed(self, wellformedness):
         lines = [FIG1_MORPHGEN, FIG1_MORPHGEN]
         report = wellformedness(lines, "morphgen")
         assert report.errors == []
         assert report.lines == 2
         assert report.malformed_lines == 0
 
-    def test_odd_line_counted(self):
+    def test_odd_line_counted(self, wellformedness):
         report = wellformedness(["VB-P---3P-AA---"], "morphgen")
         assert report.counts == {"odd-length": 1}
+        assert report.errors == [(0, "odd-length", 0)]
 
-    def test_kinds_aggregated(self):
+    def test_kinds_aggregated(self, wellformedness):
         lines = [
             FIG1_MORPHGEN,
             "existovat VB-P---3P-AA---",
@@ -235,15 +247,16 @@ class TestWellformedness:
         report = wellformedness(lines, "morphgen")
         assert report.counts == {"tag-expected": 1, "odd-length": 1}
         assert report.malformed_lines == 2
+        assert report.errors == [(1, "tag-expected", 0), (2, "odd-length", 0)]
 
-    def test_german_mode(self):
+    def test_german_mode(self, wellformedness):
         report = wellformedness(
             ["und[KON] sehen <+V><3><Sg><Pres><Ind>", "sehen"], "german-stemmed"
         )
         assert report.counts == {"tag-expected": 1}
 
-    def test_report_text(self):
+    def test_report_text(self, wellformedness):
         report = wellformedness(["Z:-------------"], "morphgen")
         text = report.to_text()
         assert "lines checked: 1" in text
-        assert "odd-length" in text
+        assert "  line 0: odd-length at token 0" in text

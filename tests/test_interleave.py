@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from morphmt import evaluation, tagsets
+from morphmt import tagsets
 
 from morphmt.interleave import (
     ERROR_ODD_LENGTH,
@@ -17,19 +17,16 @@ from morphmt.interleave import (
     LengthMismatch,
     Walk,
     WellformednessError,
-    decode,
-    encode,
+    encode_analysis,
     tag_source,
     walk,
 )
 from morphmt.pipeline import PipelineConfig, postprocess
 from morphmt.tagsets import (
-    MorphAnalysis,
     classify_czech_tokens,
     classify_german_tokens,
-    is_bare_token,
+    format_tag,
     is_czech_tag,
-    is_feature_token,
     parse_czech_tag,
     parse_german_analysis,
 )
@@ -40,58 +37,64 @@ from conftest import (
     FIG1_SURFACE,
     TABLE1_ROWS,
 )
+from oracles import Analysis, decode, encode_record, from_german, wellformedness
 from test_tagsets import oracle_german_class, oracle_is_bare, uncached_feature_token
 
-FIG1_ANALYSES = [
-    MorphAnalysis("existovat", parse_czech_tag("VB-P---3P-AA---"), "existují"),
-    MorphAnalysis("milión", parse_czech_tag("NNIP1-----A----"), "miliony"),
-    MorphAnalysis("druh", parse_czech_tag("NNIP2-----A----"), "druhů"),
-    MorphAnalysis("pizza", parse_czech_tag("NNFS2-----A----"), "pizzy"),
-    MorphAnalysis(".", parse_czech_tag("Z:-------------"), "."),
+# (tag text, lemma, surface) per word: a row key and the surface it analyses.
+FIG1_WORDS = [
+    ("VB-P---3P-AA---", "existovat", "existují"),
+    ("NNIP1-----A----", "milión", "miliony"),
+    ("NNIP2-----A----", "druh", "druhů"),
+    ("NNFS2-----A----", "pizza", "pizzy"),
+    ("Z:-------------", ".", "."),
 ]
 
-TABLE1_ANALYSES = [
-    MorphAnalysis.from_german(parse_german_analysis(rep), surface)
-    for rep, surface in TABLE1_ROWS
+TABLE1_WORDS = [
+    (a.tag_text, a.lemma, a.surface)
+    for a in (from_german(parse_german_analysis(rep), surface) for rep, surface in TABLE1_ROWS)
 ]
+
+
+def encode(words, mode):
+    """The tokens of a sentence of (tag text, lemma, surface) words."""
+    return [token for word in words for token in encode_analysis(*word, mode)]
 
 
 class TestEncode:
     def test_morphgen_line(self):
-        sent = encode(FIG1_ANALYSES, "morphgen")
-        assert sent.text == FIG1_MORPHGEN
+        assert " ".join(encode(FIG1_WORDS, "morphgen")) == FIG1_MORPHGEN
 
     def test_serialization_line(self):
-        sent = encode(FIG1_ANALYSES, "serialization")
-        assert sent.text == FIG1_SERIALIZATION
+        assert " ".join(encode(FIG1_WORDS, "serialization")) == FIG1_SERIALIZATION
 
     def test_baseline_line(self):
-        sent = encode(FIG1_ANALYSES, "baseline")
-        assert sent.text == FIG1_SURFACE
+        assert " ".join(encode(FIG1_WORDS, "baseline")) == FIG1_SURFACE
 
     def test_german_stemmed_line(self):
-        sent = encode(TABLE1_ANALYSES, "german-stemmed")
-        assert sent.text.startswith(
+        tokens = encode(TABLE1_WORDS, "german-stemmed")
+        assert " ".join(tokens).startswith(
             "und[KON] hier[ADV] sehen <+V><3><Sg><Pres><Ind> man[PIS]"
         )
         # bare words take one token, inflected words two
-        bare = sum(1 for a in TABLE1_ANALYSES if a.tag.kind == "bare")
-        inflected = len(TABLE1_ANALYSES) - bare
-        assert len(sent.tokens) == bare + 2 * inflected
+        bare = sum(1 for tag_text, _, _ in TABLE1_WORDS if tag_text.startswith("["))
+        inflected = len(TABLE1_WORDS) - bare
+        assert len(tokens) == bare + 2 * inflected
 
     def test_interleaving_doubles_length(self):
         for mode in ("morphgen", "serialization"):
-            assert len(encode(FIG1_ANALYSES, mode).tokens) == 2 * len(FIG1_ANALYSES)
+            assert len(encode(FIG1_WORDS, mode)) == 2 * len(FIG1_WORDS)
 
     def test_surface_required_for_serialization(self):
-        bare = [MorphAnalysis("existovat", parse_czech_tag("VB-P---3P-AA---"))]
-        with pytest.raises(ValueError):
-            encode(bare, "serialization")
-        encode(bare, "morphgen")
+        # Serialization and baseline emit the surface; morphgen the lemma.
+        word = ("VB-P---3P-AA---", "existovat", "existují")
+        assert encode_analysis(*word, "serialization") == ("VB-P---3P-AA---", "existují")
+        assert encode_analysis(*word, "baseline") == ("existují",)
+        assert encode_analysis(*word, "morphgen") == ("VB-P---3P-AA---", "existovat")
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            encode([], "surface")
+        for mode in ("surface", "german-stemmed-split"):
+            with pytest.raises(ValueError, match="^unknown mode"):
+                encode_analysis("Z:-------------", ".", ".", mode)
 
 
 class TestDecode:
@@ -126,11 +129,10 @@ class TestDecode:
         assert excinfo.value.position == 1
 
     def test_german_stemmed_pairs(self):
-        sent = encode(TABLE1_ANALYSES, "german-stemmed")
-        pairs = decode(list(sent.tokens), "german-stemmed")
+        pairs = decode(encode(TABLE1_WORDS, "german-stemmed"), "german-stemmed")
         assert pairs[0] == ("[KON]", "und")
         assert pairs[2] == ("<+V><3><Sg><Pres><Ind>", "sehen")
-        assert len(pairs) == len(TABLE1_ANALYSES)
+        assert len(pairs) == len(TABLE1_WORDS)
 
     def test_german_stem_without_features_rejected(self):
         with pytest.raises(WellformednessError) as excinfo:
@@ -181,7 +183,7 @@ def czech_analyses(draw):
     for _ in range(n):
         lemma = draw(lemmas)
         tag = parse_czech_tag(draw(czech_tags))
-        out.append(MorphAnalysis(lemma, tag, surface=lemma + "s"))
+        out.append(Analysis(lemma, tag, surface=lemma + "s"))
     return out
 
 
@@ -196,31 +198,43 @@ def german_analyses(draw):
     out = []
     for _ in range(n):
         raw = draw(_german_texts)
-        out.append(MorphAnalysis.from_german(parse_german_analysis(raw), surface="x"))
+        out.append(from_german(parse_german_analysis(raw), surface="x"))
     return out
+
+
+def encode_keys(analyses, mode):
+    """The tokens of each analysis encoded from its row key, checked against
+    the record encoder."""
+    tokens = []
+    for a in analyses:
+        word = encode_analysis(format_tag(a.tag), a.lemma, a.surface, mode)
+        assert word == encode_record(a, mode)
+        tokens += word
+    return tokens
 
 
 class TestRoundTripProperties:
     @given(czech_analyses(), st.sampled_from(["morphgen", "serialization"]))
     def test_czech_decode_inverts_encode(self, analyses, mode):
-        sent = encode(analyses, mode)
+        tokens = encode_keys(analyses, mode)
         expected = [
             (a.tag_text, a.lemma if mode == "morphgen" else a.surface)
             for a in analyses
         ]
-        assert decode(list(sent.tokens), mode) == expected
-        assert len(sent.tokens) == 2 * len(analyses)
+        assert decode(tokens, mode) == expected
+        assert len(tokens) == 2 * len(analyses)
 
     @given(german_analyses())
     def test_german_decode_inverts_encode(self, analyses):
-        sent = encode(analyses, "german-stemmed")
+        tokens = encode_keys(analyses, "german-stemmed")
         expected = [(a.tag_text, a.lemma) for a in analyses]
-        assert decode(list(sent.tokens), "german-stemmed") == expected
+        assert decode(tokens, "german-stemmed") == expected
 
 
 # ---------------------------------------------------------------------------
-# A reference strict decoder, one direct walk per tag family, that
-# ``decode`` must match in pairs, error kinds and error positions.
+# A reference strict decoder, one direct walk per tag family, that the
+# strict view of ``walk`` must match in pairs, error kinds and error
+# positions.
 # ---------------------------------------------------------------------------
 
 def _decode_czech(tokens: list[str]) -> list[tuple[str, str]]:
@@ -242,15 +256,15 @@ def _decode_german(tokens: list[str]) -> list[tuple[str, str]]:
     i = 0
     while i < len(tokens):
         token = tokens[i]
-        if is_feature_token(token):
+        if uncached_feature_token(token) is not None:
             # A feature sequence where a word was expected.
             raise WellformednessError(i, ERROR_WORD_EXPECTED)
-        if is_bare_token(token):
+        if oracle_is_bare(token):
             lexeme, tag = token[: token.index("[")], token[token.index("[") :]
             pairs.append((tag, lexeme))
             i += 1
             continue
-        if i + 1 >= len(tokens) or not is_feature_token(tokens[i + 1]):
+        if i + 1 >= len(tokens) or uncached_feature_token(tokens[i + 1]) is None:
             raise WellformednessError(i + 1, ERROR_TAG_EXPECTED)
         pairs.append((tokens[i + 1], token))
         i += 2
@@ -320,7 +334,7 @@ class TestWalkMatchesReference:
         assert len(result.lines) == len(lines)
         if not any("@@" in line or "§§" in line for line in lines):
             base = "german-stemmed" if mode.startswith("german") else mode
-            expected = evaluation.wellformedness(lines, base).errors
+            expected = wellformedness(lines, base).errors
             assert result.diagnostics.errors == expected
 
 

@@ -19,7 +19,6 @@ from morphmt.morphlex import (
     REASON_INCOMPATIBLE_TAG,
     REASON_UNKNOWN_LEMMA,
     analyze,
-    disambiguate,
     generate,
     generate_with_fallback,
     load_lexicon,
@@ -29,12 +28,12 @@ from morphmt.morphlex import (
 from morphmt.tagsets import (
     MalformedAnalysis,
     MalformedTag,
-    MorphAnalysis,
-    parse_feature_seq,
+    format_tag,
     split_lines,
 )
 
 from conftest import VULKANISCH_CANDIDATES, entry_rows, lexicon_rows
+from oracles import candidates, disambiguate
 
 
 def lexicon_of(*rows):
@@ -62,7 +61,7 @@ class TestLoadLexicon:
     def test_separator_inside_a_surface(self):
         lex = load_lexicon("a\tZ:-------------\tb\u2028c\r\n")
         assert len(lex) == 1
-        assert analyze(lex, "b\u2028c")[0].lemma == "a"
+        assert analyze(lex, "b\u2028c") == [("Z:-------------", "a")]
 
     def test_conflicting_rows_rejected(self):
         with pytest.raises(LexiconConflict):
@@ -152,8 +151,8 @@ def loaded_state(lex, document):
         len(lex),
         [lex.surface_for(lemma, tag) for tag in fields for lemma in fields],
         [lex.knows_lemma(lemma) for lemma in fields],
-        [sorted(lex.keys_for(surface)) for surface in fields],
-        [lex.candidates_for(surface) for surface in fields],
+        [analyze(lex, surface) for surface in fields],
+        dict(lex._tags),
         list(lex.modifier_table.items()),
     )
 
@@ -251,7 +250,7 @@ SHARED_SURFACE_ROWS = [
 
 def candidate_order(lex, rows):
     return {
-        surface: [(c.lemma, c.tag_text) for c in lex.candidates_for(surface)]
+        surface: [(lemma, tag_text) for tag_text, lemma in analyze(lex, surface)]
         for lemma, _, surface in rows
         if lemma != "@mod"
     }
@@ -282,73 +281,73 @@ class TestCandidateOrder:
 
 class TestAnalyze:
     def test_trifft(self, german_lexicon):
-        candidates = analyze(german_lexicon, "trifft")
-        assert [(c.lemma, c.tag_text) for c in candidates] == [
-            ("treffen", "<+V><3><Sg><Pres><Ind>")
-        ]
+        assert analyze(german_lexicon, "trifft") == [("<+V><3><Sg><Pres><Ind>", "treffen")]
 
     def test_unknown_surface(self, german_lexicon):
         assert analyze(german_lexicon, "xyzzy") == []
 
     def test_nine_candidates_canonically_ordered(self):
-        candidates = analyze(NINE_LEXICON, "vulkanischen")
-        assert [c.tag_text for c in candidates] == VULKANISCH_CANDIDATES
+        keys = analyze(NINE_LEXICON, "vulkanischen")
+        assert [tag_text for tag_text, _ in keys] == VULKANISCH_CANDIDATES
 
     def test_candidates_carry_surface(self, czech_lexicon):
-        (candidate,) = analyze(czech_lexicon, "pizzy")
-        assert candidate.surface == "pizzy"
-        assert candidate.lemma == "pizza"
+        # A key is a row of the surface: it generates the surface again.
+        [(tag_text, lemma)] = analyze(czech_lexicon, "pizzy")
+        assert lemma == "pizza"
+        assert generate(czech_lexicon, lemma, tag_text) == "pizzy"
 
 
 class TestDisambiguate:
+    """select_analysis against a context parse tag."""
+
     def test_bolded_analysis_wins(self):
-        candidates = analyze(NINE_LEXICON, "vulkanischen")
-        picked = disambiguate(candidates, "ADJA-Dat.Sg.Fem")
-        assert picked.tag_text == "<+ADJ><Pos><NoGend><Dat><Sg><Wk>"
+        picked = select_analysis(NINE_LEXICON, "vulkanischen", "ADJA-Dat.Sg.Fem")
+        assert picked == ("<+ADJ><Pos><NoGend><Dat><Sg><Wk>", "vulkanisch")
 
     def test_single_compatible_candidate(self):
-        candidate = MorphAnalysis("Wolke", parse_feature_seq("<+NN><Fem><Acc><Sg><NA>"))
-        assert disambiguate([candidate], "NN-Acc.Sg.Fem") is candidate
+        lex = lexicon_of(("Wolke", "<+NN><Fem><Acc><Sg><NA>", "Wolke"))
+        assert select_analysis(lex, "Wolke", "NN-Acc.Sg.Fem") == ("<+NN><Fem><Acc><Sg><NA>", "Wolke")
 
     def test_no_compatible_analysis(self):
-        candidates = [
-            MorphAnalysis("Wolke", parse_feature_seq("<+NN><Fem><Acc><Sg><NA>")),
-            MorphAnalysis("Wolke", parse_feature_seq("<+NN><Fem><Dat><Sg><NA>")),
-        ]
+        lex = lexicon_of(
+            ("Wolke", "<+NN><Fem><Acc><Sg><NA>", "Wolke"),
+            ("Wolke", "<+NN><Fem><Dat><Sg><NA>", "Wolke"),
+        )
         with pytest.raises(NoCompatibleAnalysis):
-            disambiguate(candidates, "NN-Acc.Pl.Fem")
+            select_analysis(lex, "Wolke", "NN-Acc.Pl.Fem")
 
     def test_explicit_gender_must_match(self):
-        candidate = MorphAnalysis("dicht", parse_feature_seq("<+ADJ><Neut><Dat><Sg><St>"))
+        lex = lexicon_of(("dicht", "<+ADJ><Neut><Dat><Sg><St>", "dichtem"))
         with pytest.raises(NoCompatibleAnalysis):
-            disambiguate([candidate], "ADJA-Dat.Sg.Fem")
+            select_analysis(lex, "dichtem", "ADJA-Dat.Sg.Fem")
 
     def test_nogend_wildcard(self):
-        explicit = MorphAnalysis("x", parse_feature_seq("<+ADJ><Fem><Dat><Sg><Wk>"))
-        wildcard = MorphAnalysis("x", parse_feature_seq("<+ADJ><NoGend><Dat><Sg><Wk>"))
-        for context in ("ADJA-Dat.Sg.Fem", "ADJA-Dat.Sg"):
-            assert disambiguate([explicit], context) is explicit
-            assert disambiguate([wildcard], context) is wildcard
+        for tag_text in ("<+ADJ><Fem><Dat><Sg><Wk>", "<+ADJ><NoGend><Dat><Sg><Wk>"):
+            lex = lexicon_of(("x", tag_text, "xen"))
+            for context in ("ADJA-Dat.Sg.Fem", "ADJA-Dat.Sg"):
+                assert select_analysis(lex, "xen", context) == (tag_text, "x")
 
     def test_bare_pos_context(self):
-        candidate = MorphAnalysis("treffen", parse_feature_seq("<+V><3><Sg><Pres><Ind>"))
-        assert disambiguate([candidate], "VVFIN-Sg") is candidate
+        lex = lexicon_of(("treffen", "<+V><3><Sg><Pres><Ind>", "trifft"))
+        assert select_analysis(lex, "trifft", "VVFIN-Sg") == ("<+V><3><Sg><Pres><Ind>", "treffen")
         with pytest.raises(NoCompatibleAnalysis):
-            disambiguate([candidate], "VVFIN-Pl")
+            select_analysis(lex, "trifft", "VVFIN-Pl")
 
     def test_verbal_vs_nominal_pos(self):
-        verbal = MorphAnalysis("laufen", parse_feature_seq("<+V><3><Sg><Pres><Ind>"))
-        nominal = MorphAnalysis("Lauf", parse_feature_seq("<+NN><Masc><Nom><Sg><NA>"))
-        assert disambiguate([nominal, verbal], "VVFIN-Sg") is verbal
-        assert disambiguate([nominal, verbal], "NN-Nom.Sg.Masc") is nominal
+        verbal = ("<+V><3><Sg><Pres><Ind>", "laufen")
+        nominal = ("<+NN><Masc><Nom><Sg><NA>", "Lauf")
+        lex = lexicon_of(*[(lemma, tag_text, "Lauf") for tag_text, lemma in (verbal, nominal)])
+        assert analyze(lex, "Lauf") == [nominal, verbal]
+        assert select_analysis(lex, "Lauf", "VVFIN-Sg") == verbal
+        assert select_analysis(lex, "Lauf", "NN-Nom.Sg.Masc") == nominal
 
     def test_result_is_a_candidate(self):
-        candidates = analyze(NINE_LEXICON, "vulkanischen")
-        assert disambiguate(candidates, "ADJA-Dat.Sg.Fem") in candidates
+        picked = select_analysis(NINE_LEXICON, "vulkanischen", "ADJA-Dat.Sg.Fem")
+        assert picked in analyze(NINE_LEXICON, "vulkanischen")
 
     def test_empty_candidates_rejected(self):
-        with pytest.raises(ValueError):
-            disambiguate([], "NN")
+        with pytest.raises(MalformedAnalysis, match="^no analysis for 'xyzzy'$"):
+            select_analysis(NINE_LEXICON, "xyzzy", "NN")
 
 
 class TestGenerate:
@@ -383,9 +382,7 @@ class TestGenerate:
         for lex, name in ((czech_lexicon, "czech_toy.tsv"), (german_lexicon, "german_toy.tsv")):
             for lemma, tag, surface in entry_rows(name):
                 assert generate(lex, lemma, tag) == surface
-                assert (lemma, tag) in [
-                    (c.lemma, c.tag_text) for c in analyze(lex, surface)
-                ]
+                assert (tag, lemma) in analyze(lex, surface)
 
 
 @st.composite
@@ -529,9 +526,7 @@ class TestLexiconProperties:
         lex = load_lexicon("\n".join("\t".join(r) for r in rows))
         for lemma, tag_text, surface in rows:
             assert generate(lex, lemma, tag_text) == surface
-            assert (lemma, tag_text) in [
-                (c.lemma, c.tag_text) for c in analyze(lex, surface)
-            ]
+            assert (tag_text, lemma) in analyze(lex, surface)
         # every inverse entry is mirrored in the forward index
         for _, _, surface in rows:
             for tag_text, lemma in lex.keys_for(surface):
@@ -574,14 +569,13 @@ class TestTextKeyedLexicon:
                     lex.add_entry(lemma, tag_text, surface)
                     model[(tag_text, lemma)] = surface
             for surface in queries:
-                candidates = analyze(lex, surface)
-                assert [(c.tag_text, c.lemma) for c in candidates] == sorted(
-                    key for key, form in model.items() if form == surface
-                )
-                for c in candidates:
-                    assert c.surface == surface
-                    assert parsed.setdefault(c.tag_text, c.tag) is c.tag
-                    assert c.tag == parse_tag_text(c.tag_text)
+                keys = analyze(lex, surface)
+                assert keys == sorted(key for key, form in model.items() if form == surface)
+                for tag_text, _ in keys:
+                    tag = lex._tags[tag_text]
+                    assert parsed.setdefault(tag_text, tag) is tag
+                    assert tag == parse_tag_text(tag_text)
+                    assert format_tag(tag) == tag_text
         assert len(lex) == len(model)
         lemmas = {lemma for _, lemma in model}
         for tag_text in MIXED_TAGS:
@@ -596,9 +590,9 @@ class TestTextKeyedLexicon:
 
     def test_row_added_after_a_query_is_found(self):
         lex = lexicon_of(("hrad", "NNIP1-----A----", "hrady"))
-        assert [c.lemma for c in analyze(lex, "hrady")] == ["hrad"]
+        assert [lemma for _, lemma in analyze(lex, "hrady")] == ["hrad"]
         lex.add_entry("brada", "NNIP1-----A----", "hrady")
-        assert [c.lemma for c in analyze(lex, "hrady")] == ["brada", "hrad"]
+        assert [lemma for _, lemma in analyze(lex, "hrady")] == ["brada", "hrad"]
         assert len(lex) == 2
 
     def test_bad_tag_text_rejected_and_not_stored(self):
@@ -621,9 +615,8 @@ def assert_matches_rows(lex, model):
     for surface in MIXED_SURFACES + ["xyzzy"]:
         keys = sorted(key for key, form in model.items() if form == surface)
         assert sorted(lex.keys_for(surface)) == keys
-        assert lex.candidates_for(surface) == [
-            MorphAnalysis(lemma, parse_tag_text(tag_text), surface) for tag_text, lemma in keys
-        ]
+        assert analyze(lex, surface) == keys
+        assert all(lex._tags[tag_text] == parse_tag_text(tag_text) for tag_text, _ in keys)
 
 
 class TestPublicAccessors:
@@ -724,15 +717,11 @@ class EagerIndexLexicon(ParadigmLexicon):
         self.rows[(tag_text, lemma)] = surface
         self._eager = None
 
-    def candidates_for(self, surface):
+    def keys_for(self, surface):
         if self._eager is None:
-            keys = {}
+            self._eager = {}
             for key, form in self.rows.items():
-                keys.setdefault(form, []).append(key)
-            self._eager = {
-                form: [MorphAnalysis(lemma, parse_tag_text(tag), form) for tag, lemma in sorted(pairs)]
-                for form, pairs in keys.items()
-            }
+                self._eager.setdefault(form, []).append(key)
         return list(self._eager.get(surface, ()))
 
 
@@ -766,9 +755,7 @@ class TestIndexPerSurface:
                 assert analyze(lazy, argument) == analyze(eager, argument)
         # The surface index holds every row, also those added after a query.
         for surface in MIXED_SURFACES + ["xyzzy"]:
-            assert sorted(lazy.keys_for(surface)) == sorted(
-                key for key, form in eager.rows.items() if form == surface
-            )
+            assert sorted(lazy.keys_for(surface)) == sorted(eager.keys_for(surface))
         assert len(lazy) == len(eager) == len(eager.rows)
 
     def test_row_added_after_a_query(self):
@@ -781,15 +768,16 @@ class TestIndexPerSurface:
             lex.add_entry("brada", "NNIP1-----A----", "hrady")
         for surface in ("hrady", "hradu", "brady"):
             assert analyze(lazy, surface) == analyze(eager, surface)
-        assert [c.lemma for c in analyze(lazy, "hrady")] == ["brada", "hrad"]
+        assert [lemma for _, lemma in analyze(lazy, "hrady")] == ["brada", "hrad"]
 
 
 def oracle_select(lex, surface, context):
-    """The first candidate, or the disambiguated one, of the built candidate list."""
-    candidates = analyze(lex, surface)
-    if not candidates:
+    """The key of the first candidate record, or of the disambiguated one."""
+    options = candidates(lex, surface)
+    if not options:
         raise MalformedAnalysis(f"no analysis for {surface!r}")
-    return candidates[0] if context is None else disambiguate(candidates, context)
+    picked = options[0] if context is None else disambiguate(options, context)
+    return picked.tag_text, picked.lemma
 
 
 def outcome_of(function, *args):
@@ -801,6 +789,13 @@ def outcome_of(function, *args):
 
 # German contexts that fit some MIXED_TAGS, one that fits none and a bad one.
 MIXED_CONTEXTS = [None, "NN-Acc.Sg.Fem", "ADJA-Dat.Sg", "VVFIN-Sg", "KON", "NN-Nom", "NN-Foo"]
+
+
+GERMAN_CONTEXTS = st.tuples(
+    st.sampled_from(["NN", "ADJA", "ART", "VVFIN", "VVPP", "VVINF", "KON", "APPR", "PIS", "$."]),
+    st.lists(st.sampled_from(["Fem", "Masc", "Neut", "Nom", "Acc", "Dat", "Gen", "Sg", "Pl"]),
+             max_size=3),
+).map(lambda context: "-".join([context[0], ".".join(context[1])]) if context[1] else context[0])
 
 
 class TestSelectAnalysis:
@@ -826,6 +821,25 @@ class TestSelectAnalysis:
                 expected = outcome_of(oracle_select, lex, operation, argument)
                 assert outcome_of(select_analysis, lex, operation, argument) == expected
 
+    # Parse tags from the German contexts' parts, often fitting no
+    # candidate, over mixed rows and the nine analyses of "vulkanischen".
+    @settings(max_examples=200)
+    @given(
+        st.lists(mixed_rows, max_size=10),
+        st.lists(st.tuples(st.sampled_from(MIXED_SURFACES + ["vulkanischen"]), GERMAN_CONTEXTS),
+                 min_size=1, max_size=5),
+    )
+    def test_context_picks_what_disambiguate_picked(self, rows, queries):
+        lex = ParadigmLexicon()
+        for row in rows + [("vulkanisch", tag, "vulkanischen") for tag in VULKANISCH_CANDIDATES]:
+            try:
+                lex.add_entry(*row)
+            except LexiconConflict:
+                pass
+        for surface, context in queries:
+            expected = outcome_of(oracle_select, lex, surface, context)
+            assert outcome_of(select_analysis, lex, surface, context) == expected
+
     def test_no_compatible_analysis_counts_the_keys(self):
         with pytest.raises(NoCompatibleAnalysis) as info:
             select_analysis(NINE_LEXICON, "vulkanischen", "VVFIN-Sg")
@@ -836,6 +850,6 @@ class TestSelectAnalysis:
             with pytest.raises(ValueError) as info:
                 select_analysis(german_lexicon, "Wolke", "NN-Foo")
             assert str(info.value) == "unknown context feature 'Foo' in 'NN-Foo'"
-        assert select_analysis(german_lexicon, "Wolke", "NN-Acc.Sg.Fem").lemma == "Wolke"
-        with pytest.raises(ValueError, match="^unknown context feature 'Foo' in 'NN-Foo'$"):
-            disambiguate(analyze(german_lexicon, "Wolke"), "NN-Foo")
+        assert select_analysis(german_lexicon, "Wolke", "NN-Acc.Sg.Fem") == (
+            "<+NN><Fem><Acc><Sg><NA>", "Wolke"
+        )

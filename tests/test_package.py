@@ -1,29 +1,30 @@
 """The lazy package namespace: the same public names, loaded on first use."""
 
+import ast
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import morphmt
+
+ROOT = Path(__file__).resolve().parent.parent
 
 # What ``from morphmt import *`` bound when the package imported every
 # submodule eagerly: the re-exported names and the submodules themselves.
 PUBLIC_NAMES = {
     "tagsets": [
         "GermanAnalysis", "GermanFeatureSeq", "MalformedAnalysis", "MalformedTag",
-        "MorphAnalysis", "PositionalTag", "StemSegment", "format_analysis", "format_tag",
-        "parse_czech_tag", "parse_german_analysis",
+        "PositionalTag", "StemSegment", "format_analysis", "format_tag", "parse_czech_tag",
+        "parse_german_analysis",
     ],
     "morphlex": [
         "Diagnostics", "GenerationFailure", "LexiconConflict", "LexiconParse",
-        "NoCompatibleAnalysis", "ParadigmLexicon", "analyze", "disambiguate", "generate",
+        "NoCompatibleAnalysis", "ParadigmLexicon", "analyze", "generate",
         "generate_with_fallback", "load_lexicon",
     ],
-    "interleave": [
-        "InterleavedSentence", "LengthMismatch", "WellformednessError", "decode", "encode",
-        "tag_source",
-    ],
+    "interleave": ["LengthMismatch", "WellformednessError", "tag_source"],
     "bpe": [
         "DanglingMarker", "MergeTable", "VocabReport", "apply_bpe", "learn_bpe", "revert_bpe",
         "vocab_stats", "word_end_fragment_stats",
@@ -34,7 +35,7 @@ PUBLIC_NAMES = {
         "ParallelCorpus", "PipelineConfig", "PostprocessResult", "PreparedVariant",
         "filter_corpus", "postprocess", "prepare_variant",
     ],
-    "evaluation": ["EmptyCorpus", "NovelFormReport", "bleu", "novel_forms", "wellformedness"],
+    "evaluation": ["EmptyCorpus", "NovelFormReport", "bleu", "novel_forms"],
 }
 ALL_NAMES = {name for names in PUBLIC_NAMES.values() for name in names} | set(PUBLIC_NAMES)
 
@@ -87,15 +88,6 @@ def test_a_name_loads_only_its_module():
     )
 
 
-def test_pipeline_reexports_the_backend():
-    import morphmt.backend
-    import morphmt.pipeline
-
-    for name in PUBLIC_NAMES["backend"]:
-        assert name in morphmt.pipeline.__all__
-        assert getattr(morphmt.pipeline, name) is getattr(morphmt.backend, name)
-
-
 def test_pipeline_reexports_the_merge_budgets():
     import morphmt.conventions
     import morphmt.pipeline
@@ -112,3 +104,39 @@ def test_pipeline_import_leaves_subprocess_out():
         capture_output=True, text=True,
     )
     assert (result.returncode, result.stdout) == (0, "False\n"), result.stderr
+
+
+# The positional-tag slot accessors that no stage reads yet; they stay
+# until the tag grammar or the Czech context tags give them callers.
+UNNAMED_DEFINITIONS = {
+    f"tagsets.PositionalTag.{name}"
+    for name in ("slot", "slots", "subpos", "possgender", "possnumber", "person", "tense",
+                 "grade", "negation", "voice", "var")
+}
+
+
+def test_every_public_definition_is_named_elsewhere():
+    # A public module-level function or class, or a public method of a
+    # class, counts as used when code in src/ or perfbench/*.py names it:
+    # a name, an attribute or an imported name, anywhere but its own def.
+    named, defined = set(), {}
+    paths = sorted((ROOT / "src" / "morphmt").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    assert len(paths) > 10
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+        if path.parent.name != "morphmt":
+            continue
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                defined[f"{path.stem}.{node.name}"] = node.name
+                for member in node.body if isinstance(node, ast.ClassDef) else ():
+                    if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                        defined[f"{path.stem}.{node.name}.{member.name}"] = member.name
+    assert {where for where, name in defined.items() if name not in named} == UNNAMED_DEFINITIONS

@@ -4,15 +4,16 @@ import random
 
 import pytest
 
+from morphmt.backend import BackendFailure, translate_external
+from morphmt.interleave import LengthMismatch
 from morphmt.pipeline import (
-    BackendFailure,
     ParallelCorpus,
     PipelineConfig,
     filter_corpus,
     postprocess,
     prepare_variant,
-    translate_external,
 )
+from morphmt.tagsets import MalformedAnalysis
 
 from conftest import (
     FIG1_BASELINE_BPE,
@@ -196,6 +197,29 @@ class TestPrepareVariant:
         cfg = PipelineConfig.for_mode("morphgen")
         with pytest.raises(ValueError):
             prepare_variant(fig1_corpus(), cfg, None)
+
+    # Each case fails on the third input pair, the second one kept by the
+    # filter; the first, of unknown words, is dropped.
+    @pytest.mark.parametrize("mode, lexicon, tags, error, message", [
+        ("german-stemmed", "german", {"target_parse_tags": [["KON", "NN"], ["KON"], ["KON"]]},
+         ValueError, "line 3: 2 tokens but 1 parse tags"),
+        ("german-stemmed", "german", {"target_parse_tags": [["KON", "NN"], ["KON"], ["KON", "NN-Foo"]]},
+         ValueError, "line 3: unknown context feature 'Foo' in 'NN-Foo'"),
+        ("morphgen", "czech", {"source_tags": [["X"], ["X"], ["X", "Y", "Z"]]}, LengthMismatch,
+         "line 3: 1 words vs 3 tags"),
+        ("german-stemmed-split", "czech", {}, MalformedAnalysis, "line 3: not a German analysis"),
+    ], ids=["parse-tags", "context", "source-tags", "czech-lexicon-in-split-mode"])
+    def test_sentence_errors_name_their_line(self, czech_lexicon, german_lexicon, mode, lexicon,
+                                             tags, error, message):
+        lex = czech_lexicon if lexicon == "czech" else german_lexicon
+        words = "pizzy ." if lexicon == "czech" else "und Wolke"
+        corpus = ParallelCorpus.from_lines(["a", "a b c", "a"], ["xyzzy qux", "x", words])
+        cfg = PipelineConfig.for_mode(mode, minlen=2, maxlen=2, bpe_merges=0)
+        kept = filter_corpus(corpus, cfg)
+        assert kept._origin == [0, 2]
+        with pytest.raises(error) as info:
+            prepare_variant(kept, cfg, lex, **tags)
+        assert type(info.value) is error and str(info.value) == message
 
 
 class TestTranslateExternal:

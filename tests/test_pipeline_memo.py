@@ -14,13 +14,16 @@ from hypothesis import example, given, settings, strategies as st
 from morphmt import interleave, pipeline, tagsets
 from morphmt.bpe import learn_bpe, segment_line
 from morphmt.compounds import CompoundSplit, merge_stem, rejoin_split_tokens, split_compound
+from morphmt.conventions import PIPELINE_MODES
 from morphmt.morphlex import (
     Diagnostics,
+    LexiconConflict,
     NoCompatibleAnalysis,
+    ParadigmLexicon,
     analyze,
-    disambiguate,
     generate_with_fallback,
     load_lexicon,
+    parse_tag_text,
     select_analysis,
 )
 from morphmt.pipeline import (
@@ -29,11 +32,11 @@ from morphmt.pipeline import (
     PostprocessResult,
     postprocess,
     prepare_variant,
-    tag_predicate_for_mode,
 )
-from morphmt.tagsets import MalformedAnalysis
+from morphmt.tagsets import MalformedAnalysis, MalformedTag, format_tag, tag_predicate_for_mode
 
 from conftest import FIG1_MORPHGEN, TABLE1_PARSE_TAGS, TABLE1_ROWS, entry_rows
+from oracles import Analysis, candidates, disambiguate, encode_record, to_german_analysis
 from test_interleave import oracle_walk
 
 LEXICON_MODES = ["morphgen", "serialization", "german-stemmed", "german-stemmed-split"]
@@ -50,31 +53,32 @@ def oracle_analyses_for(lex, tokens, parse_tags):
         raise ValueError(f"{len(tokens)} tokens but {len(parse_tags)} parse tags")
     analyses = []
     for position, token in enumerate(tokens):
-        candidates = analyze(lex, token)
-        if not candidates:
+        options = candidates(lex, token)
+        if not options:
             raise MalformedAnalysis(f"no analysis for {token!r}")
         if parse_tags is None:
-            analyses.append(candidates[0])
+            analyses.append(options[0])
         else:
-            analyses.append(disambiguate(candidates, parse_tags[position]))
+            analyses.append(disambiguate(options, parse_tags[position]))
     return analyses
 
 
 def oracle_encode_target(analyses, mode):
     if mode != "german-stemmed-split":
-        return list(interleave.encode(analyses, mode).tokens)
+        return [token for a in analyses for token in encode_record(a, mode)]
     tokens = []
     for a in analyses:
-        split = split_compound(a.to_german_analysis())
+        split = split_compound(to_german_analysis(a))
         if isinstance(split, CompoundSplit):
             tokens.extend(split.tokens)
         else:
-            tokens.extend(interleave.encode([a], "german-stemmed").tokens)
+            tokens.extend(encode_record(a, "german-stemmed"))
     return tokens
 
 
 def oracle_prepare(corpus, cfg, lex, parse_tags):
-    """(target lines, merges, dropped) of a corpus with empty sources."""
+    """(target lines, merges, dropped) of a corpus with empty sources; an
+    error in a sentence is raised with its 1-based line before it."""
     encoded, dropped = [], []
     for index, (_, target) in enumerate(corpus.pairs):
         tags = parse_tags[index] if parse_tags is not None else None
@@ -83,7 +87,12 @@ def oracle_prepare(corpus, cfg, lex, parse_tags):
         except (MalformedAnalysis, NoCompatibleAnalysis) as exc:
             dropped.append((index, str(exc)))
             continue
-        encoded.append(" ".join(oracle_encode_target(analyses, cfg.mode)))
+        except ValueError as exc:
+            raise ValueError(f"line {index + 1}: {exc}") from None
+        try:
+            encoded.append(" ".join(oracle_encode_target(analyses, cfg.mode)))
+        except ValueError as exc:
+            raise type(exc)(f"line {index + 1}: {exc}") from None
     table = learn_bpe([token for line in encoded for token in line.split()], cfg.bpe_merges)
     protected = tag_predicate_for_mode(cfg.mode) if cfg.protect_tags else None
     return [segment_line(table, line, protected) for line in encoded], table.merges, dropped
@@ -197,8 +206,8 @@ class TestPrepareMatchesOracle:
             # An unknown word drops the sentence even after a word whose
             # encoding raises; else the first encoding error is raised.
             ("ab xyz", ([], (), [(0, "no analysis for 'xyz'")])),
-            ("ab cd", ("MalformedAnalysis", "cannot parse stem side 'a||b' at offset 1")),
-            ("cd ab", ("MalformedAnalysis", "cannot parse stem side 'c||d' at offset 1")),
+            ("ab cd", ("MalformedAnalysis", "line 1: cannot parse stem side 'a||b' at offset 1")),
+            ("cd ab", ("MalformedAnalysis", "line 1: cannot parse stem side 'c||d' at offset 1")),
         ],
     )
     def test_analysis_failure_comes_before_encoding_failure(self, target, expected):
@@ -236,6 +245,54 @@ class TestPrepareMatchesOracle:
         # Every pair of the sentence is distinct; its repeats add no call.
         assert sorted(calls) == sorted(distinct)
         assert len(distinct) == len(TABLE1_ROWS)
+
+
+# Tag texts of both families and near misses: positional tags of 14 to 16
+# characters (some with '='), angle-value runs (most of them no feature
+# sequence) and bracketed bare tags, with some valid texts of each shape.
+FEATURE_VALUES = [
+    "+NN", "+ADJ", "+ART", "+V", "Pos", "Fem", "Masc", "Neut", "NoGend", "Nom", "Acc", "Dat",
+    "Gen", "Sg", "Pl", "St", "Wk", "NA", "3", "Pres", "Ind", "PPast", "Inf",
+]
+tag_texts = st.one_of(
+    st.text(alphabet=st.sampled_from(list("NFSAVB127-:") + ["="]), min_size=14, max_size=16),
+    st.lists(st.sampled_from(FEATURE_VALUES), min_size=1, max_size=6).map(
+        lambda values: "".join(f"<{value}>" for value in values)
+    ),
+    st.sampled_from(["KON", "$", "APPR-Dat", "", "a b"]).map(lambda tag: f"[{tag}]"),
+    st.sampled_from(["NNFS2-----A----", "Z:-------------", "<+V><PPast>", "<+V><Inf>",
+                     "<+V><3><Sg><Pres><Ind>", "<+NN><Masc><Dat><Sg><NA>", "[KON]"]),
+)
+# Plain lemmas, stem sides with markup, and lemmas that are no stem side.
+row_lemmas = st.sampled_from([
+    "pizza", "und", "Meer<NN>Boden", "Hydrogen<NN>Sulfid<NN>reich<Pos>", "die<Def>",
+    "längs<ADJ>Achse", "a||b", "Meer<NN", "§§<NN>§§",
+])
+generated_rows = st.lists(st.tuples(row_lemmas, tag_texts, st.sampled_from(["x", "y", "z"])),
+                          max_size=10)
+
+
+class TestKeyEncoderMatchesRecordEncoder:
+    @settings(max_examples=300, deadline=None)
+    @given(generated_rows)
+    def test_every_mode(self, rows):
+        lex = ParadigmLexicon()
+        for row in rows:
+            try:
+                lex.add_entry(*row)
+            except (MalformedTag, MalformedAnalysis, LexiconConflict):
+                pass
+        for tag_text, tag in lex._tags.items():
+            assert format_tag(parse_tag_text(tag_text)) == tag_text
+            assert format_tag(tag) == tag_text
+        for surface in ("x", "y", "z"):
+            for key in analyze(lex, surface):
+                tag_text, lemma = key
+                record = Analysis(lemma, parse_tag_text(tag_text), surface)
+                for mode in PIPELINE_MODES:
+                    assert outcome(pipeline._encode_analysis, lex, key, surface, mode) == outcome(
+                        encode_record, record, mode
+                    )
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,9 @@ from morphmt import (
     GenerationFailure,
     GermanAnalysis,
     GermanFeatureSeq,
-    InterleavedSentence,
     MalformedAnalysis,
     MalformedTag,
     MergeTable,
-    MorphAnalysis,
     NovelFormReport,
     ParallelCorpus,
     PipelineConfig,
@@ -37,14 +35,12 @@ FROZEN = {
     "GermanFeatureSeq": lambda: GermanFeatureSeq("nominal", ("+NN", "Fem", "Acc", "Sg", "NA")),
     "StemSegment": lambda: StemSegment("Meer", "NN"),
     "GermanAnalysis": lambda: GermanAnalysis((StemSegment("Wolke"),), NOUN),
-    "MorphAnalysis": lambda: MorphAnalysis("pizza", PositionalTag("NNFS1-----A----"), "pizza"),
     "GenerationFailure": lambda: GenerationFailure("Braper", "NNFS1-----A----", "unknown-lemma"),
     "MergeTable": lambda: MergeTable((("a", "b"), ("ab", "c"))),
     "VocabReport": lambda: VocabReport((("baseline", 3, 5),)),
     "CompoundSplit": lambda: CompoundSplit(
         ("Meer", "§§<NN>§§", "Boden", "<+NN><Masc><Dat><Sg><NA>")
     ),
-    "InterleavedSentence": lambda: InterleavedSentence("morphgen", ("NNFS1-----A----", "pizza")),
     "NovelFormReport": lambda: NovelFormReport(1, 1, 0, (("neuwort", 0, False),)),
 }
 MUTABLE = {
@@ -64,9 +60,9 @@ ALL = {**FROZEN, **MUTABLE}
 # The first field of each type.
 FIRST = {
     "PositionalTag": "raw", "GermanFeatureSeq": "kind", "StemSegment": "lexeme",
-    "GermanAnalysis": "stem_segments", "MorphAnalysis": "lemma", "GenerationFailure": "lemma",
+    "GermanAnalysis": "stem_segments", "GenerationFailure": "lemma",
     "MergeTable": "merges", "VocabReport": "rows", "CompoundSplit": "tokens",
-    "InterleavedSentence": "mode", "NovelFormReport": "novel_tokens", "Diagnostics": "lines",
+    "NovelFormReport": "novel_tokens", "Diagnostics": "lines",
     "PipelineConfig": "mode", "ParallelCorpus": "pairs", "PreparedVariant": "corpus",
     "PostprocessResult": "lines", "RunManifest": "tool_version", "_Result": "lines",
 }
@@ -123,14 +119,18 @@ def test_unequal_fields_differ():
     assert StemSegment("Meer", "NN") != StemSegment("Meer")
     assert hash(PositionalTag("NNFS1-----A----")) != hash(PositionalTag("NNFS2-----A----"))
     assert Diagnostics() != Diagnostics(lines=1)
-    assert GenerationFailure("a", "b", "c") != MorphAnalysis("a", "b", "c")
+
+    class Failure(GenerationFailure):
+        pass
+
+    # Records of another class are unequal, whatever their fields.
+    assert GenerationFailure("a", "b", "c") != Failure("a", "b", "c")
 
 
 def test_defaults():
     assert GermanFeatureSeq("bare", bare_tag="KON").values == ()
     assert StemSegment("und").markup is None
     assert GermanAnalysis((StemSegment("Wolke"),), NOUN).inflected is True
-    assert MorphAnalysis("x", PositionalTag("NNFS1-----A----")).surface is None
     assert Diagnostics() == Diagnostics(0, 0, [], [], [], [])
     assert Diagnostics().fallbacks is not Diagnostics().fallbacks
     assert PipelineConfig("baseline", 0, 5).snapshot() == {

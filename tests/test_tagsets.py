@@ -7,16 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from morphmt import tagsets
 from morphmt.tagsets import (
+    GermanAnalysis,
     GermanFeatureSeq,
     MalformedAnalysis,
     MalformedTag,
-    MorphAnalysis,
     StemSegment,
     format_analysis,
     format_tag,
-    is_bare_token,
     is_czech_tag,
-    is_feature_token,
     parse_czech_tag,
     parse_feature_seq,
     parse_german_analysis,
@@ -92,12 +90,13 @@ class TestGermanFeatureSeq:
     def test_finite_verb(self):
         seq = parse_feature_seq("<+V><3><Sg><Pres><Ind>")
         assert seq.kind == "verbal-finite"
-        assert (seq.person, seq.number, seq.tense, seq.mood) == ("3", "Sg", "Pres", "Ind")
+        assert seq.values == ("+V", "3", "Sg", "Pres", "Ind")
+        assert seq.number == "Sg"
 
     def test_nominal(self):
         seq = parse_feature_seq("<+NN><Fem><Acc><Sg><NA>")
         assert seq.kind == "nominal"
-        assert (seq.head, seq.gender, seq.case, seq.number, seq.strength) == (
+        assert (seq.head, seq.gender, seq.case, seq.number, seq.values[-1]) == (
             "+NN",
             "Fem",
             "Acc",
@@ -203,11 +202,13 @@ class TestGermanAnalysis:
         ]
 
     def test_morph_analysis_conversion(self):
+        # A lexicon row key holds the stem side as the lemma and the
+        # feature sequence as the tag text; the analysis is rebuilt from them.
         a = parse_german_analysis("Meer<NN>Boden||<+NN><Masc><Dat><Sg><NA>")
-        m = MorphAnalysis.from_german(a, surface="Meeresboden")
-        assert m.lemma == "Meer<NN>Boden"
-        assert m.surface == "Meeresboden"
-        assert format_analysis(m.to_german_analysis()) == format_analysis(a)
+        lemma, tag_text = a.stem_text, format_tag(a.feature_seq)
+        assert (lemma, tag_text) == ("Meer<NN>Boden", "<+NN><Masc><Dat><Sg><NA>")
+        rebuilt = GermanAnalysis(parse_stem_side(lemma), parse_feature_seq(tag_text))
+        assert rebuilt == a and format_analysis(rebuilt) == format_analysis(a)
 
 
 german_lexemes = st.text(
@@ -283,6 +284,14 @@ class TestSplitLines:
         lines = [line.rstrip("\r") for line in lines]
         assert split_lines("".join(line + "\n" for line in lines)) == lines
         assert split_lines("".join(line + "\r\n" for line in lines)) == lines
+
+
+def is_feature_token(token):
+    return tagsets.classify_german_tokens([token])[0][0] is not None
+
+
+def is_bare_token(token):
+    return tagsets.classify_german_tokens([token])[0][1] is not None
 
 
 class TestTokenPredicates:
@@ -427,9 +436,8 @@ class TestTokenParsersMatchUncached:
         classes = tagsets.classify_german_tokens(tokens)
         assert set(tagsets._GERMAN_TOKENS) == set(tokens)
         memo = dict(tagsets._GERMAN_TOKENS)
-        # The predicates read the same memo and add nothing to it.
+        # The predicate reads the same memo and adds nothing to it.
         for token in tokens:
-            is_feature_token(token), is_bare_token(token), tagsets.is_separator_token(token)
             tagsets.is_german_tag_token(token)
         assert tagsets._GERMAN_TOKENS == memo
         assert all(a is b for a, b in zip(classes, map(memo.get, tokens)))
@@ -485,9 +493,6 @@ class TestGermanClassifierMatchesOracle:
         for token in tokens:
             features = uncached_feature_token(token) is not None
             bare, separator = oracle_is_bare(token), oracle_is_separator(token)
-            assert is_feature_token(token) == features
-            assert is_bare_token(token) == bare
-            assert tagsets.is_separator_token(token) == separator
             assert tagsets.is_german_tag_token(token) == (features or bare or separator)
 
     @settings(max_examples=100)
