@@ -60,11 +60,7 @@ _REEXPORTS = {
         "vocab_stats",
         "word_end_fragment_stats",
     ),
-    "compounds": (
-        "CompoundSplit",
-        "merge_compound",
-        "split_compound",
-    ),
+    "compounds": ("split_compound",),
     "backend": (
         "BackendFailure",
         "translate_external",

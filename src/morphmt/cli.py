@@ -436,13 +436,13 @@ def cmd_merge_compounds(args: argparse.Namespace, inputs: _Inputs) -> _Result:
                 result_tokens.append(tokens[item.position])
                 continue
             try:
-                analysis, merged = compounds.merge_stem(
+                stem, merged = compounds.merge_stem(
                     item.word, item.features, lex, unknown_modifiers
                 )
             except tagsets.MalformedAnalysis as exc:
                 raise CliError(f"line {lineno}: {exc}") from exc
             merged_count += merged
-            result_tokens.append(tagsets.format_analysis(analysis))
+            result_tokens.append(f"{stem}||{item.tag}")
         out.append(" ".join(result_tokens))
     return _Result(
         out,

@@ -47,14 +47,17 @@ from .morphlex import (
     GenerationFailure,
     NoCompatibleAnalysis,
     ParadigmLexicon,
+    generate,
     generate_with_fallback,
     select_analysis,
+    strip_markup,
 )
 from .tagsets import (
     GermanAnalysis,
     GermanFeatureSeq,
     MalformedAnalysis,
     _remember,
+    classify_german_tokens,
     parse_stem_side,
     tag_predicate_for_mode,
     KIND_BARE,
@@ -204,17 +207,29 @@ class PreparedVariant(Record):
 def _encode_analysis(
     lex: ParadigmLexicon, key: tuple[str, str], surface: str, mode: str
 ) -> tuple[str, ...]:
-    """The tokens of a word whose analysis is the row key ``key``; split
-    mode splits the analysis built from the lemma and the parsed tag."""
+    """The tokens of a word whose analysis is the row key ``key``.
+
+    A German key must encode to tokens that postprocessing reads back:
+    an inflected lemma must parse as a stem side, and a bare lemma with
+    its tag must be a bare token; :class:`MalformedAnalysis` says which
+    does not.  Split mode splits the analysis built from the lemma and
+    the parsed tag.
+    """
     tag_text, lemma = key
-    if mode != MODE_GERMAN_STEMMED_SPLIT:
-        return interleave.encode_analysis(tag_text, lemma, surface, mode)
-    tag = lex._tags[tag_text]
+    tag = lex._tags[tag_text] if _is_german(mode) else None
     if not isinstance(tag, GermanFeatureSeq):
-        raise MalformedAnalysis("not a German analysis")
+        if mode == MODE_GERMAN_STEMMED_SPLIT:
+            raise MalformedAnalysis("not a German analysis")
+        return interleave.encode_analysis(tag_text, lemma, surface, mode)
     if tag.kind == KIND_BARE:
-        return (lemma + tag_text,)
-    return split_tokens(GermanAnalysis(parse_stem_side(lemma), tag))
+        token = lemma + tag_text
+        if classify_german_tokens((token,))[0][1] is None:
+            raise MalformedAnalysis(f"not a bare token: {token!r}")
+        return (token,)
+    segments = parse_stem_side(lemma)
+    if mode == MODE_GERMAN_STEMMED_SPLIT:
+        return split_tokens(GermanAnalysis(segments, tag))
+    return (lemma, tag_text)
 
 
 _Dropped = MalformedAnalysis | NoCompatibleAnalysis
@@ -371,7 +386,7 @@ class PostprocessResult(Record):
         self.diagnostics = diagnostics
 
 
-def _revert_lenient(tokens: list[str], repairs: list[tuple[int, int, str]]) -> list[str]:
+def _revert_lenient(tokens: list[str], diagnostics: Diagnostics) -> list[str]:
     """Revert BPE after stripping dangling markers off the last token, in place.
 
     Each stripped marker is one repair at the last token; a last token
@@ -381,7 +396,7 @@ def _revert_lenient(tokens: list[str], repairs: list[tuple[int, int, str]]) -> l
         return []
     last = tokens[-1]
     while last.endswith(MARKER):
-        repairs.append((0, len(tokens) - 1, EVENT_DANGLING_MARKER))
+        diagnostics.repairs.append((diagnostics.lines, len(tokens) - 1, EVENT_DANGLING_MARKER))
         last = last[: -len(MARKER)]
     tokens[-1] = last
     words = revert_bpe(tokens)
@@ -402,23 +417,25 @@ def _stem_outcome(
 ) -> _StemOutcome:
     unknown_modifiers: list[str] = []
     try:
-        analysis, _ = merge_stem(stem, features, lex, unknown_modifiers)
+        merged, _ = merge_stem(stem, features, lex, unknown_modifiers)
     except MalformedAnalysis:
-        return None, tuple(unknown_modifiers), None
-    generated = Diagnostics()
-    surface = generate_with_fallback(lex, analysis.stem_text, tag, generated)
-    failure = generated.fallbacks[0][1] if generated.fallbacks else None
-    return surface, tuple(unknown_modifiers), failure
+        return None, (), None
+    surface = generate(lex, merged, tag)
+    if isinstance(surface, GenerationFailure):
+        return strip_markup(merged), tuple(unknown_modifiers), surface
+    return surface, tuple(unknown_modifiers), None
 
 
-def _orphan(kind: str, position: int, word: str, words: list[str], repairs: list) -> None:
+def _orphan(
+    kind: str, line: int, position: int, word: str, words: list[str], repairs: list
+) -> None:
     """Emit a walked item that is not a (tag, word) pair.
 
     A bare token's word is emitted as it is; an orphan word is emitted
     verbatim and an orphan tag dropped, each recorded as a repair.
     """
     if kind != interleave.ITEM_BARE:
-        repairs.append((0, position, kind))
+        repairs.append((line, position, kind))
     if kind != EVENT_DROPPED_TAG:
         words.append(word)
 
@@ -428,30 +445,32 @@ def postprocess_line(
     mode: str,
     lex: ParadigmLexicon | None,
     memo: dict[tuple[str, str], _StemOutcome],
-) -> tuple[str, Diagnostics]:
+    diagnostics: Diagnostics,
+) -> str:
     """Deterministically turn one backend output line into surface text.
 
-    The diagnostics cover this one line, so every record is at line 0.
-    A Czech pair found in the lexicon costs one lookup; only a miss goes
-    through :func:`~morphmt.morphlex.generate_with_fallback`.  German
-    (stem, tag) pairs are merged and generated once per distinct pair in
-    ``memo``; each occurrence replays the recorded outcome.
+    The line's records go into ``diagnostics``, keyed by its ``lines``,
+    which counts the line when done.  A Czech pair found in the lexicon
+    costs one lookup; only a miss goes through
+    :func:`~morphmt.morphlex.generate_with_fallback`.  German (stem, tag)
+    pairs are merged and generated once per distinct pair in ``memo``;
+    each occurrence replays the recorded outcome.
     """
-    diagnostics = Diagnostics()
+    index = diagnostics.lines
     repairs = diagnostics.repairs
-    tokens = _revert_lenient(line.split(), repairs)
+    tokens = _revert_lenient(line.split(), diagnostics)
 
     if mode == interleave.MODE_BASELINE:
-        diagnostics.lines = 1
-        return " ".join(tokens), diagnostics
+        diagnostics.lines += 1
+        return " ".join(tokens)
 
     if mode == MODE_GERMAN_STEMMED_SPLIT:
         tokens, orphans = rejoin_split_tokens(tokens)
-        repairs.extend((0, pos, EVENT_ORPHAN_SEPARATOR) for pos, _ in orphans)
+        repairs.extend((index, pos, EVENT_ORPHAN_SEPARATOR) for pos, _ in orphans)
 
     items, error = interleave.walk(tokens, _base_mode(mode))
     if error is not None:
-        diagnostics.errors.append((0, error.kind, error.position))
+        diagnostics.errors.append((index, error.kind, error.position))
 
     ITEM_PAIR = interleave.ITEM_PAIR
     words: list[str] = []
@@ -460,13 +479,13 @@ def postprocess_line(
             if kind == ITEM_PAIR:
                 words.append(word)
             else:
-                _orphan(kind, position, word, words, repairs)
+                _orphan(kind, index, position, word, words, repairs)
     elif mode == interleave.MODE_MORPHGEN:
         surface_for = lex.surface_for
         hits = 0
         for kind, position, tag, word, _ in items:
             if kind != ITEM_PAIR:
-                _orphan(kind, position, word, words, repairs)
+                _orphan(kind, index, position, word, words, repairs)
                 continue
             surface = surface_for(word, tag)
             if surface is None:
@@ -476,39 +495,36 @@ def postprocess_line(
             words.append(surface)
         diagnostics.generated += hits
     else:
-        unknown_modifiers: list[str] = []
+        unknown_modifiers = diagnostics.unknown_modifiers
         for kind, position, tag, word, features in items:
             if kind != ITEM_PAIR:
-                _orphan(kind, position, word, words, repairs)
+                _orphan(kind, index, position, word, words, repairs)
                 continue
             outcome = memo.get((word, tag))
             if outcome is None:
                 outcome = _remember(memo, (word, tag), _stem_outcome(word, features, tag, lex))
             surface, modifiers, failure = outcome
-            unknown_modifiers += modifiers
+            unknown_modifiers += [(index, lexeme) for lexeme in modifiers]
             if surface is None:
-                repairs.append((0, position, EVENT_UNPARSEABLE_STEM))
+                repairs.append((index, position, EVENT_UNPARSEABLE_STEM))
                 words.append(word)
                 continue
             diagnostics.generated += 1
             if failure is not None:
-                diagnostics.fallbacks.append((0, failure))
+                diagnostics.fallbacks.append((index, failure))
             words.append(surface)
-        diagnostics.unknown_modifiers = [(0, lexeme) for lexeme in unknown_modifiers]
-    diagnostics.lines = 1
-    return " ".join(words), diagnostics
+    diagnostics.lines += 1
+    return " ".join(words)
 
 
 def _postprocess_lines(
     lines: list[str], mode: str, lex: ParadigmLexicon | None
 ) -> PostprocessResult:
     memo: dict[tuple[str, str], _StemOutcome] = {}
-    result = PostprocessResult([], Diagnostics())
-    for line in lines:
-        text, diagnostics = postprocess_line(line, mode, lex, memo)
-        result.lines.append(text)
-        result.diagnostics.merge(diagnostics)
-    return result
+    diagnostics = Diagnostics()
+    return PostprocessResult(
+        [postprocess_line(line, mode, lex, memo, diagnostics) for line in lines], diagnostics
+    )
 
 
 def postprocess(

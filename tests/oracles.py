@@ -1,17 +1,21 @@
-"""The record path of ``prepare`` and the strict decoder, kept as oracles.
+"""The record path of ``prepare``, the strict decoder and the split-token
+compound path, kept as oracles.
 
 ``prepare`` encodes each target word from the lexicon row key that
 ``select_analysis`` picks, (tag text, lemma).  It used to build an
 analysis record per candidate (lemma, parsed tag, surface), pick one with
 a disambiguator, and format the record's parsed tag back into text.  The
 interleave module also had a strict decoder that raised a stream's first
-well-formedness violation.  The tests check the code that replaced them
-against these functions.
+well-formedness violation.  Compounds were merged through their split
+tokens: a stem was parsed, split into a checked token record, and the
+record's head parsed again to rebuild a one-segment analysis.  The tests
+check the code that replaced them against these functions.
 """
 
 from typing import NamedTuple
 
-from morphmt.compounds import split_tokens
+from morphmt import FrozenRecord
+from morphmt.compounds import SPLIT_MARKUP
 from morphmt.interleave import WellformednessError, walk
 from morphmt.morphlex import (
     Diagnostics,
@@ -26,6 +30,9 @@ from morphmt.tagsets import (
     MalformedAnalysis,
     PositionalTag,
     StemSegment,
+    classify_german_tokens,
+    format_analysis,
+    format_separator,
     format_tag,
     parse_stem_side,
 )
@@ -122,3 +129,118 @@ def wellformedness(lines: list[str], mode: str) -> Diagnostics:
             diagnostics.errors.append((diagnostics.lines, exc.kind, exc.position))
         diagnostics.lines += 1
     return diagnostics
+
+
+class CompoundSplit(FrozenRecord):
+    """Token sequence of a split compound.
+
+    Lexeme tokens alternate with ``§§<TAG>§§`` separators; the final
+    token is the head's feature sequence.
+    """
+
+    def __init__(self, tokens: tuple[str, ...]) -> None:
+        t = tokens
+        if len(t) < 4 or len(t) % 2 != 0:
+            raise MalformedAnalysis(f"not a compound split: {t}")
+        classes = classify_german_tokens(t)
+        if classes[-1][0] is None:
+            raise MalformedAnalysis(f"split must end on a feature sequence: {t}")
+        for i, (features, _, markup) in enumerate(classes[:-1]):
+            if i % 2 == 0:
+                if markup is not None or features is not None:
+                    raise MalformedAnalysis(f"lexeme expected at {i} in {t}")
+            elif markup is None:
+                raise MalformedAnalysis(f"separator expected at {i} in {t}")
+        object.__setattr__(self, "tokens", tokens)
+
+    @property
+    def modifier_lexemes(self) -> tuple[str, ...]:
+        return self.tokens[0:-2:2]
+
+    @property
+    def head_token(self) -> str:
+        return self.tokens[-2]
+
+    @property
+    def feature_token(self) -> str:
+        return self.tokens[-1]
+
+    @property
+    def text(self) -> str:
+        return " ".join(self.tokens)
+
+
+def split_analysis(a: GermanAnalysis) -> CompoundSplit | GermanAnalysis:
+    """Split a multi-segment stem at noun/adjective borders; other
+    analyses, and stems with no split point, pass through unchanged."""
+    if not a.inflected or len(a.stem_segments) == 1:
+        return a
+    tokens: list[str] = []
+    current = ""
+    for i, segment in enumerate(a.stem_segments):
+        current += segment.lexeme
+        is_last = i == len(a.stem_segments) - 1
+        if segment.markup is None:
+            continue
+        if not is_last and segment.markup in SPLIT_MARKUP:
+            tokens += [current, format_separator(segment.markup)]
+            current = ""
+        else:
+            current += f"<{segment.markup}>"
+    tokens.append(current)
+    if len(tokens) == 1:
+        return a
+    tokens.append(format_tag(a.feature_seq))
+    return CompoundSplit(tuple(tokens))
+
+
+def split_tokens(a: GermanAnalysis) -> tuple[str, ...]:
+    """The split-mode tokens of an analysis, through the token record."""
+    if not a.inflected:
+        return (format_analysis(a),)
+    split = split_analysis(a)
+    if isinstance(split, CompoundSplit):
+        return split.tokens
+    return (a.stem_text, format_tag(a.feature_seq))
+
+
+def _split_head(token: str) -> tuple[str, str | None]:
+    """Separate the head's own trailing markup (kept on the merged stem)."""
+    segments = parse_stem_side(token)
+    markup = segments[-1].markup
+    body = "".join(str(s) for s in segments[:-1]) + segments[-1].lexeme
+    return body, markup
+
+
+def merge_compound(split: CompoundSplit, lex, unknown_modifiers=None) -> GermanAnalysis:
+    """Reassemble a split compound into a one-segment analysis."""
+    feature_seq = classify_german_tokens((split.feature_token,))[0][0]
+    head_lexeme, head_markup = _split_head(split.head_token)
+    parts = []
+    for lexeme in split.modifier_lexemes:
+        form = lex.modifier_table.get(lexeme)
+        if form is None:
+            if unknown_modifiers is not None:
+                unknown_modifiers.append(lexeme)
+            form = lexeme
+        parts.append(form)
+    parts.append(head_lexeme)
+    stem = parts[0] + "".join(p[:1].lower() + p[1:] for p in parts[1:])
+    if feature_seq.kind == "nominal":
+        if feature_seq.head == "+NN":
+            stem = stem[:1].upper() + stem[1:]
+        elif feature_seq.head == "+ADJ":
+            stem = stem[:1].lower() + stem[1:]
+    return GermanAnalysis((StemSegment(stem, head_markup),), feature_seq, inflected=True)
+
+
+def merge_stem(stem: str, feature_seq: GermanFeatureSeq, lex, unknown_modifiers=None):
+    """(analysis, merged) of a decoded stem and its features, through the
+    split tokens: the merged analysis's ``stem_text`` is the stem to generate."""
+    segments = parse_stem_side(stem)
+    analysis = GermanAnalysis(segments, feature_seq, inflected=True)
+    if len(segments) > 1:
+        split = split_analysis(analysis)
+        if isinstance(split, CompoundSplit):
+            return merge_compound(split, lex, unknown_modifiers), True
+    return analysis, False

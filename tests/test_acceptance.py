@@ -15,7 +15,7 @@ import pytest
 
 from morphmt import evaluation, interleave
 from morphmt.bpe import MergeTable, apply_bpe, learn_bpe, revert_bpe, vocab_stats
-from morphmt.compounds import merge_compound, split_compound
+from morphmt.compounds import merge_stem
 from morphmt.backend import translate_external
 from morphmt.morphlex import load_lexicon, select_analysis
 from morphmt.pipeline import (
@@ -24,7 +24,7 @@ from morphmt.pipeline import (
     postprocess,
     prepare_variant,
 )
-from morphmt.tagsets import format_analysis, format_tag, parse_german_analysis
+from morphmt.tagsets import format_analysis, format_tag, parse_feature_seq, parse_german_analysis
 
 from conftest import (
     FIG1_MORPHGEN,
@@ -285,15 +285,9 @@ def test_criterion_9_full_pipeline_round_trip(german_lexicon):
 
 def test_criterion_10_compound_linking(german_lexicon):
     with criterion(10, "compound merge picks the stored linking elements"):
-        oszillation = split_compound(
-            parse_german_analysis("Oszillation<NN>Generator||<+NN><Masc><Nom><Sg><NA>")
-        )
-        merged = merge_compound(oszillation, german_lexicon)
-        assert merged.stem_text == "Oszillationsgenerator"
-        assert merged.stem_text != "Oszillationengenerator"
+        features = parse_feature_seq("<+NN><Masc><Nom><Sg><NA>")
+        merged, _ = merge_stem("Oszillation<NN>Generator", features, german_lexicon)
+        assert merged == "Oszillationsgenerator"
+        assert merged != "Oszillationengenerator"
 
-        haus = split_compound(
-            parse_german_analysis("Haus<NN>Markt||<+NN><Masc><Nom><Sg><NA>")
-        )
-        merged = merge_compound(haus, german_lexicon)
-        assert merged.stem_text == "Häusermarkt"
+        assert merge_stem("Haus<NN>Markt", features, german_lexicon) == ("Häusermarkt", True)

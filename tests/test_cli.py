@@ -251,6 +251,23 @@ class TestPrepareCommand:
         assert (code, out) == (1, "")
         assert err == f"morphmt: error: {message}\n"
 
+    @pytest.mark.parametrize("mode", ["german-stemmed", "german-stemmed-split"])
+    @pytest.mark.parametrize("row, word, message", [
+        ("a||b\t<+NN><Masc><Nom><Sg><NA>\tab", "ab", "cannot parse stem side 'a||b' at offset 1"),
+        ("x<y\t[KON]\tq", "q", "not a bare token: 'x<y[KON]'"),
+    ], ids=["inflected-lemma", "bare-lemma"])
+    def test_german_rows_postprocess_cannot_read_are_errors(self, run, tmp_path, mode, row, word,
+                                                            message):
+        # Encoded, such a row came back from postprocess as its lemma, not its surface.
+        lexicon = tmp_path / "lex.tsv"
+        lexicon.write_text(f"und\t[KON]\tund\n{row}\n", encoding="utf-8")
+        code, out, err = run(
+            ["prepare", "--mode", mode, "--lexicon", str(lexicon), "--merges", "0"],
+            stdin_text=f"und\nund {word}\n",
+        )
+        assert (code, out) == (1, "")
+        assert err == f"morphmt: error: line 2: {message}\n"
+
     def test_separate_tables_both_written(self, run, tmp_path):
         # With --no-joint-bpe the source side has its own table, written
         # next to the target table; it segments the raw source the same way.

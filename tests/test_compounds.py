@@ -1,16 +1,10 @@
 """Compound splitting, separator tokens, and linking-element merges."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from morphmt import pipeline
-from morphmt.compounds import (
-    CompoundSplit,
-    merge_compound,
-    rejoin_split_tokens,
-    split_compound,
-    split_tokens,
-)
+from morphmt.compounds import merge_stem, rejoin_split_tokens, split_compound, split_tokens
 from morphmt.morphlex import ParadigmLexicon, generate
 from morphmt.tagsets import (
     GermanAnalysis,
@@ -18,13 +12,14 @@ from morphmt.tagsets import (
     MalformedAnalysis,
     StemSegment,
     classify_german_tokens,
-    format_analysis,
     format_tag,
     parse_feature_seq,
     parse_german_analysis,
+    parse_stem_side,
 )
 
-from oracles import encode_record, from_german
+import oracles
+from oracles import CompoundSplit, encode_record, from_german
 
 from test_tagsets import (
     ORACLE_SEPARATOR_RE,
@@ -38,33 +33,40 @@ def analysis(text):
     return parse_german_analysis(text)
 
 
+def split(text):
+    a = analysis(text)
+    return split_compound(a.stem_segments, a.feature_seq)
+
+
+def merge(text, lex, unknown=None):
+    """The merged stem text of an analysis's stem and features."""
+    a = analysis(text)
+    return merge_stem(a.stem_text, a.feature_seq, lex, unknown)[0]
+
+
 class TestSplitCompound:
     def test_noun_noun_compound(self):
-        split = split_compound(analysis("Meer<NN>Boden||<+NN><Masc><Dat><Sg><NA>"))
-        assert isinstance(split, CompoundSplit)
-        assert split.text == "Meer §§<NN>§§ Boden <+NN><Masc><Dat><Sg><NA>"
+        tokens = split("Meer<NN>Boden||<+NN><Masc><Dat><Sg><NA>")
+        assert " ".join(tokens) == "Meer §§<NN>§§ Boden <+NN><Masc><Dat><Sg><NA>"
 
     def test_haus_markt(self):
-        split = split_compound(analysis("Haus<NN>Markt||<+NN><Masc><Nom><Sg><NA>"))
-        assert split.tokens[:3] == ("Haus", "§§<NN>§§", "Markt")
+        assert split("Haus<NN>Markt||<+NN><Masc><Nom><Sg><NA>")[:3] == ("Haus", "§§<NN>§§", "Markt")
 
     def test_single_segment_unchanged(self):
-        a = analysis("Wolke||<+NN><Fem><Acc><Sg><NA>")
-        assert split_compound(a) is a
+        assert split("Wolke||<+NN><Fem><Acc><Sg><NA>") is None
+        assert split_tokens(analysis("Wolke||<+NN><Fem><Acc><Sg><NA>")) == (
+            "Wolke", "<+NN><Fem><Acc><Sg><NA>"
+        )
 
     def test_bare_unchanged(self):
-        a = analysis("und[KON]")
-        assert split_compound(a) is a
+        assert split_tokens(analysis("und[KON]")) == ("und[KON]",)
 
     def test_adjective_border(self):
-        split = split_compound(analysis("längs<ADJ>Achse||<+NN><Fem><Dat><Sg><NA>"))
-        assert split.text == "längs §§<ADJ>§§ Achse <+NN><Fem><Dat><Sg><NA>"
+        tokens = split("längs<ADJ>Achse||<+NN><Fem><Dat><Sg><NA>")
+        assert " ".join(tokens) == "längs §§<ADJ>§§ Achse <+NN><Fem><Dat><Sg><NA>"
 
     def test_head_keeps_its_own_markup(self):
-        split = split_compound(
-            analysis("Hydrogen<NN>Sulfid<NN>reich<Pos>||<+ADJ><Neut><Dat><Sg><St>")
-        )
-        assert split.tokens == (
+        assert split("Hydrogen<NN>Sulfid<NN>reich<Pos>||<+ADJ><Neut><Dat><Sg><St>") == (
             "Hydrogen",
             "§§<NN>§§",
             "Sulfid",
@@ -75,15 +77,20 @@ class TestSplitCompound:
 
     def test_feature_sequence_never_altered(self):
         a = analysis("Meer<NN>Boden||<+NN><Masc><Dat><Sg><NA>")
-        split = split_compound(a)
-        assert split.feature_token == format_tag(a.feature_seq)
+        assert split_compound(a.stem_segments, a.feature_seq)[-1] == format_tag(a.feature_seq)
 
     def test_non_border_markup_stays_fused(self):
         # <Def> is not a split border: the stem stays one token.
-        a = analysis("die<Def>||<+ART><Masc><Dat><Sg><St>")
-        assert split_compound(a) is a
+        assert split("die<Def>||<+ART><Masc><Dat><Sg><St>") is None
 
     def test_split_invariants_checked(self):
+        # A part that spells a separator is the one check input can break.
+        with pytest.raises(MalformedAnalysis) as info:
+            split("a<NN>§§<X>§§||<+NN><Masc><Dat><Sg><NA>")
+        assert str(info.value) == (
+            "lexeme expected at 2 in ('a', '§§<NN>§§', '§§<X>§§', '<+NN><Masc><Dat><Sg><NA>')"
+        )
+        # The token record the split path used to build checked more.
         with pytest.raises(MalformedAnalysis):
             CompoundSplit(("§§<NN>§§", "Boden", "x", "<+NN><Masc><Dat><Sg><NA>"))
         with pytest.raises(MalformedAnalysis):
@@ -100,47 +107,33 @@ class TestSeparatorTokens:
 
 class TestMergeCompound:
     def test_meeresboden_linking_element(self, german_lexicon):
-        split = split_compound(analysis("Meer<NN>Boden||<+NN><Masc><Dat><Sg><NA>"))
-        merged = merge_compound(split, german_lexicon)
-        assert merged.stem_text == "Meeresboden"
-        assert format_tag(merged.feature_seq) == "<+NN><Masc><Dat><Sg><NA>"
+        a = analysis("Meer<NN>Boden||<+NN><Masc><Dat><Sg><NA>")
+        assert merge_stem(a.stem_text, a.feature_seq, german_lexicon) == ("Meeresboden", True)
 
     def test_haeusermarkt_umlautung(self, german_lexicon):
-        split = split_compound(analysis("Haus<NN>Markt||<+NN><Masc><Nom><Sg><NA>"))
-        merged = merge_compound(split, german_lexicon)
-        assert merged.stem_text == "Häusermarkt"
+        assert merge("Haus<NN>Markt||<+NN><Masc><Nom><Sg><NA>", german_lexicon) == "Häusermarkt"
 
     def test_oszillationsgenerator_linking(self, german_lexicon):
-        split = split_compound(
-            analysis("Oszillation<NN>Generator||<+NN><Masc><Nom><Sg><NA>")
-        )
-        merged = merge_compound(split, german_lexicon)
-        assert merged.stem_text == "Oszillationsgenerator"
-        assert merged.stem_text != "Oszillationengenerator"
+        merged = merge("Oszillation<NN>Generator||<+NN><Masc><Nom><Sg><NA>", german_lexicon)
+        assert merged == "Oszillationsgenerator"
+        assert merged != "Oszillationengenerator"
 
     def test_adjective_head_lowercased(self, german_lexicon):
-        split = split_compound(
-            analysis("Hydrogen<NN>Sulfid<NN>reich<Pos>||<+ADJ><Neut><Dat><Sg><St>")
-        )
-        merged = merge_compound(split, german_lexicon)
-        assert merged.stem_text == "hydrogensulfid-reich<Pos>"
+        merged = merge("Hydrogen<NN>Sulfid<NN>reich<Pos>||<+ADJ><Neut><Dat><Sg><St>", german_lexicon)
+        assert merged == "hydrogensulfid-reich<Pos>"
 
     def test_noun_head_capitalized(self, german_lexicon):
-        split = split_compound(analysis("längs<ADJ>Achse||<+NN><Fem><Dat><Sg><NA>"))
-        merged = merge_compound(split, german_lexicon)
-        assert merged.stem_text == "Längsachse"
+        assert merge("längs<ADJ>Achse||<+NN><Fem><Dat><Sg><NA>", german_lexicon) == "Längsachse"
 
     def test_unknown_modifier_degrades_to_concatenation(self, german_lexicon):
-        split = split_compound(analysis("Nacht<NN>Markt||<+NN><Masc><Nom><Sg><NA>"))
         unknown = []
-        merged = merge_compound(split, german_lexicon, unknown)
-        assert merged.stem_text == "Nachtmarkt"
+        assert merge("Nacht<NN>Markt||<+NN><Masc><Nom><Sg><NA>", german_lexicon, unknown) == (
+            "Nachtmarkt"
+        )
         assert unknown == ["Nacht"]
 
     def test_no_separators_in_output(self, german_lexicon):
-        split = split_compound(analysis("Meer<NN>Boden||<+NN><Masc><Dat><Sg><NA>"))
-        merged = merge_compound(split, german_lexicon)
-        assert "§§" not in str(merged)
+        assert "§§" not in merge("Meer<NN>Boden||<+NN><Masc><Dat><Sg><NA>", german_lexicon)
 
     @pytest.mark.parametrize(
         "raw",
@@ -156,8 +149,7 @@ class TestMergeCompound:
         # merge(split(a)) produces the stem whose lexicon entry generates
         # the same surface as the unsplit analysis.
         a = analysis(raw)
-        merged = merge_compound(split_compound(a), german_lexicon)
-        direct = generate(german_lexicon, merged.stem_text, format_tag(merged.feature_seq))
+        direct = generate(german_lexicon, merge(raw, german_lexicon), format_tag(a.feature_seq))
         via_markup = generate(german_lexicon, a.stem_text, format_tag(a.feature_seq))
         assert isinstance(direct, str)
         assert direct == via_markup
@@ -249,16 +241,6 @@ class TestRejoinMatchesOracle:
         assert rejoin_split_tokens(tokens) == oracle_rejoin(tokens)
 
 
-def oracle_cli_split(analysis):
-    """The tokens the split-compounds command wrote before it shared prepare's function."""
-    if not analysis.inflected:
-        return (format_analysis(analysis),)
-    result = split_compound(analysis)
-    if isinstance(result, CompoundSplit):
-        return result.tokens
-    return (result.stem_text, format_tag(result.feature_seq))
-
-
 def prepare_split(analysis):
     """The tokens prepare encodes in split mode for the analysis's lexicon row."""
     a = from_german(analysis, "x")
@@ -292,7 +274,7 @@ class TestSplitTokens:
     @given(german_analyses)
     def test_both_callers_agree(self, analysis):
         tokens = split_tokens(analysis)
-        assert tokens == oracle_cli_split(analysis)
+        assert tokens == oracles.split_tokens(analysis)
         assert tokens == prepare_split(analysis)
 
     def test_split_count_reads_the_token_count(self):
@@ -300,3 +282,80 @@ class TestSplitTokens:
         assert len(split_tokens(analysis("und[KON]"))) == 1
         assert len(split_tokens(analysis("Meer||<+NN><Neut><Nom><Sg><NA>"))) == 2
         assert len(split_tokens(analysis("Meer<NN>Boden||<+NN><Masc><Dat><Sg><NA>"))) == 4
+
+
+# Stem texts from lexeme units (modifier-table lexemes among them, and
+# "§§", which can spell a separator) with split or other markup, markup
+# holding "|" or "[b]", and now and then a character that stops the parse.
+stem_units = st.builds(
+    lambda lexeme, markup: lexeme + markup,
+    st.sampled_from(["Meer", "Boden", "Haus", "nacht", "längs", "Sulfid", "§§", "a"]),
+    st.sampled_from(["", "<NN>", "<ADJ>", "<NN>", "<Pos>", "<Def>", "<X>", "<|>", "<[b]>",
+                     "<a|b>"]),
+)
+stem_texts = st.builds(
+    lambda units, noise, at: "".join(units[:at]) + noise + "".join(units[at:]),
+    st.lists(stem_units, min_size=1, max_size=5),
+    st.sampled_from([""] * 12 + ["<", ">", "|", "||", "[b]", " "]),
+    st.integers(0, 5),
+)
+feature_seqs = st.sampled_from(_FEATURE_TEXTS + ["<+ART><Masc><Nom><Sg><St>"]).map(
+    parse_feature_seq
+)
+
+
+def merge_outcome(merge_fn, stem, feature_seq, lex):
+    """The stem text and flag of a merge, or its error text, with the
+    unknown modifiers it reported."""
+    unknown = []
+    try:
+        result, merged = merge_fn(stem, feature_seq, lex, unknown)
+    except MalformedAnalysis as exc:
+        return str(exc), unknown
+    if isinstance(result, GermanAnalysis):
+        result = result.stem_text
+    return (result, merged), unknown
+
+
+def split_outcome(split_fn, a):
+    try:
+        return split_fn(a)
+    except MalformedAnalysis as exc:
+        return str(exc)
+
+
+class TestMatchesSplitTokenPath:
+    """merge_stem and split_tokens against the path through the split-token record."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(stem_texts, feature_seqs)
+    @example("a<NN>§§<X>§§", parse_feature_seq("<+NN><Masc><Dat><Sg><NA>"))
+    @example("§§<NN>§§<NN>Boden<Pos>", parse_feature_seq("<+ADJ><Pos><NoGend><Dat><Sg><Wk>"))
+    @example("Meer<a|b>Haus<NN>boden<[b]>", parse_feature_seq("<+NN><Masc><Dat><Sg><NA>"))
+    def test_merge_stem(self, german_lexicon, stem, feature_seq):
+        assert merge_outcome(merge_stem, stem, feature_seq, german_lexicon) == merge_outcome(
+            oracles.merge_stem, stem, feature_seq, german_lexicon
+        )
+
+    @settings(max_examples=500, deadline=None)
+    @given(stem_texts, feature_seqs)
+    def test_split_tokens_of_parsed_stems(self, stem, feature_seq):
+        try:
+            segments = parse_stem_side(stem)
+        except MalformedAnalysis:
+            return
+        a = GermanAnalysis(segments, feature_seq)
+        assert split_outcome(split_tokens, a) == split_outcome(oracles.split_tokens, a)
+
+    @settings(max_examples=300)
+    @given(st.lists(
+        st.builds(StemSegment, st.sampled_from(["Meer", "§§", "a", ""]),
+                  st.sampled_from([None, "NN", "ADJ", "X", "|", "[b]"])),
+        min_size=1, max_size=5,
+    ).map(tuple), feature_seqs)
+    # Segments with empty lexemes can spell a feature sequence as a part.
+    @example(tuple(StemSegment("", markup) for markup in ("+NN", "Fem", "Acc", "Sg", "NA", "NN"))
+             + (StemSegment("Boden"),), parse_feature_seq("<+NN><Masc><Dat><Sg><NA>"))
+    def test_split_tokens_of_built_segments(self, segments, feature_seq):
+        a = GermanAnalysis(segments, feature_seq)
+        assert split_outcome(split_tokens, a) == split_outcome(oracles.split_tokens, a)

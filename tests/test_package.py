@@ -29,7 +29,7 @@ PUBLIC_NAMES = {
         "DanglingMarker", "MergeTable", "VocabReport", "apply_bpe", "learn_bpe", "revert_bpe",
         "vocab_stats", "word_end_fragment_stats",
     ],
-    "compounds": ["CompoundSplit", "merge_compound", "split_compound"],
+    "compounds": ["split_compound"],
     "backend": ["BackendFailure", "translate_external"],
     "pipeline": [
         "ParallelCorpus", "PipelineConfig", "PostprocessResult", "PreparedVariant",

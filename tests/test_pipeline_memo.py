@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from morphmt import interleave, pipeline, tagsets
 from morphmt.bpe import learn_bpe, segment_line
-from morphmt.compounds import CompoundSplit, merge_stem, rejoin_split_tokens, split_compound
+from morphmt.compounds import rejoin_split_tokens
 from morphmt.conventions import PIPELINE_MODES
 from morphmt.morphlex import (
     Diagnostics,
@@ -33,11 +33,27 @@ from morphmt.pipeline import (
     postprocess,
     prepare_variant,
 )
-from morphmt.tagsets import MalformedAnalysis, MalformedTag, format_tag, tag_predicate_for_mode
+from morphmt.tagsets import (
+    GermanFeatureSeq,
+    MalformedAnalysis,
+    MalformedTag,
+    format_tag,
+    tag_predicate_for_mode,
+)
 
 from conftest import FIG1_MORPHGEN, TABLE1_PARSE_TAGS, TABLE1_ROWS, entry_rows
-from oracles import Analysis, candidates, disambiguate, encode_record, to_german_analysis
+from oracles import (
+    Analysis,
+    CompoundSplit,
+    candidates,
+    disambiguate,
+    encode_record,
+    merge_stem,
+    split_analysis,
+    to_german_analysis,
+)
 from test_interleave import oracle_walk
+from test_tagsets import oracle_is_bare
 
 LEXICON_MODES = ["morphgen", "serialization", "german-stemmed", "german-stemmed-split"]
 
@@ -68,7 +84,7 @@ def oracle_encode_target(analyses, mode):
         return [token for a in analyses for token in encode_record(a, mode)]
     tokens = []
     for a in analyses:
-        split = split_compound(to_german_analysis(a))
+        split = split_analysis(to_german_analysis(a))
         if isinstance(split, CompoundSplit):
             tokens.extend(split.tokens)
         else:
@@ -99,11 +115,12 @@ def oracle_prepare(corpus, cfg, lex, parse_tags):
 
 
 def oracle_postprocess_line(line, mode, lex):
-    """postprocess_line with every pair generated where it occurs, and every
-    German pair merged there too."""
+    """postprocess_line with every pair generated where it occurs, every
+    German pair merged there too through the split tokens, and the line's
+    records in a Diagnostics of their own, at line 0."""
     diagnostics = Diagnostics()
     repairs = diagnostics.repairs
-    tokens = pipeline._revert_lenient(line.split(), repairs)
+    tokens = pipeline._revert_lenient(line.split(), diagnostics)
     if mode == "baseline":
         diagnostics.lines = 1
         return " ".join(tokens), diagnostics
@@ -290,9 +307,25 @@ class TestKeyEncoderMatchesRecordEncoder:
                 tag_text, lemma = key
                 record = Analysis(lemma, parse_tag_text(tag_text), surface)
                 for mode in PIPELINE_MODES:
-                    assert outcome(pipeline._encode_analysis, lex, key, surface, mode) == outcome(
-                        encode_record, record, mode
-                    )
+                    expected = outcome(encode_record, record, mode)
+                    if mode.startswith("german") and isinstance(record.tag, GermanFeatureSeq):
+                        unreadable = unreadable_german_key(tag_text, lemma)
+                        if unreadable is not None:
+                            expected = ("MalformedAnalysis", unreadable)
+                    assert outcome(pipeline._encode_analysis, lex, key, surface, mode) == expected
+
+
+def unreadable_german_key(tag_text, lemma):
+    """Why postprocessing could not read back a German key's tokens, or None:
+    a bare lemma and tag that are no bare token, or a lemma that is no stem side."""
+    if tag_text.startswith("["):
+        token = lemma + tag_text
+        return None if oracle_is_bare(token) else f"not a bare token: {token!r}"
+    try:
+        tagsets.parse_stem_side(lemma)
+    except MalformedAnalysis as exc:
+        return str(exc)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +420,21 @@ class TestPostprocessMatchesOracle:
         lines = (lines + lines[::-1]) * 2
         result = postprocess(lines, PipelineConfig.for_mode(mode), lex, jobs=2)
         assert result == oracle_postprocess(lines, mode, lex)
+
+
+def test_postprocess_line_keys_its_records_by_the_lines_counted(german_lexicon):
+    # Every kind of record, written into the caller's diagnostics at its
+    # line index; the line is counted when done.
+    diagnostics = Diagnostics(lines=4)
+    line = ("§§<NN>§§ Nacht §§<NN>§§ Markt <+NN><Masc><Nom><Sg><NA> a<NN>§§<X>§§ "
+            "<+NN><Masc><Dat><Sg><NA> <+V><3><Sg><Pres><Ind> Hvanda <+V><3><Sg><Pres><Ind> @@")
+    text = pipeline.postprocess_line(line, "german-stemmed-split", german_lexicon, {}, diagnostics)
+    assert text == "Nachtmarkt a<NN>§§<X>§§ Hvanda"
+    assert diagnostics.lines == 5
+    records = [diagnostics.fallbacks, diagnostics.repairs, diagnostics.errors,
+               diagnostics.unknown_modifiers]
+    assert all(records)
+    assert {record[0] for kind in records for record in kind} == {4}
 
 
 # ---------------------------------------------------------------------------
