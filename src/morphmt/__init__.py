@@ -22,13 +22,11 @@ __version__ = "0.1.0"
 # The names each submodule re-exports.
 _REEXPORTS = {
     "tagsets": (
-        "GermanAnalysis",
         "GermanFeatureSeq",
         "MalformedAnalysis",
         "MalformedTag",
         "PositionalTag",
         "StemSegment",
-        "format_analysis",
         "format_tag",
         "parse_czech_tag",
         "parse_german_analysis",

@@ -410,11 +410,14 @@ def cmd_split_compounds(args: argparse.Namespace, inputs: _Inputs) -> _Result:
         tokens: list[str] = []
         for token in line.split():
             try:
-                analysis = tagsets.parse_german_analysis(token)
+                tag_text, lemma, features = tagsets.parse_german_analysis(token)
             except tagsets.MalformedAnalysis as exc:
                 raise CliError(f"line {lineno}: {exc}") from exc
-            split = compounds.split_tokens(analysis)
-            split_count += len(split) > 2  # an unsplit analysis has one or two tokens
+            if features.kind == tagsets.KIND_BARE:
+                tokens.append(token)
+                continue
+            split = compounds.split_tokens(lemma, tag_text, features)
+            split_count += len(split) > 2  # an unsplit analysis has two tokens
             tokens += split
         out.append(" ".join(tokens))
     return _Result(out, {}, {"lines": len(out), "compounds_split": split_count})

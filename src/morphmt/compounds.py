@@ -7,7 +7,9 @@ tokens that carry the modifier's markup::
     Meer §§<NN>§§ Boden <+NN><Masc><Dat><Sg><NA>
 
 Both directions start from a stem's parsed segments: splitting
-(:func:`split_compound`) cuts them into those tokens, and merging
+(:func:`split_compound`) cuts them into those tokens, split-mode
+``prepare`` and ``split-compounds`` encode a stem text and its tag
+through the one call :func:`split_tokens`, and merging
 (:func:`merge_stem`), applied to translated output, cuts a decoded stem
 the same way.  Modifier lexemes are looked up in the lexicon's modifier
 table, which supplies the full in-compound form (linking elements and
@@ -25,12 +27,10 @@ from typing import TYPE_CHECKING
 
 from .tagsets import (
     GERMAN_WORD,
-    GermanAnalysis,
     GermanFeatureSeq,
     MalformedAnalysis,
     StemSegment,
     classify_german_tokens,
-    format_analysis,
     format_separator,
     format_tag,
     is_german_tag_token,
@@ -83,13 +83,11 @@ def split_compound(
     return split
 
 
-def split_tokens(a: GermanAnalysis) -> tuple[str, ...]:
-    """The stream tokens of one analysis in split mode: its ``lexeme[TAG]``
-    token if bare, its :func:`split_compound` tokens, or stem and features."""
-    if not a.inflected:
-        return (format_analysis(a),)
-    split = split_compound(a.stem_segments, a.feature_seq)
-    return split or (a.stem_text, format_tag(a.feature_seq))
+def split_tokens(stem: str, tag_text: str, features: GermanFeatureSeq) -> tuple[str, ...]:
+    """The split-mode tokens of the inflected analysis ``stem||tag_text``,
+    ``features`` its parsed tag: the :func:`split_compound` tokens of the
+    parsed stem, or the stem and the tag text when it has no split point."""
+    return split_compound(parse_stem_side(stem), features) or (stem, tag_text)
 
 
 def _lower_first(text: str) -> str:

@@ -9,9 +9,9 @@ Four representation modes:
   a stem token followed by its feature-sequence token
   (``sehen <+V><3><Sg><Pres><Ind>``).
 
-:func:`encode_analysis` emits one word's tokens from its lexicon row
-key, (tag text, lemma), and its surface form.  :func:`walk` is the one
-pass over a decoded token stream.  It classifies each token once and
+The pipeline encodes each word in one of these representations
+(``morphmt.pipeline``); this module decodes them.  :func:`walk` is the
+one pass over a decoded token stream.  It classifies each token once and
 returns the stream's items in order - (tag, word) pairs, bare tokens,
 orphan words and orphan tags - together with the first violation of the
 strict alternation, which the pipeline's postprocessing reports; the
@@ -47,7 +47,6 @@ __all__ = [
     "Walk",
     "WellformednessError",
     "LengthMismatch",
-    "encode_analysis",
     "walk",
     "tag_source",
 ]
@@ -74,27 +73,6 @@ class WellformednessError(ValueError):
 
 class LengthMismatch(ValueError):
     """Source words and source tags differ in count."""
-
-
-def encode_analysis(tag_text: str, lemma: str, surface: str, mode: str) -> tuple[str, ...]:
-    """The tokens of one word, from its lexicon row key and surface form.
-
-    Interleaved modes emit the tag token before the word token; the
-    German stemmed mode emits the stem first and its feature sequence
-    second, matching the stem||features boundary direction, and a bare
-    tag (``[KON]``) as one token with its lexeme (``und[KON]``).
-    """
-    if mode == MODE_BASELINE:
-        return (surface,)
-    if mode == MODE_MORPHGEN:
-        return (tag_text, lemma)
-    if mode == MODE_SERIALIZATION:
-        return (tag_text, surface)
-    if mode != MODE_GERMAN_STEMMED:
-        raise ValueError(f"unknown mode {mode!r}")
-    if tag_text.startswith("["):
-        return (lemma + tag_text,)
-    return (lemma, tag_text)
 
 
 class Item(NamedTuple):

@@ -53,7 +53,6 @@ from .morphlex import (
     strip_markup,
 )
 from .tagsets import (
-    GermanAnalysis,
     GermanFeatureSeq,
     MalformedAnalysis,
     _remember,
@@ -209,26 +208,36 @@ def _encode_analysis(
 ) -> tuple[str, ...]:
     """The tokens of a word whose analysis is the row key ``key``.
 
-    A German key must encode to tokens that postprocessing reads back:
-    an inflected lemma must parse as a stem side, and a bare lemma with
-    its tag must be a bare token; :class:`MalformedAnalysis` says which
-    does not.  Split mode splits the analysis built from the lemma and
-    the parsed tag.
+    Morphgen emits the tag before the lemma, serialization the tag
+    before the surface.  The German modes emit the stem before its
+    features, split mode its :func:`~morphmt.compounds.split_tokens`,
+    and a bare tag (``[KON]``) as one token with its lexeme
+    (``und[KON]``).  A German key must encode to tokens that
+    postprocessing reads back as the word: its tag must be a feature
+    sequence, an inflected lemma must parse as a stem side, and a bare
+    lemma with its tag must be a bare token whose lexeme, which
+    postprocessing emits as it is, is the surface.
+    :class:`MalformedAnalysis` says which does not hold.
     """
     tag_text, lemma = key
-    tag = lex._tags[tag_text] if _is_german(mode) else None
+    if mode == interleave.MODE_MORPHGEN:
+        return (tag_text, lemma)
+    if mode == interleave.MODE_SERIALIZATION:
+        return (tag_text, surface)
+    tag = lex._tags[tag_text]
     if not isinstance(tag, GermanFeatureSeq):
-        if mode == MODE_GERMAN_STEMMED_SPLIT:
-            raise MalformedAnalysis("not a German analysis")
-        return interleave.encode_analysis(tag_text, lemma, surface, mode)
+        raise MalformedAnalysis("not a German analysis")
     if tag.kind == KIND_BARE:
         token = lemma + tag_text
         if classify_german_tokens((token,))[0][1] is None:
             raise MalformedAnalysis(f"not a bare token: {token!r}")
+        if lemma != surface:
+            raise MalformedAnalysis(f"bare token {token!r} would read back as {lemma!r}, "
+                                    f"not {surface!r}")
         return (token,)
-    segments = parse_stem_side(lemma)
     if mode == MODE_GERMAN_STEMMED_SPLIT:
-        return split_tokens(GermanAnalysis(segments, tag))
+        return split_tokens(lemma, tag_text, tag)
+    parse_stem_side(lemma)  # raises when the lemma is no stem side
     return (lemma, tag_text)
 
 

@@ -10,8 +10,10 @@ Two tag families are supported:
   ``<+NN><Fem><Acc><Sg><NA>``.  Non-inflected words are written as a
   lexeme with a bracketed parse tag (``und[KON]``, ``,[$]``).
 
-Parsing and formatting are exact inverses: ``format(parse(x)) == x`` for
-every accepted input, byte for byte.  Text is cut into lines by
+A parsed tag formats back byte for byte: ``format_tag(parse(x)) == x``.
+A German analysis token is checked and cut into its halves, the
+(tag text, lemma) row key a lexicon stores; no record is built from it
+and nothing formats it back.  Text is cut into lines by
 :func:`~morphmt.conventions.split_lines` (re-exported here) everywhere
 in the package.
 
@@ -35,14 +37,11 @@ __all__ = [
     "PositionalTag",
     "GermanFeatureSeq",
     "StemSegment",
-    "GermanAnalysis",
     "parse_czech_tag",
     "parse_feature_seq",
     "parse_stem_side",
     "parse_german_analysis",
     "format_tag",
-    "format_stem_side",
-    "format_analysis",
     "is_czech_tag",
     "is_german_tag_token",
     "format_separator",
@@ -434,39 +433,6 @@ class StemSegment(FrozenRecord):
         return f"{self.lexeme}<{self.markup}>"
 
 
-class GermanAnalysis(FrozenRecord):
-    """A word analysis: stem segments plus a feature sequence.
-
-    Inflected analyses are written ``STEM||<features>``; non-inflected
-    ones are ``lexeme[TAG]`` with a single segment and a bare feature
-    sequence.  Markup inside the stem (``<NN>``, ``<ADJ>``, ``<Pos>``,
-    ``<Def>``, ``<Indef>``, ...) stays attached to its segment verbatim
-    and is never interpreted here.
-    """
-
-    def __init__(
-        self, stem_segments: tuple[StemSegment, ...], feature_seq: GermanFeatureSeq,
-        inflected: bool = True,
-    ) -> None:
-        if not stem_segments:
-            raise MalformedAnalysis("analysis needs at least one stem segment")
-        if not inflected:
-            if feature_seq.kind != KIND_BARE:
-                raise MalformedAnalysis("non-inflected analyses carry a bare tag")
-            if len(stem_segments) != 1:
-                raise MalformedAnalysis("non-inflected analyses have one segment")
-        object.__setattr__(self, "stem_segments", stem_segments)
-        object.__setattr__(self, "feature_seq", feature_seq)
-        object.__setattr__(self, "inflected", inflected)
-
-    @property
-    def stem_text(self) -> str:
-        return format_stem_side(self.stem_segments)
-
-    def __str__(self) -> str:
-        return format_analysis(self)
-
-
 _STEM_SIDES: dict[str, tuple[StemSegment, ...]] = {}
 
 
@@ -492,12 +458,14 @@ def _parse_stem_side(text: str) -> tuple[StemSegment, ...]:
     return tuple(segments)
 
 
-def format_stem_side(segments: tuple[StemSegment, ...]) -> str:
-    return "".join(str(s) for s in segments)
+def parse_german_analysis(raw: str) -> tuple[str, str, GermanFeatureSeq]:
+    """Check one analysis token, inflected (``||``) or bare (``[TAG]``), and
+    return its halves as a lexicon row key and its parsed tag:
+    ``(tag text, lemma, features)``.
 
-
-def parse_german_analysis(raw: str) -> GermanAnalysis:
-    """Parse one analysis token, inflected (``||``) or bare (``[TAG]``)."""
+    The lemma of an inflected token is its stem side, which must parse;
+    that of a bare token is its lexeme.
+    """
     if not raw or any(c.isspace() for c in raw):
         raise MalformedAnalysis(f"analysis must be a single token: {raw!r}")
     if raw.count("<") != raw.count(">") or raw.count("[") != raw.count("]"):
@@ -507,18 +475,16 @@ def parse_german_analysis(raw: str) -> GermanAnalysis:
         if len(parts) != 2:
             raise MalformedAnalysis(f"more than one boundary in {raw!r}")
         stem_text, feature_text = parts
-        segments = parse_stem_side(stem_text)
+        parse_stem_side(stem_text)
         feature_seq = parse_feature_seq(feature_text)
         if feature_seq.kind == KIND_BARE:
             raise MalformedAnalysis(f"bare tag after boundary in {raw!r}")
-        return GermanAnalysis(segments, feature_seq, inflected=True)
+        return feature_text, stem_text, feature_seq
     m = _BARE_RE.match(raw)
     if m is None:
         raise MalformedAnalysis(f"not an analysis: {raw!r}")
-    segment = StemSegment(m.group(1))
-    return GermanAnalysis(
-        (segment,), GermanFeatureSeq(KIND_BARE, bare_tag=m.group(2)), inflected=False
-    )
+    lexeme = m.group(1)
+    return raw[len(lexeme):], lexeme, GermanFeatureSeq(KIND_BARE, bare_tag=m.group(2))
 
 
 # ---------------------------------------------------------------------------
@@ -533,13 +499,3 @@ def format_tag(tag: PositionalTag | GermanFeatureSeq) -> str:
     if tag.kind == KIND_BARE:
         return f"[{tag.bare_tag}]"
     return "".join(f"<{v}>" for v in tag.values)
-
-
-def format_analysis(a: PositionalTag | GermanAnalysis) -> str:
-    """Inverse of the corresponding parse operation, byte-exact."""
-    if isinstance(a, PositionalTag):
-        return a.raw
-    if not a.inflected:
-        return f"{a.stem_segments[0].lexeme}[{a.feature_seq.bare_tag}]"
-    return f"{a.stem_text}||{format_tag(a.feature_seq)}"
-

@@ -1,15 +1,18 @@
-"""The record path of ``prepare``, the strict decoder and the split-token
-compound path, kept as oracles.
+"""The record path of ``prepare``, the German analysis record, the strict
+decoder and the split-token compound path, kept as oracles.
 
 ``prepare`` encodes each target word from the lexicon row key that
 ``select_analysis`` picks, (tag text, lemma).  It used to build an
 analysis record per candidate (lemma, parsed tag, surface), pick one with
 a disambiguator, and format the record's parsed tag back into text.  The
 interleave module also had a strict decoder that raised a stream's first
-well-formedness violation.  Compounds were merged through their split
-tokens: a stem was parsed, split into a checked token record, and the
-record's head parsed again to rebuild a one-segment analysis.  The tests
-check the code that replaced them against these functions.
+well-formedness violation.  A German analysis token was parsed into a
+record of stem segments and features, which ``split-compounds`` and
+split-mode ``prepare`` formatted back to text.  Compounds were merged
+through their split tokens: a stem was parsed, split into a checked
+token record, and the record's head parsed again to rebuild a
+one-segment analysis.  The tests check the code that replaced them
+against these functions.
 """
 
 from typing import NamedTuple
@@ -25,17 +28,76 @@ from morphmt.morphlex import (
     parse_tag_text,
 )
 from morphmt.tagsets import (
-    GermanAnalysis,
+    _BARE_RE,
     GermanFeatureSeq,
     MalformedAnalysis,
     PositionalTag,
     StemSegment,
     classify_german_tokens,
-    format_analysis,
     format_separator,
     format_tag,
+    parse_feature_seq,
     parse_stem_side,
 )
+
+
+class GermanAnalysis(FrozenRecord):
+    """A word analysis: stem segments plus a feature sequence.
+
+    Inflected analyses are written ``STEM||<features>``; non-inflected
+    ones are ``lexeme[TAG]`` with a single segment and a bare feature
+    sequence.
+    """
+
+    def __init__(
+        self, stem_segments: tuple[StemSegment, ...], feature_seq: GermanFeatureSeq,
+        inflected: bool = True,
+    ) -> None:
+        if not stem_segments:
+            raise MalformedAnalysis("analysis needs at least one stem segment")
+        if not inflected:
+            if feature_seq.kind != "bare":
+                raise MalformedAnalysis("non-inflected analyses carry a bare tag")
+            if len(stem_segments) != 1:
+                raise MalformedAnalysis("non-inflected analyses have one segment")
+        object.__setattr__(self, "stem_segments", stem_segments)
+        object.__setattr__(self, "feature_seq", feature_seq)
+        object.__setattr__(self, "inflected", inflected)
+
+    @property
+    def stem_text(self) -> str:
+        return "".join(str(s) for s in self.stem_segments)
+
+
+def format_analysis(a: GermanAnalysis) -> str:
+    """The analysis token of a record, byte-exact."""
+    if not a.inflected:
+        return f"{a.stem_segments[0].lexeme}[{a.feature_seq.bare_tag}]"
+    return f"{a.stem_text}||{format_tag(a.feature_seq)}"
+
+
+def parse_analysis(raw: str) -> GermanAnalysis:
+    """The record of one analysis token, inflected (``||``) or bare (``[TAG]``)."""
+    if not raw or any(c.isspace() for c in raw):
+        raise MalformedAnalysis(f"analysis must be a single token: {raw!r}")
+    if raw.count("<") != raw.count(">") or raw.count("[") != raw.count("]"):
+        raise MalformedAnalysis(f"unbalanced brackets in {raw!r}")
+    if "||" in raw:
+        parts = raw.split("||")
+        if len(parts) != 2:
+            raise MalformedAnalysis(f"more than one boundary in {raw!r}")
+        stem_text, feature_text = parts
+        segments = parse_stem_side(stem_text)
+        feature_seq = parse_feature_seq(feature_text)
+        if feature_seq.kind == "bare":
+            raise MalformedAnalysis(f"bare tag after boundary in {raw!r}")
+        return GermanAnalysis(segments, feature_seq, inflected=True)
+    m = _BARE_RE.match(raw)
+    if m is None:
+        raise MalformedAnalysis(f"not an analysis: {raw!r}")
+    return GermanAnalysis(
+        (StemSegment(m.group(1)),), GermanFeatureSeq("bare", bare_tag=m.group(2)), inflected=False
+    )
 
 
 class Analysis(NamedTuple):
@@ -52,12 +114,6 @@ class Analysis(NamedTuple):
     @property
     def tag_text(self) -> str:
         return format_tag(self.tag)
-
-
-def from_german(a: GermanAnalysis, surface: str | None = None) -> Analysis:
-    if not a.inflected:
-        return Analysis(a.stem_segments[0].lexeme, a.feature_seq, surface)
-    return Analysis(a.stem_text, a.feature_seq, surface)
 
 
 def to_german_analysis(a: Analysis) -> GermanAnalysis:
@@ -94,11 +150,9 @@ def _surface_of(a: Analysis) -> str:
 
 
 def encode_record(a: Analysis, mode: str) -> tuple[str, ...]:
-    """The tokens of one analysis record in a pipeline mode."""
+    """The tokens of one analysis record in a mode that encodes from a lexicon."""
     if mode == "german-stemmed-split":
         return split_tokens(to_german_analysis(a))
-    if mode == "baseline":
-        return (_surface_of(a),)
     if mode == "morphgen":
         return (a.tag_text, a.lemma)
     if mode == "serialization":

@@ -13,7 +13,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from morphmt import evaluation, interleave
+from morphmt import evaluation
 from morphmt.bpe import MergeTable, apply_bpe, learn_bpe, revert_bpe, vocab_stats
 from morphmt.compounds import merge_stem
 from morphmt.backend import translate_external
@@ -21,10 +21,11 @@ from morphmt.morphlex import load_lexicon, select_analysis
 from morphmt.pipeline import (
     ParallelCorpus,
     PipelineConfig,
+    _encode_analysis,
     postprocess,
     prepare_variant,
 )
-from morphmt.tagsets import format_analysis, format_tag, parse_feature_seq, parse_german_analysis
+from morphmt.tagsets import parse_feature_seq, parse_german_analysis
 
 from conftest import (
     FIG1_MORPHGEN,
@@ -63,16 +64,15 @@ def test_criterion_1_fig1_end_to_end(czech_lexicon):
 def test_criterion_2_table1_reproduction(german_lexicon):
     with criterion(2, "worked German sentence: formats byte-exact, surfaces regenerated"):
         start = time.perf_counter()
-        for representation, _ in TABLE1_ROWS:
-            parsed = parse_german_analysis(representation)
-            assert format_analysis(parsed) == representation
+        # Each analysis is the lexicon row key of its word: stem side (or
+        # bare lexeme) and tag text.
+        keys = [parse_german_analysis(representation)[:2] for representation, _ in TABLE1_ROWS]
+        for (tag_text, lemma), (representation, _) in zip(keys, TABLE1_ROWS):
+            bare = tag_text.startswith("[")
+            assert (lemma + tag_text if bare else f"{lemma}||{tag_text}") == representation
         tokens = []
-        for representation, surface in TABLE1_ROWS:
-            parsed = parse_german_analysis(representation)
-            # The lexicon row key: stem side (or bare lexeme) and tag text.
-            lemma = parsed.stem_text if parsed.inflected else parsed.stem_segments[0].lexeme
-            tag_text = format_tag(parsed.feature_seq)
-            tokens += interleave.encode_analysis(tag_text, lemma, surface, "german-stemmed")
+        for key, (_, surface) in zip(keys, TABLE1_ROWS):
+            tokens += _encode_analysis(german_lexicon, key, surface, "german-stemmed")
         cfg = PipelineConfig.for_mode("german-stemmed")
         result = postprocess([" ".join(tokens)], cfg, german_lexicon)
         surface_line = " ".join(surface for _, surface in TABLE1_ROWS)

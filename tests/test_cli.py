@@ -255,7 +255,10 @@ class TestPrepareCommand:
     @pytest.mark.parametrize("row, word, message", [
         ("a||b\t<+NN><Masc><Nom><Sg><NA>\tab", "ab", "cannot parse stem side 'a||b' at offset 1"),
         ("x<y\t[KON]\tq", "q", "not a bare token: 'x<y[KON]'"),
-    ], ids=["inflected-lemma", "bare-lemma"])
+        # postprocess emits a bare token's lexeme as the word.
+        ("x\t[KON]\tq", "q", "bare token 'x[KON]' would read back as 'x', not 'q'"),
+        ("Haus\tNNFS1-----A----\tHaus", "Haus", "not a German analysis"),
+    ], ids=["inflected-lemma", "bare-lemma", "bare-lemma-not-surface", "positional-tag"])
     def test_german_rows_postprocess_cannot_read_are_errors(self, run, tmp_path, mode, row, word,
                                                             message):
         # Encoded, such a row came back from postprocess as its lemma, not its surface.

@@ -1,13 +1,14 @@
 """Compound splitting, separator tokens, and linking-element merges."""
 
+import argparse
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from morphmt import pipeline
+from morphmt import cli, pipeline
 from morphmt.compounds import merge_stem, rejoin_split_tokens, split_compound, split_tokens
 from morphmt.morphlex import ParadigmLexicon, generate
 from morphmt.tagsets import (
-    GermanAnalysis,
     GermanFeatureSeq,
     MalformedAnalysis,
     StemSegment,
@@ -19,7 +20,7 @@ from morphmt.tagsets import (
 )
 
 import oracles
-from oracles import CompoundSplit, encode_record, from_german
+from oracles import CompoundSplit, GermanAnalysis, format_analysis, parse_analysis
 
 from test_tagsets import (
     ORACLE_SEPARATOR_RE,
@@ -29,19 +30,41 @@ from test_tagsets import (
 )
 
 
-def analysis(text):
-    return parse_german_analysis(text)
-
-
 def split(text):
-    a = analysis(text)
-    return split_compound(a.stem_segments, a.feature_seq)
+    """The split_compound tokens of an inflected analysis token, or None."""
+    _, lemma, features = parse_german_analysis(text)
+    return split_compound(parse_stem_side(lemma), features)
 
 
 def merge(text, lex, unknown=None):
     """The merged stem text of an analysis's stem and features."""
-    a = analysis(text)
-    return merge_stem(a.stem_text, a.feature_seq, lex, unknown)[0]
+    _, lemma, features = parse_german_analysis(text)
+    return merge_stem(lemma, features, lex, unknown)[0]
+
+
+class _Lines:
+    """The inputs of a split-compounds run: the given lines."""
+
+    def __init__(self, lines):
+        self._lines = lines
+
+    def lines(self, path):
+        return self._lines
+
+
+def split_compounds(text):
+    """The tokens split-compounds writes for a line of analysis tokens."""
+    result = cli.cmd_split_compounds(argparse.Namespace(input=None), _Lines([text]))
+    return tuple(result.lines[0].split())
+
+
+def prepare_split(text):
+    """The tokens prepare encodes in split mode for the analysis token's
+    row key, in a lexicon of that one row; a bare token analyses itself."""
+    tag_text, lemma, _ = parse_german_analysis(text)
+    lex = ParadigmLexicon()
+    lex.add_entry(lemma, tag_text, lemma)
+    return pipeline._encode_analysis(lex, (tag_text, lemma), lemma, "german-stemmed-split")
 
 
 class TestSplitCompound:
@@ -54,12 +77,13 @@ class TestSplitCompound:
 
     def test_single_segment_unchanged(self):
         assert split("Wolke||<+NN><Fem><Acc><Sg><NA>") is None
-        assert split_tokens(analysis("Wolke||<+NN><Fem><Acc><Sg><NA>")) == (
+        features = parse_feature_seq("<+NN><Fem><Acc><Sg><NA>")
+        assert split_tokens("Wolke", "<+NN><Fem><Acc><Sg><NA>", features) == (
             "Wolke", "<+NN><Fem><Acc><Sg><NA>"
         )
 
     def test_bare_unchanged(self):
-        assert split_tokens(analysis("und[KON]")) == ("und[KON]",)
+        assert split_compounds("und[KON]") == prepare_split("und[KON]") == ("und[KON]",)
 
     def test_adjective_border(self):
         tokens = split("längs<ADJ>Achse||<+NN><Fem><Dat><Sg><NA>")
@@ -76,8 +100,8 @@ class TestSplitCompound:
         )
 
     def test_feature_sequence_never_altered(self):
-        a = analysis("Meer<NN>Boden||<+NN><Masc><Dat><Sg><NA>")
-        assert split_compound(a.stem_segments, a.feature_seq)[-1] == format_tag(a.feature_seq)
+        tag_text, lemma, features = parse_german_analysis("Meer<NN>Boden||<+NN><Masc><Dat><Sg><NA>")
+        assert split_compound(parse_stem_side(lemma), features)[-1] == tag_text
 
     def test_non_border_markup_stays_fused(self):
         # <Def> is not a split border: the stem stays one token.
@@ -107,8 +131,8 @@ class TestSeparatorTokens:
 
 class TestMergeCompound:
     def test_meeresboden_linking_element(self, german_lexicon):
-        a = analysis("Meer<NN>Boden||<+NN><Masc><Dat><Sg><NA>")
-        assert merge_stem(a.stem_text, a.feature_seq, german_lexicon) == ("Meeresboden", True)
+        _, lemma, features = parse_german_analysis("Meer<NN>Boden||<+NN><Masc><Dat><Sg><NA>")
+        assert merge_stem(lemma, features, german_lexicon) == ("Meeresboden", True)
 
     def test_haeusermarkt_umlautung(self, german_lexicon):
         assert merge("Haus<NN>Markt||<+NN><Masc><Nom><Sg><NA>", german_lexicon) == "Häusermarkt"
@@ -148,9 +172,9 @@ class TestMergeCompound:
     def test_stem_level_round_trip(self, german_lexicon, raw):
         # merge(split(a)) produces the stem whose lexicon entry generates
         # the same surface as the unsplit analysis.
-        a = analysis(raw)
-        direct = generate(german_lexicon, merge(raw, german_lexicon), format_tag(a.feature_seq))
-        via_markup = generate(german_lexicon, a.stem_text, format_tag(a.feature_seq))
+        tag_text, lemma, _ = parse_german_analysis(raw)
+        direct = generate(german_lexicon, merge(raw, german_lexicon), tag_text)
+        via_markup = generate(german_lexicon, lemma, tag_text)
         assert isinstance(direct, str)
         assert direct == via_markup
 
@@ -241,16 +265,6 @@ class TestRejoinMatchesOracle:
         assert rejoin_split_tokens(tokens) == oracle_rejoin(tokens)
 
 
-def prepare_split(analysis):
-    """The tokens prepare encodes in split mode for the analysis's lexicon row."""
-    a = from_german(analysis, "x")
-    lex = ParadigmLexicon()
-    lex.add_entry(a.lemma, a.tag_text, a.surface)
-    tokens = pipeline._encode_analysis(lex, (a.tag_text, a.lemma), a.surface, "german-stemmed-split")
-    assert tokens == encode_record(a, "german-stemmed-split")
-    return tokens
-
-
 _FEATURE_TEXTS = ["<+NN><Masc><Dat><Sg><NA>", "<+ADJ><Pos><NoGend><Dat><Sg><Wk>",
                   "<+V><3><Sg><Pres><Ind>", "<+V><PPast>"]
 stem_segments = st.lists(
@@ -258,7 +272,8 @@ stem_segments = st.lists(
               st.sampled_from([None, "NN", "ADJ", "Pos", "Def"])),
     min_size=1, max_size=4,
 ).map(tuple)
-german_analyses = st.one_of(
+# Inflected (stem||features) and bare analysis tokens.
+german_analysis_texts = st.one_of(
     st.builds(GermanAnalysis, stem_segments, st.sampled_from(_FEATURE_TEXTS).map(parse_feature_seq)),
     st.builds(
         lambda lexeme, tag: GermanAnalysis(
@@ -266,22 +281,27 @@ german_analyses = st.one_of(
         ),
         st.sampled_from(["und", ",", "an"]), st.sampled_from(["KON", "$", "APPR-Dat"]),
     ),
-)
+).map(format_analysis)
 
 
 class TestSplitTokens:
     @settings(max_examples=300)
-    @given(german_analyses)
-    def test_both_callers_agree(self, analysis):
-        tokens = split_tokens(analysis)
-        assert tokens == oracles.split_tokens(analysis)
-        assert tokens == prepare_split(analysis)
+    @given(german_analysis_texts)
+    def test_both_callers_agree(self, text):
+        # split-compounds and split-mode prepare encode a token's row key alike,
+        # as the analysis record's split tokens.
+        tokens = split_compounds(text)
+        assert tokens == prepare_split(text)
+        assert tokens == oracles.split_tokens(parse_analysis(text))
 
     def test_split_count_reads_the_token_count(self):
         # split-compounds counts an analysis as split when it gives more than two tokens.
-        assert len(split_tokens(analysis("und[KON]"))) == 1
-        assert len(split_tokens(analysis("Meer||<+NN><Neut><Nom><Sg><NA>"))) == 2
-        assert len(split_tokens(analysis("Meer<NN>Boden||<+NN><Masc><Dat><Sg><NA>"))) == 4
+        assert len(split_compounds("und[KON]")) == 1
+        assert len(split_compounds("Meer||<+NN><Neut><Nom><Sg><NA>")) == 2
+        assert len(split_compounds("Meer<NN>Boden||<+NN><Masc><Dat><Sg><NA>")) == 4
+        line = "und[KON] Meer||<+NN><Neut><Nom><Sg><NA> Meer<NN>Boden||<+NN><Masc><Dat><Sg><NA>"
+        result = cli.cmd_split_compounds(argparse.Namespace(input=None), _Lines([line]))
+        assert result.counters == {"lines": 1, "compounds_split": 1}
 
 
 # Stem texts from lexeme units (modifier-table lexemes among them, and
@@ -317,15 +337,25 @@ def merge_outcome(merge_fn, stem, feature_seq, lex):
     return (result, merged), unknown
 
 
-def split_outcome(split_fn, a):
+def split_outcome(split_fn, *args):
     try:
-        return split_fn(a)
+        return split_fn(*args)
     except MalformedAnalysis as exc:
         return str(exc)
 
 
+def oracle_split_tokens(stem, feature_seq):
+    return oracles.split_tokens(GermanAnalysis(parse_stem_side(stem), feature_seq))
+
+
+def oracle_split_compound(segments, feature_seq):
+    split = oracles.split_analysis(GermanAnalysis(segments, feature_seq))
+    return split.tokens if isinstance(split, CompoundSplit) else None
+
+
 class TestMatchesSplitTokenPath:
-    """merge_stem and split_tokens against the path through the split-token record."""
+    """merge_stem, split_tokens and split_compound against the path through
+    the split-token record."""
 
     @settings(max_examples=500, deadline=None)
     @given(stem_texts, feature_seqs)
@@ -340,12 +370,10 @@ class TestMatchesSplitTokenPath:
     @settings(max_examples=500, deadline=None)
     @given(stem_texts, feature_seqs)
     def test_split_tokens_of_parsed_stems(self, stem, feature_seq):
-        try:
-            segments = parse_stem_side(stem)
-        except MalformedAnalysis:
-            return
-        a = GermanAnalysis(segments, feature_seq)
-        assert split_outcome(split_tokens, a) == split_outcome(oracles.split_tokens, a)
+        # A stem that does not parse raises the same error on both paths.
+        assert split_outcome(split_tokens, stem, format_tag(feature_seq), feature_seq) == (
+            split_outcome(oracle_split_tokens, stem, feature_seq)
+        )
 
     @settings(max_examples=300)
     @given(st.lists(
@@ -357,5 +385,7 @@ class TestMatchesSplitTokenPath:
     @example(tuple(StemSegment("", markup) for markup in ("+NN", "Fem", "Acc", "Sg", "NA", "NN"))
              + (StemSegment("Boden"),), parse_feature_seq("<+NN><Masc><Dat><Sg><NA>"))
     def test_split_tokens_of_built_segments(self, segments, feature_seq):
-        a = GermanAnalysis(segments, feature_seq)
-        assert split_outcome(split_tokens, a) == split_outcome(oracles.split_tokens, a)
+        # Segments no stem text parses to reach split_compound only directly.
+        assert split_outcome(split_compound, segments, feature_seq) == (
+            split_outcome(oracle_split_compound, segments, feature_seq)
+        )

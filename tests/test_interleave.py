@@ -17,15 +17,14 @@ from morphmt.interleave import (
     LengthMismatch,
     Walk,
     WellformednessError,
-    encode_analysis,
     tag_source,
     walk,
 )
-from morphmt.pipeline import PipelineConfig, postprocess
+from morphmt.morphlex import ParadigmLexicon
+from morphmt.pipeline import PipelineConfig, _encode_analysis, postprocess
 from morphmt.tagsets import (
     classify_czech_tokens,
     classify_german_tokens,
-    format_tag,
     is_czech_tag,
     parse_czech_tag,
     parse_german_analysis,
@@ -34,10 +33,9 @@ from morphmt.tagsets import (
 from conftest import (
     FIG1_MORPHGEN,
     FIG1_SERIALIZATION,
-    FIG1_SURFACE,
     TABLE1_ROWS,
 )
-from oracles import Analysis, decode, encode_record, from_german, wellformedness
+from oracles import Analysis, decode, encode_record, wellformedness
 from test_tagsets import oracle_german_class, oracle_is_bare, uncached_feature_token
 
 # (tag text, lemma, surface) per word: a row key and the surface it analyses.
@@ -49,15 +47,20 @@ FIG1_WORDS = [
     ("Z:-------------", ".", "."),
 ]
 
-TABLE1_WORDS = [
-    (a.tag_text, a.lemma, a.surface)
-    for a in (from_german(parse_german_analysis(rep), surface) for rep, surface in TABLE1_ROWS)
-]
+TABLE1_WORDS = [(*parse_german_analysis(rep)[:2], surface) for rep, surface in TABLE1_ROWS]
 
 
 def encode(words, mode):
-    """The tokens of a sentence of (tag text, lemma, surface) words."""
-    return [token for word in words for token in encode_analysis(*word, mode)]
+    """The tokens of a sentence of (tag text, lemma, surface) words, each
+    encoded from its row key in a lexicon of the sentence's rows."""
+    lex = ParadigmLexicon()
+    for tag_text, lemma, surface in words:
+        lex.add_entry(lemma, tag_text, surface)
+    return [
+        token
+        for tag_text, lemma, surface in words
+        for token in _encode_analysis(lex, (tag_text, lemma), surface, mode)
+    ]
 
 
 class TestEncode:
@@ -66,9 +69,6 @@ class TestEncode:
 
     def test_serialization_line(self):
         assert " ".join(encode(FIG1_WORDS, "serialization")) == FIG1_SERIALIZATION
-
-    def test_baseline_line(self):
-        assert " ".join(encode(FIG1_WORDS, "baseline")) == FIG1_SURFACE
 
     def test_german_stemmed_line(self):
         tokens = encode(TABLE1_WORDS, "german-stemmed")
@@ -85,16 +85,10 @@ class TestEncode:
             assert len(encode(FIG1_WORDS, mode)) == 2 * len(FIG1_WORDS)
 
     def test_surface_required_for_serialization(self):
-        # Serialization and baseline emit the surface; morphgen the lemma.
+        # Serialization emits the surface, morphgen the lemma.
         word = ("VB-P---3P-AA---", "existovat", "existují")
-        assert encode_analysis(*word, "serialization") == ("VB-P---3P-AA---", "existují")
-        assert encode_analysis(*word, "baseline") == ("existují",)
-        assert encode_analysis(*word, "morphgen") == ("VB-P---3P-AA---", "existovat")
-
-    def test_unknown_mode_rejected(self):
-        for mode in ("surface", "german-stemmed-split"):
-            with pytest.raises(ValueError, match="^unknown mode"):
-                encode_analysis("Z:-------------", ".", ".", mode)
+        assert encode([word], "serialization") == ["VB-P---3P-AA---", "existují"]
+        assert encode([word], "morphgen") == ["VB-P---3P-AA---", "existovat"]
 
 
 class TestDecode:
@@ -194,11 +188,13 @@ _german_texts = german_analysis_texts()
 
 @st.composite
 def german_analyses(draw):
+    """Analyses of parsed German tokens; a bare token reads back as its
+    lexeme, so each surface is its lemma."""
     n = draw(st.integers(0, 6))
     out = []
     for _ in range(n):
-        raw = draw(_german_texts)
-        out.append(from_german(parse_german_analysis(raw), surface="x"))
+        _, lemma, features = parse_german_analysis(draw(_german_texts))
+        out.append(Analysis(lemma, features, surface=lemma))
     return out
 
 
@@ -207,8 +203,8 @@ def encode_keys(analyses, mode):
     the record encoder."""
     tokens = []
     for a in analyses:
-        word = encode_analysis(format_tag(a.tag), a.lemma, a.surface, mode)
-        assert word == encode_record(a, mode)
+        word = encode([(a.tag_text, a.lemma, a.surface)], mode)
+        assert word == list(encode_record(a, mode))
         tokens += word
     return tokens
 

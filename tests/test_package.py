@@ -12,12 +12,13 @@ import morphmt
 ROOT = Path(__file__).resolve().parent.parent
 
 # What ``from morphmt import *`` bound when the package imported every
-# submodule eagerly: the re-exported names and the submodules themselves.
+# submodule eagerly, the re-exported names and the submodules themselves,
+# less the names deleted since (the German analysis record and its
+# formatter).
 PUBLIC_NAMES = {
     "tagsets": [
-        "GermanAnalysis", "GermanFeatureSeq", "MalformedAnalysis", "MalformedTag",
-        "PositionalTag", "StemSegment", "format_analysis", "format_tag", "parse_czech_tag",
-        "parse_german_analysis",
+        "GermanFeatureSeq", "MalformedAnalysis", "MalformedTag", "PositionalTag",
+        "StemSegment", "format_tag", "parse_czech_tag", "parse_german_analysis",
     ],
     "morphlex": [
         "Diagnostics", "GenerationFailure", "LexiconConflict", "LexiconParse",

@@ -14,7 +14,6 @@ from hypothesis import example, given, settings, strategies as st
 from morphmt import interleave, pipeline, tagsets
 from morphmt.bpe import learn_bpe, segment_line
 from morphmt.compounds import rejoin_split_tokens
-from morphmt.conventions import PIPELINE_MODES
 from morphmt.morphlex import (
     Diagnostics,
     LexiconConflict,
@@ -80,6 +79,11 @@ def oracle_analyses_for(lex, tokens, parse_tags):
 
 
 def oracle_encode_target(analyses, mode):
+    if mode.startswith("german"):
+        for a in analyses:
+            unreadable = unreadable_german_key(a)
+            if unreadable is not None:
+                raise MalformedAnalysis(unreadable)
     if mode != "german-stemmed-split":
         return [token for a in analyses for token in encode_record(a, mode)]
     tokens = []
@@ -280,13 +284,15 @@ tag_texts = st.one_of(
     st.sampled_from(["NNFS2-----A----", "Z:-------------", "<+V><PPast>", "<+V><Inf>",
                      "<+V><3><Sg><Pres><Ind>", "<+NN><Masc><Dat><Sg><NA>", "[KON]"]),
 )
-# Plain lemmas, stem sides with markup, and lemmas that are no stem side.
+# Plain lemmas (some also a surface, so that a bare row can encode), stem
+# sides with markup, and lemmas that are no stem side.
 row_lemmas = st.sampled_from([
-    "pizza", "und", "Meer<NN>Boden", "Hydrogen<NN>Sulfid<NN>reich<Pos>", "die<Def>",
+    "pizza", "und", "x", "Meer<NN>Boden", "Hydrogen<NN>Sulfid<NN>reich<Pos>", "die<Def>",
     "längs<ADJ>Achse", "a||b", "Meer<NN", "§§<NN>§§",
 ])
-generated_rows = st.lists(st.tuples(row_lemmas, tag_texts, st.sampled_from(["x", "y", "z"])),
-                          max_size=10)
+generated_rows = st.lists(
+    st.tuples(row_lemmas, tag_texts, st.sampled_from(["x", "y", "z", "und"])), max_size=10
+)
 
 
 class TestKeyEncoderMatchesRecordEncoder:
@@ -302,25 +308,36 @@ class TestKeyEncoderMatchesRecordEncoder:
         for tag_text, tag in lex._tags.items():
             assert format_tag(parse_tag_text(tag_text)) == tag_text
             assert format_tag(tag) == tag_text
-        for surface in ("x", "y", "z"):
+        for surface in ("x", "y", "z", "und"):
             for key in analyze(lex, surface):
                 tag_text, lemma = key
                 record = Analysis(lemma, parse_tag_text(tag_text), surface)
-                for mode in PIPELINE_MODES:
+                # prepare_variant passes baseline targets through, so no
+                # baseline word reaches the key encoder.
+                for mode in LEXICON_MODES:
                     expected = outcome(encode_record, record, mode)
-                    if mode.startswith("german") and isinstance(record.tag, GermanFeatureSeq):
-                        unreadable = unreadable_german_key(tag_text, lemma)
+                    if mode.startswith("german"):
+                        unreadable = unreadable_german_key(record)
                         if unreadable is not None:
                             expected = ("MalformedAnalysis", unreadable)
                     assert outcome(pipeline._encode_analysis, lex, key, surface, mode) == expected
 
 
-def unreadable_german_key(tag_text, lemma):
-    """Why postprocessing could not read back a German key's tokens, or None:
-    a bare lemma and tag that are no bare token, or a lemma that is no stem side."""
-    if tag_text.startswith("["):
-        token = lemma + tag_text
-        return None if oracle_is_bare(token) else f"not a bare token: {token!r}"
+def unreadable_german_key(record):
+    """Why postprocessing could not read back a German key's tokens as its
+    surface, or None: a tag that is no feature sequence, a bare lemma and
+    tag that are no bare token or whose lexeme is not the surface, or a
+    lemma that is no stem side."""
+    lemma, tag, surface = record
+    if not isinstance(tag, GermanFeatureSeq):
+        return "not a German analysis"
+    if tag.kind == "bare":
+        token = lemma + record.tag_text
+        if not oracle_is_bare(token):
+            return f"not a bare token: {token!r}"
+        if lemma != surface:
+            return f"bare token {token!r} would read back as {lemma!r}, not {surface!r}"
+        return None
     try:
         tagsets.parse_stem_side(lemma)
     except MalformedAnalysis as exc:

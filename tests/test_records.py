@@ -9,7 +9,6 @@ import pytest
 from morphmt import (
     Diagnostics,
     GenerationFailure,
-    GermanAnalysis,
     GermanFeatureSeq,
     MalformedAnalysis,
     MalformedTag,
@@ -25,8 +24,9 @@ from morphmt import (
 )
 from morphmt.cli import RunManifest, _Result
 
-# The split-compound token record is an oracle now; it stays a record.
-from oracles import CompoundSplit
+# The split-compound token record and the German analysis record are
+# oracles now; they stay records.
+from oracles import CompoundSplit, GermanAnalysis
 
 NOUN = GermanFeatureSeq("nominal", ("+NN", "Fem", "Acc", "Sg", "NA"))
 TABLE = MergeTable((("a", "b"), ("ab", "c")))

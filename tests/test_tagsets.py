@@ -7,12 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from morphmt import tagsets
 from morphmt.tagsets import (
-    GermanAnalysis,
     GermanFeatureSeq,
     MalformedAnalysis,
     MalformedTag,
     StemSegment,
-    format_analysis,
     format_tag,
     is_czech_tag,
     parse_czech_tag,
@@ -23,6 +21,7 @@ from morphmt.tagsets import (
 )
 
 from conftest import TABLE1_ROWS
+from oracles import GermanAnalysis, format_analysis, parse_analysis
 
 TAG_ALPHABET = "".join(sorted(tagsets.TAG_ALPHABET))
 
@@ -69,13 +68,13 @@ class TestPositionalTag:
 
     @pytest.mark.parametrize("raw", ["VB-P---3P-AA---", "AAIP7----2A----", "Z:-------------"])
     def test_format_round_trip(self, raw):
-        assert format_analysis(parse_czech_tag(raw)) == raw
+        assert format_tag(parse_czech_tag(raw)) == raw
 
     @given(czech_tag_texts)
     def test_accepts_exactly_the_permitted_alphabet(self, raw):
         tag = parse_czech_tag(raw)
-        assert format_analysis(tag) == raw
-        assert parse_czech_tag(format_analysis(tag)) == tag
+        assert format_tag(tag) == raw
+        assert parse_czech_tag(format_tag(tag)) == tag
 
     @given(st.text(max_size=30))
     def test_predicate_matches_parser(self, text):
@@ -146,35 +145,40 @@ class TestGermanFeatureSeq:
             GermanFeatureSeq("bare")
 
 
+def rejoin(tag_text, lemma):
+    """The analysis token of a row key: bare tags follow their lexeme."""
+    return lemma + tag_text if tag_text.startswith("[") else f"{lemma}||{tag_text}"
+
+
 class TestGermanAnalysis:
     def test_verb_stem(self):
-        a = parse_german_analysis("treffen||<+V><3><Sg><Pres><Ind>")
-        assert [s.lexeme for s in a.stem_segments] == ["treffen"]
-        assert a.feature_seq.kind == "verbal-finite"
-        assert a.inflected
+        tag_text, lemma, features = parse_german_analysis("treffen||<+V><3><Sg><Pres><Ind>")
+        assert (tag_text, lemma) == ("<+V><3><Sg><Pres><Ind>", "treffen")
+        assert features.kind == "verbal-finite"
 
     def test_compound_stem(self):
-        a = parse_german_analysis("Meer<NN>Boden||<+NN><Masc><Dat><Sg><NA>")
-        assert [(s.lexeme, s.markup) for s in a.stem_segments] == [
+        _, lemma, features = parse_german_analysis("Meer<NN>Boden||<+NN><Masc><Dat><Sg><NA>")
+        assert lemma == "Meer<NN>Boden"
+        assert [(s.lexeme, s.markup) for s in parse_stem_side(lemma)] == [
             ("Meer", "NN"),
             ("Boden", None),
         ]
-        assert a.feature_seq.kind == "nominal"
+        assert features.kind == "nominal"
 
     def test_bare_form(self):
-        a = parse_german_analysis("und[KON]")
-        assert not a.inflected
-        assert a.stem_segments == (StemSegment("und"),)
-        assert a.feature_seq.bare_tag == "KON"
+        tag_text, lemma, features = parse_german_analysis("und[KON]")
+        assert (tag_text, lemma) == ("[KON]", "und")
+        assert features.kind == "bare" and features.bare_tag == "KON"
 
     def test_punctuation_bare_form(self):
-        a = parse_german_analysis(",[$]")
-        assert a.stem_segments[0].lexeme == ","
-        assert format_analysis(a) == ",[$]"
+        tag_text, lemma, _ = parse_german_analysis(",[$]")
+        assert (tag_text, lemma) == ("[$]", ",")
 
     @pytest.mark.parametrize("raw", [rep for rep, _ in TABLE1_ROWS])
     def test_table_rows_round_trip(self, raw):
-        assert format_analysis(parse_german_analysis(raw)) == raw
+        tag_text, lemma, features = parse_german_analysis(raw)
+        assert rejoin(tag_text, lemma) == raw
+        assert format_tag(features) == tag_text
 
     @pytest.mark.parametrize(
         "bad",
@@ -202,13 +206,14 @@ class TestGermanAnalysis:
         ]
 
     def test_morph_analysis_conversion(self):
-        # A lexicon row key holds the stem side as the lemma and the
-        # feature sequence as the tag text; the analysis is rebuilt from them.
-        a = parse_german_analysis("Meer<NN>Boden||<+NN><Masc><Dat><Sg><NA>")
-        lemma, tag_text = a.stem_text, format_tag(a.feature_seq)
-        assert (lemma, tag_text) == ("Meer<NN>Boden", "<+NN><Masc><Dat><Sg><NA>")
+        # A lexicon row key holds the stem side as the lemma and the feature
+        # sequence as the tag text; the analysis record is built from them.
+        raw = "Meer<NN>Boden||<+NN><Masc><Dat><Sg><NA>"
+        tag_text, lemma, features = parse_german_analysis(raw)
+        assert (tag_text, lemma) == ("<+NN><Masc><Dat><Sg><NA>", "Meer<NN>Boden")
         rebuilt = GermanAnalysis(parse_stem_side(lemma), parse_feature_seq(tag_text))
-        assert rebuilt == a and format_analysis(rebuilt) == format_analysis(a)
+        assert rebuilt == parse_analysis(raw) and format_analysis(rebuilt) == raw
+        assert features == rebuilt.feature_seq
 
 
 german_lexemes = st.text(
@@ -253,12 +258,39 @@ def german_analysis_texts(draw):
     return "".join(parts) + "||" + features
 
 
+def parse_outcome(parse, raw):
+    try:
+        return parse(raw)
+    except MalformedAnalysis as exc:
+        return str(exc)
+
+
+def record_halves(a):
+    """The (tag text, lemma, features) of an analysis record."""
+    lemma = a.stem_text if a.inflected else a.stem_segments[0].lexeme
+    return format_tag(a.feature_seq), lemma, a.feature_seq
+
+
 class TestRoundTripProperties:
     @given(german_analysis_texts())
     def test_parse_format_inverse(self, raw):
-        analysis = parse_german_analysis(raw)
-        assert format_analysis(analysis) == raw
-        assert parse_german_analysis(format_analysis(analysis)) == analysis
+        tag_text, lemma, features = parse_german_analysis(raw)
+        assert rejoin(tag_text, lemma) == raw
+        assert format_analysis(parse_analysis(raw)) == raw
+        assert (tag_text, lemma, features) == record_halves(parse_analysis(raw))
+
+    @settings(max_examples=300)
+    @given(st.one_of(
+        german_analysis_texts(),
+        st.lists(st.sampled_from(list("ab<>[]|+ ") + ["NN", "KON", "||", "<+V><Inf>"]),
+                 max_size=12).map("".join),
+    ))
+    def test_checks_match_the_record_parser(self, raw):
+        # Every token the record parser rejected is rejected with its error text.
+        expected = parse_outcome(parse_analysis, raw)
+        if isinstance(expected, GermanAnalysis):
+            expected = record_halves(expected)
+        assert parse_outcome(parse_german_analysis, raw) == expected
 
 
 class TestSplitLines:
