@@ -200,8 +200,9 @@ def revert_bpe(subwords: list[str]) -> list[str]:
     The inverse of :func:`apply_bpe` over a whole sequence; raises
     :class:`DanglingMarker` when the sequence ends mid-word.  The pieces
     are joined into one line and every ``@@`` before a space is deleted
-    (the reference ``sed 's/@@ //g'``), so no piece may contain U+0020;
-    ``str.split()`` output never does.
+    (the reference ``sed 's/@@ //g'``), so an item may also be several
+    pieces joined by single spaces: a line with no other whitespace and
+    no leading, trailing or doubled space reverts as ``[line]``.
     """
     if not subwords:
         return []

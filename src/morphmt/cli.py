@@ -411,12 +411,12 @@ def cmd_split_compounds(args: argparse.Namespace, inputs: _Inputs) -> _Result:
         for token in line.split():
             try:
                 tag_text, lemma, features = tagsets.parse_german_analysis(token)
+                if features.kind == tagsets.KIND_BARE:
+                    tokens.append(token)
+                    continue
+                split = compounds.split_tokens(lemma, tag_text, features)
             except tagsets.MalformedAnalysis as exc:
                 raise CliError(f"line {lineno}: {exc}") from exc
-            if features.kind == tagsets.KIND_BARE:
-                tokens.append(token)
-                continue
-            split = compounds.split_tokens(lemma, tag_text, features)
             split_count += len(split) > 2  # an unsplit analysis has two tokens
             tokens += split
         out.append(" ".join(tokens))

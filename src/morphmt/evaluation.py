@@ -36,11 +36,12 @@ class EmptyCorpus(ValueError):
     """BLEU is undefined for an empty corpus."""
 
 
-def _ngrams(tokens: list[str], order: int) -> Iterable:
-    """The n-grams of ``tokens`` in order; unigrams are the tokens themselves."""
+def _ngrams(shifted: list[list[str]], order: int) -> Iterable:
+    """The n-grams of a sentence from its shifted token lists, in order;
+    unigrams are the tokens themselves."""
     if order == 1:
-        return tokens
-    return zip(*[tokens[i:] for i in range(order)])
+        return shifted[0]
+    return zip(*shifted[:order])
 
 
 def bleu(
@@ -53,6 +54,9 @@ def bleu(
 
     With ``smooth`` set, add-one smoothing is applied to the precisions
     of order 2 and above, which keeps tiny test sets off the hard zero.
+    A sentence's clipped matches of one order are counted with a set of
+    its hypothesis n-grams, or with two ``Counter``s where the hypothesis
+    repeats an n-gram of that order.
     """
     if len(hypotheses) != len(references):
         raise ValueError(
@@ -73,17 +77,22 @@ def bleu(
         ref_tokens = ref.split()
         hyp_length += len(hyp_tokens)
         ref_length += len(ref_tokens)
-        for n in range(1, min(len(hyp_tokens), MAX_ORDER) + 1):
+        orders = min(len(hyp_tokens), MAX_ORDER)
+        # tokens, tokens[1:], ...: order n zips the first n of them.
+        hyp_shifted = [hyp_tokens[i:] for i in range(orders)]
+        ref_shifted = [ref_tokens[i:] for i in range(orders)]
+        for n in range(1, orders + 1):
             count = len(hyp_tokens) - n + 1
             totals[n - 1] += count
             # Clipped matches: each reference occurrence covers at most one
             # hypothesis n-gram.  When the hypothesis n-grams are distinct,
             # that is the number of them the reference contains.
-            hyp_counts = Counter(_ngrams(hyp_tokens, n))
-            if len(hyp_counts) == count:
-                matches[n - 1] += len(hyp_counts.keys() & _ngrams(ref_tokens, n))
+            hyp_ngrams = set(_ngrams(hyp_shifted, n))
+            if len(hyp_ngrams) == count:
+                matches[n - 1] += len(hyp_ngrams.intersection(_ngrams(ref_shifted, n)))
             else:
-                ref_counts = Counter(_ngrams(ref_tokens, n))
+                hyp_counts = Counter(_ngrams(hyp_shifted, n))
+                ref_counts = Counter(_ngrams(ref_shifted, n))
                 matches[n - 1] += sum(
                     map(min, hyp_counts.values(), map(ref_counts.get, hyp_counts, repeat(0)))
                 )

@@ -12,14 +12,16 @@ Four representation modes:
 The pipeline encodes each word in one of these representations
 (``morphmt.pipeline``); this module decodes them.  :func:`walk` is the
 one pass over a decoded token stream.  It classifies each token once and
-returns the stream's items in order - (tag, word) pairs, bare tokens,
-orphan words and orphan tags - together with the first violation of the
-strict alternation, which the pipeline's postprocessing reports; the
-pipeline and the ``merge-compounds`` command consume the items.
+returns the stream's items in order - runs of positional (tag, word)
+pairs, German (stem, features) pairs, bare tokens, orphan words and
+orphan tags - together with the first violation of the strict
+alternation, which the pipeline's postprocessing reports; the pipeline
+and the ``merge-compounds`` command consume the items.
 """
 
 from __future__ import annotations
 
+import re
 from typing import NamedTuple
 
 from .conventions import (
@@ -40,6 +42,7 @@ __all__ = [
     "MODE_SERIALIZATION",
     "MODE_GERMAN_STEMMED",
     "ITEM_PAIR",
+    "ITEM_RUN",
     "ITEM_BARE",
     "EVENT_WORD_WITHOUT_TAG",
     "EVENT_DROPPED_TAG",
@@ -56,6 +59,7 @@ ERROR_TAG_EXPECTED = "tag-expected"
 ERROR_WORD_EXPECTED = "word-expected"
 
 ITEM_PAIR = "pair"
+ITEM_RUN = "run"
 ITEM_BARE = "bare"
 # Orphan items are named after the repair event they stand for.
 EVENT_WORD_WITHOUT_TAG = "word-without-tag"
@@ -78,16 +82,18 @@ class LengthMismatch(ValueError):
 class Item(NamedTuple):
     """One unit of a walked stream, at the position of its first token.
 
-    ``kind`` is :data:`ITEM_PAIR`, :data:`ITEM_BARE` (``lexeme[TAG]``
-    split into ``word`` and ``tag``), or a repair event kind for an
-    orphan word or tag.  ``features`` is the parsed feature sequence of a
-    German pair.
+    ``kind`` is :data:`ITEM_PAIR` (a German pair), :data:`ITEM_RUN`,
+    :data:`ITEM_BARE` (``lexeme[TAG]`` split into ``word`` and ``tag``),
+    or a repair event kind for an orphan word or tag.  A run is a stretch
+    of positional (tag, word) pairs; its ``tag`` and ``word`` are the
+    lists of its tags and of its words, in stream order.  ``features`` is
+    the parsed feature sequence of a German pair.
     """
 
     kind: str
     position: int
-    tag: str
-    word: str
+    tag: str | list[str]
+    word: str | list[str]
     features: GermanFeatureSeq | None = None
 
 
@@ -113,8 +119,10 @@ def walk(tokens: list[str], mode: str) -> Walk:
     An odd-length positional-tag stream is reported as ``odd-length`` at
     its last token before any other violation.  Tokens are classified
     once per distinct token (:func:`~morphmt.tagsets.classify_czech_tokens`,
-    :func:`~morphmt.tagsets.classify_german_tokens`).  Inputs must have
-    BPE reverted already.
+    :func:`~morphmt.tagsets.classify_german_tokens`).  Positional-tag
+    pairs come as runs: one regular-expression scan over the token classes
+    finds each stretch of pairs, and its tags and words are sliced out as
+    two lists.  Inputs must have BPE reverted already.
     """
     if mode in (MODE_MORPHGEN, MODE_SERIALIZATION):
         return _walk_tag_first(tokens)
@@ -129,32 +137,28 @@ def walk(tokens: list[str], mode: str) -> Walk:
 # constructor that a NamedTuple class call runs.
 _new = tuple.__new__
 
+# Over the token classes (1 a tag, 0 a word): a run of (tag, word) pairs,
+# else one orphan tag or one orphan word.
+_RUNS = re.compile(rb"(?:\x01\x00)+|\x01|\x00")
+
 
 def _walk_tag_first(tokens: list[str]) -> Walk:
-    is_tag = classify_czech_tokens(tokens)
     items: list[Item] = []
     append = items.append
     error = None
-    open_tag = -1
-    for i, tag in enumerate(is_tag):
-        if not tag:
-            if open_tag >= 0:
-                append(_new(Item, (ITEM_PAIR, open_tag, tokens[open_tag], tokens[i], None)))
-                open_tag = -1
-                continue
-            append(_new(Item, (EVENT_WORD_WITHOUT_TAG, i, "", tokens[i], None)))
+    classes = bytes(classify_czech_tokens(tokens))
+    for match in _RUNS.finditer(classes):
+        start, end = match.span()
+        if end - start > 1:
+            append(_new(Item, (ITEM_RUN, start, tokens[start:end:2], tokens[start + 1 : end : 2], None)))
+        elif classes[start]:
+            append(_new(Item, (EVENT_DROPPED_TAG, start, tokens[start], "", None)))
             if error is None:
-                error = WellformednessError(i, ERROR_TAG_EXPECTED)
-            continue
-        if open_tag >= 0:
-            append(_new(Item, (EVENT_DROPPED_TAG, open_tag, tokens[open_tag], "", None)))
+                error = WellformednessError(start + 1, ERROR_WORD_EXPECTED)
+        else:
+            append(_new(Item, (EVENT_WORD_WITHOUT_TAG, start, "", tokens[start], None)))
             if error is None:
-                error = WellformednessError(open_tag + 1, ERROR_WORD_EXPECTED)
-        open_tag = i
-    if open_tag >= 0:
-        append(_new(Item, (EVENT_DROPPED_TAG, open_tag, tokens[open_tag], "", None)))
-        if error is None:
-            error = WellformednessError(open_tag + 1, ERROR_WORD_EXPECTED)
+                error = WellformednessError(start, ERROR_TAG_EXPECTED)
     if len(tokens) % 2 != 0:
         error = WellformednessError(len(tokens) - 1, ERROR_ODD_LENGTH)
     return Walk(items, error)

@@ -10,13 +10,15 @@ turns the backend's output back into inflected surface text:
     revert BPE -> rejoin split compounds (split mode) -> walk the stream
     -> merge compounds (German) -> generate surface forms (lemma fallback)
 
-Each line's stream is walked once by :func:`interleave.walk`, which
-yields the (tag, word) items, the orphan words and tags, and the first
-strict well-formedness violation.  Every input line yields exactly one
-output line; malformed segments are repaired rather than fatal (an
-orphan word is emitted verbatim, an orphan tag is dropped, a stem that
-cannot be parsed or merged is emitted verbatim) and all repairs,
-generation fallbacks and well-formedness violations are reported
+A normalized line is reverted on its text; any other line is split on
+whitespace first.  Each line's stream is walked once by
+:func:`interleave.walk`, which yields the pairs (as runs in the Czech
+modes, each generated a column at a time), the orphan words and tags,
+and the first strict well-formedness violation.  Every input line
+yields exactly one output line; malformed segments are repaired rather
+than fatal (an orphan word is emitted verbatim, an orphan tag is
+dropped, a stem that cannot be parsed or merged is emitted verbatim) and
+all repairs, generation fallbacks and well-formedness violations are reported
 alongside the text, in one :class:`~morphmt.morphlex.Diagnostics`.
 """
 
@@ -395,12 +397,21 @@ class PostprocessResult(Record):
         self.diagnostics = diagnostics
 
 
-def _revert_lenient(tokens: list[str], diagnostics: Diagnostics) -> list[str]:
-    """Revert BPE after stripping dangling markers off the last token, in place.
+def _revert_lenient(line: str, diagnostics: Diagnostics) -> list[str]:
+    """Revert BPE on one backend line, stripping dangling markers off its end.
 
-    Each stripped marker is one repair at the last token; a last token
-    that was only markers is dropped.
+    A normalized line - printable, so that its only whitespace is U+0020,
+    with no leading, trailing or doubled space and no final marker - is
+    reverted on its text.  Any other line is split on whitespace first;
+    each marker stripped off its last token is one repair at that token,
+    and a last token that was only markers is dropped.
     """
+    if (
+        line and line.isprintable() and line[0] != " " and line[-1] != " "
+        and "  " not in line and not line.endswith(MARKER)
+    ):
+        return revert_bpe([line])
+    tokens = line.split()
     if not tokens:
         return []
     last = tokens[-1]
@@ -459,15 +470,16 @@ def postprocess_line(
     """Deterministically turn one backend output line into surface text.
 
     The line's records go into ``diagnostics``, keyed by its ``lines``,
-    which counts the line when done.  A Czech pair found in the lexicon
-    costs one lookup; only a miss goes through
-    :func:`~morphmt.morphlex.generate_with_fallback`.  German (stem, tag)
-    pairs are merged and generated once per distinct pair in ``memo``;
-    each occurrence replays the recorded outcome.
+    which counts the line when done.  A run of Czech pairs is looked up
+    in the lexicon a column at a time, each pair found costing one
+    lookup; only a miss goes through
+    :func:`~morphmt.morphlex.generate_with_fallback`, in stream order.
+    German (stem, tag) pairs are merged and generated once per distinct
+    pair in ``memo``; each occurrence replays the recorded outcome.
     """
     index = diagnostics.lines
     repairs = diagnostics.repairs
-    tokens = _revert_lenient(line.split(), diagnostics)
+    tokens = _revert_lenient(line, diagnostics)
 
     if mode == interleave.MODE_BASELINE:
         diagnostics.lines += 1
@@ -481,29 +493,32 @@ def postprocess_line(
     if error is not None:
         diagnostics.errors.append((index, error.kind, error.position))
 
-    ITEM_PAIR = interleave.ITEM_PAIR
+    ITEM_RUN = interleave.ITEM_RUN
     words: list[str] = []
     if mode == interleave.MODE_SERIALIZATION:
         for kind, position, _, word, _ in items:
-            if kind == ITEM_PAIR:
-                words.append(word)
+            if kind == ITEM_RUN:
+                words += word
             else:
                 _orphan(kind, index, position, word, words, repairs)
     elif mode == interleave.MODE_MORPHGEN:
         surface_for = lex.surface_for
         hits = 0
-        for kind, position, tag, word, _ in items:
-            if kind != ITEM_PAIR:
-                _orphan(kind, index, position, word, words, repairs)
+        for kind, position, tags, lemmas, _ in items:
+            if kind != ITEM_RUN:
+                _orphan(kind, index, position, lemmas, words, repairs)
                 continue
-            surface = surface_for(word, tag)
-            if surface is None:
-                surface = generate_with_fallback(lex, word, tag, diagnostics)
-            else:
-                hits += 1
-            words.append(surface)
+            surfaces = list(map(surface_for, lemmas, tags))
+            hits += len(surfaces)
+            if None in surfaces:
+                for k, surface in enumerate(surfaces):
+                    if surface is None:
+                        hits -= 1
+                        surfaces[k] = generate_with_fallback(lex, lemmas[k], tags[k], diagnostics)
+            words += surfaces
         diagnostics.generated += hits
     else:
+        ITEM_PAIR = interleave.ITEM_PAIR
         unknown_modifiers = diagnostics.unknown_modifiers
         for kind, position, tag, word, features in items:
             if kind != ITEM_PAIR:

@@ -1,5 +1,6 @@
 """The record path of ``prepare``, the German analysis record, the strict
-decoder and the split-token compound path, kept as oracles.
+decoder, the split-token compound path, the per-token Czech decode path
+and the ``Counter``-based BLEU, kept as oracles.
 
 ``prepare`` encodes each target word from the lexicon row key that
 ``select_analysis`` picks, (tag text, lemma).  It used to build an
@@ -11,28 +12,51 @@ record of stem segments and features, which ``split-compounds`` and
 split-mode ``prepare`` formatted back to text.  Compounds were merged
 through their split tokens: a stem was parsed, split into a checked
 token record, and the record's head parsed again to rebuild a
-one-segment analysis.  The tests check the code that replaced them
-against these functions.
+one-segment analysis.  Czech postprocessing split every backend line
+into tokens before reverting BPE, walked the stream one token at a time
+with an item per (tag, word) pair, and generated pair by pair.  BLEU
+counted each order's hypothesis n-grams in a ``Counter``.  The tests
+check the code that replaced them against these functions.
 """
 
+import math
+from collections import Counter
+from itertools import repeat
 from typing import NamedTuple
 
 from morphmt import FrozenRecord
+from morphmt.bpe import MARKER, revert_bpe
 from morphmt.compounds import SPLIT_MARKUP
-from morphmt.interleave import WellformednessError, walk
+from morphmt.evaluation import EmptyCorpus
+from morphmt.interleave import (
+    ERROR_ODD_LENGTH,
+    ERROR_TAG_EXPECTED,
+    ERROR_WORD_EXPECTED,
+    EVENT_DROPPED_TAG,
+    EVENT_WORD_WITHOUT_TAG,
+    ITEM_PAIR,
+    ITEM_RUN,
+    Item,
+    Walk,
+    WellformednessError,
+    walk,
+)
 from morphmt.morphlex import (
     Diagnostics,
     NoCompatibleAnalysis,
     _compatible,
     _parse_context,
+    generate_with_fallback,
     parse_tag_text,
 )
+from morphmt.pipeline import PostprocessResult
 from morphmt.tagsets import (
     _BARE_RE,
     GermanFeatureSeq,
     MalformedAnalysis,
     PositionalTag,
     StemSegment,
+    classify_czech_tokens,
     classify_german_tokens,
     format_separator,
     format_tag,
@@ -164,13 +188,28 @@ def encode_record(a: Analysis, mode: str) -> tuple[str, ...]:
     return (a.lemma, a.tag_text)
 
 
+def expand_runs(items: list[Item]) -> list[Item]:
+    """Walked items with each run of positional pairs replaced by one
+    ``ITEM_PAIR`` item per pair, at the position of its tag."""
+    out = []
+    for item in items:
+        if item.kind == ITEM_RUN:
+            out += [
+                Item(ITEM_PAIR, item.position + 2 * k, tag, word)
+                for k, (tag, word) in enumerate(zip(item.tag, item.word))
+            ]
+        else:
+            out.append(item)
+    return out
+
+
 def decode(tokens: list[str], mode: str) -> list[tuple[str, str]]:
     """The (tag, word) pairs of a stream, bare tokens included, or its
     first :class:`WellformednessError` raised: the strict view of ``walk``."""
     stream = walk(tokens, mode)
     if stream.error is not None:
         raise stream.error
-    return [(item.tag, item.word) for item in stream.items]
+    return [(item.tag, item.word) for item in expand_runs(stream.items)]
 
 
 def wellformedness(lines: list[str], mode: str) -> Diagnostics:
@@ -298,3 +337,146 @@ def merge_stem(stem: str, feature_seq: GermanFeatureSeq, lex, unknown_modifiers=
         if isinstance(split, CompoundSplit):
             return merge_compound(split, lex, unknown_modifiers), True
     return analysis, False
+
+
+# ---------------------------------------------------------------------------
+# The per-token Czech decode path
+# ---------------------------------------------------------------------------
+
+
+def revert_lenient(tokens: list[str], diagnostics: Diagnostics) -> list[str]:
+    """Revert BPE on a line's whitespace tokens after stripping dangling
+    markers off the last token, each one repair there."""
+    if not tokens:
+        return []
+    last = tokens[-1]
+    while last.endswith(MARKER):
+        diagnostics.repairs.append((diagnostics.lines, len(tokens) - 1, "dangling-marker"))
+        last = last[: -len(MARKER)]
+    tokens[-1] = last
+    words = revert_bpe(tokens)
+    if not words[-1]:
+        words.pop()
+    return words
+
+
+def walk_tag_first(tokens: list[str]) -> Walk:
+    """The positional-tag walk one token at a time, one item per pair."""
+    is_tag = classify_czech_tokens(tokens)
+    items: list[Item] = []
+    error = None
+    open_tag = -1
+    for i, tag in enumerate(is_tag):
+        if not tag:
+            if open_tag >= 0:
+                items.append(Item(ITEM_PAIR, open_tag, tokens[open_tag], tokens[i]))
+                open_tag = -1
+                continue
+            items.append(Item(EVENT_WORD_WITHOUT_TAG, i, "", tokens[i]))
+            if error is None:
+                error = WellformednessError(i, ERROR_TAG_EXPECTED)
+            continue
+        if open_tag >= 0:
+            items.append(Item(EVENT_DROPPED_TAG, open_tag, tokens[open_tag], ""))
+            if error is None:
+                error = WellformednessError(open_tag + 1, ERROR_WORD_EXPECTED)
+        open_tag = i
+    if open_tag >= 0:
+        items.append(Item(EVENT_DROPPED_TAG, open_tag, tokens[open_tag], ""))
+        if error is None:
+            error = WellformednessError(open_tag + 1, ERROR_WORD_EXPECTED)
+    if len(tokens) % 2 != 0:
+        error = WellformednessError(len(tokens) - 1, ERROR_ODD_LENGTH)
+    return Walk(items, error)
+
+
+def postprocess_tag_first(lines: list[str], mode: str, lex) -> PostprocessResult:
+    """``postprocess`` in morphgen or serialization mode, token by token:
+    each line split and reverted, walked pair by pair, and each pair
+    looked up where it occurs."""
+    diagnostics = Diagnostics()
+    out = []
+    for line in lines:
+        index = diagnostics.lines
+        tokens = revert_lenient(line.split(), diagnostics)
+        stream = walk_tag_first(tokens)
+        if stream.error is not None:
+            diagnostics.errors.append((index, stream.error.kind, stream.error.position))
+        words = []
+        for kind, position, tag, word, _ in stream.items:
+            if kind != ITEM_PAIR:
+                diagnostics.repairs.append((index, position, kind))
+                if kind != EVENT_DROPPED_TAG:
+                    words.append(word)
+            elif mode == "serialization":
+                words.append(word)
+            else:
+                surface = lex.surface_for(word, tag)
+                if surface is None:
+                    surface = generate_with_fallback(lex, word, tag, diagnostics)
+                else:
+                    diagnostics.generated += 1
+                words.append(surface)
+        diagnostics.lines += 1
+        out.append(" ".join(words))
+    return PostprocessResult(out, diagnostics)
+
+
+# ---------------------------------------------------------------------------
+# BLEU with Counters
+# ---------------------------------------------------------------------------
+
+
+def _ngrams(tokens, order):
+    if order == 1:
+        return tokens
+    return zip(*[tokens[i:] for i in range(order)])
+
+
+def counter_bleu(hypotheses, references, lowercase=False, smooth=False):
+    """Corpus BLEU-4 with each order's hypothesis n-grams in a ``Counter``."""
+    if len(hypotheses) != len(references):
+        raise ValueError(
+            f"{len(hypotheses)} hypotheses vs {len(references)} references"
+        )
+    if not hypotheses:
+        raise EmptyCorpus("no sentences to score")
+    if lowercase:
+        hypotheses = [h.lower() for h in hypotheses]
+        references = [r.lower() for r in references]
+    matches, totals = [0] * 4, [0] * 4
+    hyp_length = ref_length = 0
+    for hyp, ref in zip(hypotheses, references):
+        hyp_tokens, ref_tokens = hyp.split(), ref.split()
+        hyp_length += len(hyp_tokens)
+        ref_length += len(ref_tokens)
+        for n in range(1, min(len(hyp_tokens), 4) + 1):
+            count = len(hyp_tokens) - n + 1
+            totals[n - 1] += count
+            hyp_counts = Counter(_ngrams(hyp_tokens, n))
+            if len(hyp_counts) == count:
+                matches[n - 1] += len(hyp_counts.keys() & _ngrams(ref_tokens, n))
+            else:
+                ref_counts = Counter(_ngrams(ref_tokens, n))
+                matches[n - 1] += sum(
+                    map(min, hyp_counts.values(), map(ref_counts.get, hyp_counts, repeat(0)))
+                )
+    if hyp_length == 0:
+        return 0.0
+    log_sum, orders = 0.0, 0
+    for n in range(1, 5):
+        m, t = matches[n - 1], totals[n - 1]
+        if t == 0:
+            continue
+        if smooth and n > 1:
+            m, t = m + 1, t + 1
+        if m == 0:
+            return 0.0
+        log_sum += math.log(m / t)
+        orders += 1
+    precision = math.exp(log_sum / orders)
+    if hyp_length < ref_length:
+        brevity_penalty = math.exp(1.0 - ref_length / hyp_length)
+    else:
+        brevity_penalty = 1.0
+    return 100.0 * brevity_penalty * precision

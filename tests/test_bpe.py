@@ -159,6 +159,9 @@ class TestRevertMatchesTokenLoop:
     @example(["a\t@@", "b\x85"])
     def test_revert(self, pieces):
         assert outcome(revert_bpe, pieces) == outcome(token_loop_revert, pieces)
+        if pieces and not pieces[-1].endswith("@@"):
+            # The pieces joined by single spaces, as one item, revert the same.
+            assert revert_bpe([" ".join(pieces)]) == revert_bpe(pieces)
 
     @settings(max_examples=300)
     @given(revert_pieces)

@@ -480,6 +480,13 @@ class TestCompoundCommands:
         assert (code, out) == (1, "")
         assert err.startswith("morphmt: error: line 2: lexeme expected at 2 in ")
 
+    def test_split_error_names_its_line(self, run):
+        # The same stem as above, which cannot be split either.
+        lines = "und[KON]\na<NN>§§<X>§§||<+NN><Masc><Dat><Sg><NA>\n"
+        code, out, err = run(["split-compounds"], stdin_text=lines)
+        assert (code, out) == (1, "")
+        assert err.startswith("morphmt: error: line 2: lexeme expected at 2 in ")
+
 
 class TestTranslateCommand:
     def test_identity_backend(self, run):

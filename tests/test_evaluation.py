@@ -14,6 +14,7 @@ from morphmt.evaluation import (
 from morphmt.pipeline import PipelineConfig, postprocess
 
 from conftest import FIG1_MORPHGEN
+from oracles import counter_bleu
 
 # Hand-derived oracle for "the cat sat on the mat ." vs
 # "the cat is on the mat .": modified precisions 6/7, 4/6, 2/5, 1/4
@@ -151,6 +152,36 @@ class TestBleuMatchesGeneratorCounts:
             score = bleu(hyps, refs, smooth=smooth)
             assert 0 < score < 100
             assert score == generator_bleu(hyps, refs, smooth=smooth)
+
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestBleuMatchesCounterOracle:
+    """Set counts per order, a Counter only where a sentence repeats an
+    n-gram: the same floats and errors as counting every order in Counters."""
+
+    @settings(max_examples=300)
+    @given(bleu_corpus, st.booleans(), st.booleans())
+    def test_same_score(self, pairs, lowercase, smooth):
+        hyps, refs = [h for h, _ in pairs], [r for _, r in pairs]
+        assert bleu(hyps, refs, lowercase, smooth) == counter_bleu(hyps, refs, lowercase, smooth)
+
+    @settings(max_examples=100)
+    @given(st.lists(bleu_sentence, max_size=3), st.lists(bleu_sentence, max_size=3),
+           st.booleans(), st.booleans())
+    def test_same_errors(self, hyps, refs, lowercase, smooth):
+        args = (hyps, refs, lowercase, smooth)
+        assert outcome(bleu, *args) == outcome(counter_bleu, *args)
+
+    def test_error_texts(self):
+        assert outcome(bleu, ["a"], ["a", "b"]) == (ValueError, "1 hypotheses vs 2 references")
+        assert outcome(bleu, [], []) == (EmptyCorpus, "no sentences to score")
 
 
 class TestNovelForms:

@@ -1,7 +1,7 @@
 """Encoding/decoding of the interleaved training representations."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from morphmt import tagsets
 
@@ -35,7 +35,15 @@ from conftest import (
     FIG1_SERIALIZATION,
     TABLE1_ROWS,
 )
-from oracles import Analysis, decode, encode_record, wellformedness
+from oracles import (
+    Analysis,
+    decode,
+    encode_record,
+    expand_runs,
+    postprocess_tag_first,
+    walk_tag_first,
+    wellformedness,
+)
 from test_tagsets import oracle_german_class, oracle_is_bare, uncached_feature_token
 
 # (tag text, lemma, surface) per word: a row key and the surface it analyses.
@@ -392,11 +400,19 @@ def oracle_walk(tokens, mode):
 
 
 def walk_view(stream):
-    """A walk's items with their types, and its error as comparable values."""
+    """A walk's items with their types, runs expanded into pairs, and its
+    error as comparable values."""
     error = stream.error
     if error is not None:
         error = (type(error), error.kind, error.position, str(error))
-    return type(stream), [(type(item), item) for item in stream.items], error
+    return type(stream), [(type(item), item) for item in expand_runs(stream.items)], error
+
+
+def assert_walk_matches_oracles(tokens, mode):
+    view = walk_view(walk(tokens, mode))
+    assert view == walk_view(oracle_walk(tokens, mode))
+    if mode != "german-stemmed":
+        assert view == walk_view(walk_tag_first(tokens))
 
 
 MODES_WALKED = ["morphgen", "serialization", "german-stemmed"]
@@ -406,7 +422,7 @@ class TestWalkMatchesOracle:
     @settings(max_examples=300, deadline=None)
     @given(streams, st.sampled_from(MODES_WALKED))
     def test_walk_matches_oracle(self, tokens, mode):
-        assert walk_view(walk(tokens, mode)) == walk_view(oracle_walk(tokens, mode))
+        assert_walk_matches_oracles(tokens, mode)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(streams, min_size=1, max_size=4), st.sampled_from(MODES_WALKED))
@@ -419,7 +435,7 @@ class TestWalkMatchesOracle:
             for tokens in token_lines:
                 assert classify_czech_tokens(tokens) == list(map(is_czech_tag, tokens))
                 assert classify_german_tokens(tokens) == list(map(oracle_german_class, tokens))
-                assert walk_view(walk(tokens, mode)) == walk_view(oracle_walk(tokens, mode))
+                assert_walk_matches_oracles(tokens, mode)
             assert len(tagsets._CZECH_TOKENS) <= 2
             assert len(tagsets._GERMAN_TOKENS) <= 2
 
@@ -428,3 +444,66 @@ class TestWalkMatchesOracle:
             walk(["a"], "baseline")
         with pytest.raises(ValueError, match="unknown mode"):
             walk(["a"], "surface")
+
+
+# ---------------------------------------------------------------------------
+# Czech postprocessing against the per-token path: each line split before
+# its BPE is reverted, the stream walked one token at a time and each pair
+# looked up where it occurs.  Lines mix lexicon pairs, unknown lemmas,
+# 15-letter lemmas that read as tags, BPE pieces, dangling markers and
+# every kind of whitespace the text revert must leave to the split path.
+# ---------------------------------------------------------------------------
+
+_CZECH_PAIRS = [(tag_text, lemma) for tag_text, lemma, _ in FIG1_WORDS] + [
+    ("NNFS1-----A----", "Hvanda"),  # unknown lemma
+    ("NNIP1-----A----", "pizza"),  # incompatible tag
+]
+_CZECH_OTHER = ["piz@@", "za", "exis@@", "tovat", "@@", "x@@@", "NNFS2-----A----@@", ".@@"]
+czech_units = st.one_of(
+    st.sampled_from(_CZECH_PAIRS).map(list),
+    st.sampled_from(_CZECH_OTHER + [tag for tag, _ in _CZECH_PAIRS]).map(lambda t: [t]),
+    st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=15, max_size=15).map(lambda t: [t]),
+)
+_SPACES = [" ", " ", " ", "  ", "\t", "\x0c", "\x85", "\xa0", "\u2028"]
+
+
+@st.composite
+def czech_lines(draw):
+    """A line of units: half of them joined by single spaces, the others by
+    single and double spaces or by any whitespace, each with or without a
+    leading and a trailing separator and a dangling marker."""
+    tokens = [token for unit in draw(st.lists(czech_units, max_size=8)) for token in unit]
+    spaces = draw(st.sampled_from([None, None, [" ", "  "], _SPACES]))
+    if spaces is None:
+        return " ".join(tokens)
+    separators = draw(st.lists(st.sampled_from(spaces), min_size=len(tokens) + 2,
+                               max_size=len(tokens) + 2))
+    line = "".join(sep + token for sep, token in zip(separators, tokens))
+    if draw(st.booleans()):
+        line = line[len(separators[0]):]
+    if draw(st.booleans()):
+        line += separators[-1]
+    return line + draw(st.sampled_from(["", "", "@@", "@@@@", " @@"]))
+
+
+class TestCzechPostprocessMatchesOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(czech_lines(), max_size=6), st.sampled_from(["morphgen", "serialization"]))
+    @example(
+        [
+            "NNFS2-----A---- piz@@ za",
+            "NNFS2-----A---- piz@@ za ",
+            " NNFS2-----A---- piz@@ za",
+            "NNFS2-----A----  piz@@ za",
+            "NNFS2-----A----\tpiz@@ za",
+            "NNFS2-----A---- piz@@ za@@",
+            "NNFS2-----A---- piz@@ za @@",
+            "",
+        ],
+        "morphgen",
+    )
+    def test_same_lines_and_diagnostics(self, czech_lexicon, lines, mode):
+        result = postprocess(lines, PipelineConfig.for_mode(mode), czech_lexicon)
+        expected = postprocess_tag_first(lines, mode, czech_lexicon)
+        assert result.lines == expected.lines
+        assert result.diagnostics == expected.diagnostics

@@ -48,6 +48,7 @@ from oracles import (
     disambiguate,
     encode_record,
     merge_stem,
+    revert_lenient,
     split_analysis,
     to_german_analysis,
 )
@@ -124,7 +125,7 @@ def oracle_postprocess_line(line, mode, lex):
     records in a Diagnostics of their own, at line 0."""
     diagnostics = Diagnostics()
     repairs = diagnostics.repairs
-    tokens = pipeline._revert_lenient(line.split(), diagnostics)
+    tokens = revert_lenient(line.split(), diagnostics)
     if mode == "baseline":
         diagnostics.lines = 1
         return " ".join(tokens), diagnostics
