@@ -20,6 +20,12 @@ leaves unset, before the handler runs.
 Each handler imports the library modules it runs, when it runs, and
 :func:`main` builds the parser of the subcommand it runs, so a stage
 loads and builds only what it uses.
+
+:func:`run` is the process entry point (``morphmt`` and ``python -m
+morphmt.cli``): after :func:`main` returns it flushes both streams and
+ends the process with ``os._exit``, skipping the interpreter's teardown,
+since a stage leaves no open file, child process or ``atexit`` hook.
+Library callers and tests call :func:`main`, which returns the exit code.
 """
 
 from __future__ import annotations
@@ -27,9 +33,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 from . import Record, __version__
 from .conventions import (
@@ -44,7 +51,7 @@ from .conventions import (
 if TYPE_CHECKING:
     from . import morphlex, pipeline
 
-__all__ = ["main", "RunManifest"]
+__all__ = ["main", "run", "RunManifest"]
 
 
 class CliError(RuntimeError):
@@ -795,5 +802,30 @@ def _loaded_library_errors() -> tuple[type[Exception], ...]:
     return tuple(errors)
 
 
+def run() -> NoReturn:
+    """Run :func:`main` as a process and exit with its code.
+
+    On a normal return, flush standard output and standard error and end
+    with ``os._exit``.  A failed flush, or a profiler, tracer or other
+    ``sys.monitoring`` tool that has yet to write its report, takes the
+    ordinary exit instead, as do ``SystemExit`` and uncaught exceptions
+    from :func:`main`.  A tool that reports only from an ``atexit`` hook
+    should call :func:`main` instead."""
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):  # a closed pipe or stream
+        sys.exit(code)
+    # cProfile registers a sys.monitoring tool from Python 3.12 on, and no
+    # longer sets sys.getprofile().
+    monitoring = getattr(sys, "monitoring", None)
+    if sys.gettrace() is not None or sys.getprofile() is not None or (
+        monitoring is not None and any(monitoring.get_tool(i) is not None for i in range(6))
+    ):
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()
