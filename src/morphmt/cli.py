@@ -126,11 +126,27 @@ class _Inputs:
 
 
 def write_lines(path: str | None, lines: list[str]) -> None:
+    """Write lines to a file, or to standard output and flush it there.
+
+    A write or flush that fails because the reader of standard output
+    has gone points file descriptor 1 at the null device before it
+    raises: a failed flush keeps its data, so every later flush, the
+    interpreter's at exit included, would fail and report it again.
+    """
     text = "".join(line + "\n" for line in lines)
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
+    if path is not None and path != "-":
         Path(path).write_text(text, encoding="utf-8")
+        return
+    if sys.stdout is None:  # file descriptor 1 was closed when the process started
+        raise CliError("standard output is closed")
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise
 
 
 def emit_manifest(manifest: RunManifest, output_path: str | None, manifest_path: str | None) -> None:
@@ -169,7 +185,12 @@ def config_keys(parser: argparse.ArgumentParser) -> set[str]:
 def load_config_file(path: str, keys: set[str]) -> dict[str, str]:
     values: dict[str, str] = {}
     # Bytes, not read_text: text mode would end a line at a lone \r.
-    for lineno, line in enumerate(split_lines(Path(path).read_bytes().decode("utf-8")), 1):
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: invalid UTF-8 at byte {exc.start}") from exc
+    for lineno, line in enumerate(split_lines(text), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -813,8 +834,9 @@ def run() -> NoReturn:
     should call :func:`main` instead."""
     code = main()
     try:
-        sys.stdout.flush()
-        sys.stderr.flush()
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None: its descriptor was closed at start
+                stream.flush()
     except (OSError, ValueError):  # a closed pipe or stream
         sys.exit(code)
     # cProfile registers a sys.monitoring tool from Python 3.12 on, and no

@@ -109,6 +109,8 @@ class PipelineConfig(Record):
             raise ValueError(f"need maxlen >= minlen >= 1, got {maxlen} / {minlen}")
         if bpe_merges < 0:
             raise ValueError("bpe_merges must be >= 0")
+        if sample_size is not None and sample_size < 0:
+            raise ValueError("sample_size must be >= 0")
         self.mode = mode
         self.bpe_merges = bpe_merges
         self.maxlen = maxlen

@@ -97,6 +97,13 @@ def entry_rows(name):
     return [row for row in lexicon_rows(name) if row[0] != "@mod"]
 
 
+def toy_lexicon(name):
+    """(rows, modifier pairs) of a lexicon under ``data/``, as tuples."""
+    rows = [tuple(row) for row in entry_rows(name)]
+    mods = [tuple(row[1:]) for row in lexicon_rows(name) if row[0] == "@mod"]
+    return rows, mods
+
+
 @pytest.fixture(scope="session")
 def czech_lexicon():
     return morphlex.load_lexicon((DATA_DIR / "czech_toy.tsv").read_text(encoding="utf-8"))

@@ -21,6 +21,8 @@ from morphmt.bpe import (
 from morphmt.pipeline import PipelineConfig, postprocess
 from morphmt.tagsets import is_czech_tag
 
+import spec
+
 
 class TestLearnBpe:
     def test_zero_merges(self):
@@ -118,21 +120,6 @@ def token_loop_revert(subwords):
     return out
 
 
-def token_loop_lenient(tokens):
-    """Postprocessing's reversion as a retry per dangling marker; returns (tokens, repairs).
-
-    A last token that was only markers is dropped, unless it joined the word before it.
-    """
-    tokens, repairs = list(tokens), []
-    while True:
-        try:
-            words = token_loop_revert(tokens)
-            return (words[:-1] if words and not words[-1] else words), repairs
-        except DanglingMarker:
-            repairs.append((0, len(tokens) - 1, "dangling-marker"))
-            tokens[-1] = tokens[-1][:-2]
-
-
 # Pieces as str.split() yields them, but also empty: markers alone, runs of
 # "@", markers mid-piece, and the separators str.split() cuts at (tab,
 # U+0085) that a hand-built piece list may still hold.
@@ -171,10 +158,8 @@ class TestRevertMatchesTokenLoop:
     @example(["@@@@"])
     def test_postprocess_repairs(self, pieces):
         line = " ".join(pieces)
-        tokens, repairs = token_loop_lenient(line.split())
         result = postprocess([line], PipelineConfig.for_mode("baseline"))
-        assert result.lines == [" ".join(tokens)]
-        assert result.diagnostics.repairs == repairs
+        assert (result.lines, result.diagnostics) == spec.postprocess_lines([line], "baseline")
 
 
 class TestMergeTableSerialization:

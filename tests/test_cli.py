@@ -136,6 +136,11 @@ class TestPrepareCommand:
         assert code == 0
         assert out == FIG1_MORPHGEN + "\n"
 
+    def test_negative_sample_size_names_the_option(self, run):
+        code, out, err = run(["prepare", "--mode", "baseline", "--filter", "--sample-size", "-1"],
+                             stdin_text="a b\n")
+        assert (code, out, err) == (1, "", "morphmt: error: sample_size must be >= 0\n")
+
     def test_protect_tags_leaves_source_words_to_bpe(self, run, tmp_path):
         # "representatives" is 15 ASCII letters: it reads as a positional tag.
         src = tmp_path / "src.txt"
@@ -680,6 +685,13 @@ class TestConfigPrecedence:
         _, out, _ = run(["prepare", "--config", str(config), "--filter"], stdin_text="a\nb c\n")
         assert out == "a\n"
 
+    def test_invalid_utf8_names_the_file(self, run, tmp_path):
+        config = tmp_path / "run.conf"
+        config.write_bytes(b"merges=\xff\n")
+        code, out, err = run(["bpe-learn", "--config", str(config)], stdin_text="ab\n")
+        assert (code, out) == (1, "")
+        assert err == f"morphmt: error: {config}: invalid UTF-8 at byte 7\n"
+
     def test_config_key_rejected(self, run, tmp_path):
         config = tmp_path / "run.conf"
         config.write_text("config = other.conf\n")
@@ -972,10 +984,10 @@ class TestExitContract:
     @pytest.mark.parametrize("unbuffered, size, code, stderr_end", [
         (True, 2, 1, b"morphmt: error: [Errno 32] Broken pipe\n"),
         (True, 30_000, 1, b"morphmt: error: [Errno 32] Broken pipe\n"),
-        # Past the buffer, the write in main fails; within it, the flush
-        # after main, and then the interpreter's own flush reports it.
+        # Past the buffer the write in main fails, within it the flush in
+        # main: either way the error is reported once and the rest dropped.
         (False, 30_000, 1, b"morphmt: error: [Errno 32] Broken pipe\n"),
-        (False, 2, 120, b"\nBrokenPipeError: [Errno 32] Broken pipe\n"),
+        (False, 2, 1, b"morphmt: error: [Errno 32] Broken pipe\n"),
     ])
     def test_closed_stdout(self, unbuffered, size, code, stderr_end):
         env = {**PACKAGE_ENV, "PYTHONUNBUFFERED": "1"} if unbuffered else PACKAGE_ENV
@@ -989,8 +1001,28 @@ class TestExitContract:
         finally:
             os.close(write_end)
         assert result.returncode == code, result.stderr
-        assert result.stderr.endswith(stderr_end)
+        assert result.stderr == stderr_end  # no manifest after the failed write
         assert result.stderr.count(b"Broken pipe") == 1
+
+    @pytest.mark.parametrize("output", [True, False])
+    def test_stdout_closed_at_start(self, tmp_path, output):
+        # With descriptor 1 closed before start-up, sys.stdout is None.
+        (tmp_path / "in.txt").write_text("a@@ b\n")
+        argv = [sys.executable, "-m", "morphmt.cli", "bpe-revert", "in.txt"]
+        result = subprocess.run(
+            ["sh", "-c", 'exec "$@" 1>&-', "sh", *argv, *(["-o", "out.txt"] if output else [])],
+            cwd=tmp_path, capture_output=True, text=True, env=PACKAGE_ENV,
+        )
+        if output:
+            assert (result.returncode, result.stderr) == (0, "")
+            assert (tmp_path / "out.txt").read_text() == "ab\n"
+            assert json.loads((tmp_path / "out.txt.manifest.json").read_text())["command"] == (
+                "bpe-revert"
+            )
+        else:
+            assert (result.returncode, result.stderr) == (
+                1, "morphmt: error: standard output is closed\n"
+            )
 
     # Usage errors: TestUsageErrors.test_fresh_process.
     @pytest.mark.parametrize("argv", [["--help"], ["postprocess", "--help"], ["--version"]])

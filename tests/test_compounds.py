@@ -7,9 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from morphmt import cli, pipeline
 from morphmt.compounds import merge_stem, rejoin_split_tokens, split_compound, split_tokens
-from morphmt.morphlex import ParadigmLexicon, generate
+from morphmt.morphlex import Diagnostics, ParadigmLexicon, generate
 from morphmt.tagsets import (
-    GermanFeatureSeq,
     MalformedAnalysis,
     StemSegment,
     classify_german_tokens,
@@ -19,15 +18,8 @@ from morphmt.tagsets import (
     parse_stem_side,
 )
 
-import oracles
-from oracles import CompoundSplit, GermanAnalysis, format_analysis, parse_analysis
-
-from test_tagsets import (
-    ORACLE_SEPARATOR_RE,
-    oracle_is_bare,
-    oracle_is_separator,
-    uncached_feature_token,
-)
+import spec
+from conftest import toy_lexicon
 
 
 def split(text):
@@ -114,11 +106,6 @@ class TestSplitCompound:
         assert str(info.value) == (
             "lexeme expected at 2 in ('a', '§§<NN>§§', '§§<X>§§', '<+NN><Masc><Dat><Sg><NA>')"
         )
-        # The token record the split path used to build checked more.
-        with pytest.raises(MalformedAnalysis):
-            CompoundSplit(("§§<NN>§§", "Boden", "x", "<+NN><Masc><Dat><Sg><NA>"))
-        with pytest.raises(MalformedAnalysis):
-            CompoundSplit(("Meer", "§§<NN>§§", "Boden", "kein-tag"))
 
 
 class TestSeparatorTokens:
@@ -208,34 +195,11 @@ class TestRejoinSplitTokens:
         assert events == []
 
 
-def oracle_rejoin(tokens):
-    """rejoin_split_tokens as it was first written: three predicates per neighbour."""
-
-    def is_lexeme_like(token):
-        return not (
-            oracle_is_separator(token)
-            or uncached_feature_token(token) is not None
-            or oracle_is_bare(token)
-        )
-
-    out, events = [], []
-    i = 0
-    while i < len(tokens):
-        token = tokens[i]
-        m = ORACLE_SEPARATOR_RE.match(token)
-        if m is None:
-            out.append(token)
-            i += 1
-            continue
-        left_ok = bool(out) and is_lexeme_like(out[-1])
-        right_ok = i + 1 < len(tokens) and is_lexeme_like(tokens[i + 1])
-        if left_ok and right_ok:
-            out[-1] = f"{out[-1]}<{m.group(1)}>{tokens[i + 1]}"
-            i += 2
-        else:
-            events.append((i, "orphan-separator"))
-            i += 1
-    return out, events
+def spec_rejoin(tokens):
+    """The reference model's rejoined tokens and orphan separators."""
+    diagnostics = Diagnostics()
+    out = spec.rejoin(tokens, 0, diagnostics)
+    return out, [(position, event) for _, position, event in diagnostics.repairs]
 
 
 # Stream tokens of split lines, with pieces that join into a separator
@@ -250,19 +214,19 @@ class TestRejoinMatchesOracle:
     def test_chained_separators_spelling_a_separator(self):
         tokens = "§§ §§<NN>§§ §§ §§<X>§§ y".split()
         assert rejoin_split_tokens(tokens) == (["§§<NN>§§", "y"], [(3, "orphan-separator")])
-        assert rejoin_split_tokens(tokens) == oracle_rejoin(tokens)
+        assert rejoin_split_tokens(tokens) == spec_rejoin(tokens)
 
     def test_joined_feature_sequence_is_not_a_lexeme(self):
         tokens = "<+NN><Fem> §§<Acc>§§ <Sg><NA> §§<NN>§§ Boden".split()
         assert rejoin_split_tokens(tokens) == (
             ["<+NN><Fem><Acc><Sg><NA>", "Boden"], [(3, "orphan-separator")]
         )
-        assert rejoin_split_tokens(tokens) == oracle_rejoin(tokens)
+        assert rejoin_split_tokens(tokens) == spec_rejoin(tokens)
 
     @settings(max_examples=300)
     @given(st.lists(split_stream_tokens, max_size=12))
     def test_rejoin_matches_oracle(self, tokens):
-        assert rejoin_split_tokens(tokens) == oracle_rejoin(tokens)
+        assert rejoin_split_tokens(tokens) == spec_rejoin(tokens)
 
 
 _FEATURE_TEXTS = ["<+NN><Masc><Dat><Sg><NA>", "<+ADJ><Pos><NoGend><Dat><Sg><Wk>",
@@ -274,14 +238,11 @@ stem_segments = st.lists(
 ).map(tuple)
 # Inflected (stem||features) and bare analysis tokens.
 german_analysis_texts = st.one_of(
-    st.builds(GermanAnalysis, stem_segments, st.sampled_from(_FEATURE_TEXTS).map(parse_feature_seq)),
-    st.builds(
-        lambda lexeme, tag: GermanAnalysis(
-            (StemSegment(lexeme),), GermanFeatureSeq("bare", bare_tag=tag), inflected=False
-        ),
-        st.sampled_from(["und", ",", "an"]), st.sampled_from(["KON", "$", "APPR-Dat"]),
-    ),
-).map(format_analysis)
+    st.builds(lambda segments, features: "".join(map(str, segments)) + "||" + features,
+              stem_segments, st.sampled_from(_FEATURE_TEXTS)),
+    st.builds(lambda lexeme, tag: f"{lexeme}[{tag}]",
+              st.sampled_from(["und", ",", "an"]), st.sampled_from(["KON", "$", "APPR-Dat"])),
+)
 
 
 class TestSplitTokens:
@@ -289,10 +250,11 @@ class TestSplitTokens:
     @given(german_analysis_texts)
     def test_both_callers_agree(self, text):
         # split-compounds and split-mode prepare encode a token's row key alike,
-        # as the analysis record's split tokens.
+        # as the reference model does.
         tokens = split_compounds(text)
         assert tokens == prepare_split(text)
-        assert tokens == oracles.split_tokens(parse_analysis(text))
+        tag_text, lemma, _ = parse_german_analysis(text)
+        assert list(tokens) == spec.encode(tag_text, lemma, lemma, "german-stemmed-split")
 
     def test_split_count_reads_the_token_count(self):
         # split-compounds counts an analysis as split when it gives more than two tokens.
@@ -324,38 +286,45 @@ feature_seqs = st.sampled_from(_FEATURE_TEXTS + ["<+ART><Masc><Nom><Sg><St>"]).m
 )
 
 
-def merge_outcome(merge_fn, stem, feature_seq, lex):
+def merge_outcome(stem, feature_seq, lex):
     """The stem text and flag of a merge, or its error text, with the
     unknown modifiers it reported."""
     unknown = []
     try:
-        result, merged = merge_fn(stem, feature_seq, lex, unknown)
+        return merge_stem(stem, feature_seq, lex, unknown), unknown
     except MalformedAnalysis as exc:
         return str(exc), unknown
-    if isinstance(result, GermanAnalysis):
-        result = result.stem_text
-    return (result, merged), unknown
+
+
+GERMAN_MODS = toy_lexicon("german_toy.tsv")[1]
+
+
+def spec_merge_outcome(stem, feature_seq):
+    """The same from the reference model, with the toy lexicon's modifiers."""
+    unknown = []
+    tag_text = format_tag(feature_seq)
+    try:
+        merged = spec.merge_compound(stem, tag_text, GERMAN_MODS, unknown)
+    except MalformedAnalysis as exc:
+        return str(exc), unknown
+    return (merged, spec.split_tokens(stem, tag_text) is not None), unknown
 
 
 def split_outcome(split_fn, *args):
     try:
-        return split_fn(*args)
+        split = split_fn(*args)
     except MalformedAnalysis as exc:
         return str(exc)
+    return None if split is None else tuple(split)
 
 
-def oracle_split_tokens(stem, feature_seq):
-    return oracles.split_tokens(GermanAnalysis(parse_stem_side(stem), feature_seq))
-
-
-def oracle_split_compound(segments, feature_seq):
-    split = oracles.split_analysis(GermanAnalysis(segments, feature_seq))
-    return split.tokens if isinstance(split, CompoundSplit) else None
+def spec_split_tokens(stem, feature_seq):
+    tag_text = format_tag(feature_seq)
+    return spec.split_tokens(stem, tag_text) or (stem, tag_text)
 
 
 class TestMatchesSplitTokenPath:
-    """merge_stem, split_tokens and split_compound against the path through
-    the split-token record."""
+    """merge_stem, split_tokens and split_compound against the reference model."""
 
     @settings(max_examples=500, deadline=None)
     @given(stem_texts, feature_seqs)
@@ -363,8 +332,8 @@ class TestMatchesSplitTokenPath:
     @example("§§<NN>§§<NN>Boden<Pos>", parse_feature_seq("<+ADJ><Pos><NoGend><Dat><Sg><Wk>"))
     @example("Meer<a|b>Haus<NN>boden<[b]>", parse_feature_seq("<+NN><Masc><Dat><Sg><NA>"))
     def test_merge_stem(self, german_lexicon, stem, feature_seq):
-        assert merge_outcome(merge_stem, stem, feature_seq, german_lexicon) == merge_outcome(
-            oracles.merge_stem, stem, feature_seq, german_lexicon
+        assert merge_outcome(stem, feature_seq, german_lexicon) == spec_merge_outcome(
+            stem, feature_seq
         )
 
     @settings(max_examples=500, deadline=None)
@@ -372,7 +341,7 @@ class TestMatchesSplitTokenPath:
     def test_split_tokens_of_parsed_stems(self, stem, feature_seq):
         # A stem that does not parse raises the same error on both paths.
         assert split_outcome(split_tokens, stem, format_tag(feature_seq), feature_seq) == (
-            split_outcome(oracle_split_tokens, stem, feature_seq)
+            split_outcome(spec_split_tokens, stem, feature_seq)
         )
 
     @settings(max_examples=300)
@@ -387,5 +356,5 @@ class TestMatchesSplitTokenPath:
     def test_split_tokens_of_built_segments(self, segments, feature_seq):
         # Segments no stem text parses to reach split_compound only directly.
         assert split_outcome(split_compound, segments, feature_seq) == (
-            split_outcome(oracle_split_compound, segments, feature_seq)
+            split_outcome(spec.split_segments, segments, format_tag(feature_seq))
         )

@@ -1,32 +1,23 @@
-"""Encoding/decoding of the interleaved training representations."""
+"""Encoding and walking the interleaved training representations.
+
+The walk is compared with the reference model's (``spec.walk``): its
+items, runs expanded into pairs, and its first strict error.
+"""
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from morphmt import tagsets
 
-from morphmt.interleave import (
-    ERROR_ODD_LENGTH,
-    ERROR_TAG_EXPECTED,
-    ERROR_WORD_EXPECTED,
-    EVENT_DROPPED_TAG,
-    EVENT_WORD_WITHOUT_TAG,
-    ITEM_BARE,
-    ITEM_PAIR,
-    Item,
-    LengthMismatch,
-    Walk,
-    WellformednessError,
-    tag_source,
-    walk,
-)
+import spec
+from morphmt.interleave import ITEM_PAIR, ITEM_RUN, LengthMismatch, Walk, tag_source, walk
 from morphmt.morphlex import ParadigmLexicon
 from morphmt.pipeline import PipelineConfig, _encode_analysis, postprocess
 from morphmt.tagsets import (
     classify_czech_tokens,
     classify_german_tokens,
     is_czech_tag,
-    parse_czech_tag,
+    parse_feature_seq,
     parse_german_analysis,
 )
 
@@ -34,17 +25,9 @@ from conftest import (
     FIG1_MORPHGEN,
     FIG1_SERIALIZATION,
     TABLE1_ROWS,
+    toy_lexicon,
 )
-from oracles import (
-    Analysis,
-    decode,
-    encode_record,
-    expand_runs,
-    postprocess_tag_first,
-    walk_tag_first,
-    wellformedness,
-)
-from test_tagsets import oracle_german_class, oracle_is_bare, uncached_feature_token
+from test_tagsets import german_analysis_texts, spec_class
 
 # (tag text, lemma, surface) per word: a row key and the surface it analyses.
 FIG1_WORDS = [
@@ -99,6 +82,32 @@ class TestEncode:
         assert encode([word], "morphgen") == ["VB-P---3P-AA---", "existovat"]
 
 
+def walk_view(tokens, mode):
+    """A walk's items as the model writes them, runs expanded into pairs,
+    and its error as (kind, position)."""
+    stream = walk(tokens, mode)
+    assert type(stream) is Walk
+    items = []
+    for kind, position, tag, word, features in stream.items:
+        if kind == ITEM_RUN:
+            items += [("pair", position + 2 * k, t, w) for k, (t, w) in enumerate(zip(tag, word))]
+            continue
+        assert features == (parse_feature_seq(tag) if kind == ITEM_PAIR else None)
+        items.append((kind, position, tag, word))
+    error = stream.error
+    if error is not None:
+        assert str(error) == f"{error.kind} at token {error.position}"
+        error = (error.kind, error.position)
+    return items, error
+
+
+def decode(tokens, mode):
+    """The (tag, word) pairs of a stream, bare tokens included, or its first
+    strict error as (kind, position)."""
+    items, error = walk_view(tokens, mode)
+    return error if error is not None else [(tag, word) for _, _, tag, word in items]
+
+
 class TestDecode:
     def test_morphgen_row(self):
         pairs = decode(FIG1_MORPHGEN.split(), "morphgen")
@@ -111,24 +120,14 @@ class TestDecode:
         assert decode([], "german-stemmed") == []
 
     def test_word_first_rejected(self):
-        with pytest.raises(WellformednessError) as excinfo:
-            decode(["existovat", "VB-P---3P-AA---"], "morphgen")
-        assert excinfo.value.kind == "tag-expected"
-        assert excinfo.value.position == 0
+        assert decode(["existovat", "VB-P---3P-AA---"], "morphgen") == ("tag-expected", 0)
 
     def test_odd_length_rejected(self):
-        with pytest.raises(WellformednessError) as excinfo:
-            decode(["VB-P---3P-AA---"], "morphgen")
-        assert excinfo.value.kind == "odd-length"
+        assert decode(["VB-P---3P-AA---"], "morphgen") == ("odd-length", 0)
 
     def test_two_adjacent_tags_rejected(self):
-        with pytest.raises(WellformednessError) as excinfo:
-            decode(
-                ["VB-P---3P-AA---", "NNFS2-----A----", "Z:-------------", "."],
-                "morphgen",
-            )
-        assert excinfo.value.kind == "word-expected"
-        assert excinfo.value.position == 1
+        tokens = ["VB-P---3P-AA---", "NNFS2-----A----", "Z:-------------", "."]
+        assert decode(tokens, "morphgen") == ("word-expected", 1)
 
     def test_german_stemmed_pairs(self):
         pairs = decode(encode(TABLE1_WORDS, "german-stemmed"), "german-stemmed")
@@ -137,20 +136,16 @@ class TestDecode:
         assert len(pairs) == len(TABLE1_WORDS)
 
     def test_german_stem_without_features_rejected(self):
-        with pytest.raises(WellformednessError) as excinfo:
-            decode(["sehen"], "german-stemmed")
-        assert excinfo.value.kind == "tag-expected"
-        assert excinfo.value.position == 1
+        assert decode(["sehen"], "german-stemmed") == ("tag-expected", 1)
 
     def test_german_orphan_features_rejected(self):
-        with pytest.raises(WellformednessError) as excinfo:
-            decode(["<+V><3><Sg><Pres><Ind>", "sehen"], "german-stemmed")
-        assert excinfo.value.kind == "word-expected"
-        assert excinfo.value.position == 0
+        assert decode(["<+V><3><Sg><Pres><Ind>", "sehen"], "german-stemmed") == (
+            "word-expected", 0
+        )
 
     def test_baseline_has_no_pairs(self):
         with pytest.raises(ValueError):
-            decode(["a"], "baseline")
+            walk(["a"], "baseline")
 
 
 class TestTagSource:
@@ -176,112 +171,32 @@ lemmas = st.text(alphabet="abcdefghijklmnopqrstuvwxyzáéíößü", min_size=1, 
 czech_tags = st.text(
     alphabet="ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789:-", min_size=15, max_size=15
 )
-
-
-@st.composite
-def czech_analyses(draw):
-    n = draw(st.integers(0, 8))
-    out = []
-    for _ in range(n):
-        lemma = draw(lemmas)
-        tag = parse_czech_tag(draw(czech_tags))
-        out.append(Analysis(lemma, tag, surface=lemma + "s"))
-    return out
-
-
-from test_tagsets import german_analysis_texts
-
-_german_texts = german_analysis_texts()
-
-
-@st.composite
-def german_analyses(draw):
-    """Analyses of parsed German tokens; a bare token reads back as its
-    lexeme, so each surface is its lemma."""
-    n = draw(st.integers(0, 6))
-    out = []
-    for _ in range(n):
-        _, lemma, features = parse_german_analysis(draw(_german_texts))
-        out.append(Analysis(lemma, features, surface=lemma))
-    return out
-
-
-def encode_keys(analyses, mode):
-    """The tokens of each analysis encoded from its row key, checked against
-    the record encoder."""
-    tokens = []
-    for a in analyses:
-        word = encode([(a.tag_text, a.lemma, a.surface)], mode)
-        assert word == list(encode_record(a, mode))
-        tokens += word
-    return tokens
+# (tag text, lemma, surface) per word.
+czech_words = st.lists(st.builds(lambda tag, lemma: (tag, lemma, lemma + "s"), czech_tags, lemmas),
+                       max_size=8)
+# A bare token reads back as its lexeme, so each surface is its lemma.
+german_words = st.lists(
+    german_analysis_texts().map(lambda raw: (*parse_german_analysis(raw)[:2],)).map(
+        lambda key: (*key, key[1])
+    ),
+    max_size=6,
+)
 
 
 class TestRoundTripProperties:
-    @given(czech_analyses(), st.sampled_from(["morphgen", "serialization"]))
-    def test_czech_decode_inverts_encode(self, analyses, mode):
-        tokens = encode_keys(analyses, mode)
-        expected = [
-            (a.tag_text, a.lemma if mode == "morphgen" else a.surface)
-            for a in analyses
-        ]
+    @given(czech_words, st.sampled_from(["morphgen", "serialization"]))
+    def test_czech_decode_inverts_encode(self, words, mode):
+        tokens = encode(words, mode)
+        assert tokens == [t for w in words for t in spec.encode(*w, mode)]
+        expected = [(tag, lemma if mode == "morphgen" else surface) for tag, lemma, surface in words]
         assert decode(tokens, mode) == expected
-        assert len(tokens) == 2 * len(analyses)
+        assert len(tokens) == 2 * len(words)
 
-    @given(german_analyses())
-    def test_german_decode_inverts_encode(self, analyses):
-        tokens = encode_keys(analyses, "german-stemmed")
-        expected = [(a.tag_text, a.lemma) for a in analyses]
-        assert decode(tokens, "german-stemmed") == expected
-
-
-# ---------------------------------------------------------------------------
-# A reference strict decoder, one direct walk per tag family, that the
-# strict view of ``walk`` must match in pairs, error kinds and error
-# positions.
-# ---------------------------------------------------------------------------
-
-def _decode_czech(tokens: list[str]) -> list[tuple[str, str]]:
-    if len(tokens) % 2 != 0:
-        raise WellformednessError(len(tokens) - 1, ERROR_ODD_LENGTH)
-    pairs = []
-    for i in range(0, len(tokens), 2):
-        tag, word = tokens[i], tokens[i + 1]
-        if not is_czech_tag(tag):
-            raise WellformednessError(i, ERROR_TAG_EXPECTED)
-        if is_czech_tag(word):
-            raise WellformednessError(i + 1, ERROR_WORD_EXPECTED)
-        pairs.append((tag, word))
-    return pairs
-
-
-def _decode_german(tokens: list[str]) -> list[tuple[str, str]]:
-    pairs = []
-    i = 0
-    while i < len(tokens):
-        token = tokens[i]
-        if uncached_feature_token(token) is not None:
-            # A feature sequence where a word was expected.
-            raise WellformednessError(i, ERROR_WORD_EXPECTED)
-        if oracle_is_bare(token):
-            lexeme, tag = token[: token.index("[")], token[token.index("[") :]
-            pairs.append((tag, lexeme))
-            i += 1
-            continue
-        if i + 1 >= len(tokens) or uncached_feature_token(tokens[i + 1]) is None:
-            raise WellformednessError(i + 1, ERROR_TAG_EXPECTED)
-        pairs.append((tokens[i + 1], token))
-        i += 2
-    return pairs
-
-
-def _oracle(tokens, mode):
-    """(pairs, None) or (None, (kind, position)) from the reference decoder."""
-    reference = _decode_german if mode == "german-stemmed" else _decode_czech
-    try:
-        return reference(tokens), None
-    except WellformednessError as exc:
-        return None, (exc.kind, exc.position)
+    @given(german_words)
+    def test_german_decode_inverts_encode(self, words):
+        tokens = encode(words, "german-stemmed")
+        assert tokens == [t for w in words for t in spec.encode(*w, "german-stemmed")]
+        assert decode(tokens, "german-stemmed") == [(tag, lemma) for tag, lemma, _ in words]
 
 
 # Adversarial streams: valid tags of both families, 15-letter ASCII
@@ -308,19 +223,19 @@ stream_units = st.one_of(
 streams = st.lists(stream_units, max_size=8).map(
     lambda units: [token for unit in units for token in unit]
 )
+MODES_WALKED = ["morphgen", "serialization", "german-stemmed"]
+
+
+def assert_walk_matches_spec(tokens, mode):
+    assert walk_view(tokens, mode) == spec.walk(tokens, mode)
 
 
 class TestWalkMatchesReference:
-    @settings(max_examples=300, deadline=None)
-    @given(streams, st.sampled_from(["morphgen", "serialization", "german-stemmed"]))
+    @settings(max_examples=100, deadline=None)
+    @given(streams, st.sampled_from(MODES_WALKED))
     def test_decode_matches_reference(self, tokens, mode):
-        pairs, error = _oracle(tokens, mode)
-        if error is None:
-            assert decode(tokens, mode) == pairs
-        else:
-            with pytest.raises(WellformednessError) as excinfo:
-                decode(tokens, mode)
-            assert (excinfo.value.kind, excinfo.value.position) == error
+        _, error = spec.walk(tokens, mode)
+        assert walk_view(tokens, mode)[1] == error
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -336,93 +251,15 @@ class TestWalkMatchesReference:
         lex = german_lexicon if mode.startswith("german") else czech_lexicon
         result = postprocess(lines, PipelineConfig.for_mode(mode), lex)
         assert len(result.lines) == len(lines)
-        if not any("@@" in line or "§§" in line for line in lines):
-            base = "german-stemmed" if mode.startswith("german") else mode
-            expected = wellformedness(lines, base).errors
-            assert result.diagnostics.errors == expected
-
-
-# ---------------------------------------------------------------------------
-# The lenient walk as it was written first - one predicate call per token,
-# a NamedTuple constructor per item and the strict error read off the
-# items afterwards - that ``walk`` must match item for item.
-# ---------------------------------------------------------------------------
-
-_STRICT_ERROR = {
-    EVENT_WORD_WITHOUT_TAG: ERROR_TAG_EXPECTED,
-    EVENT_DROPPED_TAG: ERROR_WORD_EXPECTED,
-}
-
-
-def oracle_walk(tokens, mode):
-    if mode in ("morphgen", "serialization"):
-        tag_first = True
-        features = [None] * len(tokens)
-        is_tag = list(map(is_czech_tag, tokens))
-    elif mode == "german-stemmed":
-        tag_first = False
-        features = list(map(uncached_feature_token, tokens))
-        is_tag = [f is not None for f in features]
-    else:
-        raise ValueError(mode)
-    items = []
-    n = len(tokens)
-    i = 0
-    while i < n:
-        token = tokens[i]
-        if is_tag[i]:
-            if tag_first and i + 1 < n and not is_tag[i + 1]:
-                items.append(Item(ITEM_PAIR, i, token, tokens[i + 1]))
-                i += 2
-                continue
-            items.append(Item(EVENT_DROPPED_TAG, i, token, ""))
-        elif not tag_first and oracle_is_bare(token):
-            lexeme, bracket, rest = token.partition("[")
-            items.append(Item(ITEM_BARE, i, bracket + rest, lexeme))
-        elif not tag_first and i + 1 < n and is_tag[i + 1]:
-            items.append(Item(ITEM_PAIR, i, tokens[i + 1], token, features[i + 1]))
-            i += 2
-            continue
-        else:
-            items.append(Item(EVENT_WORD_WITHOUT_TAG, i, "", token))
-        i += 1
-    error = None
-    if tag_first and n % 2 != 0:
-        error = WellformednessError(n - 1, ERROR_ODD_LENGTH)
-    else:
-        for item in items:
-            if item.kind in _STRICT_ERROR:
-                opens_pair = (item.kind == EVENT_DROPPED_TAG) == tag_first
-                position = item.position + 1 if opens_pair else item.position
-                error = WellformednessError(position, _STRICT_ERROR[item.kind])
-                break
-    return Walk(items, error)
-
-
-def walk_view(stream):
-    """A walk's items with their types, runs expanded into pairs, and its
-    error as comparable values."""
-    error = stream.error
-    if error is not None:
-        error = (type(error), error.kind, error.position, str(error))
-    return type(stream), [(type(item), item) for item in expand_runs(stream.items)], error
-
-
-def assert_walk_matches_oracles(tokens, mode):
-    view = walk_view(walk(tokens, mode))
-    assert view == walk_view(oracle_walk(tokens, mode))
-    if mode != "german-stemmed":
-        assert view == walk_view(walk_tag_first(tokens))
-
-
-MODES_WALKED = ["morphgen", "serialization", "german-stemmed"]
+        _, diagnostics = spec.postprocess_lines(lines, mode)
+        assert result.diagnostics.errors == diagnostics.errors
 
 
 class TestWalkMatchesOracle:
     @settings(max_examples=300, deadline=None)
     @given(streams, st.sampled_from(MODES_WALKED))
     def test_walk_matches_oracle(self, tokens, mode):
-        assert_walk_matches_oracles(tokens, mode)
+        assert_walk_matches_spec(tokens, mode)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(streams, min_size=1, max_size=4), st.sampled_from(MODES_WALKED))
@@ -434,8 +271,8 @@ class TestWalkMatchesOracle:
             patch.setattr(tagsets, "_GERMAN_TOKENS", {})
             for tokens in token_lines:
                 assert classify_czech_tokens(tokens) == list(map(is_czech_tag, tokens))
-                assert classify_german_tokens(tokens) == list(map(oracle_german_class, tokens))
-                assert_walk_matches_oracles(tokens, mode)
+                assert classify_german_tokens(tokens) == list(map(spec_class, tokens))
+                assert_walk_matches_spec(tokens, mode)
             assert len(tagsets._CZECH_TOKENS) <= 2
             assert len(tagsets._GERMAN_TOKENS) <= 2
 
@@ -447,11 +284,9 @@ class TestWalkMatchesOracle:
 
 
 # ---------------------------------------------------------------------------
-# Czech postprocessing against the per-token path: each line split before
-# its BPE is reverted, the stream walked one token at a time and each pair
-# looked up where it occurs.  Lines mix lexicon pairs, unknown lemmas,
-# 15-letter lemmas that read as tags, BPE pieces, dangling markers and
-# every kind of whitespace the text revert must leave to the split path.
+# Czech postprocessing against the model.  Lines mix lexicon pairs, unknown
+# lemmas, 15-letter lemmas that read as tags, BPE pieces, dangling markers
+# and every kind of whitespace the text revert must leave to the split path.
 # ---------------------------------------------------------------------------
 
 _CZECH_PAIRS = [(tag_text, lemma) for tag_text, lemma, _ in FIG1_WORDS] + [
@@ -504,6 +339,6 @@ class TestCzechPostprocessMatchesOracle:
     )
     def test_same_lines_and_diagnostics(self, czech_lexicon, lines, mode):
         result = postprocess(lines, PipelineConfig.for_mode(mode), czech_lexicon)
-        expected = postprocess_tag_first(lines, mode, czech_lexicon)
-        assert result.lines == expected.lines
-        assert result.diagnostics == expected.diagnostics
+        assert (result.lines, result.diagnostics) == spec.postprocess_lines(
+            lines, mode, *toy_lexicon("czech_toy.tsv")
+        )

@@ -32,8 +32,8 @@ from morphmt.tagsets import (
     split_lines,
 )
 
+import spec
 from conftest import VULKANISCH_CANDIDATES, entry_rows, lexicon_rows
-from oracles import candidates, disambiguate
 
 
 def lexicon_of(*rows):
@@ -702,27 +702,15 @@ def test_rows_retain_at_most_half_the_key_tuple_layout():
     assert lexicon <= old / 2, (lexicon, old)
 
 
-class EagerIndexLexicon(ParadigmLexicon):
-    """The surface index built for every surface at the first analysis: the
-    oracle for the index built per surface.  It keeps its own copy of the
-    rows, (tag text, lemma) -> surface."""
-
-    def __init__(self):
-        super().__init__()
-        self.rows = {}
-        self._eager = None
-
-    def add_entry(self, lemma, tag_text, surface):
-        super().add_entry(lemma, tag_text, surface)
-        self.rows[(tag_text, lemma)] = surface
-        self._eager = None
-
-    def keys_for(self, surface):
-        if self._eager is None:
-            self._eager = {}
-            for key, form in self.rows.items():
-                self._eager.setdefault(form, []).append(key)
-        return list(self._eager.get(surface, ()))
+def add(lex, rows, row):
+    """Add a row to the lexicon and, unless it conflicts, to the reference
+    model's rows."""
+    try:
+        lex.add_entry(*row)
+    except LexiconConflict:
+        return
+    if row not in rows:
+        rows.append(row)
 
 
 class TestIndexPerSurface:
@@ -737,47 +725,47 @@ class TestIndexPerSurface:
         max_size=25,
     ))
     def test_matches_the_eager_index(self, operations):
-        lazy, eager = ParadigmLexicon(), EagerIndexLexicon()
+        lex, rows = ParadigmLexicon(), []
         for operation, argument in operations:
             if operation == "add":
-                outcomes = []
-                for lex in (lazy, eager):
-                    try:
-                        lex.add_entry(*argument)
-                        outcomes.append(None)
-                    except LexiconConflict as exc:
-                        outcomes.append(str(exc))
-                assert outcomes[0] == outcomes[1]
+                add(lex, rows, argument)
             else:
-                candidates = analyze(lazy, argument)
-                assert candidates == analyze(eager, argument)
-                candidates.clear()  # callers get a copy
-                assert analyze(lazy, argument) == analyze(eager, argument)
+                keys = analyze(lex, argument)
+                assert keys == spec.analyses(rows, argument)
+                keys.clear()  # callers get a copy
+                assert analyze(lex, argument) == spec.analyses(rows, argument)
         # The surface index holds every row, also those added after a query.
         for surface in MIXED_SURFACES + ["xyzzy"]:
-            assert sorted(lazy.keys_for(surface)) == sorted(eager.keys_for(surface))
-        assert len(lazy) == len(eager) == len(eager.rows)
+            assert sorted(lex.keys_for(surface)) == spec.analyses(rows, surface)
+        assert len(lex) == len(rows)
 
     def test_row_added_after_a_query(self):
-        lazy, eager = ParadigmLexicon(), EagerIndexLexicon()
-        for lex in (lazy, eager):
-            lex.add_entry("hrad", "NNIP1-----A----", "hrady")
-            analyze(lex, "hrady")
-            analyze(lex, "hradu")
-            lex.add_entry("hrad", "NNIS2-----A----", "hradu")
-            lex.add_entry("brada", "NNIP1-----A----", "hrady")
+        lex, rows = ParadigmLexicon(), []
+        add(lex, rows, ("hrad", "NNIP1-----A----", "hrady"))
+        analyze(lex, "hrady")
+        analyze(lex, "hradu")
+        add(lex, rows, ("hrad", "NNIS2-----A----", "hradu"))
+        add(lex, rows, ("brada", "NNIP1-----A----", "hrady"))
         for surface in ("hrady", "hradu", "brady"):
-            assert analyze(lazy, surface) == analyze(eager, surface)
-        assert [lemma for _, lemma in analyze(lazy, "hrady")] == ["brada", "hrad"]
+            assert analyze(lex, surface) == spec.analyses(rows, surface)
+        assert [lemma for _, lemma in analyze(lex, "hrady")] == ["brada", "hrad"]
 
 
-def oracle_select(lex, surface, context):
-    """The key of the first candidate record, or of the disambiguated one."""
-    options = candidates(lex, surface)
+def oracle_select(rows, surface, context):
+    """The reference model's pick: the smallest key of the surface's rows,
+    or the smallest that fits the context parse tag."""
+    options = spec.analyses(rows, surface)
     if not options:
         raise MalformedAnalysis(f"no analysis for {surface!r}")
-    picked = options[0] if context is None else disambiguate(options, context)
-    return picked.tag_text, picked.lemma
+    if context is None:
+        return options[0]
+    parsed = spec.parse_context(context)
+    fitting = [key for key in options if spec.fits(key[0], *parsed)]
+    if not fitting:
+        raise NoCompatibleAnalysis(
+            f"none of {len(options)} analyses is compatible with {context!r}"
+        )
+    return fitting[0]
 
 
 def outcome_of(function, *args):
@@ -810,15 +798,12 @@ class TestSelectAnalysis:
         max_size=25,
     ))
     def test_matches_the_candidate_list(self, operations):
-        lex = ParadigmLexicon()
+        lex, rows = ParadigmLexicon(), []
         for operation, argument in operations:
             if operation == "add":
-                try:
-                    lex.add_entry(*argument)
-                except LexiconConflict:
-                    pass
+                add(lex, rows, argument)
             else:
-                expected = outcome_of(oracle_select, lex, operation, argument)
+                expected = outcome_of(oracle_select, rows, operation, argument)
                 assert outcome_of(select_analysis, lex, operation, argument) == expected
 
     # Parse tags from the German contexts' parts, often fitting no
@@ -830,14 +815,11 @@ class TestSelectAnalysis:
                  min_size=1, max_size=5),
     )
     def test_context_picks_what_disambiguate_picked(self, rows, queries):
-        lex = ParadigmLexicon()
+        lex, added = ParadigmLexicon(), []
         for row in rows + [("vulkanisch", tag, "vulkanischen") for tag in VULKANISCH_CANDIDATES]:
-            try:
-                lex.add_entry(*row)
-            except LexiconConflict:
-                pass
+            add(lex, added, row)
         for surface, context in queries:
-            expected = outcome_of(oracle_select, lex, surface, context)
+            expected = outcome_of(oracle_select, added, surface, context)
             assert outcome_of(select_analysis, lex, surface, context) == expected
 
     def test_no_compatible_analysis_counts_the_keys(self):

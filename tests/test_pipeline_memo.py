@@ -1,225 +1,265 @@
-"""The per-distinct-pair memos of prepare and postprocess against per-token oracles.
+"""prepare and postprocess against the reference model in ``spec.py``.
 
 ``prepare_variant`` analyses and encodes each distinct (target token,
-parse tag) pair once, the German branch of ``postprocess`` merges and
-generates each distinct (stem, tag) pair once, and a Czech pair found in
-the lexicon is one lookup.  The oracles below are the per-sentence and
-per-occurrence code those shortcuts replaced: every stream goes through
-the oracle walk, and every pair through ``generate_with_fallback``.
+parse tag) pair once, from the lexicon row key it selects; the German
+branch of ``postprocess`` merges and generates each distinct (stem, tag)
+pair once; a Czech line is walked as runs of pairs and generated a
+column at a time.  The model does none of this: it reads the raw lexicon
+rows for every token.  The properties below compare the two on generated
+lexicons, sentences and damaged backend lines, in all five modes, output
+text and every ``Diagnostics`` field, and run generated covered corpora
+through ``prepare | translate --backend cat | postprocess`` in process.
 """
 
+import os
+import tempfile
+from pathlib import Path
+
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
-from morphmt import interleave, pipeline, tagsets
-from morphmt.bpe import learn_bpe, segment_line
-from morphmt.compounds import rejoin_split_tokens
-from morphmt.morphlex import (
-    Diagnostics,
-    LexiconConflict,
-    NoCompatibleAnalysis,
-    ParadigmLexicon,
-    analyze,
-    generate_with_fallback,
-    load_lexicon,
-    parse_tag_text,
-    select_analysis,
-)
-from morphmt.pipeline import (
-    ParallelCorpus,
-    PipelineConfig,
-    PostprocessResult,
-    postprocess,
-    prepare_variant,
-)
-from morphmt.tagsets import (
-    GermanFeatureSeq,
-    MalformedAnalysis,
-    MalformedTag,
-    format_tag,
-    tag_predicate_for_mode,
-)
+import spec
+from morphmt import pipeline, tagsets
+from morphmt.bpe import revert_bpe
+from morphmt.cli import main
+from morphmt.morphlex import Diagnostics, load_lexicon, select_analysis
+from morphmt.pipeline import ParallelCorpus, PipelineConfig, postprocess, prepare_variant
+from morphmt.tagsets import TAG_ALPHABET, MalformedAnalysis
 
-from conftest import FIG1_MORPHGEN, TABLE1_PARSE_TAGS, TABLE1_ROWS, entry_rows
-from oracles import (
-    Analysis,
-    CompoundSplit,
-    candidates,
-    disambiguate,
-    encode_record,
-    merge_stem,
-    revert_lenient,
-    split_analysis,
-    to_german_analysis,
-)
-from test_interleave import oracle_walk
-from test_tagsets import oracle_is_bare
+from conftest import FIG1_MORPHGEN, TABLE1_PARSE_TAGS, TABLE1_ROWS, toy_lexicon
 
-LEXICON_MODES = ["morphgen", "serialization", "german-stemmed", "german-stemmed-split"]
+MODES = list(spec.MODES)
+LEXICON_MODES = MODES[1:]
+CZECH_TOY = toy_lexicon("czech_toy.tsv")
+GERMAN_TOY = toy_lexicon("german_toy.tsv")
 
 
-# ---------------------------------------------------------------------------
-# Oracles
-# ---------------------------------------------------------------------------
-
-
-def oracle_analyses_for(lex, tokens, parse_tags):
-    """One analysis per token of a sentence, disambiguated when parse tags are given."""
-    if parse_tags is not None and len(parse_tags) != len(tokens):
-        raise ValueError(f"{len(tokens)} tokens but {len(parse_tags)} parse tags")
-    analyses = []
-    for position, token in enumerate(tokens):
-        options = candidates(lex, token)
-        if not options:
-            raise MalformedAnalysis(f"no analysis for {token!r}")
-        if parse_tags is None:
-            analyses.append(options[0])
-        else:
-            analyses.append(disambiguate(options, parse_tags[position]))
-    return analyses
-
-
-def oracle_encode_target(analyses, mode):
-    if mode.startswith("german"):
-        for a in analyses:
-            unreadable = unreadable_german_key(a)
-            if unreadable is not None:
-                raise MalformedAnalysis(unreadable)
-    if mode != "german-stemmed-split":
-        return [token for a in analyses for token in encode_record(a, mode)]
-    tokens = []
-    for a in analyses:
-        split = split_analysis(to_german_analysis(a))
-        if isinstance(split, CompoundSplit):
-            tokens.extend(split.tokens)
-        else:
-            tokens.extend(encode_record(a, "german-stemmed"))
-    return tokens
-
-
-def oracle_prepare(corpus, cfg, lex, parse_tags):
-    """(target lines, merges, dropped) of a corpus with empty sources; an
-    error in a sentence is raised with its 1-based line before it."""
-    encoded, dropped = [], []
-    for index, (_, target) in enumerate(corpus.pairs):
-        tags = parse_tags[index] if parse_tags is not None else None
-        try:
-            analyses = oracle_analyses_for(lex, target.split(), tags)
-        except (MalformedAnalysis, NoCompatibleAnalysis) as exc:
-            dropped.append((index, str(exc)))
-            continue
-        except ValueError as exc:
-            raise ValueError(f"line {index + 1}: {exc}") from None
-        try:
-            encoded.append(" ".join(oracle_encode_target(analyses, cfg.mode)))
-        except ValueError as exc:
-            raise type(exc)(f"line {index + 1}: {exc}") from None
-    table = learn_bpe([token for line in encoded for token in line.split()], cfg.bpe_merges)
-    protected = tag_predicate_for_mode(cfg.mode) if cfg.protect_tags else None
-    return [segment_line(table, line, protected) for line in encoded], table.merges, dropped
-
-
-def oracle_postprocess_line(line, mode, lex):
-    """postprocess_line with every pair generated where it occurs, every
-    German pair merged there too through the split tokens, and the line's
-    records in a Diagnostics of their own, at line 0."""
-    diagnostics = Diagnostics()
-    repairs = diagnostics.repairs
-    tokens = revert_lenient(line.split(), diagnostics)
-    if mode == "baseline":
-        diagnostics.lines = 1
-        return " ".join(tokens), diagnostics
-    if mode == "german-stemmed-split":
-        tokens, orphans = rejoin_split_tokens(tokens)
-        repairs.extend((0, pos, "orphan-separator") for pos, _ in orphans)
-    stream = oracle_walk(tokens, "german-stemmed" if mode.startswith("german") else mode)
-    if stream.error is not None:
-        diagnostics.errors.append((0, stream.error.kind, stream.error.position))
-    words, unknown_modifiers = [], []
-    for item in stream.items:
-        if item.kind == "dropped-tag":
-            repairs.append((0, item.position, item.kind))
-        elif item.kind == "word-without-tag":
-            repairs.append((0, item.position, item.kind))
-            words.append(item.word)
-        elif item.kind == interleave.ITEM_BARE or mode == "serialization":
-            words.append(item.word)
-        elif mode == "morphgen":
-            words.append(generate_with_fallback(lex, item.word, item.tag, diagnostics))
-        else:
-            try:
-                analysis, _ = merge_stem(item.word, item.features, lex, unknown_modifiers)
-            except MalformedAnalysis:
-                repairs.append((0, item.position, "unparseable-stem"))
-                words.append(item.word)
-                continue
-            words.append(generate_with_fallback(lex, analysis.stem_text, item.tag, diagnostics))
-    diagnostics.unknown_modifiers = [(0, lexeme) for lexeme in unknown_modifiers]
-    diagnostics.lines = 1
-    return " ".join(words), diagnostics
-
-
-def oracle_postprocess(lines, mode, lex):
-    result = PostprocessResult([], Diagnostics())
-    for line in lines:
-        text, diagnostics = oracle_postprocess_line(line, mode, lex)
-        result.lines.append(text)
-        result.diagnostics.merge(diagnostics)
-    return result
-
-
-def outcome(fn, *args, **kwargs):
+def outcome(fn, *args):
     try:
-        return fn(*args, **kwargs)
-    except (MalformedAnalysis, NoCompatibleAnalysis, ValueError) as exc:
+        return fn(*args)
+    except ValueError as exc:
         return type(exc).__name__, str(exc)
 
 
-def prepare_outcome(corpus, cfg, lex, parse_tags):
+def src_prepare(targets, mode, lex, parse_tags=None):
+    """(target lines, dropped) of ``prepare_variant``, its BPE reverted."""
+    corpus = ParallelCorpus.from_lines([""] * len(targets), targets)
+    cfg = PipelineConfig.for_mode(mode, bpe_merges=0)
     prepared = prepare_variant(corpus, cfg, lex, target_parse_tags=parse_tags)
-    return prepared.corpus.targets, prepared.target_table.merges, prepared.dropped
+    lines = [" ".join(revert_bpe(line.split())) for line in prepared.corpus.targets]
+    return lines, prepared.dropped
+
+
+def spec_prepare(targets, mode, rows, parse_tags=None):
+    """The same from the model; an error names its 1-based line."""
+    lines, dropped = [], []
+    for index, target in enumerate(targets):
+        tags = None if parse_tags is None else parse_tags[index]
+        try:
+            result = spec.prepare(target, mode, rows, tags)
+        except ValueError as exc:
+            raise type(exc)(f"line {index + 1}: {exc}") from None
+        if isinstance(result, spec.Dropped):
+            dropped.append((index, result.reason))
+        else:
+            lines.append(" ".join(result))
+    return lines, dropped
+
+
+def assert_postprocess_matches(lines, mode, rows, mods, lex):
+    result = postprocess(lines, PipelineConfig.for_mode(mode), lex)
+    texts, diagnostics = spec.postprocess_lines(lines, mode, rows, mods)
+    assert result.lines == texts
+    assert result.diagnostics == diagnostics
+
+
+# ---------------------------------------------------------------------------
+# Generated lexicons
+# ---------------------------------------------------------------------------
+
+# Czech words never reach 15 characters, so none reads as a positional tag;
+# "@@" may occur inside a word but never ends one (see
+# test_word_ends_in_the_marker).
+czech_words = st.text(alphabet="abcčeěiknoprřsšuyzžAB@§<>[]|", min_size=1, max_size=6).filter(
+    lambda word: not word.endswith("@@")
+)
+czech_tags = st.one_of(
+    st.sampled_from(["NNFS1-----A----", "NNFS2-----A----", "NNIP1-----A----", "NNIP2-----A----",
+                     "VB-P---3P-AA---", "Z:-------------", "AAIP7----2A----"]),
+    st.text(alphabet=sorted(TAG_ALPHABET), min_size=15, max_size=15),
+)
+czech_rows = st.lists(st.tuples(czech_words, czech_tags, czech_words), max_size=10)
+
+FEATURES = [
+    "<+NN><Masc><Dat><Sg><NA>", "<+NN><Fem><Acc><Sg><NA>", "<+NN><Neut><Nom><Sg><NA>",
+    "<+ADJ><Pos><NoGend><Dat><Sg><Wk>", "<+ADJ><Neut><Dat><Sg><St>", "<+V><3><Sg><Pres><Ind>",
+    "<+V><PPast>", "<+V><Inf>", "<+ART><Masc><Nom><Sg><St>",
+]
+BARE_TAGS = ["[KON]", "[ADV]", "[$]", "[APPR-Dat]", "[PIS]"]
+# German context parse tags, one of them no context at all.
+CONTEXTS = sorted(set(TABLE1_PARSE_TAGS)) + [
+    "VVFIN-Pl", "NN-Gen.Pl", "ADJA-Nom.Sg.Masc", "VVINF", "VVPP", "ART-Dat", "NN-Foo",
+]
+lexemes = st.one_of(
+    st.sampled_from(["Meer", "Boden", "Haus", "Markt", "Nacht", "längs", "Achse", "und", "Öl"]),
+    st.text(alphabet="abäöüßAÖ@§", min_size=1, max_size=4).filter(
+        lambda lexeme: not lexeme.endswith("@@")  # see test_word_ends_in_the_marker
+    ),
+)
+german_surfaces = st.text(alphabet="abäöüßAÖ-@§", min_size=1, max_size=6)
+# A stem: lexemes with split (NN, ADJ) or other markup between them and
+# now and then after the last.
+stems = st.builds(
+    lambda parts, last: "".join(f"{lexeme}<{m}>" if m else lexeme for lexeme, m in parts)
+    + (f"<{last}>" if last else ""),
+    st.lists(st.tuples(lexemes, st.sampled_from(["NN", "ADJ", "NN", "Pos", "Def", None])),
+             min_size=1, max_size=3),
+    st.sampled_from([None, None, "Pos"]),
+)
+# Rows only the adversarial lexicons have: positional tags, lemmas that are
+# no stem side, bare rows that are no bare token or read back as another word.
+odd_rows = st.tuples(
+    st.sampled_from(["a||b", "Meer<NN", "§§<NN>§§", "x", "und", "a<NN>§§<X>§§"]),
+    st.sampled_from(["NNFS1-----A----", "[KON]"] + FEATURES[:2]),
+    st.sampled_from(["x", "und", "ab"]),
+)
+
+
+# Strategies are built once: building one per draw costs more than drawing.
+modifier_links = st.lists(st.tuples(lexemes, st.sampled_from(["", "s", "es", "n"])), max_size=4)
+bare_rows = st.lists(st.tuples(lexemes, st.sampled_from(BARE_TAGS)), max_size=4)
+inflected_rows = st.lists(st.tuples(stems, st.sampled_from(FEATURES), german_surfaces), max_size=8)
+odd_row_lists = st.lists(odd_rows, max_size=3)
+
+
+@st.composite
+def german_lexicons(draw, adversarial=False):
+    """(rows, modifier pairs).  A compound row comes with the row of its
+    merged stem, under the same tag and surface."""
+    mods = {}
+    for modifier, link in draw(modifier_links):
+        mods.setdefault(modifier, modifier + link)
+    mods = sorted(mods.items())
+    rows = {}
+    for lexeme, tag in draw(bare_rows):
+        rows.setdefault((lexeme, tag), lexeme)
+    for stem, tag, surface in draw(inflected_rows):
+        if (stem, tag) in rows:
+            continue
+        try:
+            merged = spec.merge_compound(stem, tag, mods, [])
+        except MalformedAnalysis:
+            merged = stem
+        if rows.setdefault((merged, tag), surface) == surface:
+            rows[stem, tag] = surface
+    if adversarial:
+        for lemma, tag, surface in draw(odd_row_lists):
+            rows.setdefault((lemma, tag), surface)
+    return [(lemma, tag, surface) for (lemma, tag), surface in rows.items()], mods
+
+
+def unique(rows):
+    """The rows with each (lemma, tag) kept once: the first."""
+    seen = {}
+    for lemma, tag, surface in rows:
+        seen.setdefault((lemma, tag), surface)
+    return [(lemma, tag, surface) for (lemma, tag), surface in seen.items()]
+
+
+@st.composite
+def lexicons(draw):
+    """Czech, German or mixed rows, with the modifier pairs."""
+    kind = draw(st.sampled_from(["czech", "german", "mixed"]))
+    rows, mods = [], []
+    if kind != "czech":
+        rows, mods = draw(german_lexicons(adversarial=kind == "mixed"))
+    if kind != "german":
+        rows = unique(rows + draw(czech_rows))
+    return rows, mods
+
+
+@st.composite
+def prepare_cases(draw):
+    """(mode, rows, mods, target lines, parse tags or None)."""
+    mode = draw(st.sampled_from(MODES))
+    rows, mods = draw(lexicons())
+    words = sorted({surface for _, _, surface in rows}) + ["xyz"]
+    pairs = st.sampled_from([(word, tag) for word in words for tag in CONTEXTS])
+    sentences = draw(st.lists(st.lists(pairs, max_size=5), min_size=1, max_size=4))
+    targets = [" ".join(word for word, _ in sentence) for sentence in sentences]
+    parse_tags = None
+    if draw(st.booleans()):
+        parse_tags = [[tag for _, tag in sentence] for sentence in sentences]
+    return mode, rows, mods, targets, parse_tags
+
+
+def bpe_pieces(token, cut):
+    """A token as BPE would write it cut ``cut`` characters in, if it can be."""
+    if 0 < cut < len(token):
+        return [token[:cut] + "@@", token[cut:]]
+    return [token]
+
+
+SPECIAL_TOKENS = [
+    "§§<NN>§§", "§§<ADJ>§§", "§§<X>§§", "§§", "und[KON]", ".[$]", "[KON]", "<+NN>", "<>", "[",
+    "piz@@", "@@", "x@@@", "abcdefghijklmno", *FEATURES[:3],
+]
+_SPACES = [" ", " ", " ", "  ", "\t", "\x0c", "\x85", "\xa0", "\u2028"]
+
+
+CUTS = st.sampled_from([0, 0, 0, 1, 2])
+SPACINGS = st.sampled_from([None, None, [" ", "  "], _SPACES])
+LINE_ENDS = st.sampled_from(["", "", "@@", "@@@@", " @@"])
+
+
+@st.composite
+def backend_lines(draw, rows):
+    """A damaged backend line: the lexicon's tags, lemmas, surfaces and
+    split stems in and out of order, separators, bare and feature tokens,
+    BPE pieces, whitespace of every kind and dangling markers."""
+    units = [[token] for token in sorted({token for row in rows for token in row})]
+    units += [[token] for token in SPECIAL_TOKENS]
+    for lemma, tag, surface in rows:
+        units += [[tag, lemma], [lemma, tag]]
+        split = outcome(spec.encode, tag, lemma, surface, "german-stemmed-split")
+        if isinstance(split, list):
+            units.append(split)
+    tokens = []
+    for unit in draw(st.lists(st.sampled_from(units), max_size=6)):
+        for token in unit:
+            tokens += bpe_pieces(token, draw(CUTS))
+    spaces = draw(SPACINGS)
+    if spaces is None:
+        line = " ".join(tokens)
+    else:
+        gaps = draw(st.lists(st.sampled_from(spaces), min_size=len(tokens) + 1,
+                             max_size=len(tokens) + 1))
+        line = "".join(gap + token for gap, token in zip(gaps, tokens)) + gaps[-1]
+    return line + draw(LINE_ENDS)
 
 
 # ---------------------------------------------------------------------------
 # prepare
 # ---------------------------------------------------------------------------
 
-SURFACES = {
-    "czech": sorted({surface for _, _, surface in entry_rows("czech_toy.tsv")}),
-    "german": sorted({surface for _, _, surface in entry_rows("german_toy.tsv")}),
-}
-UNKNOWN_WORDS = ["Hvanda", "xyz"]
-# Parse tags of the worked example plus tags no candidate of most words fits.
-PARSE_TAGS = sorted(set(TABLE1_PARSE_TAGS)) + ["VVFIN-Pl", "NN-Gen.Pl", "ADJA-Nom.Sg.Masc"]
 
-
-@st.composite
-def prepare_cases(draw):
-    """(mode, lexicon name, target lines, parse tags or None) over a small
-    vocabulary, so that pairs repeat within and across sentences."""
-    mode = draw(st.sampled_from(LEXICON_MODES))
-    lexicon = draw(st.sampled_from(["czech", "german"]))
-    words = st.sampled_from(SURFACES[lexicon] + UNKNOWN_WORDS)
-    tags = st.sampled_from(PARSE_TAGS)
-    sentence = st.lists(st.tuples(words, tags), max_size=6)
-    sentences = draw(st.lists(sentence, min_size=1, max_size=6))
-    targets = [" ".join(word for word, _ in sentence) for sentence in sentences]
-    parse_tags = None
-    if draw(st.booleans()):
-        parse_tags = [[tag for _, tag in sentence] for sentence in sentences]
-    return mode, lexicon, targets, parse_tags
+# The worked examples on the toy lexicons, with an unknown word and a blank line.
+TOY_TARGETS = [" ".join(word for _, word in TABLE1_ROWS), "existují miliony druhů pizzy .",
+               "pizzy xyz", ""]
 
 
 class TestPrepareMatchesOracle:
     @settings(max_examples=200, deadline=None)
     @given(prepare_cases())
-    def test_prepare_matches_oracle(self, czech_lexicon, german_lexicon, case):
-        mode, lexicon, targets, parse_tags = case
-        lex = czech_lexicon if lexicon == "czech" else german_lexicon
-        corpus = ParallelCorpus.from_lines([""] * len(targets), targets)
-        cfg = PipelineConfig.for_mode(mode, bpe_merges=10, protect_tags=True)
-        assert outcome(prepare_outcome, corpus, cfg, lex, parse_tags) == outcome(
-            oracle_prepare, corpus, cfg, lex, parse_tags
+    @example(("german-stemmed-split", *GERMAN_TOY, TOY_TARGETS[:1], [TABLE1_PARSE_TAGS]))
+    @example(("german-stemmed", *GERMAN_TOY, TOY_TARGETS, None))
+    @example(("morphgen", *CZECH_TOY, TOY_TARGETS, None))
+    @example(("serialization", *CZECH_TOY, TOY_TARGETS, None))
+    def test_prepare_matches_oracle(self, case):
+        mode, rows, mods, targets, parse_tags = case
+        lex = load_lexicon(spec.lexicon_document(rows, mods))
+        assert outcome(src_prepare, targets, mode, lex, parse_tags) == outcome(
+            spec_prepare, targets, mode, rows, parse_tags
         )
 
     @pytest.mark.parametrize(
@@ -227,20 +267,18 @@ class TestPrepareMatchesOracle:
         [
             # An unknown word drops the sentence even after a word whose
             # encoding raises; else the first encoding error is raised.
-            ("ab xyz", ([], (), [(0, "no analysis for 'xyz'")])),
+            ("ab xyz", ([], [(0, "no analysis for 'xyz'")])),
             ("ab cd", ("MalformedAnalysis", "line 1: cannot parse stem side 'a||b' at offset 1")),
             ("cd ab", ("MalformedAnalysis", "line 1: cannot parse stem side 'c||d' at offset 1")),
         ],
     )
     def test_analysis_failure_comes_before_encoding_failure(self, target, expected):
         # Lemmas that are no stem side: split mode cannot encode them.
-        lex = load_lexicon(
-            "a||b\t<+NN><Masc><Nom><Sg><NA>\tab\nc||d\t<+NN><Masc><Nom><Sg><NA>\tcd\n"
-        )
-        corpus = ParallelCorpus.from_lines([""], [target])
-        cfg = PipelineConfig.for_mode("german-stemmed-split")
-        new = outcome(prepare_outcome, corpus, cfg, lex, None)
-        assert new == outcome(oracle_prepare, corpus, cfg, lex, None)
+        rows = [("a||b", "<+NN><Masc><Nom><Sg><NA>", "ab"), ("c||d", "<+NN><Masc><Nom><Sg><NA>", "cd")]
+        lex = load_lexicon(spec.lexicon_document(rows))
+        mode = "german-stemmed-split"
+        new = outcome(src_prepare, [target], mode, lex)
+        assert new == outcome(spec_prepare, [target], mode, rows)
         assert new == expected
 
     def test_parse_tag_count_still_checked_per_sentence(self, german_lexicon):
@@ -269,115 +307,25 @@ class TestPrepareMatchesOracle:
         assert len(distinct) == len(TABLE1_ROWS)
 
 
-# Tag texts of both families and near misses: positional tags of 14 to 16
-# characters (some with '='), angle-value runs (most of them no feature
-# sequence) and bracketed bare tags, with some valid texts of each shape.
-FEATURE_VALUES = [
-    "+NN", "+ADJ", "+ART", "+V", "Pos", "Fem", "Masc", "Neut", "NoGend", "Nom", "Acc", "Dat",
-    "Gen", "Sg", "Pl", "St", "Wk", "NA", "3", "Pres", "Ind", "PPast", "Inf",
-]
-tag_texts = st.one_of(
-    st.text(alphabet=st.sampled_from(list("NFSAVB127-:") + ["="]), min_size=14, max_size=16),
-    st.lists(st.sampled_from(FEATURE_VALUES), min_size=1, max_size=6).map(
-        lambda values: "".join(f"<{value}>" for value in values)
-    ),
-    st.sampled_from(["KON", "$", "APPR-Dat", "", "a b"]).map(lambda tag: f"[{tag}]"),
-    st.sampled_from(["NNFS2-----A----", "Z:-------------", "<+V><PPast>", "<+V><Inf>",
-                     "<+V><3><Sg><Pres><Ind>", "<+NN><Masc><Dat><Sg><NA>", "[KON]"]),
-)
-# Plain lemmas (some also a surface, so that a bare row can encode), stem
-# sides with markup, and lemmas that are no stem side.
-row_lemmas = st.sampled_from([
-    "pizza", "und", "x", "Meer<NN>Boden", "Hydrogen<NN>Sulfid<NN>reich<Pos>", "die<Def>",
-    "längs<ADJ>Achse", "a||b", "Meer<NN", "§§<NN>§§",
-])
-generated_rows = st.lists(
-    st.tuples(row_lemmas, tag_texts, st.sampled_from(["x", "y", "z", "und"])), max_size=10
-)
-
-
 class TestKeyEncoderMatchesRecordEncoder:
-    @settings(max_examples=300, deadline=None)
-    @given(generated_rows)
-    def test_every_mode(self, rows):
-        lex = ParadigmLexicon()
-        for row in rows:
-            try:
-                lex.add_entry(*row)
-            except (MalformedTag, MalformedAnalysis, LexiconConflict):
-                pass
-        for tag_text, tag in lex._tags.items():
-            assert format_tag(parse_tag_text(tag_text)) == tag_text
-            assert format_tag(tag) == tag_text
-        for surface in ("x", "y", "z", "und"):
-            for key in analyze(lex, surface):
-                tag_text, lemma = key
-                record = Analysis(lemma, parse_tag_text(tag_text), surface)
-                # prepare_variant passes baseline targets through, so no
-                # baseline word reaches the key encoder.
-                for mode in LEXICON_MODES:
-                    expected = outcome(encode_record, record, mode)
-                    if mode.startswith("german"):
-                        unreadable = unreadable_german_key(record)
-                        if unreadable is not None:
-                            expected = ("MalformedAnalysis", unreadable)
-                    assert outcome(pipeline._encode_analysis, lex, key, surface, mode) == expected
-
-
-def unreadable_german_key(record):
-    """Why postprocessing could not read back a German key's tokens as its
-    surface, or None: a tag that is no feature sequence, a bare lemma and
-    tag that are no bare token or whose lexeme is not the surface, or a
-    lemma that is no stem side."""
-    lemma, tag, surface = record
-    if not isinstance(tag, GermanFeatureSeq):
-        return "not a German analysis"
-    if tag.kind == "bare":
-        token = lemma + record.tag_text
-        if not oracle_is_bare(token):
-            return f"not a bare token: {token!r}"
-        if lemma != surface:
-            return f"bare token {token!r} would read back as {lemma!r}, not {surface!r}"
-        return None
-    try:
-        tagsets.parse_stem_side(lemma)
-    except MalformedAnalysis as exc:
-        return str(exc)
-    return None
+    @settings(max_examples=100, deadline=None)
+    @given(german_lexicons(adversarial=True), czech_rows)
+    def test_every_mode(self, german, czech):
+        # Every surface of a German, Czech and odd lexicon, alone in a sentence.
+        rows, mods = german
+        rows = unique(rows + czech)
+        lex = load_lexicon(spec.lexicon_document(rows, mods))
+        targets = sorted({surface for _, _, surface in rows})
+        for mode in LEXICON_MODES:
+            for target in targets:
+                assert outcome(src_prepare, [target], mode, lex) == outcome(
+                    spec_prepare, [target], mode, rows
+                )
 
 
 # ---------------------------------------------------------------------------
 # postprocess
 # ---------------------------------------------------------------------------
-
-STEMS = [
-    # known, compound, unknown-modifier compound, unparseable, unknown
-    "treffen", "Wolke", "Meer<NN>Boden", "Nacht<NN>Markt", "dicht<Pos>", "a<NN>§§<X>§§",
-    "Hvanda",
-]
-FEATURES = [
-    "<+NN><Masc><Dat><Sg><NA>", "<+NN><Masc><Nom><Sg><NA>", "<+NN><Fem><Acc><Sg><NA>",
-    "<+V><3><Sg><Pres><Ind>", "<+ADJ><Neut><Dat><Sg><St>",
-]
-OTHER_TOKENS = [
-    # split compound parts, separators and bare tokens
-    "Meer", "Boden", "Nacht", "Markt", "Haus", "a||b",
-    "§§<NN>§§", "§§<ADJ>§§", "und[KON]", ".[$]",
-    # Czech tags and lemmas
-    "NNFS2-----A----", "NNFS1-----A----", "VB-P---3P-AA---", "pizza", "existovat",
-    # BPE pieces
-    "Bo@@", "den", "piz@@", "za", "@@",
-]
-# Stems are often drawn together with a feature token, so German pairs
-# are common and the same stem recurs under different tags.
-stream_units = st.one_of(
-    st.sampled_from(STEMS + FEATURES + OTHER_TOKENS).map(lambda token: [token]),
-    st.tuples(st.sampled_from(STEMS), st.sampled_from(FEATURES)).map(list),
-)
-stream_lines = st.lists(
-    st.lists(stream_units, max_size=6).map(lambda units: " ".join(sum(units, []))),
-    max_size=6,
-)
 
 COVERING_LINES = [
     "Meer §§<NN>§§ Bo@@ den <+NN><Masc><Dat><Sg><NA> und[KON]",
@@ -391,29 +339,27 @@ COVERING_LINES = [
     "NNFS1-----A---- Hvanda piz@@ za",  # unknown lemma, orphan word
     "NNIP1-----A---- pizza VB-P---3P-AA--- existovat Z:-------------",  # incompatible tag
 ]
-
-
-def lexicon_for(mode, czech_lexicon, german_lexicon):
-    return german_lexicon if mode.startswith("german") else czech_lexicon
+# A toy or a generated lexicon, and damaged lines of its tokens.
+postprocess_cases = st.one_of(st.sampled_from([CZECH_TOY, GERMAN_TOY]), lexicons()).flatmap(
+    lambda lexicon: st.tuples(st.just(lexicon), st.lists(backend_lines(lexicon[0]), max_size=6))
+)
 
 
 class TestPostprocessMatchesOracle:
     @settings(max_examples=200, deadline=None)
-    @given(st.sampled_from(["baseline"] + LEXICON_MODES), stream_lines)
-    @example("german-stemmed-split", COVERING_LINES)
-    @example("german-stemmed", COVERING_LINES)
-    @example("morphgen", COVERING_LINES)
-    @example("serialization", COVERING_LINES)
-    def test_postprocess_matches_oracle(self, czech_lexicon, german_lexicon, mode, lines):
-        lex = lexicon_for(mode, czech_lexicon, german_lexicon)
+    @given(st.sampled_from(MODES), postprocess_cases)
+    @example("german-stemmed-split", (GERMAN_TOY, COVERING_LINES))
+    @example("german-stemmed", (GERMAN_TOY, COVERING_LINES))
+    @example("morphgen", (CZECH_TOY, COVERING_LINES))
+    @example("serialization", (CZECH_TOY, COVERING_LINES))
+    def test_postprocess_matches_oracle(self, mode, case):
+        (rows, mods), lines = case
+        lex = load_lexicon(spec.lexicon_document(rows, mods))
         # Every line twice, so every pair recurs in a later line too.
-        lines = lines + lines[::-1]
-        assert postprocess(lines, PipelineConfig.for_mode(mode), lex) == oracle_postprocess(
-            lines, mode, lex
-        )
+        assert_postprocess_matches(lines + lines[::-1], mode, rows, mods, lex)
 
-    def test_covering_lines_cover_every_czech_record(self, czech_lexicon):
-        diagnostics = oracle_postprocess(COVERING_LINES, "morphgen", czech_lexicon).diagnostics
+    def test_covering_lines_cover_every_czech_record(self):
+        _, diagnostics = spec.postprocess_lines(COVERING_LINES, "morphgen", *CZECH_TOY)
         events = {event for _, _, event in diagnostics.repairs}
         assert {"dropped-tag", "word-without-tag", "dangling-marker"} <= events
         reasons = {failure.reason for _, failure in diagnostics.fallbacks}
@@ -421,9 +367,8 @@ class TestPostprocessMatchesOracle:
         # Lexicon hits as well as misses.
         assert diagnostics.generated > len(diagnostics.fallbacks)
 
-    def test_covering_lines_cover_every_record(self, german_lexicon):
-        result = oracle_postprocess(COVERING_LINES, "german-stemmed-split", german_lexicon)
-        diagnostics = result.diagnostics
+    def test_covering_lines_cover_every_record(self):
+        _, diagnostics = spec.postprocess_lines(COVERING_LINES, "german-stemmed-split", *GERMAN_TOY)
         events = {event for _, _, event in diagnostics.repairs}
         assert {"unparseable-stem", "orphan-separator", "dangling-marker"} <= events
         reasons = {failure.reason for _, failure in diagnostics.fallbacks}
@@ -431,13 +376,14 @@ class TestPostprocessMatchesOracle:
         assert diagnostics.unknown_modifiers and diagnostics.errors
 
     @settings(max_examples=10, deadline=None)
-    @given(st.sampled_from(LEXICON_MODES), stream_lines)
-    @example("german-stemmed-split", COVERING_LINES)
-    def test_two_jobs_match_oracle(self, czech_lexicon, german_lexicon, mode, lines):
-        lex = lexicon_for(mode, czech_lexicon, german_lexicon)
+    @given(st.sampled_from(LEXICON_MODES), postprocess_cases)
+    @example("german-stemmed-split", (GERMAN_TOY, COVERING_LINES))
+    def test_two_jobs_match_oracle(self, mode, case):
+        (rows, mods), lines = case
+        lex = load_lexicon(spec.lexicon_document(rows, mods))
         lines = (lines + lines[::-1]) * 2
         result = postprocess(lines, PipelineConfig.for_mode(mode), lex, jobs=2)
-        assert result == oracle_postprocess(lines, mode, lex)
+        assert (result.lines, result.diagnostics) == spec.postprocess_lines(lines, mode, rows, mods)
 
 
 def test_postprocess_line_keys_its_records_by_the_lines_counted(german_lexicon):
@@ -455,11 +401,6 @@ def test_postprocess_line_keys_its_records_by_the_lines_counted(german_lexicon):
     assert {record[0] for kind in records for record in kind} == {4}
 
 
-# ---------------------------------------------------------------------------
-# Bound
-# ---------------------------------------------------------------------------
-
-
 def test_memos_emptied_at_limit(german_lexicon, monkeypatch):
     monkeypatch.setattr(tagsets, "_MEMO_LIMIT", 3)
     sizes = []
@@ -472,20 +413,100 @@ def test_memos_emptied_at_limit(german_lexicon, monkeypatch):
 
     monkeypatch.setattr(pipeline, "_remember", spy)
     surface = " ".join(word for _, word in TABLE1_ROWS)
-    corpus = ParallelCorpus.from_lines([""] * 2, [surface] * 2)
-    cfg = PipelineConfig.for_mode("german-stemmed-split", bpe_merges=10, protect_tags=True)
+    mode = "german-stemmed-split"
     parse_tags = [TABLE1_PARSE_TAGS] * 2
 
-    prepared = prepare_outcome(corpus, cfg, german_lexicon, parse_tags)
+    lines, dropped = src_prepare([surface] * 2, mode, german_lexicon, parse_tags)
     prepare_sizes = sizes[:]
     sizes.clear()
-    assert prepared == oracle_prepare(corpus, cfg, german_lexicon, parse_tags)
-    lines = prepared[0]
-    result = postprocess(lines, cfg, german_lexicon)
-    assert result == oracle_postprocess(lines, cfg.mode, german_lexicon)
-    assert result.lines == [surface] * 2
+    assert (lines, dropped) == spec_prepare([surface] * 2, mode, GERMAN_TOY[0], parse_tags)
+    assert_postprocess_matches(lines, mode, *GERMAN_TOY, german_lexicon)
+    assert spec.postprocess_lines(lines, mode, *GERMAN_TOY)[0] == [surface] * 2
 
     for observed in (prepare_sizes, sizes):
         assert max(observed) == 3
         # Full at 3 entries, then emptied before the next one is stored.
         assert 1 in observed[observed.index(3):]
+
+
+# ---------------------------------------------------------------------------
+# End to end: prepare | translate --backend cat | postprocess
+# ---------------------------------------------------------------------------
+
+
+def covered(rows, mode):
+    """The surfaces whose sentence of one word the model encodes.  A German
+    word must encode in split mode too: german-stemmed does not check that
+    a compound's parts read as words (see test_part_spells_a_separator)."""
+    surfaces = sorted({surface for _, _, surface in rows})
+    modes = {mode, "german-stemmed-split"} if mode.startswith("german") else {mode}
+    return [s for s in surfaces
+            if all(isinstance(outcome(spec.prepare, s, m, rows), list) for m in modes)]
+
+
+@st.composite
+def covered_corpora(draw, mode):
+    """(rows, mods, sentences) whose words are all covered by the lexicon."""
+    if mode.startswith("german"):
+        rows, mods = draw(german_lexicons())
+    else:
+        rows, mods = unique(draw(czech_rows)), []
+    surfaces = covered(rows, mode)
+    assume(surfaces)
+    sentence = st.lists(st.sampled_from(surfaces), max_size=6).map(" ".join)
+    return rows, mods, draw(st.lists(sentence, min_size=1, max_size=4))
+
+
+def cli_round_trip(mode, rows, mods, sentences, merges=8, protect=False):
+    """The bytes ``postprocess`` writes for the sentences, run through the
+    three stages in process, and each stage's exit code."""
+    with tempfile.TemporaryDirectory() as tmp:
+        lexicon, source, prepared, translated, output = (
+            os.path.join(tmp, name) for name in ("lex.tsv", "in.txt", "prep", "trans", "out")
+        )
+        Path(lexicon).write_text(spec.lexicon_document(rows, mods), encoding="utf-8")
+        Path(source).write_text("".join(s + "\n" for s in sentences), encoding="utf-8")
+        protect_flag = "--protect-tags" if protect else "--no-protect-tags"
+        codes = (
+            main(["prepare", "--mode", mode, "--lexicon", lexicon, "--target", source,
+                  "--out-target", prepared, "--merges", str(merges), protect_flag]),
+            main(["translate", "--backend", "cat", prepared, "-o", translated]),
+            main(["postprocess", "--mode", mode, "--lexicon", lexicon, translated, "-o", output]),
+        )
+        return codes, Path(output).read_bytes()
+
+
+class TestEndToEnd:
+    """For lexicon-covered sentences, the three stages give back the input bytes."""
+
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data(), st.integers(0, 30), st.booleans())
+    @pytest.mark.parametrize("mode", LEXICON_MODES)
+    def test_round_trip(self, mode, data, merges, protect):
+        rows, mods, sentences = data.draw(covered_corpora(mode))
+        expected = "".join(s + "\n" for s in sentences).encode("utf-8")
+        assert cli_round_trip(mode, rows, mods, sentences, merges, protect) == ((0, 0, 0), expected)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2(a): a 15-letter ASCII lemma reads "
+                                           "as a positional tag in postprocess")
+    @pytest.mark.parametrize("mode", ["morphgen", "serialization"])
+    def test_lemma_read_as_a_tag(self, mode):
+        rows = [("representatives", "NNFS1-----A----", "representatives")]
+        assert covered(rows, mode) == ["representatives"]
+        expected = b"representatives\n"
+        assert cli_round_trip(mode, rows, [], ["representatives"]) == ((0, 0, 0), expected)
+
+    @pytest.mark.xfail(strict=True, reason="german-stemmed prepare encodes a compound stem whose "
+                                           "part spells a separator; postprocess cannot merge it")
+    def test_part_spells_a_separator(self):
+        rows = [("a<NN>§§<Def>§§", "<+NN><Masc><Dat><Sg><NA>", "x")]
+        assert covered(rows, "german-stemmed-split") == []
+        assert cli_round_trip("german-stemmed", rows, [], ["x"]) == ((0, 0, 0), b"x\n")
+
+    @pytest.mark.xfail(strict=True, reason="a stream token that ends in the BPE marker and that "
+                                           "BPE leaves whole is joined to the next one")
+    def test_word_ends_in_the_marker(self):
+        rows = [("@@", "NNFS1-----A----", "x"), ("c", "NNFS2-----A----", "y")]
+        assert covered(rows, "morphgen") == ["x", "y"]
+        # With 20 merges "@@" is one symbol, so BPE leaves the lemma whole.
+        assert cli_round_trip("morphgen", rows, [], ["x y"], merges=20) == ((0, 0, 0), b"x y\n")

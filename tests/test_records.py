@@ -24,11 +24,6 @@ from morphmt import (
 )
 from morphmt.cli import RunManifest, _Result
 
-# The split-compound token record and the German analysis record are
-# oracles now; they stay records.
-from oracles import CompoundSplit, GermanAnalysis
-
-NOUN = GermanFeatureSeq("nominal", ("+NN", "Fem", "Acc", "Sg", "NA"))
 TABLE = MergeTable((("a", "b"), ("ab", "c")))
 
 # A factory per type, so each call builds a new, equal value.
@@ -36,13 +31,9 @@ FROZEN = {
     "PositionalTag": lambda: PositionalTag("NNFS1-----A----"),
     "GermanFeatureSeq": lambda: GermanFeatureSeq("nominal", ("+NN", "Fem", "Acc", "Sg", "NA")),
     "StemSegment": lambda: StemSegment("Meer", "NN"),
-    "GermanAnalysis": lambda: GermanAnalysis((StemSegment("Wolke"),), NOUN),
     "GenerationFailure": lambda: GenerationFailure("Braper", "NNFS1-----A----", "unknown-lemma"),
     "MergeTable": lambda: MergeTable((("a", "b"), ("ab", "c"))),
     "VocabReport": lambda: VocabReport((("baseline", 3, 5),)),
-    "CompoundSplit": lambda: CompoundSplit(
-        ("Meer", "§§<NN>§§", "Boden", "<+NN><Masc><Dat><Sg><NA>")
-    ),
     "NovelFormReport": lambda: NovelFormReport(1, 1, 0, (("neuwort", 0, False),)),
 }
 MUTABLE = {
@@ -62,8 +53,7 @@ ALL = {**FROZEN, **MUTABLE}
 # The first field of each type.
 FIRST = {
     "PositionalTag": "raw", "GermanFeatureSeq": "kind", "StemSegment": "lexeme",
-    "GermanAnalysis": "stem_segments", "GenerationFailure": "lemma",
-    "MergeTable": "merges", "VocabReport": "rows", "CompoundSplit": "tokens",
+    "GenerationFailure": "lemma", "MergeTable": "merges", "VocabReport": "rows",
     "NovelFormReport": "novel_tokens", "Diagnostics": "lines",
     "PipelineConfig": "mode", "ParallelCorpus": "pairs", "PreparedVariant": "corpus",
     "PostprocessResult": "lines", "RunManifest": "tool_version", "_Result": "lines",
@@ -132,7 +122,6 @@ def test_unequal_fields_differ():
 def test_defaults():
     assert GermanFeatureSeq("bare", bare_tag="KON").values == ()
     assert StemSegment("und").markup is None
-    assert GermanAnalysis((StemSegment("Wolke"),), NOUN).inflected is True
     assert Diagnostics() == Diagnostics(0, 0, [], [], [], [])
     assert Diagnostics().fallbacks is not Diagnostics().fallbacks
     assert PipelineConfig("baseline", 0, 5).snapshot() == {
@@ -180,22 +169,13 @@ def test_caches_and_private_fields_stay_out_of_equality():
      "bad or missing strength 'Xx'"),
     (lambda: GermanFeatureSeq("other", ("a",)), MalformedAnalysis,
      "unknown feature-sequence kind 'other'"),
-    (lambda: GermanAnalysis((), NOUN), MalformedAnalysis,
-     "analysis needs at least one stem segment"),
-    (lambda: GermanAnalysis((StemSegment("Wolke"),), NOUN, inflected=False), MalformedAnalysis,
-     "non-inflected analyses carry a bare tag"),
-    (lambda: GermanAnalysis((StemSegment("a"), StemSegment("b")),
-                            GermanFeatureSeq("bare", bare_tag="KON"), inflected=False),
-     MalformedAnalysis, "non-inflected analyses have one segment"),
-    (lambda: CompoundSplit(("Meer", "<+NN><Masc><Dat><Sg><NA>")), MalformedAnalysis,
-     "not a compound split"),
-    (lambda: CompoundSplit(("Meer", "x", "Boden", "<+NN><Masc><Dat><Sg><NA>")), MalformedAnalysis,
-     "separator expected at 1"),
     (lambda: MergeTable((("a", "b"), ("a", "b"))), ValueError, "duplicate pairs in merge table"),
     (lambda: PipelineConfig("nonsense", 0, 5), ValueError, "unknown mode 'nonsense'"),
     (lambda: PipelineConfig("baseline", 0, 3, minlen=5), ValueError,
      "need maxlen >= minlen >= 1, got 3 / 5"),
     (lambda: PipelineConfig("baseline", -1, 5), ValueError, "bpe_merges must be >= 0"),
+    (lambda: PipelineConfig("baseline", 0, 5, sample_size=-1), ValueError,
+     "sample_size must be >= 0"),
 ])
 def test_checks_raise_as_before(build, error, message):
     with pytest.raises(error) as info:

@@ -1,16 +1,13 @@
 """Tag parsing and formatting: exact round trips and rejection shapes."""
 
-import re
-
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from morphmt import tagsets
 from morphmt.tagsets import (
     GermanFeatureSeq,
     MalformedAnalysis,
     MalformedTag,
-    StemSegment,
     format_tag,
     is_czech_tag,
     parse_czech_tag,
@@ -20,8 +17,8 @@ from morphmt.tagsets import (
     split_lines,
 )
 
+import spec
 from conftest import TABLE1_ROWS
-from oracles import GermanAnalysis, format_analysis, parse_analysis
 
 TAG_ALPHABET = "".join(sorted(tagsets.TAG_ALPHABET))
 
@@ -207,13 +204,11 @@ class TestGermanAnalysis:
 
     def test_morph_analysis_conversion(self):
         # A lexicon row key holds the stem side as the lemma and the feature
-        # sequence as the tag text; the analysis record is built from them.
+        # sequence as the tag text.
         raw = "Meer<NN>Boden||<+NN><Masc><Dat><Sg><NA>"
         tag_text, lemma, features = parse_german_analysis(raw)
         assert (tag_text, lemma) == ("<+NN><Masc><Dat><Sg><NA>", "Meer<NN>Boden")
-        rebuilt = GermanAnalysis(parse_stem_side(lemma), parse_feature_seq(tag_text))
-        assert rebuilt == parse_analysis(raw) and format_analysis(rebuilt) == raw
-        assert features == rebuilt.feature_seq
+        assert features == parse_feature_seq(tag_text)
 
 
 german_lexemes = st.text(
@@ -258,26 +253,12 @@ def german_analysis_texts(draw):
     return "".join(parts) + "||" + features
 
 
-def parse_outcome(parse, raw):
-    try:
-        return parse(raw)
-    except MalformedAnalysis as exc:
-        return str(exc)
-
-
-def record_halves(a):
-    """The (tag text, lemma, features) of an analysis record."""
-    lemma = a.stem_text if a.inflected else a.stem_segments[0].lexeme
-    return format_tag(a.feature_seq), lemma, a.feature_seq
-
-
 class TestRoundTripProperties:
     @given(german_analysis_texts())
     def test_parse_format_inverse(self, raw):
         tag_text, lemma, features = parse_german_analysis(raw)
         assert rejoin(tag_text, lemma) == raw
-        assert format_analysis(parse_analysis(raw)) == raw
-        assert (tag_text, lemma, features) == record_halves(parse_analysis(raw))
+        assert (format_tag(features), features) == (tag_text, parse_feature_seq(tag_text))
 
     @settings(max_examples=300)
     @given(st.one_of(
@@ -285,12 +266,34 @@ class TestRoundTripProperties:
         st.lists(st.sampled_from(list("ab<>[]|+ ") + ["NN", "KON", "||", "<+V><Inf>"]),
                  max_size=12).map("".join),
     ))
+    @example("<NN>Boden||<+NN><Masc><Dat><Sg><NA>")  # a stem side that does not parse
     def test_checks_match_the_record_parser(self, raw):
-        # Every token the record parser rejected is rejected with its error text.
-        expected = parse_outcome(parse_analysis, raw)
-        if isinstance(expected, GermanAnalysis):
-            expected = record_halves(expected)
-        assert parse_outcome(parse_german_analysis, raw) == expected
+        # A token parses exactly when the analysis-token grammar holds, and
+        # then its halves rejoin to it.
+        try:
+            tag_text, lemma, features = parse_german_analysis(raw)
+        except MalformedAnalysis:
+            assert not analysis_token_ok(raw)
+        else:
+            assert analysis_token_ok(raw)
+            assert rejoin(tag_text, lemma) == raw and features == parse_feature_seq(tag_text)
+
+
+def analysis_token_ok(raw):
+    """No whitespace, balanced brackets, and either a stem side, ``||`` and
+    a feature sequence, or a bare ``lexeme[TAG]`` token."""
+    if any(c.isspace() for c in raw) or raw.count("<") != raw.count(">") or (
+        raw.count("[") != raw.count("]")
+    ):
+        return False
+    if "||" not in raw:
+        return spec.bare_token(raw) is not None
+    stem, _, tag = raw.partition("||")
+    try:
+        parse_stem_side(stem)
+        return "||" not in tag and parse_feature_seq(tag).kind != "bare"
+    except MalformedAnalysis:
+        return False
 
 
 class TestSplitLines:
@@ -346,55 +349,25 @@ def loop_is_czech_tag(token):
     return len(token) == tagsets.TAG_LENGTH and all(ch in tagsets.TAG_ALPHABET for ch in token)
 
 
-# The German token predicates as they were before one memo classified
-# every token: each shape is its own pattern, tested per call.
-ORACLE_ANGLE_SEQ_RE = re.compile(r"^(?:<[^<>\s]+>)+$")
-ORACLE_BARE_RE = re.compile(r"^([^<>\[\]\s]+)\[([^\[\]\s]+)\]$")
-ORACLE_SEPARATOR_RE = re.compile(r"^§§<([^<>\s]+)>§§$")
+def spec_class(token):
+    """The ``classify_german_tokens`` value of the reference model's class."""
+    kind = spec.german_class(token)
+    if kind == spec.FEATURES:
+        return parse_feature_seq(token), None, None
+    if kind == spec.BARE:
+        lexeme, tag = spec.bare_token(token)
+        return None, (tag, lexeme), None
+    if kind == spec.SEPARATOR:
+        return None, None, spec.separator_markup(token)
+    return tagsets.GERMAN_WORD
 
 
 def uncached_feature_token(token):
-    if not ORACLE_ANGLE_SEQ_RE.match(token):
-        return None
-    try:
-        return parse_feature_seq(token)
-    except MalformedAnalysis:
-        return None
+    return spec_class(token)[0]
 
 
-def oracle_is_bare(token):
-    return bool(ORACLE_BARE_RE.match(token))
-
-
-def oracle_is_separator(token):
-    return bool(ORACLE_SEPARATOR_RE.match(token))
-
-
-def oracle_german_class(token):
-    """(features, bare, separator) from the per-call predicates."""
-    features = uncached_feature_token(token)
-    if features is not None:
-        return features, None, None
-    if oracle_is_bare(token):
-        lexeme, bracket, rest = token.partition("[")
-        return None, (bracket + rest, lexeme), None
-    separator = ORACLE_SEPARATOR_RE.match(token)
-    if separator:
-        return None, None, separator.group(1)
-    return None, None, None
-
-
-def uncached_stem_side(text):
-    if not text:
-        raise MalformedAnalysis("empty stem side")
-    segments, pos = [], 0
-    while pos < len(text):
-        m = tagsets._SEGMENT_RE.match(text, pos)
-        if m is None or m.start() != pos:
-            raise MalformedAnalysis(f"cannot parse stem side {text!r} at offset {pos}")
-        segments.append(StemSegment(m.group(1), m.group(2)))
-        pos = m.end()
-    return tuple(segments)
+# The stem-side parser without its memo.
+uncached_stem_side = tagsets._parse_stem_side
 
 
 def parse_outcome(fn, text):
@@ -475,8 +448,8 @@ class TestTokenParsersMatchUncached:
         assert all(a is b for a, b in zip(classes, map(memo.get, tokens)))
 
 
-def old_positional_tag_error(raw):
-    """The checks PositionalTag ran on every tag before it shared is_czech_tag's pattern."""
+def positional_tag_error(raw):
+    """The error a text that is no positional tag is rejected with, or None."""
     if len(raw) != tagsets.TAG_LENGTH:
         return (f"positional tag must have {tagsets.TAG_LENGTH} characters, "
                 f"got {len(raw)}: {raw!r}")
@@ -489,7 +462,7 @@ def old_positional_tag_error(raw):
 class TestPositionalTagSharesThePattern:
     @given(st.one_of(near_tags, czech_tag_texts))
     def test_accepts_what_is_czech_tag_accepts(self, raw):
-        error = old_positional_tag_error(raw)
+        error = positional_tag_error(raw)
         assert (error is None) == is_czech_tag(raw)
         if error is None:
             assert parse_czech_tag(raw).raw == raw
@@ -518,14 +491,14 @@ german_token_texts = st.one_of(
 
 
 class TestGermanClassifierMatchesOracle:
+    """classify_german_tokens against the reference model's token classes."""
+
     @settings(max_examples=300)
     @given(st.lists(german_token_texts, max_size=8))
     def test_classes_and_predicates(self, tokens):
-        assert tagsets.classify_german_tokens(tokens) == list(map(oracle_german_class, tokens))
+        assert tagsets.classify_german_tokens(tokens) == list(map(spec_class, tokens))
         for token in tokens:
-            features = uncached_feature_token(token) is not None
-            bare, separator = oracle_is_bare(token), oracle_is_separator(token)
-            assert tagsets.is_german_tag_token(token) == (features or bare or separator)
+            assert tagsets.is_german_tag_token(token) == (spec.german_class(token) != spec.WORD)
 
     @settings(max_examples=100)
     @given(st.lists(st.lists(german_token_texts, max_size=6), min_size=1, max_size=4))
@@ -534,12 +507,10 @@ class TestGermanClassifierMatchesOracle:
             patch.setattr(tagsets, "_MEMO_LIMIT", 2)
             patch.setattr(tagsets, "_GERMAN_TOKENS", {})
             for tokens in token_lines:
-                assert tagsets.classify_german_tokens(tokens) == list(
-                    map(oracle_german_class, tokens)
-                )
+                assert tagsets.classify_german_tokens(tokens) == list(map(spec_class, tokens))
                 for token in tokens:
                     assert tagsets.is_german_tag_token(token) == (
-                        oracle_german_class(token) != (None, None, None)
+                        spec.german_class(token) != spec.WORD
                     )
                 assert len(tagsets._GERMAN_TOKENS) <= 2
 
