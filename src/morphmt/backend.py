@@ -2,7 +2,7 @@
 
 This module imports only :mod:`morphmt.conventions`, and ``subprocess``
 when a backend runs, so the ``translate`` stage starts without loading
-the library.  :mod:`morphmt.pipeline` re-exports both names.
+the library.  The package namespace :mod:`morphmt` exports both names.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ from collections import Counter
 from typing import Callable, Iterable
 
 from . import FrozenRecord
-from .conventions import split_lines
+from .conventions import split_lines, tokenize
 
 __all__ = [
     "MARKER",
@@ -64,9 +64,9 @@ class MergeTable(FrozenRecord):
     def from_text(cls, text: str) -> MergeTable:
         merges = []
         for lineno, line in enumerate(split_lines(text), start=1):
-            if not line.strip():
+            parts = tokenize(line)
+            if not parts:
                 continue
-            parts = line.split(" ")
             if len(parts) != 2:
                 raise ValueError(f"merge table line {lineno}: expected 'left right'")
             merges.append((parts[0], parts[1]))
@@ -175,7 +175,7 @@ def segment_line(
     line: str,
     protected: Callable[[str], bool] | None = None,
 ) -> str:
-    """Apply BPE to every whitespace token of a line.
+    """Apply BPE to every :func:`~morphmt.conventions.tokenize` token of a line.
 
     Each distinct token is segmented once per table and predicate: the
     table keeps the segmentations under the last predicate it was used
@@ -186,7 +186,7 @@ def segment_line(
         memo[:] = [protected, {}]
     segmented = memo[1]
     out: list[str] = []
-    for token in line.split():
+    for token in tokenize(line):
         text = segmented.get(token)
         if text is None:
             text = segmented[token] = " ".join(apply_bpe(table, token, protected))
@@ -201,8 +201,8 @@ def revert_bpe(subwords: list[str]) -> list[str]:
     :class:`DanglingMarker` when the sequence ends mid-word.  The pieces
     are joined into one line and every ``@@`` before a space is deleted
     (the reference ``sed 's/@@ //g'``), so an item may also be several
-    pieces joined by single spaces: a line with no other whitespace and
-    no leading, trailing or doubled space reverts as ``[line]``.
+    pieces joined by single spaces: a line with no tab, ``\\r``, leading,
+    trailing or doubled space reverts as ``[line]``, as its tokens do.
     """
     if not subwords:
         return []
@@ -226,7 +226,7 @@ def word_end_fragment_stats(lines: Iterable[str]) -> list[tuple[str, int]]:
     counts: Counter[str] = Counter()
     for line in lines:
         previous_marked = False
-        for token in line.split():
+        for token in tokenize(line):
             marked = token.endswith(MARKER)
             if previous_marked and not marked:
                 counts[token] += 1

@@ -46,6 +46,7 @@ from .conventions import (
     MODE_SERIALIZATION,
     PIPELINE_MODES,
     split_lines,
+    tokenize,
 )
 
 if TYPE_CHECKING:
@@ -225,7 +226,7 @@ def apply_config(args: argparse.Namespace, sub: argparse.ArgumentParser, config:
         if action.nargs == 0:  # --flag, or --flag/--no-flag
             value = _bool(raw)
         elif action.nargs in ("+", "*"):
-            value = [cast(item) for item in raw.split()]
+            value = [cast(item) for item in tokenize(raw)]
         else:
             value = cast(raw)
         if action.choices is not None and value not in action.choices:
@@ -264,7 +265,7 @@ def _pipeline_config(args: argparse.Namespace) -> pipeline.PipelineConfig:
 def _read_tag_lines(path: str | None, inputs: _Inputs) -> list[list[str]] | None:
     if path is None:
         return None
-    return [line.split() for line in inputs.lines(path)]
+    return [tokenize(line) for line in inputs.lines(path)]
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +337,7 @@ def cmd_bpe_learn(args: argparse.Namespace, inputs: _Inputs) -> _Result:
         raise CliError("--merges is required")
     lines = inputs.lines(args.input)
     table = bpe.learn_bpe(
-        (token for line in lines for token in line.split()), args.merges
+        (token for line in lines for token in tokenize(line)), args.merges
     )
     return _Result(split_lines(table.to_text()), {"merges": args.merges}, {"merges_learned": len(table)})
 
@@ -370,7 +371,7 @@ def cmd_bpe_revert(args: argparse.Namespace, inputs: _Inputs) -> _Result:
     out = []
     for lineno, line in enumerate(inputs.lines(args.input), 1):
         try:
-            out.append(" ".join(bpe.revert_bpe(line.split())))
+            out.append(" ".join(bpe.revert_bpe(tokenize(line))))
         except bpe.DanglingMarker as exc:
             raise CliError(f"line {lineno}: {exc}") from exc
     return _Result(out, {}, {"lines": len(out)})
@@ -436,7 +437,7 @@ def cmd_split_compounds(args: argparse.Namespace, inputs: _Inputs) -> _Result:
     split_count = 0
     for lineno, line in enumerate(inputs.lines(args.input), 1):
         tokens: list[str] = []
-        for token in line.split():
+        for token in tokenize(line):
             try:
                 tag_text, lemma, features = tagsets.parse_german_analysis(token)
                 if features.kind == tagsets.KIND_BARE:
@@ -459,7 +460,7 @@ def cmd_merge_compounds(args: argparse.Namespace, inputs: _Inputs) -> _Result:
     unknown_modifiers: list[str] = []
     merged_count = 0
     for lineno, line in enumerate(inputs.lines(args.input), 1):
-        tokens, _ = compounds.rejoin_split_tokens(line.split())
+        tokens, _ = compounds.rejoin_split_tokens(tokenize(line))
         result_tokens: list[str] = []
         for item in interleave.walk(tokens, MODE_GERMAN_STEMMED).items:
             if item.kind != interleave.ITEM_PAIR:
@@ -548,7 +549,7 @@ def cmd_novel_forms(args: argparse.Namespace, inputs: _Inputs) -> _Result:
     sources = inputs.lines(args.source)
     references = inputs.lines(args.references)
     lowercase = bool(args.lowercase)
-    vocab = {token for line in train_lines for token in line.split()}
+    vocab = {token for line in train_lines for token in tokenize(line)}
     report = evaluation.novel_forms(outputs, vocab, sources, references, lowercase)
     return _Result(
         [report.to_text()],
@@ -568,7 +569,7 @@ def cmd_stats(args: argparse.Namespace, inputs: _Inputs) -> _Result:
         merges = GERMAN_DEFAULT_MERGES if args.merges is None else args.merges
         variants = []
         for path in args.vocab:
-            tokens = [token for line in inputs.lines(path) for token in line.split()]
+            tokens = [token for line in inputs.lines(path) for token in tokenize(line)]
             variants.append((path, tokens, bpe.learn_bpe(tokens, merges)))
         report = bpe.vocab_stats(variants)
         return _Result([report.to_text()], {}, {"variants": len(variants)})

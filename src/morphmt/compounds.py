@@ -8,8 +8,8 @@ tokens that carry the modifier's markup::
 
 Both directions start from a stem's parsed segments: splitting
 (:func:`split_compound`) cuts them into those tokens, split-mode
-``prepare`` and ``split-compounds`` encode a stem text and its tag
-through the one call :func:`split_tokens`, and merging
+``prepare`` and ``split-compounds`` encode (and German ``prepare``
+checks) a stem text and its tag through :func:`split_tokens`, and merging
 (:func:`merge_stem`), applied to translated output, cuts a decoded stem
 the same way.  Modifier lexemes are looked up in the lexicon's modifier
 table, which supplies the full in-compound form (linking elements and

@@ -1,9 +1,8 @@
-"""Text conventions every stage shares: lines, representation modes and BPE budgets.
+"""Text conventions every stage shares: lines, tokens, representation modes and BPE budgets.
 
-:mod:`morphmt.interleave` encodes and walks the four interleaving
-modes; the pipeline adds the German mode with compounds split.  This
-module imports nothing, so the command line can build its parser and
-read its inputs without loading the library.
+:mod:`morphmt.pipeline` encodes the modes, :mod:`morphmt.interleave`
+walks them.  This module imports nothing, so the command line can build
+its parser and read its inputs without loading the library.
 """
 
 MODE_BASELINE = "baseline"
@@ -31,3 +30,15 @@ def split_lines(text: str) -> list[str]:
     if lines[-1] == "":
         lines.pop()
     return lines
+
+
+def tokenize(line: str) -> list[str]:
+    """Cut a line into tokens: maximal runs of characters other than space
+    (U+0020), tab and ``\\r``.
+
+    Unlike :meth:`str.split`, form feed, U+0085, U+00A0, U+2028 and the
+    other Unicode spaces are token content.  ``\\r`` separates because
+    :func:`split_lines` reads ``\\r\\n`` as one line end, so a token
+    ending in ``\\r`` could not survive a written line.
+    """
+    return list(filter(None, line.replace("\t", " ").replace("\r", " ").split(" ")))

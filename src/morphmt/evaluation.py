@@ -21,6 +21,7 @@ from itertools import repeat
 from typing import Iterable
 
 from . import FrozenRecord
+from .conventions import tokenize
 
 __all__ = [
     "EmptyCorpus",
@@ -73,8 +74,8 @@ def bleu(
     hyp_length = 0
     ref_length = 0
     for hyp, ref in zip(hypotheses, references):
-        hyp_tokens = hyp.split()
-        ref_tokens = ref.split()
+        hyp_tokens = tokenize(hyp)
+        ref_tokens = tokenize(ref)
         hyp_length += len(hyp_tokens)
         ref_length += len(ref_tokens)
         orders = min(len(hyp_tokens), MAX_ORDER)
@@ -178,9 +179,9 @@ def novel_forms(
     for index, (out, src, ref) in enumerate(
         zip(outputs, source_sentences, references)
     ):
-        source_tokens = {fold(t) for t in src.split()}
-        reference_tokens = {fold(t) for t in ref.split()}
-        for token in out.split():
+        source_tokens = {fold(t) for t in tokenize(src)}
+        reference_tokens = {fold(t) for t in tokenize(ref)}
+        for token in tokenize(out):
             folded = fold(token)
             if folded in vocab or folded in source_tokens:
                 continue

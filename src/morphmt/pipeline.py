@@ -10,8 +10,8 @@ turns the backend's output back into inflected surface text:
     revert BPE -> rejoin split compounds (split mode) -> walk the stream
     -> merge compounds (German) -> generate surface forms (lemma fallback)
 
-A normalized line is reverted on its text; any other line is split on
-whitespace first.  Each line's stream is walked once by
+A normalized line is reverted on its text; any other line is tokenized
+first.  Each line's stream is walked once by
 :func:`interleave.walk`, which yields the pairs (as runs in the Czech
 modes, each generated a column at a time), the orphan words and tags,
 and the first strict well-formedness violation.  Every input line
@@ -43,6 +43,7 @@ from .conventions import (
     GERMAN_DEFAULT_MERGES,
     MODE_GERMAN_STEMMED_SPLIT,
     PIPELINE_MODES,
+    tokenize,
 )
 from .morphlex import (
     Diagnostics,
@@ -59,7 +60,6 @@ from .tagsets import (
     MalformedAnalysis,
     _remember,
     classify_german_tokens,
-    parse_stem_side,
     tag_predicate_for_mode,
     KIND_BARE,
 )
@@ -180,7 +180,7 @@ def filter_corpus(corpus: ParallelCorpus, cfg: PipelineConfig) -> ParallelCorpus
     kept = [
         (index, pair)
         for index, pair in zip(corpus._origin or range(len(corpus)), corpus.pairs)
-        if cfg.minlen <= len(pair[1].split()) <= cfg.maxlen
+        if cfg.minlen <= len(tokenize(pair[1])) <= cfg.maxlen
     ]
     if cfg.sample_size is not None and cfg.sample_size < len(kept):
         rng = random.Random(cfg.seed)
@@ -218,7 +218,8 @@ def _encode_analysis(
     and a bare tag (``[KON]``) as one token with its lexeme
     (``und[KON]``).  A German key must encode to tokens that
     postprocessing reads back as the word: its tag must be a feature
-    sequence, an inflected lemma must parse as a stem side, and a bare
+    sequence, an inflected lemma must have split tokens in both modes
+    (postprocessing merges it from them), and a bare
     lemma with its tag must be a bare token whose lexeme, which
     postprocessing emits as it is, is the surface.
     :class:`MalformedAnalysis` says which does not hold.
@@ -239,10 +240,8 @@ def _encode_analysis(
             raise MalformedAnalysis(f"bare token {token!r} would read back as {lemma!r}, "
                                     f"not {surface!r}")
         return (token,)
-    if mode == MODE_GERMAN_STEMMED_SPLIT:
-        return split_tokens(lemma, tag_text, tag)
-    parse_stem_side(lemma)  # raises when the lemma is no stem side
-    return (lemma, tag_text)
+    tokens = split_tokens(lemma, tag_text, tag)  # raises for a stem that cannot be merged
+    return tokens if mode == MODE_GERMAN_STEMMED_SPLIT else (lemma, tag_text)
 
 
 _Dropped = MalformedAnalysis | NoCompatibleAnalysis
@@ -337,7 +336,7 @@ def prepare_variant(
     memo: dict[tuple[str, str | None], _Encoded] = {}
     for index, (source, target) in zip(corpus._origin or range(len(corpus)), corpus.pairs):
         try:
-            target_tokens = target.split()
+            target_tokens = tokenize(target)
             if cfg.mode == interleave.MODE_BASELINE:
                 target_out = target_tokens
             else:
@@ -346,7 +345,7 @@ def prepare_variant(
                 if isinstance(target_out, Exception):
                     dropped.append((index, str(target_out)))
                     continue
-            source_tokens = source.split()
+            source_tokens = tokenize(source)
             if cfg.split_source_hyphens:
                 source_tokens = _split_hyphens(source_tokens)
             if source_tags is not None:
@@ -363,7 +362,7 @@ def prepare_variant(
     target_lines = [t for _, t in encoded]
 
     def tokens_of(lines: list[str]) -> list[str]:
-        return [token for line in lines for token in line.split()]
+        return [token for line in lines for token in tokenize(line)]
 
     if cfg.joint_bpe:
         table = learn_bpe(tokens_of(source_lines + target_lines), cfg.bpe_merges)
@@ -402,18 +401,17 @@ class PostprocessResult(Record):
 def _revert_lenient(line: str, diagnostics: Diagnostics) -> list[str]:
     """Revert BPE on one backend line, stripping dangling markers off its end.
 
-    A normalized line - printable, so that its only whitespace is U+0020,
-    with no leading, trailing or doubled space and no final marker - is
-    reverted on its text.  Any other line is split on whitespace first;
-    each marker stripped off its last token is one repair at that token,
-    and a last token that was only markers is dropped.
+    A normalized line - no tab, ``\\r``, leading, trailing or doubled
+    space and no final marker - is reverted on its text.  Any other line
+    is tokenized first; each marker stripped off its last token is one
+    repair at that token, and a last token that was only markers is dropped.
     """
     if (
-        line and line.isprintable() and line[0] != " " and line[-1] != " "
-        and "  " not in line and not line.endswith(MARKER)
+        line and line[0] != " " and line[-1] != " " and "  " not in line
+        and "\t" not in line and "\r" not in line and not line.endswith(MARKER)
     ):
         return revert_bpe([line])
-    tokens = line.split()
+    tokens = tokenize(line)
     if not tokens:
         return []
     last = tokens[-1]

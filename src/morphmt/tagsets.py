@@ -13,9 +13,9 @@ Two tag families are supported:
 A parsed tag formats back byte for byte: ``format_tag(parse(x)) == x``.
 A German analysis token is checked and cut into its halves, the
 (tag text, lemma) row key a lexicon stores; no record is built from it
-and nothing formats it back.  Text is cut into lines by
-:func:`~morphmt.conventions.split_lines` (re-exported here) everywhere
-in the package.
+and nothing formats it back.  Everywhere in the package, text is cut
+into lines by :func:`~morphmt.conventions.split_lines` (re-exported
+here) and a line into tokens by :func:`~morphmt.conventions.tokenize`.
 
 Every stream-token shape is defined here: positional tags, and German
 feature, bare and compound-separator (``§§<NN>§§``) tokens, which

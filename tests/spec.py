@@ -23,6 +23,7 @@ The tests compare ``morphmt`` with this model.
 
 from __future__ import annotations
 
+import re
 from typing import NamedTuple
 
 from morphmt.morphlex import Diagnostics, GenerationFailure
@@ -58,6 +59,12 @@ def lexicon_document(rows, mods=()) -> str:
 # ---------------------------------------------------------------------------
 # Token shapes
 # ---------------------------------------------------------------------------
+
+
+def tokens_of(line: str) -> list[str]:
+    """The tokens of a line: the runs of characters other than space, tab
+    and carriage return."""
+    return re.findall("[^ \t\r]+", line)
 
 
 def bare_token(token: str) -> tuple[str, str] | None:
@@ -226,11 +233,10 @@ def encode(tag: str, lemma: str, surface: str, mode: str) -> list[str]:
                 f"bare token {token!r} would read back as {lemma!r}, not {surface!r}"
             )
         return [token]
-    if mode == "german-stemmed-split":
-        tokens = split_tokens(lemma, tag)
-        if tokens is not None:
-            return tokens
-    parse_stem_side(lemma)
+    # Both German modes cut the stem, as postprocess merges it from its parts.
+    tokens = split_tokens(lemma, tag)
+    if mode == "german-stemmed-split" and tokens is not None:
+        return tokens
     return [lemma, tag]
 
 
@@ -242,7 +248,7 @@ def prepare(sentence: str, mode: str, rows=(), parse_tags=None) -> list[str] | D
     any is encoded, so a later unknown word drops a sentence whose
     earlier word cannot be encoded.
     """
-    words = sentence.split()
+    words = tokens_of(sentence)
     if mode == "baseline":
         return words
     if parse_tags is not None and len(parse_tags) != len(words):
@@ -302,7 +308,7 @@ def revert(line: str, index: int, diagnostics: Diagnostics) -> list[str]:
     """The words of a backend line: markers trimmed off its last token, one
     ``dangling-marker`` repair each, then every token that ends in ``@@``
     joined to the next."""
-    tokens = line.split()
+    tokens = tokens_of(line)
     while tokens and tokens[-1].endswith(MARKER):
         diagnostics.repairs.append((index, len(tokens) - 1, "dangling-marker"))
         tokens[-1] = tokens[-1][: -len(MARKER)]

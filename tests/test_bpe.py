@@ -18,6 +18,7 @@ from morphmt.bpe import (
     vocab_stats,
     word_end_fragment_stats,
 )
+from morphmt.conventions import tokenize
 from morphmt.pipeline import PipelineConfig, postprocess
 from morphmt.tagsets import is_czech_tag
 
@@ -120,9 +121,9 @@ def token_loop_revert(subwords):
     return out
 
 
-# Pieces as str.split() yields them, but also empty: markers alone, runs of
-# "@", markers mid-piece, and the separators str.split() cuts at (tab,
-# U+0085) that a hand-built piece list may still hold.
+# Pieces as tokenize yields them, but also empty: markers alone, runs of
+# "@", markers mid-piece, a tab that tokenize cuts at but a hand-built
+# piece list may still hold, and U+0085, which is token content.
 revert_pieces = st.lists(
     st.lists(st.sampled_from(["a", "b", "@", "@@", "@@@", "\t", "\x85"]), max_size=4).map("".join),
     max_size=8,
@@ -179,6 +180,16 @@ class TestMergeTableSerialization:
     def test_text_round_trip_with_hash(self, words, merges):
         table = learn_bpe(words, merges)
         assert MergeTable.from_text(table.to_text()).merges == table.merges
+
+    @given(st.lists(st.text(alphabet="a@ \t\r\x0c\x85\xa0\u2028", max_size=8), max_size=8),
+           st.integers(0, 20))
+    @example(["\xa0\xa0"], 1)
+    @example(["a\r"], 1)
+    def test_text_round_trip_of_every_token(self, lines, merges):
+        # A merge of any two symbols of tokenize's tokens, Unicode spaces
+        # included, reads back from its written line.
+        table = learn_bpe([token for line in lines for token in tokenize(line)], merges)
+        assert MergeTable.from_text(table.to_text() + "\n") == table
 
     def test_separator_inside_a_merge(self):
         table = MergeTable.from_text("a\x0cb c\r\nd e\r\n")

@@ -743,6 +743,13 @@ class TestLineSplitting:
         assert out.count("\n") == 2
         assert json.loads(err)["counters"]["lines"] == 2
 
+    def test_unicode_spaces_do_not_cut_tokens(self, run):
+        # Within a line only space, tab and \r separate tokens.
+        code, out, _ = run(["bpe-revert"], stdin_text="pi\u0085zza a\u00a0b\n")
+        assert (code, out) == (0, "pi\u0085zza a\u00a0b\n")
+        code, out, _ = run(["bpe-revert"], stdin_text="x@@\tb\rc\x0cd\n")
+        assert (code, out) == (0, "xb c\x0cd\n")
+
     def test_backend_line_keeps_its_separator(self, run):
         code, out, err = run(["translate", "--backend", "cat"], stdin_text="x\u2028y\n")
         assert code == 0

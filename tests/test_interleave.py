@@ -285,8 +285,9 @@ class TestWalkMatchesOracle:
 
 # ---------------------------------------------------------------------------
 # Czech postprocessing against the model.  Lines mix lexicon pairs, unknown
-# lemmas, 15-letter lemmas that read as tags, BPE pieces, dangling markers
-# and every kind of whitespace the text revert must leave to the split path.
+# lemmas, 15-letter lemmas that read as tags, BPE pieces, dangling markers,
+# the separators the text revert must leave to the token path (double
+# spaces, tab, carriage return) and the Unicode spaces that are token content.
 # ---------------------------------------------------------------------------
 
 _CZECH_PAIRS = [(tag_text, lemma) for tag_text, lemma, _ in FIG1_WORDS] + [
@@ -299,7 +300,7 @@ czech_units = st.one_of(
     st.sampled_from(_CZECH_OTHER + [tag for tag, _ in _CZECH_PAIRS]).map(lambda t: [t]),
     st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=15, max_size=15).map(lambda t: [t]),
 )
-_SPACES = [" ", " ", " ", "  ", "\t", "\x0c", "\x85", "\xa0", "\u2028"]
+_SPACES = [" ", " ", " ", "  ", "\t", "\r", "\x0c", "\x85", "\xa0", "\u2028"]
 
 
 @st.composite
@@ -331,6 +332,8 @@ class TestCzechPostprocessMatchesOracle:
             " NNFS2-----A---- piz@@ za",
             "NNFS2-----A----  piz@@ za",
             "NNFS2-----A----\tpiz@@ za",
+            "NNFS2-----A----\rpiz@@ za",
+            "NNFS2-----A---- piz@@\x85za",
             "NNFS2-----A---- piz@@ za@@",
             "NNFS2-----A---- piz@@ za @@",
             "",

@@ -80,7 +80,9 @@ def test_import_loads_no_submodule():
 
 
 def test_a_name_loads_only_its_module():
-    assert fresh_modules("import morphmt; morphmt.bleu") == "['morphmt', 'morphmt.evaluation']"
+    assert fresh_modules("import morphmt; morphmt.bleu") == (
+        "['morphmt', 'morphmt.conventions', 'morphmt.evaluation']"
+    )
     assert fresh_modules("from morphmt import revert_bpe") == (
         "['morphmt', 'morphmt.bpe', 'morphmt.conventions']"
     )
@@ -105,6 +107,18 @@ def test_pipeline_import_leaves_subprocess_out():
         capture_output=True, text=True,
     )
     assert (result.returncode, result.stdout) == (0, "False\n"), result.stderr
+
+
+def test_no_second_token_rule():
+    # A line is cut into tokens by conventions.tokenize only: str.split()
+    # with no argument also cuts at U+0085, U+00A0, U+2028 and form feed.
+    bare_splits = []
+    for path in sorted((ROOT / "src" / "morphmt").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "split" and not node.args and not node.keywords):
+                bare_splits.append(f"{path.name}:{node.lineno}")
+    assert bare_splits == []
 
 
 # The positional-tag slot accessors that no stage reads yet; they stay

@@ -22,6 +22,7 @@ import spec
 from morphmt import pipeline, tagsets
 from morphmt.bpe import revert_bpe
 from morphmt.cli import main
+from morphmt.conventions import tokenize
 from morphmt.morphlex import Diagnostics, load_lexicon, select_analysis
 from morphmt.pipeline import ParallelCorpus, PipelineConfig, postprocess, prepare_variant
 from morphmt.tagsets import TAG_ALPHABET, MalformedAnalysis
@@ -46,7 +47,7 @@ def src_prepare(targets, mode, lex, parse_tags=None):
     corpus = ParallelCorpus.from_lines([""] * len(targets), targets)
     cfg = PipelineConfig.for_mode(mode, bpe_merges=0)
     prepared = prepare_variant(corpus, cfg, lex, target_parse_tags=parse_tags)
-    lines = [" ".join(revert_bpe(line.split())) for line in prepared.corpus.targets]
+    lines = [" ".join(revert_bpe(tokenize(line))) for line in prepared.corpus.targets]
     return lines, prepared.dropped
 
 
@@ -79,10 +80,11 @@ def assert_postprocess_matches(lines, mode, rows, mods, lex):
 
 # Czech words never reach 15 characters, so none reads as a positional tag;
 # "@@" may occur inside a word but never ends one (see
-# test_word_ends_in_the_marker).
-czech_words = st.text(alphabet="abcčeěiknoprřsšuyzžAB@§<>[]|", min_size=1, max_size=6).filter(
-    lambda word: not word.endswith("@@")
-)
+# test_word_ends_in_the_marker).  Form feed, U+0085, U+00A0 and U+2028 are
+# word characters: only space, tab and carriage return separate tokens.
+czech_words = st.text(
+    alphabet="abcčeěiknoprřsšuyzžAB@§<>[]|\x0c\x85\xa0\u2028", min_size=1, max_size=6
+).filter(lambda word: not word.endswith("@@"))
 czech_tags = st.one_of(
     st.sampled_from(["NNFS1-----A----", "NNFS2-----A----", "NNIP1-----A----", "NNIP2-----A----",
                      "VB-P---3P-AA---", "Z:-------------", "AAIP7----2A----"]),
@@ -204,7 +206,7 @@ SPECIAL_TOKENS = [
     "§§<NN>§§", "§§<ADJ>§§", "§§<X>§§", "§§", "und[KON]", ".[$]", "[KON]", "<+NN>", "<>", "[",
     "piz@@", "@@", "x@@@", "abcdefghijklmno", *FEATURES[:3],
 ]
-_SPACES = [" ", " ", " ", "  ", "\t", "\x0c", "\x85", "\xa0", "\u2028"]
+_SPACES = [" ", " ", " ", "  ", "\t", "\r", "\x0c", "\x85", "\xa0", "\u2028"]
 
 
 CUTS = st.sampled_from([0, 0, 0, 1, 2])
@@ -435,13 +437,9 @@ def test_memos_emptied_at_limit(german_lexicon, monkeypatch):
 
 
 def covered(rows, mode):
-    """The surfaces whose sentence of one word the model encodes.  A German
-    word must encode in split mode too: german-stemmed does not check that
-    a compound's parts read as words (see test_part_spells_a_separator)."""
+    """The surfaces whose sentence of one word the model encodes."""
     surfaces = sorted({surface for _, _, surface in rows})
-    modes = {mode, "german-stemmed-split"} if mode.startswith("german") else {mode}
-    return [s for s in surfaces
-            if all(isinstance(outcome(spec.prepare, s, m, rows), list) for m in modes)]
+    return [s for s in surfaces if isinstance(outcome(spec.prepare, s, mode, rows), list)]
 
 
 @st.composite
@@ -496,12 +494,15 @@ class TestEndToEnd:
         expected = b"representatives\n"
         assert cli_round_trip(mode, rows, [], ["representatives"]) == ((0, 0, 0), expected)
 
-    @pytest.mark.xfail(strict=True, reason="german-stemmed prepare encodes a compound stem whose "
-                                           "part spells a separator; postprocess cannot merge it")
-    def test_part_spells_a_separator(self):
+    @pytest.mark.parametrize("mode", ["german-stemmed", "german-stemmed-split"])
+    def test_part_spells_a_separator(self, mode):
+        # postprocess could not merge the stem, so prepare stops on its line.
         rows = [("a<NN>§§<Def>§§", "<+NN><Masc><Dat><Sg><NA>", "x")]
-        assert covered(rows, "german-stemmed-split") == []
-        assert cli_round_trip("german-stemmed", rows, [], ["x"]) == ((0, 0, 0), b"x\n")
+        error = ("line 1: lexeme expected at 2 in "
+                 "('a', '§§<NN>§§', '§§<Def>§§', '<+NN><Masc><Dat><Sg><NA>')")
+        lex = load_lexicon(spec.lexicon_document(rows))
+        assert outcome(src_prepare, ["x"], mode, lex) == ("MalformedAnalysis", error)
+        assert outcome(spec_prepare, ["x"], mode, rows) == ("MalformedAnalysis", error)
 
     @pytest.mark.xfail(strict=True, reason="a stream token that ends in the BPE marker and that "
                                            "BPE leaves whole is joined to the next one")
