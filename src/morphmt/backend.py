@@ -48,7 +48,7 @@ def translate_external(
         except OSError as exc:
             raise BackendFailure(f"cannot run backend {backend!r}: {exc}") from exc
         if proc.returncode != 0:
-            stderr = proc.stderr.decode("utf-8", "replace").strip()
+            stderr = proc.stderr.decode("utf-8", "replace").strip(" \t\r\n")
             raise BackendFailure(f"backend exited with {proc.returncode}: {stderr}")
         try:
             text = proc.stdout.decode("utf-8")

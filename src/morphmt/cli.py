@@ -45,6 +45,7 @@ from .conventions import (
     MODE_GERMAN_STEMMED,
     MODE_SERIALIZATION,
     PIPELINE_MODES,
+    TOKEN_SEPARATORS,
     split_lines,
     tokenize,
 )
@@ -192,16 +193,16 @@ def load_config_file(path: str, keys: set[str]) -> dict[str, str]:
     except UnicodeDecodeError as exc:
         raise CliError(f"{path}: invalid UTF-8 at byte {exc.start}") from exc
     for lineno, line in enumerate(split_lines(text), 1):
-        stripped = line.strip()
+        stripped = line.strip(TOKEN_SEPARATORS)
         if not stripped or stripped.startswith("#"):
             continue
         key, sep, value = stripped.partition("=")
         if not sep:
             raise CliError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key = key.strip().replace("-", "_")
+        key = key.strip(TOKEN_SEPARATORS).replace("-", "_")
         if key not in keys:
             raise CliError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = value.strip()
+        values[key] = value.strip(TOKEN_SEPARATORS)
     return values
 
 
@@ -385,7 +386,7 @@ def cmd_analyze(args: argparse.Namespace, inputs: _Inputs) -> _Result:
     out = []
     unknown = 0
     for surface in lines:
-        surface = surface.strip()
+        surface = surface.strip(TOKEN_SEPARATORS)
         if not surface:
             continue
         keys = morphlex.analyze(lex, surface)
@@ -409,7 +410,7 @@ def cmd_generate(args: argparse.Namespace, inputs: _Inputs) -> _Result:
     out = []
     for index, line in enumerate(inputs.lines(args.input)):
         lineno = index + 1
-        if not line.strip():
+        if not line.strip(TOKEN_SEPARATORS):
             continue
         columns = line.split("\t")
         if len(columns) != 2:

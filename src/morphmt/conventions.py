@@ -32,9 +32,14 @@ def split_lines(text: str) -> list[str]:
     return lines
 
 
+# The characters that separate tokens within a line, and the only ones
+# a stage trims off a line, a config key or a config value.
+TOKEN_SEPARATORS = " \t\r"
+
+
 def tokenize(line: str) -> list[str]:
-    """Cut a line into tokens: maximal runs of characters other than space
-    (U+0020), tab and ``\\r``.
+    """Cut a line into tokens: maximal runs of characters other than
+    :data:`TOKEN_SEPARATORS`, space (U+0020), tab and ``\\r``.
 
     Unlike :meth:`str.split`, form feed, U+0085, U+00A0, U+2028 and the
     other Unicode spaces are token content.  ``\\r`` separates because
