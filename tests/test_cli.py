@@ -835,6 +835,12 @@ class TestConsoleScript:
         )
         assert (result.returncode, result.stdout) == (0, "[]\n"), result.stderr
 
+    def test_usage_error_exit_code(self):
+        result = subprocess.run(
+            [*CLI, "no-such-command"], capture_output=True, text=True, env=PACKAGE_ENV,
+        )
+        assert result.returncode == 2
+
 
 # argv -> (the subcommand whose usage argparse prints, or None for the
 # top-level usage; the error line, or None for the top-level parser's own,
