@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from . import FrozenRecord
 from .conventions import split_lines, tokenize
@@ -29,6 +29,7 @@ __all__ = [
     "learn_bpe",
     "apply_bpe",
     "segment_line",
+    "segment_tokens",
     "revert_bpe",
     "word_end_fragment_stats",
     "vocab_stats",
@@ -171,11 +172,16 @@ def apply_bpe(
 
 
 def segment_line(
-    table: MergeTable,
-    line: str,
-    protected: Callable[[str], bool] | None = None,
+    table: MergeTable, line: str, protected: Callable[[str], bool] | None = None
 ) -> str:
-    """Apply BPE to every :func:`~morphmt.conventions.tokenize` token of a line.
+    """:func:`segment_tokens` of the :func:`~morphmt.conventions.tokenize` tokens of a line."""
+    return segment_tokens(table, tokenize(line), protected)
+
+
+def segment_tokens(
+    table: MergeTable, tokens: Sequence[str], protected: Callable[[str], bool] | None = None
+) -> str:
+    """Apply BPE to every token and join the pieces into one line.
 
     Each distinct token is segmented once per table and predicate: the
     table keeps the segmentations under the last predicate it was used
@@ -185,13 +191,10 @@ def segment_line(
     if memo[0] is not protected:
         memo[:] = [protected, {}]
     segmented = memo[1]
-    out: list[str] = []
-    for token in tokenize(line):
-        text = segmented.get(token)
-        if text is None:
-            text = segmented[token] = " ".join(apply_bpe(table, token, protected))
-        out.append(text)
-    return " ".join(out)
+    for token in tokens:
+        if token not in segmented:
+            segmented[token] = " ".join(apply_bpe(table, token, protected))
+    return " ".join(map(segmented.__getitem__, tokens))
 
 
 def revert_bpe(subwords: list[str]) -> list[str]:

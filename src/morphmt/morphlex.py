@@ -30,6 +30,7 @@ supplies linking elements and Umlautung base-form mappings.
 from __future__ import annotations
 
 from . import FrozenRecord, Record
+from .conventions import TOKEN_SEPARATORS
 from .tagsets import (
     GermanFeatureSeq,
     MalformedAnalysis,
@@ -245,10 +246,8 @@ def _add_row(lex: ParadigmLexicon, lineno: int, lemma: str, tag_text: str, surfa
 
 def _load_line(lex: ParadigmLexicon, lineno: int, line: str) -> None:
     """Skip, store or reject a line that is not a plain three-column row."""
-    if not line or line[0] == "#":
-        return
-    if line[0].isspace() and (line.isspace() or line.lstrip()[0] == "#"):
-        return  # blank, or an indented comment
+    if line.lstrip(TOKEN_SEPARATORS)[:1] in ("", "#"):
+        return  # blank, or a comment (its first token starts with '#')
     columns = line.split("\t")
     if len(columns) != 3:
         if columns[0] == "@mod":
@@ -277,11 +276,13 @@ def load_lexicon(document: str) -> ParadigmLexicon:
 
     One pass over the lines, raising at the first bad one with its line
     number, conflicts included.  A line of three columns whose lemma
-    starts with neither ``#``, ``@`` nor whitespace and whose surface is
-    not empty is stored by two dict operations: the lemma's shared copy
-    and the slot in its tag's dict.  Each distinct tag text is parsed at
-    its first row.  Comments, blank and indented lines, ``@mod`` rows,
-    empty fields and lines of another width go through ``_load_line``.
+    starts with neither ``#``, ``@`` nor a token separator (space or
+    ``\\r``) and whose surface is not empty is stored by two dict
+    operations: the lemma's shared copy and the slot in its tag's dict.
+    Each distinct tag text is parsed at its first row.  Comments, blank
+    and indented lines, ``@mod`` rows, empty fields and lines of another
+    width go through ``_load_line``.  Blank means no character other than
+    the token separators: a line of U+00A0 is a one-column row.
     """
     lex = ParadigmLexicon()
     forward, lemmas = lex._forward, lex._lemmas
@@ -292,7 +293,7 @@ def load_lexicon(document: str) -> ParadigmLexicon:
         except (ValueError, IndexError):  # not three columns, or no lemma
             _load_line(lex, lineno, line)
             continue
-        if not surface or first in "#@" or first.isspace():
+        if not surface or first in "#@" or first in TOKEN_SEPARATORS:
             _load_line(lex, lineno, line)
             continue
         rows = forward.get(tag_text)

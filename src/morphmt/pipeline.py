@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import random
 from functools import partial
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Sequence
 
 from . import Record, interleave
@@ -35,7 +35,7 @@ from .bpe import (
     MergeTable,
     learn_bpe,
     revert_bpe,
-    segment_line,
+    segment_tokens,
 )
 from .compounds import merge_stem, rejoin_split_tokens, split_tokens
 from .conventions import (
@@ -43,6 +43,7 @@ from .conventions import (
     GERMAN_DEFAULT_MERGES,
     MODE_GERMAN_STEMMED_SPLIT,
     PIPELINE_MODES,
+    TOKEN_SEPARATORS,
     tokenize,
 )
 from .morphlex import (
@@ -212,20 +213,23 @@ def _encode_analysis(
 ) -> tuple[str, ...]:
     """The tokens of a word whose analysis is the row key ``key``.
 
-    Morphgen emits the tag before the lemma, serialization the tag
-    before the surface.  The German modes emit the stem before its
-    features, split mode its :func:`~morphmt.compounds.split_tokens`,
-    and a bare tag (``[KON]``) as one token with its lexeme
-    (``und[KON]``).  A German key must encode to tokens that
-    postprocessing reads back as the word: its tag must be a feature
-    sequence, an inflected lemma must have split tokens in both modes
-    (postprocessing merges it from them), and a bare
-    lemma with its tag must be a bare token whose lexeme, which
-    postprocessing emits as it is, is the surface.
+    Morphgen emits the tag before the lemma, which must be one token
+    (postprocessing would read a lemma of two as two words),
+    serialization the tag before the surface.  The German modes emit
+    the stem before its features, split mode its
+    :func:`~morphmt.compounds.split_tokens`, and a bare tag (``[KON]``)
+    as one token with its lexeme (``und[KON]``).  A German key must
+    encode to tokens that postprocessing reads back as the word: its tag
+    must be a feature sequence, an inflected lemma must have split tokens
+    in both modes (postprocessing merges it from them), and a bare lemma
+    with its tag must be a bare token whose lexeme, which postprocessing
+    emits as it is, is the surface.
     :class:`MalformedAnalysis` says which does not hold.
     """
     tag_text, lemma = key
     if mode == interleave.MODE_MORPHGEN:
+        if any(c in lemma for c in TOKEN_SEPARATORS):
+            raise MalformedAnalysis(f"lemma is not a single token: {lemma!r}")
         return (tag_text, lemma)
     if mode == interleave.MODE_SERIALIZATION:
         return (tag_text, surface)
@@ -292,13 +296,19 @@ def _encode_tokens(
 
 
 def _split_hyphens(tokens: list[str]) -> list[str]:
-    """Aggressive source-side hyphen splitting (optional normalization)."""
+    """Aggressive source-side hyphen splitting (optional normalization).
+
+    A token with a hyphen inside it, not only at its ends, is cut after
+    every hyphen; a trailing hyphen stays on the last part, so no part
+    is empty and the parts join back into the token.
+    """
     out: list[str] = []
     for token in tokens:
         if "-" in token.strip("-"):
-            parts = token.split("-")
-            for i, part in enumerate(parts):
-                out.append(part + "-" if i < len(parts) - 1 else part)
+            *parts, last = token.split("-")
+            out += [part + "-" for part in parts]
+            if last:
+                out.append(last)
         else:
             out.append(token)
     return out
@@ -331,7 +341,8 @@ def prepare_variant(
     """
     if cfg.mode != interleave.MODE_BASELINE and lex is None:
         raise ValueError(f"mode {cfg.mode!r} needs a lexicon")
-    encoded: list[tuple[str, str]] = []
+    sources: list[tuple[str, ...]] = []
+    targets: list[tuple[str, ...]] = []
     dropped: list[tuple[int, str]] = []
     memo: dict[tuple[str, str | None], _Encoded] = {}
     for index, (source, target) in zip(corpus._origin or range(len(corpus)), corpus.pairs):
@@ -352,30 +363,26 @@ def prepare_variant(
                 source_tokens = interleave.tag_source(source_tokens, source_tags[index])
         except ValueError as exc:  # its tags or encoding: name the input line
             raise type(exc)(f"line {index + 1}: {exc}") from None
-        encoded.append((" ".join(source_tokens), " ".join(target_out)))
+        sources.append(tuple(source_tokens))  # tuples of strings: the gc stops tracking them
+        targets.append(tuple(target_out))
     # Freed before BPE is learned: kept alive through learn_bpe, the memo
     # slowed learning on the Czech benchmark corpus (not with gc disabled).
     del memo
 
     protected = tag_predicate_for_mode(cfg.mode) if cfg.protect_tags else None
-    source_lines = [s for s, _ in encoded]
-    target_lines = [t for _, t in encoded]
-
-    def tokens_of(lines: list[str]) -> list[str]:
-        return [token for line in lines for token in tokenize(line)]
-
     if cfg.joint_bpe:
-        table = learn_bpe(tokens_of(source_lines + target_lines), cfg.bpe_merges)
+        table = learn_bpe(chain.from_iterable(sources + targets), cfg.bpe_merges)
         source_table = target_table = table
     else:
-        source_table = learn_bpe(tokens_of(source_lines), cfg.bpe_merges)
-        target_table = learn_bpe(tokens_of(target_lines), cfg.bpe_merges)
+        source_table = learn_bpe(chain.from_iterable(sources), cfg.bpe_merges)
+        target_table = learn_bpe(chain.from_iterable(targets), cfg.bpe_merges)
 
     # All sources, then all targets: the table's segmentation memo is kept
     # per predicate, and the source side is never protected.
-    sources = [segment_line(source_table, s) for s in source_lines]
-    targets = [segment_line(target_table, t, protected) for t in target_lines]
-    pairs = list(zip(sources, targets))
+    pairs = list(zip(
+        [segment_tokens(source_table, tokens) for tokens in sources],
+        [segment_tokens(target_table, tokens, protected) for tokens in targets],
+    ))
     return PreparedVariant(ParallelCorpus(pairs), source_table, target_table, dropped)
 
 

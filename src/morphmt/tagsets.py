@@ -250,6 +250,8 @@ _ANGLE_VALUE_RE = re.compile(r"<([^<>\s]+)>")
 _BARE_RE = re.compile(r"^([^<>\[\]\s]+)\[([^\[\]\s]+)\]$")
 _BARE_TAG_RE = re.compile(r"^\[([^\[\]\s]+)\]$")
 _SEPARATOR_RE = re.compile(r"^§§<([^<>\s]+)>§§$")
+# Any Unicode whitespace: what the ``\s`` in the token patterns excludes.
+_SPACE_RE = re.compile(r"\s")
 
 
 class GermanFeatureSeq(FrozenRecord):
@@ -466,7 +468,7 @@ def parse_german_analysis(raw: str) -> tuple[str, str, GermanFeatureSeq]:
     The lemma of an inflected token is its stem side, which must parse;
     that of a bare token is its lexeme.
     """
-    if not raw or any(c.isspace() for c in raw):
+    if not raw or _SPACE_RE.search(raw):
         raise MalformedAnalysis(f"analysis must be a single token: {raw!r}")
     if raw.count("<") != raw.count(">") or raw.count("[") != raw.count("]"):
         raise MalformedAnalysis(f"unbalanced brackets in {raw!r}")

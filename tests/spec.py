@@ -13,7 +13,8 @@ Per mode:
 
 * :func:`prepare` gives a target sentence's token stream before BPE, or
   :class:`Dropped` with the reason the sentence is dropped; an error that
-  stops the run is raised as a ``ValueError``.
+  stops the run is raised as a ``ValueError``.  :func:`split_hyphens`
+  gives a source word's tokens under ``--split-source-hyphens``.
 * :func:`postprocess` gives a backend line's text and its
   :class:`~morphmt.morphlex.Diagnostics`; :func:`postprocess_lines` does
   so for a corpus.
@@ -218,6 +219,9 @@ def split_segments(segments, tag: str) -> list[str] | None:
 def encode(tag: str, lemma: str, surface: str, mode: str) -> list[str]:
     """The tokens of a word whose analysis is the row ``(lemma, tag, surface)``."""
     if mode == "morphgen":
+        # A lemma of two tokens would read back as two words.
+        if re.search("[ \t\r]", lemma):
+            raise MalformedAnalysis(f"lemma is not a single token: {lemma!r}")
         return [tag, lemma]
     if mode == "serialization":
         return [tag, surface]
@@ -238,6 +242,15 @@ def encode(tag: str, lemma: str, surface: str, mode: str) -> list[str]:
     if mode == "german-stemmed-split" and tokens is not None:
         return tokens
     return [lemma, tag]
+
+
+def split_hyphens(word: str) -> list[str]:
+    """A source word as ``--split-source-hyphens`` writes it: cut after every
+    hyphen when it has a hyphen inside, not only at its ends, a trailing
+    hyphen kept on the last part, so no part is empty."""
+    if "-" not in word.strip("-"):
+        return [word]
+    return re.findall("[^-]*-|[^-]+", word)
 
 
 def prepare(sentence: str, mode: str, rows=(), parse_tags=None) -> list[str] | Dropped:

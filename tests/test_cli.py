@@ -1093,6 +1093,9 @@ CHARACTERIZATION_FILES = {
     "me.merges": b"M e\n",
     "bare.tsv": b"x\t[KON]\tq\n",
     "separator.tsv": "a<NN>§§<Def>§§\t<+NN><Masc><Dat><Sg><NA>\tx\n".encode(),
+    "spaced.tsv": b"a b\tNNFS1-----A----\tx\nc\tNNFS2-----A----\ty\n",
+    "hyphen.src": b"a-b- z\n",
+    "hyphen.tags": b"T U V\n",
 }
 
 # name -> (argv, stdin text)
@@ -1118,6 +1121,14 @@ CHARACTERIZATION_CASES = {
                                          "bare.tsv"], "q\n"),
     "prepare-german-separator-stem": (["prepare", "--mode", "german-stemmed", "--lexicon",
                                        "separator.tsv"], "x\n"),
+    # postprocess would read the lemma "a b" back as two words.
+    "prepare-morphgen-lemma-of-two-tokens": (["prepare", "--mode", "morphgen", "--lexicon",
+                                              "spaced.tsv"], "x y\n"),
+    # A trailing hyphen stays on its part: three words, three tags.
+    "prepare-source-trailing-hyphen": (["prepare", "--mode", "baseline", "--merges", "20",
+                                        "--source", "hyphen.src", "--source-tags", "hyphen.tags",
+                                        "--split-source-hyphens", "--out-source", "out.src"],
+                                       "x\n"),
     "bpe-learn-stdin": (["bpe-learn", "--merges", "3"], "low low lowest\nlower\n"),
     "bpe-learn-output": (["bpe-learn", "--config", "run.conf", "-o", "learned.txt", "cs.txt"], None),
     "bpe-learn-no-merges": (["bpe-learn"], "x\n"),

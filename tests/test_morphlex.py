@@ -58,6 +58,16 @@ class TestLoadLexicon:
         lex = load_lexicon("# comment\n\na\tZ:-------------\tb\n")
         assert len(lex) == 1
 
+    def test_row_starting_with_a_unicode_space_and_hash_is_no_comment(self):
+        # U+00A0 is token content, so "#" does not start the line's first token.
+        lex = load_lexicon("pizza\tNNFS2-----A----\tpizzy\n\xa0# x\tNNFS1-----A----\ty\n")
+        assert analyze(lex, "y") == [("NNFS1-----A----", "\xa0# x")]
+
+    @pytest.mark.parametrize("line", ["\xa0", "\xa0\xa0", "\u2028", "\x0c"])
+    def test_line_of_unicode_spaces_is_no_blank_line(self, line):
+        with pytest.raises(LexiconParse, match="^line 2: expected lemma<TAB>tag<TAB>surface"):
+            load_lexicon(f"pizza\tNNFS2-----A----\tpizzy\n{line}\n")
+
     def test_separator_inside_a_surface(self):
         lex = load_lexicon("a\tZ:-------------\tb\u2028c\r\n")
         assert len(lex) == 1
@@ -112,7 +122,8 @@ def load_rows(document):
     first bad line."""
     lex = ParadigmLexicon()
     for lineno, line in enumerate(split_lines(document), start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
+        # Blank or a comment by the token separators: space, tab and "\r".
+        if line.lstrip(" \t\r")[:1] in ("", "#"):
             continue
         columns = line.split("\t")
         if columns[0] == "@mod":
@@ -167,7 +178,7 @@ def load_outcome(loader, document):
 
 # Fields that are empty, start with whitespace or "#", hold a Unicode
 # separator or "\r", or repeat, so rows collide, conflict and go bad.
-LEXICON_FIELDS = ["a", "b", "", " a", "#a", " #a", "a\x85", "a\u2028b", "b\r", "@mod"]
+LEXICON_FIELDS = ["a", "b", "", " a", "#a", " #a", "\xa0#a", "a\x85", "a\u2028b", "b\r", "@mod"]
 LEXICON_TAGS = [
     "NNFS2-----A----", "NNFS1-----A----", "Z:-------------", "C=-------------",
     "[KON]", "<+NN><Fem><Acc><Sg><NA>", "NN", "<bad", "",
@@ -183,7 +194,7 @@ lexicon_line = st.one_of(
         lambda pair: "@mod\t" + "\t".join(pair)
     ),
     st.sampled_from([
-        "", " ", "\t", "\x0c", "\x85", "\u2028", "\t\t", " \t \t ", "# comment", "  # indented",
+        "", " ", "\t", "\x0c", "\x85", "\xa0", "\u2028", "\t\t", " \t \t ", "# comment", "  # indented",
         "\t# tab-indented\tNNFS2-----A----\tx", "a\tNNFS2-----A----", "a\tNNFS2-----A----\tx\ty",
         "@mod\ta", "@mod\ta\tb\tc", " a\tNNFS2-----A----\tx",
     ]),
@@ -210,7 +221,7 @@ class TestLoadMatchesRowLoader:
     def test_regular_rows_load(self, rows):
         # One surface per (lemma, tag), so no row conflicts.
         rows = [(lemma, tag, f"{lemma}{tag}") for lemma, tag, _ in rows]
-        document = "# rows\n\n  # indented\n \t\x85\n" + "".join("\t".join(row) + "\n" for row in rows)
+        document = "# rows\n\n  # indented\n \t \n" + "".join("\t".join(row) + "\n" for row in rows)
         document += "@mod\tMeer\tMeeres\n@mod\tMeer\tMeeres\n"
         assert load_outcome(load_lexicon, document) == load_outcome(load_rows, document)
         assert len(load_lexicon(document)) == len(set(rows))
@@ -226,6 +237,7 @@ class TestLoadMatchesRowLoader:
         ("a\tNNFS2-----A----\tx\n@mod\tHaus\t\n", "line 2: empty modifier or form"),
         ("@mod\t\tHäuser\n", "line 1: empty modifier or form"),
         (" #a\tNNFS2-----A----\tx\n", None),
+        ("\xa0\n", "line 1: expected lemma<TAB>tag<TAB>surface"),
     ])
     def test_first_bad_line_decides(self, document, error):
         outcome = load_outcome(load_lexicon, document)

@@ -111,14 +111,15 @@ def test_pipeline_import_leaves_subprocess_out():
 
 def test_no_second_token_rule():
     # A line is cut into tokens by conventions.tokenize only, and trimmed of
-    # conventions.TOKEN_SEPARATORS only: str.split() and str.strip() with no
-    # argument also cut or trim U+0085, U+00A0, U+2028 and form feed.
+    # conventions.TOKEN_SEPARATORS only: str.split(), str.strip(), lstrip()
+    # and rstrip() with no argument also cut or trim U+0085, U+00A0, U+2028
+    # and form feed, which str.isspace() also reads as space.
     bare_calls = []
     for path in sorted((ROOT / "src" / "morphmt").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in ("split", "strip") and not node.args
-                    and not node.keywords):
+                    and node.func.attr in ("split", "strip", "lstrip", "rstrip", "isspace")
+                    and not node.args and not node.keywords):
                 bare_calls.append(f"{path.name}:{node.lineno}")
     assert bare_calls == []
 

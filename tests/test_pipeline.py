@@ -4,8 +4,11 @@ import random
 
 import pytest
 
+from morphmt import bpe, pipeline
 from morphmt.backend import BackendFailure, translate_external
+from morphmt.conventions import tokenize
 from morphmt.interleave import LengthMismatch
+from morphmt.morphlex import load_lexicon
 from morphmt.pipeline import (
     ParallelCorpus,
     PipelineConfig,
@@ -159,6 +162,51 @@ class TestPrepareVariant:
         corpus = ParallelCorpus.from_lines(["hydrogen-sulfide-rich water"], [FIG1_SURFACE])
         prepared = prepare_variant(corpus, cfg, czech_lexicon)
         assert prepared.corpus.sources[0] == "hydrogen- sulfide- rich water"
+
+    def test_trailing_hyphen_stays_on_the_last_part(self, czech_lexicon):
+        # No empty token: "a-b-" is two words, so two tags, not three.
+        cfg = PipelineConfig.for_mode("morphgen", split_source_hyphens=True)
+        corpus = ParallelCorpus.from_lines(["a-b- -c-d a--b z"], [FIG1_SURFACE])
+        tags = [["T", "U", "V", "W", "X", "Y", "Z", "Q", "R"]]
+        prepared = prepare_variant(corpus, cfg, czech_lexicon, source_tags=tags)
+        assert prepared.corpus.sources == ["T a- U b- V - W c- X d Y a- Z - Q b R z"]
+        with pytest.raises(LengthMismatch, match="^line 1: 3 words vs 4 tags$"):
+            prepare_variant(ParallelCorpus.from_lines(["a-b- z"], [FIG1_SURFACE]), cfg,
+                            czech_lexicon, source_tags=[["T", "U", "V", "W"]])
+
+    @pytest.mark.parametrize("lemma", ["a b", "a\rb", " a"])
+    def test_morphgen_lemma_of_two_tokens_stops_the_run(self, lemma):
+        # postprocess would read the lemma back as two words: "x y" became "a b y".
+        lex = load_lexicon(f"{lemma}\tNNFS1-----A----\tx\nc\tNNFS2-----A----\ty\n")
+        corpus = ParallelCorpus.from_lines([""], ["x y"])
+        with pytest.raises(MalformedAnalysis) as info:
+            prepare_variant(corpus, PipelineConfig.for_mode("morphgen"), lex)
+        assert str(info.value) == f"line 1: lemma is not a single token: {lemma!r}"
+        # Serialization writes the surface, not the lemma.
+        prepared = prepare_variant(corpus, PipelineConfig.for_mode("serialization"), lex)
+        assert prepared.corpus.targets == ["NNFS1-----A---- x NNFS2-----A---- y"]
+
+    @pytest.mark.parametrize("joint_bpe", [True, False])
+    def test_each_line_is_cut_once_per_side(self, czech_lexicon, monkeypatch, joint_bpe):
+        # The encoder's tokens go to BPE as they are: no side is joined and cut again.
+        cuts = []
+
+        def counting(line):
+            cuts.append(line)
+            return tokenize(line)
+
+        monkeypatch.setattr(pipeline, "tokenize", counting)
+        monkeypatch.setattr(bpe, "tokenize", counting)
+        sources = ["he-she  sees", "x", "they\tsee"]
+        targets = [FIG1_SURFACE, "xyzzy", "pizzy  ."]
+        cfg = PipelineConfig.for_mode("morphgen", bpe_merges=5, protect_tags=True,
+                                      joint_bpe=joint_bpe, split_source_hyphens=True)
+        prepared = prepare_variant(ParallelCorpus.from_lines(sources, targets), cfg,
+                                   czech_lexicon, source_tags=[["A", "B", "C"], ["X"], ["A", "B"]])
+        assert [index for index, _ in prepared.dropped] == [1]
+        # The dropped pair's target is cut, and its source never.
+        assert cuts == [targets[0], sources[0], targets[1], targets[2], sources[2]]
+        assert len(prepared.corpus) == 2
 
     def test_protect_tags_flag(self, czech_lexicon):
         # tiny budget so the tag would normally be split

@@ -90,7 +90,9 @@ czech_tags = st.one_of(
                      "VB-P---3P-AA---", "Z:-------------", "AAIP7----2A----"]),
     st.text(alphabet=sorted(TAG_ALPHABET), min_size=15, max_size=15),
 )
-czech_rows = st.lists(st.tuples(czech_words, czech_tags, czech_words), max_size=10)
+# Now and then a lemma of two tokens, which morphgen cannot encode.
+czech_lemmas = st.one_of(czech_words, czech_words, czech_words, st.sampled_from(["a b", "a\rb", " a"]))
+czech_rows = st.lists(st.tuples(czech_lemmas, czech_tags, czech_words), max_size=10)
 
 FEATURES = [
     "<+NN><Masc><Dat><Sg><NA>", "<+NN><Fem><Acc><Sg><NA>", "<+NN><Neut><Nom><Sg><NA>",
@@ -455,35 +457,66 @@ def covered_corpora(draw, mode):
     return rows, mods, draw(st.lists(sentence, min_size=1, max_size=4))
 
 
-def cli_round_trip(mode, rows, mods, sentences, merges=8, protect=False):
+def cli_round_trip(mode, rows, mods, sentences, merges=8, protect=False, sources=None,
+                   split_hyphens=False):
     """The bytes ``postprocess`` writes for the sentences, run through the
-    three stages in process, and each stage's exit code."""
+    three stages in process, and each stage's exit code.
+
+    ``prepare`` also reads the source lines, empty by default.  Every line
+    it writes, on either side, is its tokens joined by single spaces, and
+    each source line reverts to the words of its input line, hyphens split
+    with ``split_hyphens`` as ``spec.split_hyphens`` says.
+    """
+    sources = [""] * len(sentences) if sources is None else sources
     with tempfile.TemporaryDirectory() as tmp:
-        lexicon, source, prepared, translated, output = (
-            os.path.join(tmp, name) for name in ("lex.tsv", "in.txt", "prep", "trans", "out")
+        lexicon, source, target, prepared, prepared_source, translated, output = (
+            os.path.join(tmp, name)
+            for name in ("lex.tsv", "src.txt", "in.txt", "prep", "prep.src", "trans", "out")
         )
         Path(lexicon).write_text(spec.lexicon_document(rows, mods), encoding="utf-8")
-        Path(source).write_text("".join(s + "\n" for s in sentences), encoding="utf-8")
+        Path(source).write_text("".join(s + "\n" for s in sources), encoding="utf-8")
+        Path(target).write_text("".join(s + "\n" for s in sentences), encoding="utf-8")
         protect_flag = "--protect-tags" if protect else "--no-protect-tags"
+        split_flag = "--split-source-hyphens" if split_hyphens else "--no-split-source-hyphens"
         codes = (
-            main(["prepare", "--mode", mode, "--lexicon", lexicon, "--target", source,
-                  "--out-target", prepared, "--merges", str(merges), protect_flag]),
+            main(["prepare", "--mode", mode, "--lexicon", lexicon, "--source", source,
+                  "--target", target, "--out-source", prepared_source, "--out-target", prepared,
+                  "--merges", str(merges), protect_flag, split_flag]),
             main(["translate", "--backend", "cat", prepared, "-o", translated]),
             main(["postprocess", "--mode", mode, "--lexicon", lexicon, translated, "-o", output]),
         )
+        prepared_lines = [Path(path).read_text(encoding="utf-8").split("\n")[:-1]
+                          for path in (prepared_source, prepared)]
+        for line in prepared_lines[0] + prepared_lines[1]:
+            assert " ".join(tokenize(line)) == line
+        words = [[part for word in tokenize(s)
+                  for part in (spec.split_hyphens(word) if split_hyphens else [word])]
+                 for s in sources]
+        assert [revert_bpe(tokenize(line)) for line in prepared_lines[0]] == words
         return codes, Path(output).read_bytes()
+
+
+# Source words with hyphens inside, at either end and doubled.
+source_words = st.one_of(
+    st.text(alphabet="ab-", min_size=1, max_size=6),
+    st.sampled_from(["a-b-", "-a-b", "a--b", "-", "--", "a-b--"]),
+)
+source_sentences = st.lists(source_words, max_size=5).map(" ".join)
 
 
 class TestEndToEnd:
     """For lexicon-covered sentences, the three stages give back the input bytes."""
 
     @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(st.data(), st.integers(0, 30), st.booleans())
+    @given(st.data(), st.integers(0, 30), st.booleans(), st.booleans())
     @pytest.mark.parametrize("mode", LEXICON_MODES)
-    def test_round_trip(self, mode, data, merges, protect):
+    def test_round_trip(self, mode, data, merges, protect, split_hyphens):
         rows, mods, sentences = data.draw(covered_corpora(mode))
+        sources = data.draw(st.lists(source_sentences, min_size=len(sentences),
+                                     max_size=len(sentences)))
         expected = "".join(s + "\n" for s in sentences).encode("utf-8")
-        assert cli_round_trip(mode, rows, mods, sentences, merges, protect) == ((0, 0, 0), expected)
+        assert cli_round_trip(mode, rows, mods, sentences, merges, protect, sources,
+                              split_hyphens) == ((0, 0, 0), expected)
 
     @pytest.mark.xfail(strict=True, reason="ROADMAP item 2(a): a 15-letter ASCII lemma reads "
                                            "as a positional tag in postprocess")
