@@ -25,7 +25,6 @@ _REEXPORTS = {
         "GermanFeatureSeq",
         "MalformedAnalysis",
         "MalformedTag",
-        "PositionalTag",
         "StemSegment",
         "format_tag",
         "parse_czech_tag",

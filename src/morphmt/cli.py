@@ -6,7 +6,8 @@ so stages can be piped together.  All text I/O is strict UTF-8; invalid
 byte sequences abort with a diagnostic.  A run manifest (configuration,
 seed, input checksums, per-stage counters) is emitted for every run:
 next to the output file when one is written, to standard error
-otherwise.
+otherwise.  ``-`` names standard output for every output option, and at
+most one output of a run may go there.
 
 A handler only computes: it reads its inputs through :class:`_Inputs`
 and returns a :class:`_Result`.  :func:`main` writes the result, the
@@ -153,13 +154,30 @@ def write_lines(path: str | None, lines: list[str]) -> None:
 
 def emit_manifest(manifest: RunManifest, output_path: str | None, manifest_path: str | None) -> None:
     if manifest_path is not None:
-        Path(manifest_path).write_text(manifest.to_json() + "\n", encoding="utf-8")
+        write_lines(manifest_path, [manifest.to_json()])
         return
     if output_path is not None and output_path != "-":
         sidecar = Path(output_path).with_name(Path(output_path).name + ".manifest.json")
         sidecar.write_text(manifest.to_json() + "\n", encoding="utf-8")
         return
     print(manifest.to_json(compact=True), file=sys.stderr)
+
+
+# The destinations of the options that name an output file; "-" is
+# standard output, and so is a missing --output or --out-target.
+_OUTPUT_DESTS = ("output", "out_source", "merge_table_out", "manifest")
+
+
+def check_one_stdout(args: argparse.Namespace, sub: argparse.ArgumentParser) -> None:
+    """Refuse a run that would write more than one output to standard output."""
+    flags = {a.dest: a.option_strings[0] for a in sub._actions if a.option_strings}
+    on_stdout = [
+        flags.get(dest, "the output") for dest in _OUTPUT_DESTS
+        if getattr(args, dest, None) == "-" or (dest == "output" and args.output is None)
+    ]
+    if len(on_stdout) > 1:
+        raise CliError(f"{', '.join(on_stdout[:-1])} and {on_stdout[-1]} write to "
+                       "standard output; at most one output may")
 
 
 # ---------------------------------------------------------------------------
@@ -244,13 +262,17 @@ def _load_lexicon(path: str | None, inputs: _Inputs) -> morphlex.ParadigmLexicon
     return morphlex.load_lexicon(inputs.text(path))
 
 
+def _mode(args: argparse.Namespace) -> str:
+    if args.mode is None:
+        raise CliError("a mode is required (--mode)")
+    return args.mode
+
+
 def _pipeline_config(args: argparse.Namespace) -> pipeline.PipelineConfig:
     from . import pipeline
 
-    if args.mode is None:
-        raise CliError("a mode is required (--mode)")
     return pipeline.PipelineConfig.for_mode(
-        args.mode,
+        _mode(args),
         bpe_merges=args.merges,
         maxlen=args.maxlen,
         minlen=args.minlen,
@@ -278,6 +300,8 @@ def cmd_prepare(args: argparse.Namespace, inputs: _Inputs) -> _Result:
     from . import pipeline
 
     cfg = _pipeline_config(args)
+    if args.merge_table_out == "-" and not cfg.joint_bpe:
+        raise CliError("--merge-table-out - leaves no place for the source table of --no-joint-bpe")
     lex = None
     if cfg.mode != MODE_BASELINE:
         lex = _load_lexicon(cfg.lexicon_path, inputs)
@@ -292,9 +316,9 @@ def cmd_prepare(args: argparse.Namespace, inputs: _Inputs) -> _Result:
     for flag, tag_lines in (("--parse-tags", parse_tags), ("--source-tags", source_tags)):
         if tag_lines is not None and len(tag_lines) != len(target_lines):
             raise CliError(f"{flag} has {len(tag_lines)} lines for {len(target_lines)} target lines")
-    kept = corpus
-    if args.filter or cfg.sample_size is not None:
-        kept = pipeline.filter_corpus(corpus, cfg)
+    # Sampling implies the length filter; the manifest records whether it ran.
+    filtered = bool(args.filter) or cfg.sample_size is not None
+    kept = pipeline.filter_corpus(corpus, cfg) if filtered else corpus
     prepared = pipeline.prepare_variant(
         kept,
         cfg,
@@ -316,14 +340,14 @@ def cmd_prepare(args: argparse.Namespace, inputs: _Inputs) -> _Result:
         side_outputs.append((args.merge_table_out, [prepared.target_table.to_text()]))
     if not cfg.joint_bpe:
         counters["source_merges_learned"] = len(prepared.source_table)
-        if args.merge_table_out not in (None, "-"):
+        if args.merge_table_out is not None:
             # Next to the target table, like the OUT.manifest.json sidecar.
             side_outputs.append(
                 (args.merge_table_out + ".source", [prepared.source_table.to_text()])
             )
     return _Result(
         prepared.corpus.targets,
-        cfg.snapshot(),
+        {**cfg.snapshot(), "filter": filtered},
         counters,
         seed=cfg.seed,
         notes=[f"morphmt: dropped pair {index}: {reason}" for index, reason in prepared.dropped],
@@ -504,16 +528,17 @@ def cmd_translate(args: argparse.Namespace, inputs: _Inputs) -> _Result:
 def cmd_postprocess(args: argparse.Namespace, inputs: _Inputs) -> _Result:
     from . import pipeline
 
-    cfg = _pipeline_config(args)
+    mode = _mode(args)
     lex = None
-    if cfg.mode not in (MODE_BASELINE, MODE_SERIALIZATION):
-        lex = _load_lexicon(cfg.lexicon_path, inputs)
+    if mode not in (MODE_BASELINE, MODE_SERIALIZATION):
+        lex = _load_lexicon(args.lexicon, inputs)
     lines = inputs.lines(args.input)
-    result = pipeline.postprocess(lines, cfg, lex, jobs=args.jobs or 1)
+    result = pipeline.postprocess(lines, pipeline.PipelineConfig.for_mode(mode), lex,
+                                  jobs=args.jobs or 1)
     diagnostics = result.diagnostics
     return _Result(
         result.lines,
-        cfg.snapshot(),
+        {"mode": mode, "lexicon": args.lexicon},
         {
             "lines": diagnostics.lines,
             "generated": diagnostics.generated,
@@ -522,7 +547,6 @@ def cmd_postprocess(args: argparse.Namespace, inputs: _Inputs) -> _Result:
             "recovery_events": len(diagnostics.repairs),
             "unknown_modifiers": len(diagnostics.unknown_modifiers),
         },
-        seed=cfg.seed,
         notes=[diagnostics.to_text()] if diagnostics.fallbacks or diagnostics.errors else [],
     )
 
@@ -595,38 +619,38 @@ def _add_common(sub: argparse.ArgumentParser, handler, output: bool) -> None:
     sub.set_defaults(handler=handler)
 
 
-def _add_pipeline_options(sub: argparse.ArgumentParser) -> None:
+def _add_mode_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--mode", choices=PIPELINE_MODES)
     sub.add_argument("--lexicon", help="lexicon TSV file")
-    sub.add_argument("--merges", type=int, help="BPE merge budget")
-    sub.add_argument("--maxlen", type=int)
-    sub.add_argument("--minlen", type=int)
-    sub.add_argument("--sample-size", type=int, dest="sample_size")
-    sub.add_argument("--seed", type=int)
-    sub.add_argument(
+
+
+def _prepare_options(p: argparse.ArgumentParser) -> None:
+    _add_mode_options(p)
+    p.add_argument("--merges", type=int, help="BPE merge budget")
+    p.add_argument("--maxlen", type=int)
+    p.add_argument("--minlen", type=int)
+    p.add_argument("--sample-size", type=int, dest="sample_size")
+    p.add_argument("--seed", type=int)
+    p.add_argument(
         "--protect-tags",
         action=argparse.BooleanOptionalAction,
         dest="protect_tags",
         default=None,
         help="never let BPE split tag tokens",
     )
-    sub.add_argument(
+    p.add_argument(
         "--joint-bpe",
         action=argparse.BooleanOptionalAction,
         dest="joint_bpe",
         default=None,
         help="learn one merge table over both sides (default) or per side",
     )
-    sub.add_argument(
+    p.add_argument(
         "--split-source-hyphens",
         action=argparse.BooleanOptionalAction,
         dest="split_source_hyphens",
         default=None,
     )
-
-
-def _prepare_options(p: argparse.ArgumentParser) -> None:
-    _add_pipeline_options(p)
     p.add_argument("--source", help="source-side file")
     p.add_argument("--target", help="target-side file (default: stdin)")
     p.add_argument("--parse-tags", dest="parse_tags", help="per-token target parse tags, one line per sentence")
@@ -678,7 +702,7 @@ def _translate_options(p: argparse.ArgumentParser) -> None:
 
 
 def _postprocess_options(p: argparse.ArgumentParser) -> None:
-    _add_pipeline_options(p)
+    _add_mode_options(p)
     p.add_argument("--jobs", type=int)
     p.add_argument("input", nargs="?")
 
@@ -785,7 +809,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.config is not None:
             # One file serves a pipeline: it may set any subcommand's options.
             config = load_config_file(args.config, config_keys(build_parser()))
-        apply_config(args, _subcommands(parser)[args.command], config)
+        sub = _subcommands(parser)[args.command]
+        apply_config(args, sub, config)
+        check_one_stdout(args, sub)
         result = args.handler(args, inputs)
         write_lines(args.output, result.lines)
         for path, lines in result.side_outputs:

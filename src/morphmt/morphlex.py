@@ -35,7 +35,6 @@ from .tagsets import (
     GermanFeatureSeq,
     MalformedAnalysis,
     MalformedTag,
-    PositionalTag,
     parse_czech_tag,
     parse_feature_seq,
     split_lines,
@@ -82,8 +81,8 @@ REASON_UNKNOWN_LEMMA = "unknown-lemma"
 REASON_INCOMPATIBLE_TAG = "incompatible-tag"
 
 
-def parse_tag_text(text: str) -> PositionalTag | GermanFeatureSeq:
-    """Parse the tag column of a lexicon row or a decoded tag token."""
+def parse_tag_text(text: str) -> str | GermanFeatureSeq:
+    """Parse a lexicon row's tag column: a feature sequence, or a Czech tag's checked text."""
     if text.startswith("<") or text.startswith("["):
         return parse_feature_seq(text)
     return parse_czech_tag(text)
@@ -182,7 +181,7 @@ class ParadigmLexicon:
     def __init__(self) -> None:
         self.modifier_table: dict[str, str] = {}
         self._forward: dict[str, dict[str, str]] = {}  # tag text -> lemma -> surface
-        self._tags: dict[str, PositionalTag | GermanFeatureSeq] = {}
+        self._tags: dict[str, str | GermanFeatureSeq] = {}
         self._lemmas: dict[str, str] = {}  # lemma -> its one shared copy
         self._by_surface: dict[str, list[tuple[str, str]]] | None = None  # surface -> keys
 
@@ -349,7 +348,7 @@ def _pos_compatible(candidate_tag: GermanFeatureSeq, context_pos: str) -> bool:
     return context_pos.startswith(head)
 
 
-def _compatible(tag: PositionalTag | GermanFeatureSeq, context_pos: str,
+def _compatible(tag: str | GermanFeatureSeq, context_pos: str,
                 constraints: dict[str, str]) -> bool:
     if not isinstance(tag, GermanFeatureSeq):
         return False
@@ -377,7 +376,7 @@ def _compatible(tag: PositionalTag | GermanFeatureSeq, context_pos: str,
 _CONTEXTS: dict[str, tuple[str, dict[str, str]]] = {}  # context text -> parsed context
 
 
-def _first_fit(tags: list[PositionalTag | GermanFeatureSeq], context: str) -> int:
+def _first_fit(tags: list[str | GermanFeatureSeq], context: str) -> int:
     """Index of the first tag compatible with the context parse tag."""
     parsed = _CONTEXTS.get(context)
     if parsed is None:  # a context that fails to parse raises and is not remembered

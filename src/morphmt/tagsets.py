@@ -10,7 +10,8 @@ Two tag families are supported:
   ``<+NN><Fem><Acc><Sg><NA>``.  Non-inflected words are written as a
   lexeme with a bracketed parse tag (``und[KON]``, ``,[$]``).
 
-A parsed tag formats back byte for byte: ``format_tag(parse(x)) == x``.
+A Czech tag is its checked text; a parsed feature sequence formats back
+byte for byte: ``format_tag(parse_feature_seq(x)) == x``.
 A German analysis token is checked and cut into its halves, the
 (tag text, lemma) row key a lexicon stores; no record is built from it
 and nothing formats it back.  Everywhere in the package, text is cut
@@ -34,7 +35,6 @@ from .conventions import MODE_BASELINE, split_lines
 __all__ = [
     "MalformedTag",
     "MalformedAnalysis",
-    "PositionalTag",
     "GermanFeatureSeq",
     "StemSegment",
     "parse_czech_tag",
@@ -74,24 +74,6 @@ class MalformedAnalysis(ValueError):
 
 TAG_LENGTH = 15
 
-SLOT_NAMES = (
-    "pos",
-    "subpos",
-    "gender",
-    "number",
-    "case",
-    "possgender",
-    "possnumber",
-    "person",
-    "tense",
-    "grade",
-    "negation",
-    "voice",
-    "reserve1",
-    "reserve2",
-    "var",
-)
-
 # ASCII letters and digits plus ':' (sub-POS of punctuation) and '-' (unset).
 _TAG_CHARS = string.ascii_letters + string.digits + ":-"
 TAG_ALPHABET = frozenset(_TAG_CHARS)
@@ -130,88 +112,15 @@ def _classify_tokens(memo: dict, classify, tokens: Sequence[str]) -> list:
     return values
 
 
-class PositionalTag(FrozenRecord):
-    """A 15-character positional tag; each position encodes one category.
-
-    ``raw`` is the authoritative representation.  The named slot accessors
-    index into it, so formatting a parsed tag reproduces the input exactly.
-    """
-
-    def __init__(self, raw: str) -> None:
-        if _TAG_RE.fullmatch(raw) is None:
-            if len(raw) != TAG_LENGTH:
-                raise MalformedTag(f"positional tag must have {TAG_LENGTH} characters, "
-                                   f"got {len(raw)}: {raw!r}")
-            i, ch = next((i, ch) for i, ch in enumerate(raw) if ch not in TAG_ALPHABET)
-            raise MalformedTag(f"illegal character {ch!r} at position {i} in tag {raw!r}")
-        object.__setattr__(self, "raw", raw)
-
-    def slot(self, name: str) -> str:
-        return self.raw[SLOT_NAMES.index(name)]
-
-    @property
-    def slots(self) -> dict[str, str]:
-        return dict(zip(SLOT_NAMES, self.raw))
-
-    @property
-    def pos(self) -> str:
-        return self.raw[0]
-
-    @property
-    def subpos(self) -> str:
-        return self.raw[1]
-
-    @property
-    def gender(self) -> str:
-        return self.raw[2]
-
-    @property
-    def number(self) -> str:
-        return self.raw[3]
-
-    @property
-    def case(self) -> str:
-        return self.raw[4]
-
-    @property
-    def possgender(self) -> str:
-        return self.raw[5]
-
-    @property
-    def possnumber(self) -> str:
-        return self.raw[6]
-
-    @property
-    def person(self) -> str:
-        return self.raw[7]
-
-    @property
-    def tense(self) -> str:
-        return self.raw[8]
-
-    @property
-    def grade(self) -> str:
-        return self.raw[9]
-
-    @property
-    def negation(self) -> str:
-        return self.raw[10]
-
-    @property
-    def voice(self) -> str:
-        return self.raw[11]
-
-    @property
-    def var(self) -> str:
-        return self.raw[14]
-
-    def __str__(self) -> str:
-        return self.raw
-
-
-def parse_czech_tag(raw: str) -> PositionalTag:
-    """Parse a 15-character positional tag, rejecting other lengths."""
-    return PositionalTag(raw)
+def parse_czech_tag(raw: str) -> str:
+    """Check a 15-character positional tag and return it: a Czech tag is its text."""
+    if _TAG_RE.fullmatch(raw) is None:
+        if len(raw) != TAG_LENGTH:
+            raise MalformedTag(f"positional tag must have {TAG_LENGTH} characters, "
+                               f"got {len(raw)}: {raw!r}")
+        i, ch = next((i, ch) for i, ch in enumerate(raw) if ch not in TAG_ALPHABET)
+        raise MalformedTag(f"illegal character {ch!r} at position {i} in tag {raw!r}")
+    return raw
 
 
 def is_czech_tag(token: str) -> bool:
@@ -494,10 +403,8 @@ def parse_german_analysis(raw: str) -> tuple[str, str, GermanFeatureSeq]:
 # ---------------------------------------------------------------------------
 
 
-def format_tag(tag: PositionalTag | GermanFeatureSeq) -> str:
-    """Render a tag as the single text token used in corpus files."""
-    if isinstance(tag, PositionalTag):
-        return tag.raw
+def format_tag(tag: GermanFeatureSeq) -> str:
+    """Render a feature sequence as the single text token used in corpus files."""
     if tag.kind == KIND_BARE:
         return f"[{tag.bare_tag}]"
     return "".join(f"<{v}>" for v in tag.values)

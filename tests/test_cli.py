@@ -128,6 +128,29 @@ class TestPostprocessCommand:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("option", [
+        ["--merges", "7"], ["--maxlen", "3"], ["--minlen", "2"], ["--sample-size", "2"],
+        ["--seed", "9"], ["--protect-tags"], ["--no-joint-bpe"], ["--split-source-hyphens"],
+    ], ids=lambda option: option[0])
+    def test_prepare_options_are_usage_errors(self, option, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["postprocess", "--mode", "morphgen", "--lexicon", CZECH_LEXICON, *option])
+        assert exit_info.value.code == 2
+        assert f"error: unrecognized arguments: {option[0]}" in capsys.readouterr().err
+
+    def test_manifest_records_mode_and_lexicon_only(self, run, tmp_path):
+        # A config file that sets prepare's keys still runs postprocess,
+        # which ignores them and records none of them.
+        config = tmp_path / "run.conf"
+        config.write_text(f"mode = morphgen\nlexicon = {CZECH_LEXICON}\nmerges = 7\n"
+                          "sample_size = 2\nseed = 9\nprotect_tags = yes\n")
+        code, out, err = run(["postprocess", "--config", str(config)],
+                             stdin_text=FIG1_MORPHGEN + "\n")
+        assert (code, out) == (0, FIG1_SURFACE + "\n")
+        manifest = json.loads(err.strip().splitlines()[-1])
+        assert manifest["config"] == {"mode": "morphgen", "lexicon": CZECH_LEXICON}
+        assert manifest["seed"] is None
+
 
 class TestPrepareCommand:
     def test_target_only_stdin(self, run):
@@ -210,6 +233,23 @@ class TestPrepareCommand:
         assert manifest["counters"] == {
             "pairs_in": 3, "pairs_out": 1, "dropped": 1, "merges_learned": 0,
         }
+
+    def test_manifest_records_the_length_filter(self, run):
+        # Two runs with the same manifest config write the same bytes: the
+        # config says whether the length filter ran, and sampling runs it.
+        target = "a\n" + " ".join(["w"] * 60) + "\nb\n"
+        runs = {}
+        for extra in ([], ["--filter"], ["--sample-size", "3"]):
+            code, out, err = run(["prepare", "--mode", "baseline", "--merges", "0", *extra],
+                                 stdin_text=target)
+            assert code == 0, err
+            config = json.loads(err.strip().splitlines()[-1])["config"]
+            runs[" ".join(extra)] = (config, out)
+        assert [len(out.splitlines()) for _, out in runs.values()] == [3, 2, 2]
+        assert [config["filter"] for config, _ in runs.values()] == [False, True, True]
+        for config, out in runs.values():
+            for other_config, other_out in runs.values():
+                assert config != other_config or out == other_out
 
     def test_filter_keeps_parse_tags_aligned(self, run, tmp_path):
         tags = tmp_path / "parse.txt"
@@ -318,6 +358,49 @@ class TestPrepareCommand:
         _, out1, _ = run(args, stdin_text=FIG1_SURFACE + "\n")
         _, out2, _ = run(args, stdin_text=FIG1_SURFACE + "\n")
         assert out1 == out2
+
+
+class TestOneStandardOutput:
+    """``-`` is standard output for every output option, and at most one
+    output of a run may go there."""
+
+    @pytest.mark.parametrize("argv, stdin_text, message", [
+        (["prepare", "--mode", "baseline", "--merges", "0", "--source", "SRC", "--out-source", "-"],
+         "x\n", "--out-target and --out-source write to standard output"),
+        (["prepare", "--mode", "baseline", "--merges", "0", "--merge-table-out", "-"],
+         "x\n", "--out-target and --merge-table-out write to standard output"),
+        (["prepare", "--mode", "baseline", "--merges", "0", "--out-target", "-", "--source", "SRC",
+          "--out-source", "-", "--manifest", "-"],
+         "x\n", "--out-target, --out-source and --manifest write to standard output"),
+        (["bpe-revert", "--manifest", "-"], "a\n", "--output and --manifest write to standard output"),
+        (["bleu", "--manifest", "-", "SRC", "SRC"], None,
+         "the output and --manifest write to standard output"),
+        (["prepare", "--mode", "baseline", "--merges", "2", "--no-joint-bpe", "--out-target", "OUT",
+          "--merge-table-out", "-"],
+         "x\n", "--merge-table-out - leaves no place for the source table of --no-joint-bpe"),
+    ], ids=["out-source", "merge-table", "three", "manifest", "bleu-manifest", "no-joint-bpe"])
+    def test_clash_is_an_error(self, run, tmp_path, argv, stdin_text, message):
+        (tmp_path / "src.txt").write_text("a\n")
+        argv = [{"SRC": str(tmp_path / "src.txt"), "OUT": str(tmp_path / "out.txt")}.get(arg, arg)
+                for arg in argv]
+        code, out, err = run(argv, stdin_text=stdin_text)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"morphmt: error: {message}")
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["src.txt"]
+
+    def test_manifest_to_standard_output(self, run, tmp_path):
+        out_path = tmp_path / "rev.txt"
+        code, out, err = run(["bpe-revert", "-o", str(out_path), "--manifest", "-"],
+                             stdin_text="a@@ b\n")
+        assert (code, err, out_path.read_text()) == (0, "", "ab\n")
+        assert json.loads(out)["command"] == "bpe-revert"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["rev.txt"]
+
+    def test_merge_table_to_standard_output(self, run, tmp_path):
+        out_path = tmp_path / "out.txt"
+        code, out, err = run(["prepare", "--mode", "baseline", "--merges", "1", "--out-target",
+                              str(out_path), "--merge-table-out", "-"], stdin_text="ab ab\n")
+        assert (code, out, out_path.read_text()) == (0, "a b\n", "ab ab\n")
 
 
 class TestBpeCommands:
@@ -1116,6 +1199,18 @@ CHARACTERIZATION_CASES = {
     "prepare-baseline-empty-table": (["prepare", "--mode", "baseline", "--merges", "0",
                                       "--merge-table-out", "table.txt"], "a b\n"),
     "prepare-no-mode": (["prepare"], "x\n"),
+    # Sampling runs the length filter, and the manifest says so.
+    "prepare-sample-size": (["prepare", "--mode", "baseline", "--merges", "0", "--sample-size", "3"],
+                            "a\n" + " ".join(["w"] * 60) + "\nb\n"),
+    # At most one output of a run goes to standard output.
+    "prepare-out-source-stdout": (["prepare", "--mode", "baseline", "--merges", "0", "--source",
+                                   "src.txt", "--target", "cs.txt", "--out-source", "-"], None),
+    "prepare-merge-table-stdout": (["prepare", "--mode", "baseline", "--merges", "0",
+                                    "--merge-table-out", "-"], "a b\n"),
+    "prepare-merge-table-stdout-no-joint-bpe": (["prepare", "--mode", "baseline", "--merges", "5",
+                                                 "--no-joint-bpe", "--target", "cs.txt",
+                                                 "--out-target", "out.tgt",
+                                                 "--merge-table-out", "-"], None),
     # postprocess would write a bare token's lexeme, not its surface.
     "prepare-german-bare-not-surface": (["prepare", "--mode", "german-stemmed", "--lexicon",
                                          "bare.tsv"], "q\n"),
@@ -1149,6 +1244,7 @@ CHARACTERIZATION_CASES = {
     "bpe-revert-missing-input": (["bpe-revert", "nope.txt"], None),
     "bpe-revert-unwritable-output": (["bpe-revert", "-o", "nodir/out.txt"], "a\n"),
     "bpe-revert-unicode-spaces": (["bpe-revert"], "pi\u0085zza a\u00a0b\n"),
+    "bpe-revert-manifest-stdout": (["bpe-revert", "-o", "rev.txt", "--manifest", "-"], "a@@ b\n"),
     "analyze-stdin": (["analyze", "--lexicon", "de.tsv"], "vulkanischen\nxyzzy\n\n eine \n"),
     "analyze-output": (["analyze", "--lexicon", "cs.tsv", "-o", "an.txt"], "pizzy\n"),
     "analyze-no-lexicon": (["analyze"], "pizzy\n"),
@@ -1201,6 +1297,7 @@ CHARACTERIZATION_CASES = {
     "bleu-empty": (["bleu", "empty.txt", "empty.txt"], None),
     "bleu-length-mismatch": (["bleu", "hyp.txt", "short.txt"], None),
     "bleu-stdin-twice": (["bleu", "-", "-"], "a b\n"),
+    "bleu-manifest-stdout": (["bleu", "--manifest", "-", "hyp.txt", "ref.txt"], None),
     # Repeated n-grams are clipped to their count in the reference.
     "bleu-repeated-ngrams": (["bleu", "rep.hyp", "rep.ref"], None),
     "bleu-repeated-ngrams-smooth": (["bleu", "--smooth", "rep.hyp", "rep.ref"], None),

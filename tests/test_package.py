@@ -14,11 +14,11 @@ ROOT = Path(__file__).resolve().parent.parent
 # What ``from morphmt import *`` bound when the package imported every
 # submodule eagerly, the re-exported names and the submodules themselves,
 # less the names deleted since (the German analysis record and its
-# formatter).
+# formatter, and the positional-tag record).
 PUBLIC_NAMES = {
     "tagsets": [
-        "GermanFeatureSeq", "MalformedAnalysis", "MalformedTag", "PositionalTag",
-        "StemSegment", "format_tag", "parse_czech_tag", "parse_german_analysis",
+        "GermanFeatureSeq", "MalformedAnalysis", "MalformedTag", "StemSegment",
+        "format_tag", "parse_czech_tag", "parse_german_analysis",
     ],
     "morphlex": [
         "Diagnostics", "GenerationFailure", "LexiconConflict", "LexiconParse",
@@ -124,13 +124,8 @@ def test_no_second_token_rule():
     assert bare_calls == []
 
 
-# The positional-tag slot accessors that no stage reads yet; they stay
-# until the tag grammar or the Czech context tags give them callers.
-UNNAMED_DEFINITIONS = {
-    f"tagsets.PositionalTag.{name}"
-    for name in ("slot", "slots", "subpos", "possgender", "possnumber", "person", "tense",
-                 "grade", "negation", "voice", "var")
-}
+# Public definitions that nothing names: none is allowed.
+UNNAMED_DEFINITIONS: set[str] = set()
 
 
 def test_every_public_definition_is_named_elsewhere():

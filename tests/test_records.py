@@ -16,11 +16,11 @@ from morphmt import (
     NovelFormReport,
     ParallelCorpus,
     PipelineConfig,
-    PositionalTag,
     PostprocessResult,
     PreparedVariant,
     StemSegment,
     VocabReport,
+    parse_czech_tag,
 )
 from morphmt.cli import RunManifest, _Result
 
@@ -28,7 +28,6 @@ TABLE = MergeTable((("a", "b"), ("ab", "c")))
 
 # A factory per type, so each call builds a new, equal value.
 FROZEN = {
-    "PositionalTag": lambda: PositionalTag("NNFS1-----A----"),
     "GermanFeatureSeq": lambda: GermanFeatureSeq("nominal", ("+NN", "Fem", "Acc", "Sg", "NA")),
     "StemSegment": lambda: StemSegment("Meer", "NN"),
     "GenerationFailure": lambda: GenerationFailure("Braper", "NNFS1-----A----", "unknown-lemma"),
@@ -52,7 +51,7 @@ MUTABLE = {
 ALL = {**FROZEN, **MUTABLE}
 # The first field of each type.
 FIRST = {
-    "PositionalTag": "raw", "GermanFeatureSeq": "kind", "StemSegment": "lexeme",
+    "GermanFeatureSeq": "kind", "StemSegment": "lexeme",
     "GenerationFailure": "lemma", "MergeTable": "merges", "VocabReport": "rows",
     "NovelFormReport": "novel_tokens", "Diagnostics": "lines",
     "PipelineConfig": "mode", "ParallelCorpus": "pairs", "PreparedVariant": "corpus",
@@ -109,7 +108,7 @@ def test_mutable_values_are_unhashable_and_assignable(name):
 
 def test_unequal_fields_differ():
     assert StemSegment("Meer", "NN") != StemSegment("Meer")
-    assert hash(PositionalTag("NNFS1-----A----")) != hash(PositionalTag("NNFS2-----A----"))
+    assert hash(StemSegment("Meer", "NN")) != hash(StemSegment("Meer", "ADJ"))
     assert Diagnostics() != Diagnostics(lines=1)
 
     class Failure(GenerationFailure):
@@ -155,9 +154,9 @@ def test_caches_and_private_fields_stay_out_of_equality():
 
 
 @pytest.mark.parametrize("build, error, message", [
-    (lambda: PositionalTag("NNFS1"), MalformedTag,
+    (lambda: parse_czech_tag("NNFS1"), MalformedTag,
      "positional tag must have 15 characters, got 5: 'NNFS1'"),
-    (lambda: PositionalTag("C=-------------"), MalformedTag,
+    (lambda: parse_czech_tag("C=-------------"), MalformedTag,
      "illegal character '=' at position 1 in tag 'C=-------------'"),
     (lambda: GermanFeatureSeq("bare"), MalformedAnalysis,
      "bare feature sequence needs only a parse tag"),
