@@ -87,17 +87,16 @@ class Record:
     Unlike ``@dataclass``, a class statement generates no code at import.
     Records of one class are equal when their fields are, and ``repr``
     shows them; a parameter named with a leading underscore is left out
-    of both.  A record pickles as a call of its class on all its fields.
+    of both.
     """
 
-    _params: tuple[str, ...] = ()
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls) -> None:
         if "__init__" in cls.__dict__:
             code = cls.__init__.__code__
-            cls._params = code.co_varnames[1 : code.co_argcount]
-            cls._fields = tuple(name for name in cls._params if not name.startswith("_"))
+            params = code.co_varnames[1 : code.co_argcount]
+            cls._fields = tuple(name for name in params if not name.startswith("_"))
 
     def _asdict(self) -> dict:
         return {name: getattr(self, name) for name in self._fields}
@@ -110,9 +109,6 @@ class Record:
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={value!r}" for name, value in self._asdict().items())
         return f"{type(self).__qualname__}({fields})"
-
-    def __reduce__(self):
-        return type(self), tuple([getattr(self, name) for name in self._params])
 
 
 class FrozenRecord(Record):

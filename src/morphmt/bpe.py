@@ -50,7 +50,7 @@ class MergeTable(FrozenRecord):
             raise ValueError("duplicate pairs in merge table")
         object.__setattr__(self, "merges", merges)
         # Neither the rank nor segment_line's memo, [protected predicate,
-        # {token: segmented text}], is a field, so a pickle holds the merges only.
+        # {token: segmented text}], is a field: equality and repr see the merges only.
         object.__setattr__(self, "rank", {p: i for i, p in enumerate(merges)})
         object.__setattr__(self, "_memo", [None, {}])
 

@@ -271,17 +271,11 @@ def _mode(args: argparse.Namespace) -> str:
 def _pipeline_config(args: argparse.Namespace) -> pipeline.PipelineConfig:
     from . import pipeline
 
+    # Each field comes from the option of its name, so a manifest's config
+    # reads back as a config file.
+    fields = [name for name in pipeline.PipelineConfig._fields if name != "mode"]
     return pipeline.PipelineConfig.for_mode(
-        _mode(args),
-        bpe_merges=args.merges,
-        maxlen=args.maxlen,
-        minlen=args.minlen,
-        sample_size=args.sample_size,
-        seed=args.seed,
-        protect_tags=args.protect_tags,
-        joint_bpe=args.joint_bpe,
-        split_source_hyphens=args.split_source_hyphens,
-        lexicon_path=args.lexicon,
+        _mode(args), **{name: getattr(args, name) for name in fields}
     )
 
 
@@ -304,7 +298,7 @@ def cmd_prepare(args: argparse.Namespace, inputs: _Inputs) -> _Result:
         raise CliError("--merge-table-out - leaves no place for the source table of --no-joint-bpe")
     lex = None
     if cfg.mode != MODE_BASELINE:
-        lex = _load_lexicon(cfg.lexicon_path, inputs)
+        lex = _load_lexicon(args.lexicon, inputs)
     target_lines = inputs.lines(args.target)
     if args.source is not None:
         source_lines = inputs.lines(args.source)
@@ -347,7 +341,7 @@ def cmd_prepare(args: argparse.Namespace, inputs: _Inputs) -> _Result:
             )
     return _Result(
         prepared.corpus.targets,
-        {**cfg.snapshot(), "filter": filtered},
+        {**cfg.snapshot(), "lexicon": args.lexicon, "filter": filtered},
         counters,
         seed=cfg.seed,
         notes=[f"morphmt: dropped pair {index}: {reason}" for index, reason in prepared.dropped],
@@ -533,8 +527,7 @@ def cmd_postprocess(args: argparse.Namespace, inputs: _Inputs) -> _Result:
     if mode not in (MODE_BASELINE, MODE_SERIALIZATION):
         lex = _load_lexicon(args.lexicon, inputs)
     lines = inputs.lines(args.input)
-    result = pipeline.postprocess(lines, pipeline.PipelineConfig.for_mode(mode), lex,
-                                  jobs=args.jobs or 1)
+    result = pipeline.postprocess(lines, pipeline.PipelineConfig.for_mode(mode), lex)
     diagnostics = result.diagnostics
     return _Result(
         result.lines,
@@ -703,7 +696,7 @@ def _translate_options(p: argparse.ArgumentParser) -> None:
 
 def _postprocess_options(p: argparse.ArgumentParser) -> None:
     _add_mode_options(p)
-    p.add_argument("--jobs", type=int)
+    p.add_argument("--jobs", type=int, help="ignored: postprocess runs in one process")
     p.add_argument("input", nargs="?")
 
 

@@ -102,9 +102,7 @@ class Diagnostics(Record):
 
     Each record starts with the index of the line it belongs to; a
     producer keys a record by ``lines``, the index of the line it is
-    working on, and counts the line when done.  ``merge`` appends
-    another run's lines after this one's, so merging per-line (or
-    per-chunk) diagnostics in input order gives the corpus's.
+    working on, and counts the line when done.
     """
 
     def __init__(
@@ -120,18 +118,6 @@ class Diagnostics(Record):
         self.repairs = [] if repairs is None else repairs
         self.errors = [] if errors is None else errors
         self.unknown_modifiers = [] if unknown_modifiers is None else unknown_modifiers
-
-    def merge(self, other: Diagnostics) -> None:
-        """Associative sum: ``other``'s line indexes shift by ``self.lines``."""
-        offset = self.lines
-        self.lines += other.lines
-        self.generated += other.generated
-        self.fallbacks += [(offset + line, failure) for line, failure in other.fallbacks]
-        self.repairs += [(offset + line, pos, event) for line, pos, event in other.repairs]
-        self.errors += [(offset + line, kind, pos) for line, kind, pos in other.errors]
-        self.unknown_modifiers += [
-            (offset + line, lexeme) for line, lexeme in other.unknown_modifiers
-        ]
 
     @property
     def malformed_lines(self) -> int:

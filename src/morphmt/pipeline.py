@@ -25,7 +25,6 @@ alongside the text, in one :class:`~morphmt.morphlex.Diagnostics`.
 from __future__ import annotations
 
 import random
-from functools import partial
 from itertools import chain, repeat
 from typing import Sequence
 
@@ -100,20 +99,20 @@ class PipelineConfig(Record):
     """
 
     def __init__(
-        self, mode: str, bpe_merges: int, maxlen: int, minlen: int = 1,
+        self, mode: str, merges: int, maxlen: int, minlen: int = 1,
         sample_size: int | None = None, seed: int = 0, protect_tags: bool = False,
-        joint_bpe: bool = True, split_source_hyphens: bool = False, lexicon_path: str | None = None,
+        joint_bpe: bool = True, split_source_hyphens: bool = False,
     ) -> None:
         if mode not in PIPELINE_MODES:
             raise ValueError(f"unknown mode {mode!r}")
         if not (maxlen >= minlen >= 1):
             raise ValueError(f"need maxlen >= minlen >= 1, got {maxlen} / {minlen}")
-        if bpe_merges < 0:
-            raise ValueError("bpe_merges must be >= 0")
+        if merges < 0:
+            raise ValueError("merges must be >= 0")
         if sample_size is not None and sample_size < 0:
             raise ValueError("sample_size must be >= 0")
         self.mode = mode
-        self.bpe_merges = bpe_merges
+        self.merges = merges
         self.maxlen = maxlen
         self.minlen = minlen
         self.sample_size = sample_size
@@ -121,13 +120,12 @@ class PipelineConfig(Record):
         self.protect_tags = protect_tags
         self.joint_bpe = joint_bpe
         self.split_source_hyphens = split_source_hyphens
-        self.lexicon_path = lexicon_path
 
     @classmethod
     def for_mode(cls, mode: str, **overrides) -> PipelineConfig:
         values = dict(
             mode=mode,
-            bpe_merges=GERMAN_DEFAULT_MERGES if _is_german(mode) else CZECH_DEFAULT_MERGES,
+            merges=GERMAN_DEFAULT_MERGES if _is_german(mode) else CZECH_DEFAULT_MERGES,
             maxlen=BASE_MAXLEN if mode == interleave.MODE_BASELINE else 2 * BASE_MAXLEN,
             minlen=GERMAN_MINLEN if _is_german(mode) else 1,
         )
@@ -371,11 +369,11 @@ def prepare_variant(
 
     protected = tag_predicate_for_mode(cfg.mode) if cfg.protect_tags else None
     if cfg.joint_bpe:
-        table = learn_bpe(chain.from_iterable(sources + targets), cfg.bpe_merges)
+        table = learn_bpe(chain.from_iterable(sources + targets), cfg.merges)
         source_table = target_table = table
     else:
-        source_table = learn_bpe(chain.from_iterable(sources), cfg.bpe_merges)
-        target_table = learn_bpe(chain.from_iterable(targets), cfg.bpe_merges)
+        source_table = learn_bpe(chain.from_iterable(sources), cfg.merges)
+        target_table = learn_bpe(chain.from_iterable(targets), cfg.merges)
 
     # All sources, then all targets: the table's segmentation memo is kept
     # per predicate, and the source side is never protected.
@@ -548,16 +546,6 @@ def postprocess_line(
     return " ".join(words)
 
 
-def _postprocess_lines(
-    lines: list[str], mode: str, lex: ParadigmLexicon | None
-) -> PostprocessResult:
-    memo: dict[tuple[str, str], _StemOutcome] = {}
-    diagnostics = Diagnostics()
-    return PostprocessResult(
-        [postprocess_line(line, mode, lex, memo, diagnostics) for line in lines], diagnostics
-    )
-
-
 def postprocess(
     lines: list[str],
     cfg: PipelineConfig,
@@ -570,11 +558,8 @@ def postprocess(
     lexicon either, as its word tokens are already surface forms.  Every
     input line yields an output line; see the module docstring for the
     recovery rules.  German (stem, tag) pairs are merged and generated
-    once per distinct pair, in a memo that lives for one call.  With
-    ``jobs > 1`` the lines are cut into chunks spread over that many
-    worker processes; the lexicon is pickled with every chunk, and each
-    chunk starts with an empty memo.  The process pool (and
-    ``multiprocessing``) is imported only then.
+    once per distinct pair, in a memo that lives for one call.  ``jobs``
+    is accepted and ignored: the lines are postprocessed in one process.
     """
     needs_lexicon = cfg.mode not in (
         interleave.MODE_BASELINE,
@@ -582,17 +567,8 @@ def postprocess(
     )
     if needs_lexicon and lex is None:
         raise ValueError(f"mode {cfg.mode!r} needs a lexicon")
-    if jobs <= 1 or len(lines) <= 1:
-        return _postprocess_lines(lines, cfg.mode, lex)
-    from concurrent.futures import ProcessPoolExecutor
-
-    size = max(1, len(lines) // (jobs * 4))
-    chunks = [lines[start : start + size] for start in range(0, len(lines), size)]
-    worker = partial(_postprocess_lines, mode=cfg.mode, lex=lex)
-    with ProcessPoolExecutor(max_workers=jobs) as executor:
-        parts = list(executor.map(worker, chunks))
-    result = PostprocessResult([], Diagnostics())
-    for part in parts:
-        result.lines += part.lines
-        result.diagnostics.merge(part.diagnostics)
-    return result
+    memo: dict[tuple[str, str], _StemOutcome] = {}
+    diagnostics = Diagnostics()
+    return PostprocessResult(
+        [postprocess_line(line, cfg.mode, lex, memo, diagnostics) for line in lines], diagnostics
+    )

@@ -9,8 +9,8 @@ named test files with a fixed ``--hypothesis-seed`` against the copy.
 A mutation that every test passes survives.  One planted mutation
 changes a comment only and must survive: it checks the harness itself.
 
-Run it on demand from anywhere (it is not part of the test suite; a
-full run takes a few minutes on two cores):
+Run it from anywhere; it is not part of the test suite, and CI runs it
+as a job of its own (a full run takes a few minutes on two cores):
 
     python tests/mutants.py             # every mutation
     python tests/mutants.py NAME ...    # only these
@@ -53,7 +53,19 @@ class Mutation(NamedTuple):
 TAGSETS = "src/morphmt/tagsets.py"
 CLI = "src/morphmt/cli.py"
 PIPELINE = "src/morphmt/pipeline.py"
+COMPOUNDS = "src/morphmt/compounds.py"
+MORPHLEX = "src/morphmt/morphlex.py"
+INTERLEAVE = "src/morphmt/interleave.py"
+CONVENTIONS = "src/morphmt/conventions.py"
+BPE = "src/morphmt/bpe.py"
+BACKEND = "src/morphmt/backend.py"
 TEST_CLI = ("tests/test_cli.py",)
+TEST_MEMO = ("tests/test_pipeline_memo.py",)
+TEST_TAGSETS = ("tests/test_tagsets.py",)
+TEST_COMPOUNDS = ("tests/test_compounds.py",)
+TEST_MORPHLEX = ("tests/test_morphlex.py",)
+TEST_INTERLEAVE = ("tests/test_interleave.py",)
+TEST_BPE = ("tests/test_bpe.py",)
 TEST_REVERT = ("tests/test_bpe.py", "tests/test_interleave.py", "tests/test_pipeline.py",
                "tests/test_pipeline_memo.py")
 
@@ -71,7 +83,10 @@ MUTATIONS = (
              ("tests/test_tagsets.py", "tests/test_morphlex.py")),
     # The prepare manifest records whether the length filter ran.
     Mutation("prepare-manifest-without-filter", CLI,
-             '{**cfg.snapshot(), "filter": filtered}', "cfg.snapshot()", TEST_CLI),
+             '"lexicon": args.lexicon, "filter": filtered}', '"lexicon": args.lexicon}', TEST_CLI),
+    # The prepare manifest's config names option keys, so it reads back as a config file.
+    Mutation("prepare-manifest-without-lexicon", CLI,
+             '{**cfg.snapshot(), "lexicon": args.lexicon, ', "{**cfg.snapshot(), ", TEST_CLI),
     # postprocess takes only its own options and records only them.
     Mutation("postprocess-takes-prepare-options", CLI,
              "def _postprocess_options(p: argparse.ArgumentParser) -> None:\n"
@@ -85,7 +100,7 @@ MUTATIONS = (
              TEST_CLI),
     Mutation("postprocess-manifest-records-prepare-config", CLI,
              '{"mode": mode, "lexicon": args.lexicon}',
-             "pipeline.PipelineConfig.for_mode(mode, lexicon_path=args.lexicon).snapshot()",
+             '{**pipeline.PipelineConfig.for_mode(mode).snapshot(), "lexicon": args.lexicon}',
              TEST_CLI),
     # At most one output of a run goes to standard output.
     Mutation("outputs-share-stdout", CLI,
@@ -102,15 +117,73 @@ MUTATIONS = (
     Mutation("revert-lenient-nonempty", PIPELINE,
              '        line and line[0] != " "', '        line[0] != " "', TEST_REVERT),
     Mutation("revert-lenient-leading-space", PIPELINE,
-             'line[0] != " " and line[-1]', "line[-1]", TEST_REVERT),
+             'line[0] != " " and line[-1]', "line[-1]", TEST_MEMO),
     Mutation("revert-lenient-trailing-space", PIPELINE,
-             'line[-1] != " " and "  "', '"  "', TEST_REVERT),
+             'line[-1] != " " and "  "', '"  "', TEST_MEMO),
     Mutation("revert-lenient-double-space", PIPELINE,
              ' and "  " not in line\n', "\n", TEST_REVERT),
     Mutation("revert-lenient-tab-and-cr", PIPELINE,
              'and "\\t" not in line and "\\r" not in line and ', "and ", TEST_REVERT),
     Mutation("revert-lenient-final-marker", PIPELINE,
              " and not line.endswith(MARKER)\n    ):", "\n    ):", TEST_REVERT),
+    # A German row key encodes only to tokens that read back as its word.
+    Mutation("encoder-without-surface-check", PIPELINE,
+             "        if lemma != surface:\n", "        if False:\n", TEST_MEMO),
+    Mutation("german-analysis-without-stem-check", TAGSETS,
+             "        parse_stem_side(stem_text)\n", "", TEST_TAGSETS),
+    # Compounds split and merge from the parsed stem.
+    Mutation("split-compound-without-part-check", COMPOUNDS,
+             "        if features is not None or markup is not None:\n", "        if False:\n",
+             TEST_COMPOUNDS),
+    Mutation("split-at-any-markup", COMPOUNDS,
+             "        if segment.markup in SPLIT_MARKUP:\n", "        if segment.markup is not None:\n",
+             TEST_COMPOUNDS),
+    Mutation("unknown-modifiers-not-reported", COMPOUNDS,
+             "            if unknown_modifiers is not None:\n", "            if False:\n",
+             TEST_COMPOUNDS),
+    Mutation("head-markup-dropped", COMPOUNDS,
+             '    return (merged if markup is None else f"{merged}<{markup}>"), True\n',
+             "    return merged, True\n", TEST_COMPOUNDS),
+    Mutation("later-parts-not-lowercased", COMPOUNDS,
+             '    merged = parts[0] + "".join(_lower_first(p) for p in parts[1:])\n',
+             '    merged = "".join(parts)\n', TEST_COMPOUNDS),
+    # prepare selects the first row key, and drops a sentence before it
+    # raises an encoding error.
+    Mutation("largest-key", MORPHLEX,
+             "        return min(keys)\n", "        return max(keys)\n", TEST_MEMO),
+    Mutation("no-nogend-wildcard", MORPHLEX,
+             ' and tag.gender != "NoGend":\n', ":\n", TEST_MORPHLEX),
+    Mutation("encoding-error-before-a-later-drop", PIPELINE,
+             "                    encoding_error = encoding_error or exc\n"
+             "                    continue\n",
+             "                    raise\n", TEST_MEMO),
+    # The walk and the rejoin of split compounds.
+    Mutation("german-word-expected-one-token-late", INTERLEAVE,
+             "                error = WellformednessError(i, ERROR_WORD_EXPECTED)\n",
+             "                error = WellformednessError(i + 1, ERROR_WORD_EXPECTED)\n",
+             TEST_INTERLEAVE),
+    Mutation("rejoined-token-always-a-word", COMPOUNDS,
+             "            last_is_word = not is_german_tag_token(joined)\n",
+             "            last_is_word = True\n", TEST_COMPOUNDS),
+    Mutation("run-tags-and-words-swapped", INTERLEAVE,
+             "tokens[start:end:2], tokens[start + 1 : end : 2]",
+             "tokens[start + 1 : end : 2], tokens[start:end:2]", TEST_INTERLEAVE),
+    # One token rule: conventions.tokenize.
+    Mutation("tokenize-is-str-split", CONVENTIONS,
+             '    return list(filter(None, line.replace("\\t", " ").replace("\\r", " ").split(" ")))\n',
+             "    return line.split()\n", TEST_CLI),
+    Mutation("tokenize-keeps-cr", CONVENTIONS,
+             '.replace("\\t", " ").replace("\\r", " ").split(" ")',
+             '.replace("\\t", " ").split(" ")', TEST_BPE),
+    Mutation("merge-table-read-by-spaces", BPE,
+             "            parts = tokenize(line)\n            if not parts:\n                continue\n",
+             "            if not line.strip():\n                continue\n"
+             '            parts = line.split(" ")\n',
+             TEST_BPE),
+    Mutation("bare-split-in-backend", BACKEND,
+             '            stderr = proc.stderr.decode("utf-8", "replace").strip(" \\t\\r\\n")\n',
+             '            stderr = " ".join(proc.stderr.decode("utf-8", "replace").split())\n',
+             ("tests/test_package.py",)),
     # Planted: a comment-only change that no test can catch.
     Mutation("planted-comment-only", PIPELINE,
              "        # The empty token was not joined to a marked word before it.\n",

@@ -1,6 +1,5 @@
 """BPE learning, application, reversion and corpus statistics."""
 
-import pickle
 import random
 from collections import Counter
 
@@ -427,14 +426,3 @@ class TestSegmentationMemo:
             for line in lines:
                 assert segment_line(table, line, protected) == uncached(table, line, protected)
 
-    @settings(max_examples=40)
-    @given(merge_tables(), memo_lines, st.sampled_from(PREDICATES[:3]))
-    def test_pickled_after_use(self, table, lines, protected):
-        fresh = pickle.dumps(MergeTable(table.merges))
-        for line in lines:
-            segment_line(table, line, protected)
-        assert pickle.dumps(table) == fresh  # the memo is not shipped
-        copy = pickle.loads(pickle.dumps(table))
-        assert copy == table and copy.rank == table.rank
-        for line in lines:
-            assert segment_line(copy, line, protected) == uncached(table, line, protected)

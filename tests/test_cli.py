@@ -110,16 +110,15 @@ class TestPostprocessCommand:
         assert (tmp_path / "surface.txt.manifest.json").exists()
 
     def test_jobs_flag_preserves_output(self, run):
+        # --jobs is accepted and ignored: the exit code, output and manifest
+        # are those of a run without it.
         lines = "\n".join([FIG1_MORPHGEN] * 5) + "\n"
-        _, out1, _ = run(
-            ["postprocess", "--mode", "morphgen", "--lexicon", CZECH_LEXICON],
-            stdin_text=lines,
-        )
-        _, out2, _ = run(
+        one = run(["postprocess", "--mode", "morphgen", "--lexicon", CZECH_LEXICON], stdin_text=lines)
+        two = run(
             ["postprocess", "--mode", "morphgen", "--lexicon", CZECH_LEXICON, "--jobs", "2"],
             stdin_text=lines,
         )
-        assert out1 == out2
+        assert one == two and one[:2] == (0, (FIG1_SURFACE + "\n") * 5)
 
     def test_missing_lexicon_is_an_error(self, run):
         code, _, err = run(
@@ -770,6 +769,35 @@ class TestConfigPrecedence:
         _, out, _ = run(["prepare", "--config", str(config), "--filter"], stdin_text="a\nb c\n")
         assert out == "a\n"
 
+    @pytest.mark.parametrize("flags", [
+        ["--mode", "baseline", "--merges", "1"],
+        ["--mode", "morphgen", "--lexicon", CZECH_LEXICON, "--merges", "3", "--filter",
+         "--maxlen", "20", "--minlen", "2", "--sample-size", "1", "--seed", "5", "--protect-tags",
+         "--no-joint-bpe", "--split-source-hyphens"],
+    ], ids=["baseline", "morphgen"])
+    def test_manifest_config_reads_back_as_a_config_file(self, run, tmp_path, flags):
+        # The non-null entries of a prepare manifest's config, as key = value
+        # lines, give the run again.
+        (tmp_path / "t.txt").write_text(f"{FIG1_SURFACE}\n{FIG1_SURFACE} {FIG1_SURFACE}\n")
+        io_flags = ["--target", str(tmp_path / "t.txt"), "--merge-table-out"]
+        code, _, _ = run(["prepare", *flags, *io_flags, str(tmp_path / "1.bpe"),
+                          "--out-target", str(tmp_path / "1.txt"), "--manifest", str(tmp_path / "1.json")])
+        assert code == 0
+        config = json.loads((tmp_path / "1.json").read_text())["config"]
+        (tmp_path / "m.conf").write_text("".join(
+            f"{key} = {value if isinstance(value, str) else json.dumps(value)}\n"
+            for key, value in config.items() if value is not None
+        ))
+        code, _, err = run(["prepare", "--config", str(tmp_path / "m.conf"), *io_flags,
+                            str(tmp_path / "2.bpe"), "--out-target", str(tmp_path / "2.txt"),
+                            "--manifest", str(tmp_path / "2.json")])
+        assert (code, err) == (0, "")
+        assert json.loads((tmp_path / "2.json").read_text())["config"] == config
+        outputs = sorted(path.name[2:] for path in tmp_path.glob("1.*") if path.suffix != ".json")
+        assert outputs == sorted(path.name[2:] for path in tmp_path.glob("2.*") if path.suffix != ".json")
+        for name in outputs:
+            assert (tmp_path / f"2.{name}").read_bytes() == (tmp_path / f"1.{name}").read_bytes()
+
     def test_invalid_utf8_names_the_file(self, run, tmp_path):
         config = tmp_path / "run.conf"
         config.write_bytes(b"merges=\xff\n")
@@ -907,16 +935,27 @@ class TestUtf8Strictness:
 class TestConsoleScript:
     def test_import_leaves_the_process_pool_out(self):
         # concurrent.futures.process pulls in multiprocessing, a fixed cost
-        # of every CLI process; only postprocess --jobs N > 1 needs it.
-        result = subprocess.run(
-            [sys.executable, "-c",
-             "import morphmt.cli, sys; print(sorted(m for m in sys.modules"
-             " if m.startswith(('concurrent', 'multiprocessing'))))"],
-            capture_output=True,
-            text=True,
-            env=PACKAGE_ENV,
+        # of every process that loads it; postprocess runs in one process,
+        # --jobs 2 included.
+        run_jobs_2 = (
+            "import os; from morphmt.cli import main; main(['postprocess', '--mode', 'morphgen', "
+            f"'--lexicon', {CZECH_LEXICON!r}, '--jobs', '2', '--manifest', os.devnull])"
         )
-        assert (result.returncode, result.stdout) == (0, "[]\n"), result.stderr
+        for probe, stdout in (
+            ("import morphmt.cli", ""),
+            ("import morphmt.pipeline", ""),
+            (run_jobs_2, FIG1_SURFACE + "\n"),
+        ):
+            result = subprocess.run(
+                [sys.executable, "-c",
+                 f"{probe}; import sys; print(sorted(m for m in sys.modules"
+                 " if m.startswith(('concurrent', 'multiprocessing'))))"],
+                input=FIG1_MORPHGEN + "\n",
+                capture_output=True,
+                text=True,
+                env=PACKAGE_ENV,
+            )
+            assert (result.returncode, result.stdout) == (0, stdout + "[]\n"), result.stderr
 
     def test_usage_error_exit_code(self):
         result = subprocess.run(
@@ -1119,17 +1158,6 @@ class TestExitContract:
                                 capture_output=True, text=True, env=PACKAGE_ENV)
         assert (result.returncode, result.stdout) == (0, "ab\n")
         assert result.stderr.endswith("finalized\n") == finalized
-
-    def test_pool_leaves_no_process(self):
-        proc = subprocess.Popen(
-            [*CLI, "postprocess", "--mode", "morphgen", "--lexicon", CZECH_LEXICON, "--jobs", "2"],
-            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-            start_new_session=True, env=PACKAGE_ENV,
-        )
-        out, _ = proc.communicate("\n".join([FIG1_MORPHGEN] * 8).encode("utf-8") + b"\n")
-        assert (proc.returncode, out.decode("utf-8")) == (0, (FIG1_SURFACE + "\n") * 8)
-        with pytest.raises(ProcessLookupError):
-            os.killpg(proc.pid, 0)
 
 
 # ---------------------------------------------------------------------------

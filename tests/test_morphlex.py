@@ -1,6 +1,5 @@
 """Lexicon loading, analysis, disambiguation and generation."""
 
-import copy
 import gc
 import pickle
 import random
@@ -398,33 +397,6 @@ class TestGenerate:
                 assert (tag, lemma) in analyze(lex, surface)
 
 
-@st.composite
-def diagnostics_values(draw):
-    """A Diagnostics of up to 4 lines whose records sit on those lines."""
-    lines = draw(st.integers(0, 4))
-    if lines == 0:
-        return Diagnostics(generated=draw(st.integers(0, 3)))
-    line = st.integers(0, lines - 1)
-    failure = st.builds(
-        GenerationFailure,
-        st.sampled_from(["pizza", "Braper"]),
-        st.sampled_from(["NNFS1-----A----", "<+NN><Masc><Nom><Sg><NA>"]),
-        st.sampled_from([REASON_UNKNOWN_LEMMA, REASON_INCOMPATIBLE_TAG]),
-    )
-    position = st.integers(0, 5)
-    event = st.sampled_from(["dropped-tag", "dangling-marker"])
-    kind = st.sampled_from(["odd-length", "tag-expected"])
-    lexeme = st.sampled_from(["Nacht", "Haus"])
-    return Diagnostics(
-        lines=lines,
-        generated=draw(st.integers(0, 6)),
-        fallbacks=draw(st.lists(st.tuples(line, failure), max_size=3)),
-        repairs=draw(st.lists(st.tuples(line, position, event), max_size=3)),
-        errors=draw(st.lists(st.tuples(line, kind, position), max_size=3)),
-        unknown_modifiers=draw(st.lists(st.tuples(line, lexeme), max_size=3)),
-    )
-
-
 class TestGenerateWithFallback:
     def test_success_leaves_report_clean(self, czech_lexicon):
         report = Diagnostics()
@@ -466,33 +438,6 @@ class TestGenerateWithFallback:
         out = generate_with_fallback(czech_lexicon, lemma, tag, report)
         assert out
         assert report.generated == 1
-
-    @settings(max_examples=200)
-    @given(st.lists(diagnostics_values(), min_size=3, max_size=3))
-    def test_report_merge_is_associative_sum(self, parts):
-        a, b, c = parts
-        left = Diagnostics()
-        for part in (a, b, c):
-            left.merge(part)
-        bc = copy.deepcopy(b)
-        bc.merge(c)
-        right = copy.deepcopy(a)
-        right.merge(bc)
-        assert left == right
-        # The sum concatenates the runs: counts add up, and each record
-        # moves past the lines before it.
-        assert left.lines == a.lines + b.lines + c.lines
-        assert left.generated == a.generated + b.generated + c.generated
-        offsets = (0, a.lines, a.lines + b.lines)
-        assert left.repairs == [
-            (offset + line, pos, event)
-            for part, offset in zip(parts, offsets)
-            for line, pos, event in part.repairs
-        ]
-        assert left.malformed_lines == sum(part.malformed_lines for part in parts)
-        empty = Diagnostics()
-        empty.merge(a)
-        assert empty == a
 
     def test_report_text_shape(self):
         report = Diagnostics(generated=2)

@@ -39,22 +39,22 @@ def fig1_corpus():
 class TestConfig:
     def test_mode_defaults(self):
         czech = PipelineConfig.for_mode("morphgen")
-        assert (czech.bpe_merges, czech.maxlen, czech.minlen) == (49500, 100, 1)
+        assert (czech.merges, czech.maxlen, czech.minlen) == (49500, 100, 1)
         baseline = PipelineConfig.for_mode("baseline")
         assert baseline.maxlen == 50
         german = PipelineConfig.for_mode("german-stemmed")
-        assert (german.bpe_merges, german.maxlen, german.minlen) == (29500, 100, 5)
+        assert (german.merges, german.maxlen, german.minlen) == (29500, 100, 5)
 
     def test_overrides(self):
-        cfg = PipelineConfig.for_mode("morphgen", bpe_merges=10, seed=7)
-        assert cfg.bpe_merges == 10
+        cfg = PipelineConfig.for_mode("morphgen", merges=10, seed=7)
+        assert cfg.merges == 10
         assert cfg.seed == 7
 
     def test_bounds_validated(self):
         with pytest.raises(ValueError):
-            PipelineConfig(mode="baseline", bpe_merges=0, maxlen=3, minlen=5)
+            PipelineConfig(mode="baseline", merges=0, maxlen=3, minlen=5)
         with pytest.raises(ValueError):
-            PipelineConfig(mode="nonsense", bpe_merges=0, maxlen=5, minlen=1)
+            PipelineConfig(mode="nonsense", merges=0, maxlen=5, minlen=1)
 
 
 class TestFilterCorpus:
@@ -125,7 +125,7 @@ class TestPrepareVariant:
         assert prepared.corpus.sources == [FIG1_SOURCE]
 
     def test_baseline_small_budget_splits(self):
-        cfg = PipelineConfig.for_mode("baseline", bpe_merges=3)
+        cfg = PipelineConfig.for_mode("baseline", merges=3)
         corpus = ParallelCorpus.from_lines([""], ["aaaa bbbb"])
         prepared = prepare_variant(corpus, cfg)
         assert "@@" in prepared.corpus.targets[0]
@@ -199,7 +199,7 @@ class TestPrepareVariant:
         monkeypatch.setattr(bpe, "tokenize", counting)
         sources = ["he-she  sees", "x", "they\tsee"]
         targets = [FIG1_SURFACE, "xyzzy", "pizzy  ."]
-        cfg = PipelineConfig.for_mode("morphgen", bpe_merges=5, protect_tags=True,
+        cfg = PipelineConfig.for_mode("morphgen", merges=5, protect_tags=True,
                                       joint_bpe=joint_bpe, split_source_hyphens=True)
         prepared = prepare_variant(ParallelCorpus.from_lines(sources, targets), cfg,
                                    czech_lexicon, source_tags=[["A", "B", "C"], ["X"], ["A", "B"]])
@@ -210,7 +210,7 @@ class TestPrepareVariant:
 
     def test_protect_tags_flag(self, czech_lexicon):
         # tiny budget so the tag would normally be split
-        cfg = PipelineConfig.for_mode("morphgen", bpe_merges=0, protect_tags=True)
+        cfg = PipelineConfig.for_mode("morphgen", merges=0, protect_tags=True)
         prepared = prepare_variant(fig1_corpus(), cfg, czech_lexicon)
         tokens = prepared.corpus.targets[0].split()
         assert "VB-P---3P-AA---" in tokens
@@ -221,7 +221,7 @@ class TestPrepareVariant:
         corpus = ParallelCorpus.from_lines(["representatives meet ."], [FIG1_SURFACE])
         prepared = {
             protect: prepare_variant(corpus, PipelineConfig.for_mode(
-                "morphgen", bpe_merges=5, protect_tags=protect, joint_bpe=joint_bpe,
+                "morphgen", merges=5, protect_tags=protect, joint_bpe=joint_bpe,
             ), czech_lexicon)
             for protect in (True, False)
         }
@@ -232,12 +232,12 @@ class TestPrepareVariant:
 
     def test_baseline_protects_no_token(self):
         corpus = ParallelCorpus.from_lines(["x"], ["abcdefghijklmno"])
-        cfg = PipelineConfig.for_mode("baseline", bpe_merges=0, protect_tags=True)
+        cfg = PipelineConfig.for_mode("baseline", merges=0, protect_tags=True)
         prepared = prepare_variant(corpus, cfg)
         assert prepared.corpus.targets == ["@@ ".join("abcdefghijklmno")]
 
     def test_per_side_bpe(self, czech_lexicon):
-        cfg = PipelineConfig.for_mode("morphgen", joint_bpe=False, bpe_merges=5)
+        cfg = PipelineConfig.for_mode("morphgen", joint_bpe=False, merges=5)
         prepared = prepare_variant(fig1_corpus(), cfg, czech_lexicon)
         assert prepared.source_table.merges != prepared.target_table.merges
 
@@ -262,7 +262,7 @@ class TestPrepareVariant:
         lex = czech_lexicon if lexicon == "czech" else german_lexicon
         words = "pizzy ." if lexicon == "czech" else "und Wolke"
         corpus = ParallelCorpus.from_lines(["a", "a b c", "a"], ["xyzzy qux", "x", words])
-        cfg = PipelineConfig.for_mode(mode, minlen=2, maxlen=2, bpe_merges=0)
+        cfg = PipelineConfig.for_mode(mode, minlen=2, maxlen=2, merges=0)
         kept = filter_corpus(corpus, cfg)
         assert kept._origin == [0, 2]
         with pytest.raises(error) as info:

@@ -45,7 +45,7 @@ def outcome(fn, *args):
 def src_prepare(targets, mode, lex, parse_tags=None):
     """(target lines, dropped) of ``prepare_variant``, its BPE reverted."""
     corpus = ParallelCorpus.from_lines([""] * len(targets), targets)
-    cfg = PipelineConfig.for_mode(mode, bpe_merges=0)
+    cfg = PipelineConfig.for_mode(mode, merges=0)
     prepared = prepare_variant(corpus, cfg, lex, target_parse_tags=parse_tags)
     lines = [" ".join(revert_bpe(tokenize(line))) for line in prepared.corpus.targets]
     return lines, prepared.dropped
@@ -213,6 +213,8 @@ _SPACES = [" ", " ", " ", "  ", "\t", "\r", "\x0c", "\x85", "\xa0", "\u2028"]
 
 CUTS = st.sampled_from([0, 0, 0, 1, 2])
 SPACINGS = st.sampled_from([None, None, [" ", "  "], _SPACES])
+# One space before or after a line that is otherwise normalized.
+EDGES = st.sampled_from([("", ""), ("", ""), (" ", ""), ("", " ")])
 LINE_ENDS = st.sampled_from(["", "", "@@", "@@@@", " @@"])
 
 
@@ -234,7 +236,8 @@ def backend_lines(draw, rows):
             tokens += bpe_pieces(token, draw(CUTS))
     spaces = draw(SPACINGS)
     if spaces is None:
-        line = " ".join(tokens)
+        lead, trail = draw(EDGES)
+        line = lead + " ".join(tokens) + trail
     else:
         gaps = draw(st.lists(st.sampled_from(spaces), min_size=len(tokens) + 1,
                              max_size=len(tokens) + 1))

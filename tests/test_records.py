@@ -124,9 +124,8 @@ def test_defaults():
     assert Diagnostics() == Diagnostics(0, 0, [], [], [], [])
     assert Diagnostics().fallbacks is not Diagnostics().fallbacks
     assert PipelineConfig("baseline", 0, 5).snapshot() == {
-        "mode": "baseline", "bpe_merges": 0, "maxlen": 5, "minlen": 1, "sample_size": None,
+        "mode": "baseline", "merges": 0, "maxlen": 5, "minlen": 1, "sample_size": None,
         "seed": 0, "protect_tags": False, "joint_bpe": True, "split_source_hyphens": False,
-        "lexicon_path": None,
     }
     assert PreparedVariant(ParallelCorpus([]), TABLE, TABLE).dropped == []
     assert RunManifest("v", "c", {}, {}).to_json(compact=True) == (
@@ -146,11 +145,7 @@ def test_caches_and_private_fields_stay_out_of_equality():
     used = MergeTable((("a", "b"),))
     vars(used)["_memo"][1]["ab"] = "ab"
     assert used == MergeTable((("a", "b"),)) and used.rank == {("a", "b"): 0}
-    copy = pickle.loads(pickle.dumps(used))
-    assert copy._memo == [None, {}] and copy.rank == used.rank
-    corpus = ParallelCorpus([("a", "b")], [4])
-    assert corpus == ParallelCorpus([("a", "b")])
-    assert pickle.loads(pickle.dumps(corpus))._origin == [4]
+    assert ParallelCorpus([("a", "b")], [4]) == ParallelCorpus([("a", "b")])
 
 
 @pytest.mark.parametrize("build, error, message", [
@@ -172,7 +167,7 @@ def test_caches_and_private_fields_stay_out_of_equality():
     (lambda: PipelineConfig("nonsense", 0, 5), ValueError, "unknown mode 'nonsense'"),
     (lambda: PipelineConfig("baseline", 0, 3, minlen=5), ValueError,
      "need maxlen >= minlen >= 1, got 3 / 5"),
-    (lambda: PipelineConfig("baseline", -1, 5), ValueError, "bpe_merges must be >= 0"),
+    (lambda: PipelineConfig("baseline", -1, 5), ValueError, "merges must be >= 0"),
     (lambda: PipelineConfig("baseline", 0, 5, sample_size=-1), ValueError,
      "sample_size must be >= 0"),
 ])
