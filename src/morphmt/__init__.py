@@ -44,7 +44,6 @@ _REEXPORTS = {
     ),
     "interleave": (
         "LengthMismatch",
-        "WellformednessError",
         "tag_source",
     ),
     "bpe": (

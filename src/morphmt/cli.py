@@ -168,16 +168,31 @@ def emit_manifest(manifest: RunManifest, output_path: str | None, manifest_path:
 _OUTPUT_DESTS = ("output", "out_source", "merge_table_out", "manifest")
 
 
-def check_one_stdout(args: argparse.Namespace, sub: argparse.ArgumentParser) -> None:
-    """Refuse a run that would write more than one output to standard output."""
+def check_outputs(args: argparse.Namespace, sub: argparse.ArgumentParser) -> None:
+    """Refuse a run two of whose outputs share a destination: standard
+    output, or one file however its paths name it.  The implicit
+    ``OUT.manifest.json`` sidecar and ``F.source`` table count too."""
     flags = {a.dest: a.option_strings[0] for a in sub._actions if a.option_strings}
-    on_stdout = [
-        flags.get(dest, "the output") for dest in _OUTPUT_DESTS
-        if getattr(args, dest, None) == "-" or (dest == "output" and args.output is None)
-    ]
-    if len(on_stdout) > 1:
-        raise CliError(f"{', '.join(on_stdout[:-1])} and {on_stdout[-1]} write to "
-                       "standard output; at most one output may")
+    outputs = []
+    for dest in _OUTPUT_DESTS:
+        path = getattr(args, dest, None)
+        if path is not None or dest == "output":
+            outputs.append((flags.get(dest, "the output"), "-" if path is None else path))
+    if args.manifest is None and args.output not in (None, "-"):
+        outputs.append(("the manifest sidecar", args.output + ".manifest.json"))
+    if getattr(args, "joint_bpe", None) is False and args.merge_table_out not in (None, "-"):
+        outputs.append(("the source merge table", args.merge_table_out + ".source"))
+    shared: dict[str, list[tuple[str, str]]] = {}
+    for name, path in outputs:
+        shared.setdefault(path if path == "-" else os.path.realpath(path), []).append((name, path))
+    for key in sorted(shared, key=lambda key: key != "-"):  # standard output first
+        names = [name for name, _ in shared[key]]
+        if len(names) > 1:
+            where, rule = (
+                ("standard output", "at most one output may") if key == "-"
+                else (shared[key][0][1], "each output needs its own file")
+            )
+            raise CliError(f"{', '.join(names[:-1])} and {names[-1]} write to {where}; {rule}")
 
 
 # ---------------------------------------------------------------------------
@@ -481,19 +496,18 @@ def cmd_merge_compounds(args: argparse.Namespace, inputs: _Inputs) -> _Result:
     for lineno, line in enumerate(inputs.lines(args.input), 1):
         tokens, _ = compounds.rejoin_split_tokens(tokenize(line))
         result_tokens: list[str] = []
-        for item in interleave.walk(tokens, MODE_GERMAN_STEMMED).items:
-            if item.kind != interleave.ITEM_PAIR:
+        items, _ = interleave.walk(tokens, MODE_GERMAN_STEMMED)
+        for kind, position, tag, word, features in items:
+            if kind != interleave.ITEM_PAIR:
                 # Bare tokens, orphan words and orphan tags pass through.
-                result_tokens.append(tokens[item.position])
+                result_tokens.append(tokens[position])
                 continue
             try:
-                stem, merged = compounds.merge_stem(
-                    item.word, item.features, lex, unknown_modifiers
-                )
+                stem, merged = compounds.merge_stem(word, features, lex, unknown_modifiers)
             except tagsets.MalformedAnalysis as exc:
                 raise CliError(f"line {lineno}: {exc}") from exc
             merged_count += merged
-            result_tokens.append(f"{stem}||{item.tag}")
+            result_tokens.append(f"{stem}||{tag}")
         out.append(" ".join(result_tokens))
     return _Result(
         out,
@@ -515,7 +529,10 @@ def cmd_translate(args: argparse.Namespace, inputs: _Inputs) -> _Result:
     if args.backend is None:
         raise CliError("--backend is required")
     lines = inputs.lines(args.input)
-    out = backend.translate_external(lines, shlex.split(args.backend))
+    try:
+        out = backend.translate_external(lines, shlex.split(args.backend))
+    except backend.BackendFailure as exc:
+        raise CliError(str(exc)) from exc
     return _Result(out, {"backend": args.backend}, {"lines": len(lines)})
 
 
@@ -583,6 +600,9 @@ def cmd_novel_forms(args: argparse.Namespace, inputs: _Inputs) -> _Result:
 def cmd_stats(args: argparse.Namespace, inputs: _Inputs) -> _Result:
     from . import bpe
 
+    # Exactly one of the two, whether from the command line or a config file.
+    if bool(args.vocab) == (args.word_ends is not None):
+        raise CliError("choose --vocab FILES or --word-ends [FILE]")
     if args.vocab:
         merges = GERMAN_DEFAULT_MERGES if args.merges is None else args.merges
         variants = []
@@ -591,12 +611,10 @@ def cmd_stats(args: argparse.Namespace, inputs: _Inputs) -> _Result:
             variants.append((path, tokens, bpe.learn_bpe(tokens, merges)))
         report = bpe.vocab_stats(variants)
         return _Result([report.to_text()], {}, {"variants": len(variants)})
-    if args.word_ends is not None:
-        lines = inputs.lines(args.word_ends)
-        fragments = bpe.word_end_fragment_stats(lines)
-        out = [f"{count}\t{fragment}" for fragment, count in fragments]
-        return _Result(out, {}, {"fragments": len(fragments)})
-    raise CliError("choose --vocab FILES or --word-ends [FILE]")
+    lines = inputs.lines(args.word_ends)
+    fragments = bpe.word_end_fragment_stats(lines)
+    out = [f"{count}\t{fragment}" for fragment, count in fragments]
+    return _Result(out, {}, {"fragments": len(fragments)})
 
 
 # ---------------------------------------------------------------------------
@@ -804,7 +822,7 @@ def main(argv: list[str] | None = None) -> int:
             config = load_config_file(args.config, config_keys(build_parser()))
         sub = _subcommands(parser)[args.command]
         apply_config(args, sub, config)
-        check_one_stdout(args, sub)
+        check_outputs(args, sub)
         result = args.handler(args, inputs)
         write_lines(args.output, result.lines)
         for path, lines in result.side_outputs:
@@ -821,27 +839,11 @@ def main(argv: list[str] | None = None) -> int:
         )
         emit_manifest(manifest, args.output, args.manifest)
         return 0
-    except Exception as exc:
+    except (CliError, ValueError, OSError) as exc:
         # Most library errors (bad tags, lexicon rows and streams,
         # dangling markers, empty corpora) are ValueErrors.
-        if not isinstance(exc, (CliError, ValueError, OSError)) and not isinstance(
-            exc, _loaded_library_errors()
-        ):
-            raise
         print(f"morphmt: error: {exc}", file=sys.stderr)
         return 1
-
-
-def _loaded_library_errors() -> tuple[type[Exception], ...]:
-    """The library errors that are not ValueErrors, from the modules
-    loaded so far: a handler cannot have raised one from a module it
-    never imported."""
-    errors = []
-    for module, name in (("morphlex", "NoCompatibleAnalysis"), ("backend", "BackendFailure")):
-        loaded = sys.modules.get(f"{__package__}.{module}")
-        if loaded is not None:
-            errors.append(getattr(loaded, name))
-    return tuple(errors)
 
 
 def run() -> NoReturn:

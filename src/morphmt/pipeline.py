@@ -80,13 +80,6 @@ BASE_MAXLEN = 50
 GERMAN_MINLEN = 5
 
 
-def _base_mode(mode: str) -> str:
-    """The interleaving mode underlying a pipeline mode."""
-    if mode == MODE_GERMAN_STEMMED_SPLIT:
-        return interleave.MODE_GERMAN_STEMMED
-    return mode
-
-
 def _is_german(mode: str) -> bool:
     return mode.startswith("german")
 
@@ -494,9 +487,9 @@ def postprocess_line(
         tokens, orphans = rejoin_split_tokens(tokens)
         repairs.extend((index, pos, EVENT_ORPHAN_SEPARATOR) for pos, _ in orphans)
 
-    items, error = interleave.walk(tokens, _base_mode(mode))
+    items, error = interleave.walk(tokens, mode)
     if error is not None:
-        diagnostics.errors.append((index, error.kind, error.position))
+        diagnostics.errors.append((index, *error))
 
     ITEM_RUN = interleave.ITEM_RUN
     words: list[str] = []

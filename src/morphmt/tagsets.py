@@ -173,38 +173,36 @@ class GermanFeatureSeq(FrozenRecord):
     strength slot must be present (``NA`` when inflection does not depend
     on it).  Finite verbs are ``+V`` + person/number/tense/mood;
     participles and infinitives are ``+V PPast`` / ``+V Inf``.  Bare kinds
-    carry a bracketed parse tag in ``bare_tag`` instead.
+    carry a bracketed parse tag in ``bare_tag`` instead.  ``kind`` (a
+    ``KIND_*`` name) is derived from these two and is not a field, so
+    equality, hashing and ``repr`` are over ``values`` and ``bare_tag``.
     """
 
-    def __init__(self, kind: str, values: tuple[str, ...] = (), bare_tag: str = "") -> None:
-        object.__setattr__(self, "kind", kind)
+    def __init__(self, values: tuple[str, ...] = (), bare_tag: str = "") -> None:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "bare_tag", bare_tag)
-        if kind == KIND_BARE:
-            if not bare_tag or values:
-                raise MalformedAnalysis("bare feature sequence needs only a parse tag")
-            return
-        if bare_tag:
-            raise MalformedAnalysis(f"{kind} sequence cannot carry a bare tag")
         v = values
-        if kind == KIND_PARTICIPLE:
-            if v != ("+V", "PPast"):
-                raise MalformedAnalysis(f"participle must be <+V><PPast>, got {v}")
-        elif kind == KIND_INFINITIVE:
-            if v != ("+V", "Inf"):
-                raise MalformedAnalysis(f"infinitive must be <+V><Inf>, got {v}")
-        elif kind == KIND_VERBAL_FINITE:
+        if bare_tag or not v:
+            kind = KIND_BARE
+            if not bare_tag or v:
+                raise MalformedAnalysis("bare feature sequence needs only a parse tag")
+        elif v == ("+V", "PPast"):
+            kind = KIND_PARTICIPLE
+        elif v == ("+V", "Inf"):
+            kind = KIND_INFINITIVE
+        elif v[0] == "+V":
+            kind = KIND_VERBAL_FINITE
             if (
                 len(v) != 5
-                or v[0] != "+V"
                 or v[1] not in PERSONS
                 or v[2] not in NUMBERS
                 or v[3] not in TENSES
                 or v[4] not in MOODS
             ):
                 raise MalformedAnalysis(f"bad finite-verb feature sequence: {v}")
-        elif kind == KIND_NOMINAL:
-            if len(v) < 5 or not v[0].startswith("+") or v[0] == "+V":
+        else:
+            kind = KIND_NOMINAL
+            if len(v) < 5 or not v[0].startswith("+"):
                 raise MalformedAnalysis(f"bad nominal feature sequence: {v}")
             if v[-4] not in GENDERS:
                 raise MalformedAnalysis(f"bad gender {v[-4]!r} in {v}")
@@ -217,8 +215,7 @@ class GermanFeatureSeq(FrozenRecord):
                     f"bad or missing strength {v[-1]!r} in {v} "
                     "(the dummy value NA is required when strength is immaterial)"
                 )
-        else:
-            raise MalformedAnalysis(f"unknown feature-sequence kind {kind!r}")
+        object.__setattr__(self, "kind", kind)
 
     # Nominal accessors (undefined for other kinds).
     @property
@@ -252,23 +249,11 @@ def parse_feature_seq(text: str) -> GermanFeatureSeq:
         )
     if _ANGLE_SEQ_RE.match(text):
         values = tuple(_ANGLE_VALUE_RE.findall(text))
-        return GermanFeatureSeq(_classify_values(values), values)
+        return GermanFeatureSeq(values)
     bracketed = _BARE_TAG_RE.match(text)
     if bracketed:
-        return GermanFeatureSeq(KIND_BARE, bare_tag=bracketed.group(1))
+        return GermanFeatureSeq(bare_tag=bracketed.group(1))
     raise MalformedAnalysis(f"not a feature sequence: {text!r}")
-
-
-def _classify_values(values: tuple[str, ...]) -> str:
-    if not values:
-        raise MalformedAnalysis("empty feature sequence")
-    if values[0] == "+V":
-        if values == ("+V", "PPast"):
-            return KIND_PARTICIPLE
-        if values == ("+V", "Inf"):
-            return KIND_INFINITIVE
-        return KIND_VERBAL_FINITE
-    return KIND_NOMINAL
 
 
 def format_separator(markup: str) -> str:
@@ -395,7 +380,7 @@ def parse_german_analysis(raw: str) -> tuple[str, str, GermanFeatureSeq]:
     if m is None:
         raise MalformedAnalysis(f"not an analysis: {raw!r}")
     lexeme = m.group(1)
-    return raw[len(lexeme):], lexeme, GermanFeatureSeq(KIND_BARE, bare_tag=m.group(2))
+    return raw[len(lexeme):], lexeme, GermanFeatureSeq(bare_tag=m.group(2))
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,10 @@ MUTATIONS = (
              "        raise MalformedTag(f\"illegal character {ch!r} at position {i} in tag {raw!r}\")\n"
              "    return tuple(raw)\n",
              ("tests/test_tagsets.py", "tests/test_morphlex.py")),
+    # A German feature sequence derives its kind from its values.
+    Mutation("participle-kind-read-as-finite", TAGSETS,
+             "            kind = KIND_PARTICIPLE\n", "            kind = KIND_VERBAL_FINITE\n",
+             TEST_TAGSETS),
     # The prepare manifest records whether the length filter ran.
     Mutation("prepare-manifest-without-filter", CLI,
              '"lexicon": args.lexicon, "filter": filtered}', '"lexicon": args.lexicon}', TEST_CLI),
@@ -102,9 +106,17 @@ MUTATIONS = (
              '{"mode": mode, "lexicon": args.lexicon}',
              '{**pipeline.PipelineConfig.for_mode(mode).snapshot(), "lexicon": args.lexicon}',
              TEST_CLI),
-    # At most one output of a run goes to standard output.
+    # No two outputs of a run share a destination: standard output or a file.
     Mutation("outputs-share-stdout", CLI,
-             "    if len(on_stdout) > 1:\n", "    if False:\n", TEST_CLI),
+             "        if len(names) > 1:\n", '        if len(names) > 1 and key != "-":\n', TEST_CLI),
+    Mutation("outputs-share-a-file", CLI,
+             "        if len(names) > 1:\n", '        if len(names) > 1 and key == "-":\n', TEST_CLI),
+    Mutation("output-files-compared-by-name", CLI,
+             'path if path == "-" else os.path.realpath(path)', "path", TEST_CLI),
+    # stats takes --vocab or --word-ends, never both.
+    Mutation("stats-vocab-wins-over-word-ends", CLI,
+             "    if bool(args.vocab) == (args.word_ends is not None):\n",
+             "    if not args.vocab and args.word_ends is None:\n", TEST_CLI),
     Mutation("manifest-dash-is-a-file", CLI,
              "        write_lines(manifest_path, [manifest.to_json()])\n",
              '        Path(manifest_path).write_text(manifest.to_json() + "\\n", encoding="utf-8")\n',
@@ -159,8 +171,12 @@ MUTATIONS = (
              "                    raise\n", TEST_MEMO),
     # The walk and the rejoin of split compounds.
     Mutation("german-word-expected-one-token-late", INTERLEAVE,
-             "                error = WellformednessError(i, ERROR_WORD_EXPECTED)\n",
-             "                error = WellformednessError(i + 1, ERROR_WORD_EXPECTED)\n",
+             "                error = (ERROR_WORD_EXPECTED, i)\n",
+             "                error = (ERROR_WORD_EXPECTED, i + 1)\n",
+             TEST_INTERLEAVE),
+    Mutation("czech-tag-expected-one-token-late", INTERLEAVE,
+             "                error = (ERROR_TAG_EXPECTED, start)\n",
+             "                error = (ERROR_TAG_EXPECTED, start + 1)\n",
              TEST_INTERLEAVE),
     Mutation("rejoined-token-always-a-word", COMPOUNDS,
              "            last_is_word = not is_german_tag_token(joined)\n",

@@ -1207,6 +1207,7 @@ CHARACTERIZATION_FILES = {
     "spaced.tsv": b"a b\tNNFS1-----A----\tx\nc\tNNFS2-----A----\ty\n",
     "hyphen.src": b"a-b- z\n",
     "hyphen.tags": b"T U V\n",
+    "vocab.conf": b"vocab = cs.txt\n",
 }
 
 # name -> (argv, stdin text)
@@ -1239,6 +1240,21 @@ CHARACTERIZATION_CASES = {
                                                  "--no-joint-bpe", "--target", "cs.txt",
                                                  "--out-target", "out.tgt",
                                                  "--merge-table-out", "-"], None),
+    # No two outputs of a run write to one file, however its paths name it;
+    # the manifest sidecar and the source merge table count.
+    "prepare-out-target-is-out-source": (["prepare", "--mode", "morphgen", "--lexicon", "cs.tsv",
+                                          "--target", "cs.txt", "--source", "src.txt",
+                                          "--out-target", "o.txt", "--out-source", "o.txt",
+                                          "--merges", "5"], None),
+    "prepare-source-table-is-out-source": (["prepare", "--mode", "baseline", "--merges", "5",
+                                            "--no-joint-bpe", "--source", "src.txt",
+                                            "--target", "cs.txt", "--out-target", "out.tgt",
+                                            "--merge-table-out", "t.txt",
+                                            "--out-source", "./t.txt.source"], None),
+    "prepare-merge-table-is-manifest-sidecar": (["prepare", "--mode", "baseline", "--merges", "5",
+                                                 "--target", "cs.txt", "--out-target", "out.tgt",
+                                                 "--merge-table-out", "out.tgt.manifest.json"],
+                                                None),
     # postprocess would write a bare token's lexeme, not its surface.
     "prepare-german-bare-not-surface": (["prepare", "--mode", "german-stemmed", "--lexicon",
                                          "bare.tsv"], "q\n"),
@@ -1273,6 +1289,8 @@ CHARACTERIZATION_CASES = {
     "bpe-revert-unwritable-output": (["bpe-revert", "-o", "nodir/out.txt"], "a\n"),
     "bpe-revert-unicode-spaces": (["bpe-revert"], "pi\u0085zza a\u00a0b\n"),
     "bpe-revert-manifest-stdout": (["bpe-revert", "-o", "rev.txt", "--manifest", "-"], "a@@ b\n"),
+    "bpe-revert-output-is-manifest": (["bpe-revert", "-o", "same.txt", "--manifest", "same.txt"],
+                                      "a@@ b\n"),
     "analyze-stdin": (["analyze", "--lexicon", "de.tsv"], "vulkanischen\nxyzzy\n\n eine \n"),
     "analyze-output": (["analyze", "--lexicon", "cs.tsv", "-o", "an.txt"], "pizzy\n"),
     "analyze-no-lexicon": (["analyze"], "pizzy\n"),
@@ -1338,6 +1356,11 @@ CHARACTERIZATION_CASES = {
                               "spiel@@ ten\nspiel@@ ten la@@ ten\n"),
     "stats-word-ends-file": (["stats", "--word-ends", "morph.txt"], None),
     "stats-nothing": (["stats"], None),
+    # --vocab and --word-ends: one of the two, wherever each is set.
+    "stats-vocab-and-word-ends": (["stats", "--vocab", "cs.txt", "--word-ends", "morph.txt",
+                                   "--merges", "1"], None),
+    "stats-word-ends-and-vocab-from-config": (["stats", "--config", "vocab.conf",
+                                               "--word-ends", "morph.txt"], None),
 }
 
 SUBCOMMANDS = [

@@ -14,7 +14,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # What ``from morphmt import *`` bound when the package imported every
 # submodule eagerly, the re-exported names and the submodules themselves,
 # less the names deleted since (the German analysis record and its
-# formatter, and the positional-tag record).
+# formatter, the positional-tag record, and the walk's error type).
 PUBLIC_NAMES = {
     "tagsets": [
         "GermanFeatureSeq", "MalformedAnalysis", "MalformedTag", "StemSegment",
@@ -25,7 +25,7 @@ PUBLIC_NAMES = {
         "NoCompatibleAnalysis", "ParadigmLexicon", "analyze", "generate",
         "generate_with_fallback", "load_lexicon",
     ],
-    "interleave": ["LengthMismatch", "WellformednessError", "tag_source"],
+    "interleave": ["LengthMismatch", "tag_source"],
     "bpe": [
         "DanglingMarker", "MergeTable", "VocabReport", "apply_bpe", "learn_bpe", "revert_bpe",
         "vocab_stats", "word_end_fragment_stats",

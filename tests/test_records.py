@@ -28,7 +28,7 @@ TABLE = MergeTable((("a", "b"), ("ab", "c")))
 
 # A factory per type, so each call builds a new, equal value.
 FROZEN = {
-    "GermanFeatureSeq": lambda: GermanFeatureSeq("nominal", ("+NN", "Fem", "Acc", "Sg", "NA")),
+    "GermanFeatureSeq": lambda: GermanFeatureSeq(("+NN", "Fem", "Acc", "Sg", "NA")),
     "StemSegment": lambda: StemSegment("Meer", "NN"),
     "GenerationFailure": lambda: GenerationFailure("Braper", "NNFS1-----A----", "unknown-lemma"),
     "MergeTable": lambda: MergeTable((("a", "b"), ("ab", "c"))),
@@ -51,7 +51,7 @@ MUTABLE = {
 ALL = {**FROZEN, **MUTABLE}
 # The first field of each type.
 FIRST = {
-    "GermanFeatureSeq": "kind", "StemSegment": "lexeme",
+    "GermanFeatureSeq": "values", "StemSegment": "lexeme",
     "GenerationFailure": "lemma", "MergeTable": "merges", "VocabReport": "rows",
     "NovelFormReport": "novel_tokens", "Diagnostics": "lines",
     "PipelineConfig": "mode", "ParallelCorpus": "pairs", "PreparedVariant": "corpus",
@@ -119,7 +119,7 @@ def test_unequal_fields_differ():
 
 
 def test_defaults():
-    assert GermanFeatureSeq("bare", bare_tag="KON").values == ()
+    assert GermanFeatureSeq(bare_tag="KON").values == ()
     assert StemSegment("und").markup is None
     assert Diagnostics() == Diagnostics(0, 0, [], [], [], [])
     assert Diagnostics().fallbacks is not Diagnostics().fallbacks
@@ -139,6 +139,10 @@ def test_defaults():
 def test_repr_lists_the_fields():
     assert repr(StemSegment("Meer", "NN")) == "StemSegment(lexeme='Meer', markup='NN')"
     assert repr(ParallelCorpus([("a", "b")], [3])) == "ParallelCorpus(pairs=[('a', 'b')])"
+    # A feature sequence's kind is derived from its values, not a field.
+    assert repr(GermanFeatureSeq(("+V", "Inf"))) == (
+        "GermanFeatureSeq(values=('+V', 'Inf'), bare_tag='')"
+    )
 
 
 def test_caches_and_private_fields_stay_out_of_equality():
@@ -153,16 +157,10 @@ def test_caches_and_private_fields_stay_out_of_equality():
      "positional tag must have 15 characters, got 5: 'NNFS1'"),
     (lambda: parse_czech_tag("C=-------------"), MalformedTag,
      "illegal character '=' at position 1 in tag 'C=-------------'"),
-    (lambda: GermanFeatureSeq("bare"), MalformedAnalysis,
+    (lambda: GermanFeatureSeq(), MalformedAnalysis,
      "bare feature sequence needs only a parse tag"),
-    (lambda: GermanFeatureSeq("nominal", ("+NN",), "KON"), MalformedAnalysis,
-     "nominal sequence cannot carry a bare tag"),
-    (lambda: GermanFeatureSeq("participle", ("+V",)), MalformedAnalysis,
-     "participle must be <+V><PPast>, got ('+V',)"),
-    (lambda: GermanFeatureSeq("nominal", ("+NN", "Fem", "Acc", "Sg", "Xx")), MalformedAnalysis,
+    (lambda: GermanFeatureSeq(("+NN", "Fem", "Acc", "Sg", "Xx")), MalformedAnalysis,
      "bad or missing strength 'Xx'"),
-    (lambda: GermanFeatureSeq("other", ("a",)), MalformedAnalysis,
-     "unknown feature-sequence kind 'other'"),
     (lambda: MergeTable((("a", "b"), ("a", "b"))), ValueError, "duplicate pairs in merge table"),
     (lambda: PipelineConfig("nonsense", 0, 5), ValueError, "unknown mode 'nonsense'"),
     (lambda: PipelineConfig("baseline", 0, 3, minlen=5), ValueError,

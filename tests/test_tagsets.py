@@ -113,9 +113,9 @@ class TestGermanFeatureSeq:
 
     def test_direct_construction_validates(self):
         with pytest.raises(MalformedAnalysis):
-            GermanFeatureSeq("nominal", ("+NN", "Fem", "Acc", "Sg"))
+            GermanFeatureSeq(("+NN", "Fem", "Acc", "Sg"))
         with pytest.raises(MalformedAnalysis):
-            GermanFeatureSeq("bare")
+            GermanFeatureSeq()
 
 
 def rejoin(tag_text, lemma):
